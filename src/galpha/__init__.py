@@ -17,7 +17,7 @@ from .amplification import (
     characteristic_recurrence_residual,
     limit_matrix_inf,
     limit_matrix_zero,
-    truncation_bracket,
+    one_step_tableau,
     truncation_residual,
 )
 from .integrator import (
@@ -77,13 +77,13 @@ __all__ = [
     "params_from_rho",
     "in_stability_region",
     # amplification
+    "one_step_tableau",
     "build_lr",
     "build_lr_from_gammas",
     "amplification_matrix",
     "limit_matrix_zero",
     "limit_matrix_inf",
     "characteristic_recurrence_residual",
-    "truncation_bracket",
     "truncation_residual",
     # stability
     "default_t_samples",

@@ -10,23 +10,26 @@ The amplification matrix is G(T) = L(T)^{-1} R(T); its spectral radius over T
 decides stability and its principal eigenvalue carries the accuracy of the
 scheme.
 
-Matrix layout (row i = update of the i-th scaled derivative, last row = the
-weighted collocation of the ODE between steps n and n+1):
+Every entry is affine in T, so L = L0 + T*L1 and R = R0 + T*R1.  The layout
+is written once, in :func:`one_step_tableau`, as the pair (c0, c1) of each
+nonzero entry c0 + c1*T.  Row i = update of the i-th scaled derivative, last
+row = the alpha-weighted collocation of the ODE between steps n and n+1;
+k = (p-2)! and -1/(j-1)! reads 0 at j = 0:
 
-    L[i, i]    = 1                       for i = 0 .. p-2
-    L[i, p-1]  = -gamma_{p-1-i} / (p-1-i)!
-    L[p-1, p-2] = alpha_f * T / (p-2)!,   L[p-1, p-1] = alpha_m / (p-2)!
+    L[i, i]     = (1, 0)                               i = 0 .. p-2
+    L[i, p-1]   = (-gamma_{p-1-i} / (p-1-i)!, 0)
+    L[p-1, p-2] = (0, alpha_f / k)
+    L[p-1, p-1] = (alpha_m / k, 0)
 
-    R[i, j]    = 1 / (j-i)!              for i <= j <= p-2
-    R[i, p-1]  = (1 - gamma_{p-1-i}) / (p-1-i)!
-    R[p-1, 0]  = -T
-    R[p-1, j]  = -1/(j-1)! - T/j!        for 1 <= j <= p-3
-    R[p-1, p-2] = -1/(p-3)! + (alpha_f - 1) T / (p-2)!
-    R[p-1, p-1] = (alpha_m - 1) / (p-2)!
+    R[i, j]     = (1 / (j-i)!, 0)                      i <= j <= p-2
+    R[i, p-1]   = ((1 - gamma_{p-1-i}) / (p-1-i)!, 0)
+    R[p-1, j]   = (-1/(j-1)!, -1/j!)                   j = 0 .. p-3
+    R[p-1, p-2] = (-1/(p-3)!, (alpha_f - 1) / k)       (0, alpha_f - 1) for p = 2
+    R[p-1, p-1] = ((alpha_m - 1) / k, 0)
 
-(for p = 2 the two last-row rules collapse to R[1, 0] = (alpha_f - 1) T and
-R[1, 1] = alpha_m - 1).  These rows follow directly from Taylor updates of
-each derivative plus the alpha-weighted collocation; the p = 3 case reduces to
+Eliminating row p-2 from the last row gives (p-2)! det L(T) = alpha_m +
+gamma_1 alpha_f T for every p: the only pole is T = -alpha_m/(gamma_1 alpha_f).
+The p = 3 case reduces to
 
     L = [[1, 0, -g2/2], [0, 1, -g1], [0, af*T, am]]
     R = [[1, 1, (1-g2)/2], [0, 1, 1-g1], [-T, (af-1)*T - 1, am-1]]
@@ -40,53 +43,81 @@ import numpy as np
 
 from . import numkit
 from .errors import DegenerateParams, SingularAtT, SingularMatrix, TooShort, VariantUnsupported
-from .schemes import SchemeParams, Variant
+from .schemes import SchemeParams, Variant, order_condition_residuals
 
 __all__ = [
+    "one_step_tableau",
+    "fill_tableau",
     "build_lr",
     "build_lr_from_gammas",
     "amplification_matrix",
+    "limit_zero_p3",
+    "limit_inf_p3",
     "limit_matrix_zero",
     "limit_matrix_inf",
     "characteristic_recurrence_residual",
-    "truncation_bracket",
     "truncation_residual",
 ]
 
 
-def build_lr_from_gammas(p, alpha_m, alpha_f, gammas, t):
-    """(L, R) for explicit gamma weights; ``t`` is lambda*tau (may be complex).
+def one_step_tableau(p, alpha_m, alpha_f, gammas, one=1.0):
+    """Nonzero entries of L(T) and R(T) as ``{(i, j): (c0, c1)}`` dicts.
 
-    This is the raw builder used both by :func:`build_lr` and by callers that
-    scan over non-standard gamma choices.
+    Entry (i, j) of the matrix is c0 + c1*T; the row rules are the ones in
+    the module docstring.  ``alpha_m``, ``alpha_f`` and the p - 1 ``gammas``
+    (gamma_1 first) may be floats, per-cell arrays or mpmath numbers; ``one``
+    sets the number type of the factorial weights (``mp.mpf(1)`` for
+    extended precision).  Returns ``(L, R)``.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
     if len(gammas) != p - 1:
         raise ValueError(f"expected {p - 1} gammas, got {len(gammas)}")
-    t = complex(t)
-    L = np.zeros((p, p), dtype=complex)
-    R = np.zeros((p, p), dtype=complex)
+    zero = 0 * one
+    k = one * factorial(p - 2)
+    L, R = {}, {}
     for i in range(p - 1):
         g = gammas[p - 2 - i]  # gamma_{p-1-i}
-        f = factorial(p - 1 - i)
-        L[i, i] = 1.0
-        L[i, p - 1] = -g / f
+        f = one * factorial(p - 1 - i)
+        L[i, i] = (one, zero)
+        L[i, p - 1] = (-g / f, zero)
         for j in range(i, p - 1):
-            R[i, j] = 1.0 / factorial(j - i)
-        R[i, p - 1] = (1.0 - g) / f
-    fk = factorial(p - 2)
-    L[p - 1, p - 2] = alpha_f * t / fk
-    L[p - 1, p - 1] = alpha_m / fk
-    if p == 2:
-        R[p - 1, 0] = (alpha_f - 1.0) * t
-    else:
-        R[p - 1, 0] = -t
-        for j in range(1, p - 2):
-            R[p - 1, j] = -1.0 / factorial(j - 1) - t / factorial(j)
-        R[p - 1, p - 2] = -1.0 / factorial(p - 3) + (alpha_f - 1.0) * t / fk
-    R[p - 1, p - 1] = (alpha_m - 1.0) / fk
+            R[i, j] = (one / factorial(j - i), zero)
+        R[i, p - 1] = ((one - g) / f, zero)
+    L[p - 1, p - 2] = (zero, alpha_f / k)
+    L[p - 1, p - 1] = (alpha_m / k, zero)
+    for j in range(p - 1):
+        R[p - 1, j] = (
+            -one / factorial(j - 1) if j else zero,
+            (alpha_f - one) / k if j == p - 2 else -one / factorial(j),
+        )
+    R[p - 1, p - 1] = ((alpha_m - one) / k, zero)
     return L, R
+
+
+def fill_tableau(entries, t, out):
+    """Write c0 + c1*t into ``out[i, j]`` for every tableau entry; returns ``out``.
+
+    ``out`` is anything indexed by ``[i, j]``: a (p, p) array, an
+    ``mp.matrix``, or ``stack.transpose(1, 2, 0)`` to fill a stacked
+    (ncell, p, p) array from per-cell coefficients.
+    """
+    for (i, j), (c0, c1) in entries.items():
+        out[i, j] = c0 + t * c1
+    return out
+
+
+def build_lr_from_gammas(p, alpha_m, alpha_f, gammas, t):
+    """(L, R) for explicit gamma weights; ``t`` is lambda*tau (may be complex).
+
+    :func:`build_lr` calls this with a scheme's gammas; callers that scan over
+    non-standard gamma choices call it directly.
+    """
+    t = complex(t)
+    return tuple(
+        fill_tableau(entries, t, np.zeros((p, p), dtype=complex))
+        for entries in one_step_tableau(p, alpha_m, alpha_f, gammas)
+    )
 
 
 def build_lr(params: SchemeParams, t):
@@ -102,7 +133,7 @@ def amplification_matrix(params: SchemeParams, t) -> np.ndarray:
     Raises
     ------
     SingularAtT
-        If L(T) is singular; for p = 3 this happens on the pole
+        If L(T) is singular, which happens on the pole
         alpha_m + gamma_1 * alpha_f * T = 0.
     """
     L, R = build_lr(params, t)
@@ -112,42 +143,69 @@ def amplification_matrix(params: SchemeParams, t) -> np.ndarray:
         raise SingularAtT(f"one-step matrix is singular at T={t!r}: {exc}") from exc
 
 
-def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
-    """Limit of G(T) as T -> 0 for the third-order family (any closure).
+def limit_zero_p3(alpha_m, gamma_1, gamma_2) -> np.ndarray:
+    """Closed-form limit of the p = 3 amplification matrix as T -> 0.
 
     A0 = [[1, 1 - g2/(2 am), 1/2 - g2/(2 am)],
           [0, 1 - g1/am,     1 - g1/am],
           [0, -1/am,         1 - 1/am]]
 
-    Its eigenvalues are 1 (the consistency mode) and the roots of the
-    trailing 2x2 block.  Requires alpha_m != 0.
+    Arguments may be per-cell arrays; the result then stacks one 3x3 matrix
+    per cell in its trailing axes.  alpha_m must be nonzero.
     """
-    if params.p != 3:
-        raise VariantUnsupported("closed-form T->0 limit is available for p=3 only")
-    am = params.alpha_m
-    if am == 0.0:
-        raise DegenerateParams("T->0 limit undefined for alpha_m = 0")
-    g1, g2 = params.gammas
-    return np.array(
-        [
-            [1.0, 1.0 - g2 / (2.0 * am), 0.5 - g2 / (2.0 * am)],
-            [0.0, 1.0 - g1 / am, 1.0 - g1 / am],
-            [0.0, -1.0 / am, 1.0 - 1.0 / am],
-        ],
-        dtype=complex,
-    )
+    am, g1, g2 = alpha_m, gamma_1, gamma_2
+    a0 = np.zeros(np.broadcast(am, g1, g2).shape + (3, 3), dtype=complex)
+    a0[..., 0, 0] = 1.0
+    a0[..., 0, 1] = 1.0 - g2 / (2.0 * am)
+    a0[..., 0, 2] = 0.5 - g2 / (2.0 * am)
+    a0[..., 1, 1] = 1.0 - g1 / am
+    a0[..., 1, 2] = 1.0 - g1 / am
+    a0[..., 2, 1] = -1.0 / am
+    a0[..., 2, 2] = 1.0 - 1.0 / am
+    return a0
 
 
-def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
-    """Limit of G(T) as T -> infinity, equal-gamma third-order closure only.
+def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
+    """Closed-form limit of the equal-gamma p = 3 amplification matrix as T -> inf.
 
     Ainf = [[1 - 1/(2 af), 1 - 1/(2 af), 0],
             [-1/af,        1 - 1/af,     0],
             [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
 
-    Requires alpha_f != 0 and gamma_1 != 0.  Note the trailing entry
-    1 - 1/g1 is an exact eigenvalue (the third column is otherwise zero),
-    and the leading 2x2 block depends on alpha_f alone.
+    Arguments may be per-cell arrays, as for :func:`limit_zero_p3`; alpha_f
+    and gamma_1 must be nonzero.
+    """
+    af, g1 = alpha_f, gamma_1
+    ainf = np.zeros(np.broadcast(af, g1).shape + (3, 3), dtype=complex)
+    ainf[..., 0, 0] = 1.0 - 0.5 / af
+    ainf[..., 0, 1] = 1.0 - 0.5 / af
+    ainf[..., 1, 0] = -1.0 / af
+    ainf[..., 1, 1] = 1.0 - 1.0 / af
+    ainf[..., 2, 0] = -1.0 / (g1 * af)
+    ainf[..., 2, 1] = -1.0 / (g1 * af)
+    ainf[..., 2, 2] = 1.0 - 1.0 / g1
+    return ainf
+
+
+def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
+    """:func:`limit_zero_p3` for a third-order scheme (any closure), alpha_m != 0.
+
+    Its eigenvalues are 1 (the consistency mode) and the roots of the
+    trailing 2x2 block.
+    """
+    if params.p != 3:
+        raise VariantUnsupported("closed-form T->0 limit is available for p=3 only")
+    if params.alpha_m == 0.0:
+        raise DegenerateParams("T->0 limit undefined for alpha_m = 0")
+    return limit_zero_p3(params.alpha_m, *params.gammas)
+
+
+def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
+    """:func:`limit_inf_p3` for an equal-gamma third-order scheme.
+
+    Requires alpha_f != 0 and gamma_1 != 0.  The trailing entry 1 - 1/g1 is
+    an exact eigenvalue (the third column is otherwise zero), and the leading
+    2x2 block depends on alpha_f alone.
     """
     if params.p != 3:
         raise VariantUnsupported("closed-form T->inf limit is available for p=3 only")
@@ -156,18 +214,9 @@ def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
             "T->inf limit has closed form only for the equal-gamma closure; "
             "sample G at large T instead"
         )
-    af = params.alpha_f
-    g1 = params.gamma1
-    if af == 0.0 or g1 == 0.0:
+    if params.alpha_f == 0.0 or params.gamma1 == 0.0:
         raise DegenerateParams("T->inf limit undefined for alpha_f = 0 or gamma_1 = 0")
-    return np.array(
-        [
-            [1.0 - 0.5 / af, 1.0 - 0.5 / af, 0.0],
-            [-1.0 / af, 1.0 - 1.0 / af, 0.0],
-            [-1.0 / (g1 * af), -1.0 / (g1 * af), 1.0 - 1.0 / g1],
-        ],
-        dtype=complex,
-    )
+    return limit_inf_p3(params.alpha_f, params.gamma1)
 
 
 def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> float:
@@ -198,29 +247,17 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     return float(residual)
 
 
-def truncation_bracket(params: SchemeParams, t=None) -> tuple[float, float]:
-    """Coefficients (b0, b1) of the local-error bracket of the p = 3 family.
+def truncation_residual(params: SchemeParams, t) -> complex:
+    """Leading local-error term of the p = 3 family at T = lambda*tau.
 
     The residual of the exact solution in the one-step recurrence expands as
 
-        tau^3 lambda^3 / (12 (alpha_m + gamma_1 alpha_f T)) * [b0 + T b1] + O(tau^5)
+        T^3 / (12 (alpha_m + gamma_1 alpha_f T)) * [b0 + T b1] + O(T^5)
 
-    with b0 and b1 exactly the two order-condition residuals.  ``t`` is unused
-    for the coefficient pair itself and accepted only for signature symmetry
-    with :func:`truncation_residual`.
+    where (b0, b1) are exactly the two order-condition residuals of
+    :func:`~galpha.schemes.order_condition_residuals`.
     """
-    if params.p != 3:
-        raise VariantUnsupported("truncation bracket is defined for p=3")
-    g1, g2 = params.gammas
-    am, af = params.alpha_m, params.alpha_f
-    b0 = -5.0 + 6.0 * g1 + 6.0 * g2 + 12.0 * af - 12.0 * am
-    b1 = -5.0 - 2.0 * g1 + 6.0 * g2 + 12.0 * af - 12.0 * g1 * af
-    return b0, b1
-
-
-def truncation_residual(params: SchemeParams, t) -> complex:
-    """Leading local-error term (b0 + T*b1) * T^3 / (12 (alpha_m + g1 af T))."""
-    b0, b1 = truncation_bracket(params)
+    b0, b1 = order_condition_residuals(params)
     t = complex(t)
     denom = 12.0 * (params.alpha_m + params.gamma1 * params.alpha_f * t)
     scale = 12.0 * (abs(params.alpha_m) + abs(params.gamma1 * params.alpha_f * t))

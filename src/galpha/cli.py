@@ -103,7 +103,9 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--alpha-m", type=float, default=None)
     sub.add_argument("--alpha-f", type=float, default=None)
-    sub.add_argument("--rho-inf", type=float, default=None, help="stiff-limit eigenvalue modulus")
+    sub.add_argument(
+        "--rho-inf", type=float, default=None, help="p=3 design target: one stiff-limit eigenvalue at +-rho_inf"
+    )
     sub.add_argument(
         "--branch",
         choices=[b.value for b in RhoBranch],

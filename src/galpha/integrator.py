@@ -1,14 +1,14 @@
 """Time marching for linear systems u' + A u = 0.
 
 The state carried between steps stacks the solution together with its scaled
-derivatives, block j holding tau^j * u^(j).  One step solves a single shifted
-system
+derivatives, block j holding tau^j * u^(j).  One step reads the one-step
+layout from ``amplification.one_step_tableau``, solves a single shifted system
 
-    (alpha_m * I + gamma_1 * alpha_f * tau * A) x = b
+    (alpha_m * I + gamma_1 * alpha_f * tau * A) x / (p-2)! = b
 
 for the highest derivative block and then updates every lower block
-explicitly, so the per-step cost is one implicit solve plus a handful of
-matrix-vector products -- regardless of the order p.  For a scalar problem the
+explicitly, so the per-step cost is one implicit solve plus p matrix-vector
+products -- regardless of the order p.  For a scalar problem the
 step operator is exactly multiplication by the amplification matrix G(lambda *
 tau), which is the main correctness oracle used in the tests.
 
@@ -21,12 +21,12 @@ second-difference discretization of the heat equation on the unit interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Callable
 
 import numpy as np
 
 from . import numkit
+from .amplification import one_step_tableau
 from .errors import GalphaError, SingularMatrix, SolveFailed, StepSingular
 from .schemes import SchemeParams
 
@@ -218,46 +218,41 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
 def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> StateVector:
     """Advance one step of size ``state.tau``.
 
-    One call to ``problem.shifted_solve`` (shift sigma = gamma_1 * alpha_f *
-    tau) produces the new highest block; the rest of the stack follows from
-    explicit Taylor-ladder updates.  Exceptions from the solve are re-raised
-    as :class:`SolveFailed` unless they already carry a package error type.
+    One call to ``problem.shifted_solve`` (c1 = alpha_m / (p-2)!, shift
+    sigma = gamma_1 * alpha_f * tau / (p-2)!) produces the new highest block;
+    the rest of the stack follows from explicit Taylor-ladder updates.  Each
+    nonzero T-coefficient on the last row of the tableau costs one
+    ``problem.apply``, p in all.  Exceptions from the solve are re-raised as
+    :class:`SolveFailed` unless they already carry a package error type.
     """
     p = params.p
     if state.order != p:
         raise ValueError(f"state carries {state.order} blocks, scheme needs {p}")
     tau = state.tau
     U = state.stack
-    am, af = params.alpha_m, params.alpha_f
-    gam = params.gammas
+    L, R = one_step_tableau(p, params.alpha_m, params.alpha_f, params.gammas)
 
     def t_apply(v):
         return tau * problem.apply(v)
 
-    # Explicit share of each updated block; entry i still lacks its
-    # gamma-weighted multiple of the implicit unknown.
-    ladder = []
-    for i in range(p - 1):
-        g = gam[p - 2 - i]
-        f = factorial(p - 1 - i)
-        r = ((1.0 - g) / f) * U[p - 1]
-        for j in range(i, p - 1):
-            r = r + U[j] / factorial(j - i)
-        ladder.append(r)
+    # Rows 0..p-2 are free of T: new block i = ladder[i] - L[i, p-1] * x,
+    # where x is the new last block.
+    ladder = [sum(R[i, j][0] * U[j] for j in range(i, p)) for i in range(p - 1)]
 
-    # Right-hand side of the collocation row (mirrors the one-step matrices).
-    fk = factorial(p - 2)
-    if p == 2:
-        rhs = (af - 1.0) * t_apply(U[0]) + (am - 1.0) * U[1]
-    else:
-        rhs = -t_apply(U[0]) + ((am - 1.0) / fk) * U[p - 1]
-        for j in range(1, p - 2):
-            rhs = rhs - U[j] / factorial(j - 1) - t_apply(U[j]) / factorial(j)
-        rhs = rhs - U[p - 2] / factorial(p - 3) + ((af - 1.0) / fk) * t_apply(U[p - 2])
-
-    b = fk * rhs - af * t_apply(ladder[-1])
+    # Last row, with the new block p-2 eliminated through row p-2:
+    # (L[p-1, p-1] - L[p-1, p-2] L[p-2, p-1] tau A) x
+    #     = R[p-1, :](tau A) U - L[p-1, p-2] tau A ladder[p-2].
+    diag = L[p - 1, p - 1][0]
+    coupling = L[p - 1, p - 2][1]
+    b = -coupling * t_apply(ladder[p - 2])
+    for j in range(p):
+        c0, c1 = R[p - 1, j]
+        if c0:
+            b = b + c0 * U[j]
+        if c1:
+            b = b + c1 * t_apply(U[j])
     try:
-        x = problem.shifted_solve(am, gam[0] * af * tau, b)
+        x = problem.shifted_solve(diag, -coupling * L[p - 2, p - 1][0] * tau, b)
     except GalphaError:
         raise
     except Exception as exc:
@@ -266,9 +261,7 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     new = np.empty_like(U)
     new[p - 1] = x
     for i in range(p - 1):
-        g = gam[p - 2 - i]
-        f = factorial(p - 1 - i)
-        new[i] = ladder[i] + (g / f) * x
+        new[i] = ladder[i] - L[i, p - 1][0] * x
     return StateVector(new, tau)
 
 
@@ -281,14 +274,21 @@ def integrate(
 ) -> list[tuple[float, np.ndarray]]:
     """Uniform march to t_end; returns [(t, u(t)), ...] including t = 0.
 
-    The number of steps is round(t_end / tau).  Step failures are re-raised
-    with the failing step index attached.
+    t_end must be a whole number of steps: with n = round(t_end / tau), a
+    mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
+    rather than ending the march short of (or past) t_end.  Step failures are
+    re-raised with the failing step index attached.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if t_end < tau:
         raise ValueError(f"t_end={t_end} does not cover one step of tau={tau}")
     n_steps = int(round(t_end / tau))
+    if abs(n_steps * tau - t_end) > 1e-9 * t_end:
+        raise ValueError(
+            f"t_end={t_end} is not a whole number of steps of tau={tau} "
+            f"(t_end/tau = {t_end / tau:.12g})"
+        )
     state = init_state(problem, u0, params.p, tau)
     trajectory = [(0.0, state.value.copy())]
     for k in range(1, n_steps + 1):

@@ -16,19 +16,21 @@ Two independent instruments live here:
   whole evaluation runs in extended precision (mpmath) because the signal
   sits T^(p+1) below the eigenvalues themselves.
 
-recover_C never calls the integrator, so the two instruments confirm each
-other through entirely separate code paths.
+recover_C never calls the integrator.  The two instruments share only the
+one-step layout (``amplification.one_step_tableau``), which the tests pin
+against hand-written matrices, so each still confirms the other.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import factorial, nan
+from math import nan
 
 import numpy as np
 from mpmath import mp
 
+from .amplification import fill_tableau, one_step_tableau
 from .errors import AllAtRoundoff, NoRoot
 from .integrator import integrate, scalar_problem
 from .schemes import SchemeParams, c_of_p
@@ -101,36 +103,13 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
-def _build_lr_mp(p, am, af, gammas, t):
-    """Extended-precision one-step matrices (mirrors the float builder)."""
-    L = mp.zeros(p, p)
-    R = mp.zeros(p, p)
-    for i in range(p - 1):
-        g = gammas[p - 2 - i]
-        f = mp.mpf(factorial(p - 1 - i))
-        L[i, i] = 1
-        L[i, p - 1] = -g / f
-        for j in range(i, p - 1):
-            R[i, j] = mp.mpf(1) / factorial(j - i)
-        R[i, p - 1] = (1 - g) / f
-    fk = mp.mpf(factorial(p - 2))
-    L[p - 1, p - 2] = af * t / fk
-    L[p - 1, p - 1] = am / fk
-    if p == 2:
-        R[p - 1, 0] = (af - 1) * t
-    else:
-        R[p - 1, 0] = -t
-        for j in range(1, p - 2):
-            R[p - 1, j] = mp.mpf(-1) / factorial(j - 1) - t / factorial(j)
-        R[p - 1, p - 2] = mp.mpf(-1) / factorial(p - 3) + (af - 1) * t / fk
-    R[p - 1, p - 1] = (am - 1) / fk
-    return L, R
-
-
 def _defect_mp(p, c, am, af, t):
     """E(C) as an mpf, inside an active extended-precision context."""
     gammas = [c + am - af] * (p - 1)
-    L, R = _build_lr_mp(p, am, af, gammas, t)
+    L, R = (
+        fill_tableau(entries, t, mp.zeros(p, p))
+        for entries in one_step_tableau(p, am, af, gammas, one=mp.mpf(1))
+    )
     G = L**-1 * R
     eigs = mp.eig(G, left=False, right=False)
     target = mp.exp(-t)

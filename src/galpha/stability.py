@@ -33,8 +33,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .amplification import amplification_matrix, limit_matrix_inf, limit_matrix_zero
-from .errors import PoleAtRho, SingularAtT
+from .amplification import (
+    fill_tableau,
+    limit_inf_p3,
+    limit_matrix_inf,
+    limit_zero_p3,
+    one_step_tableau,
+)
+# Not called here: perfbench/tracing.py patches these names in this module.
+from .amplification import amplification_matrix, limit_matrix_zero  # noqa: F401
+from .errors import PoleAtRho
 from .schemes import (
     RhoBranch,
     SchemeParams,
@@ -106,28 +114,6 @@ def _pair_repeat_flags(eigs: np.ndarray) -> np.ndarray:
     return flag
 
 
-def _stacked_lr3(am, af, g1, g2, t):
-    """Stacked (n, 3, 3) L and R for 1-D cell arrays at one scalar T."""
-    n = am.shape[0]
-    L = np.zeros((n, 3, 3), dtype=complex)
-    R = np.zeros((n, 3, 3), dtype=complex)
-    L[:, 0, 0] = 1.0
-    L[:, 0, 2] = -g2 / 2.0
-    L[:, 1, 1] = 1.0
-    L[:, 1, 2] = -g1
-    L[:, 2, 1] = af * t
-    L[:, 2, 2] = am
-    R[:, 0, 0] = 1.0
-    R[:, 0, 1] = 1.0
-    R[:, 0, 2] = (1.0 - g2) / 2.0
-    R[:, 1, 1] = 1.0
-    R[:, 1, 2] = 1.0 - g1
-    R[:, 2, 0] = -t
-    R[:, 2, 1] = (af - 1.0) * t - 1.0
-    R[:, 2, 2] = am - 1.0
-    return L, R
-
-
 def _accumulate_eigs(eigs, radius, repeated, valid=None):
     r = np.abs(eigs).max(axis=-1)
     f = _pair_repeat_flags(eigs)
@@ -139,52 +125,43 @@ def _accumulate_eigs(eigs, radius, repeated, valid=None):
     return radius, repeated
 
 
-def _scan_cells_p3(am, af, g1, g2, t_samples, with_limit_inf):
-    """Vectorized worst-radius kernel for third-order cells.
+def _scan_cells(p, am, af, gammas, t_samples, variant):
+    """Vectorized worst-radius kernel for cells of any order p.
 
-    All of ``am, af, g1, g2`` are flat arrays of equal length.  Returns
-    (radius, repeated) arrays.  The T->0 limit matrix is always included
-    (cells with alpha_m = 0 have no finite limit and are marked unstable);
-    the T->inf closed form is included only when ``with_limit_inf``.
+    ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
+    length.  Returns (radius, repeated) arrays.  The tableau is built once;
+    each T sample fills one stacked (ncell, p, p) pair.  A sample where
+    (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T falls below the pole floor
+    marks its cell unstable.  For p = 3 the T->0 limit matrix is always
+    included (cells with alpha_m = 0 have no finite limit and are marked
+    unstable), and the T->inf closed form for the equal-gamma closure.
     """
     ncell = am.shape[0]
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
+    tab_l, tab_r = one_step_tableau(p, am, af, gammas)
 
     for t in np.asarray(t_samples):
-        L, R = _stacked_lr3(am, af, g1, g2, t)
-        det = am + g1 * af * t
+        # the transposed views index the stacks as [i, j] -> [:, i, j]
+        L = np.zeros((ncell, p, p), dtype=complex)
+        R = np.zeros((ncell, p, p), dtype=complex)
+        fill_tableau(tab_l, t, L.transpose(1, 2, 0))
+        fill_tableau(tab_r, t, R.transpose(1, 2, 0))
+        det = am + gammas[0] * af * t
         valid = np.abs(det) > _DET_FLOOR * (1.0 + abs(t))
-        L[~valid] = np.eye(3)
+        L[~valid] = np.eye(p)
         eigs = np.linalg.eigvals(np.linalg.solve(L, R))
         _accumulate_eigs(eigs, radius, repeated, valid)
 
-    # T -> 0 limit.
-    valid = am != 0.0
-    ams = np.where(valid, am, 1.0)
-    A0 = np.zeros((ncell, 3, 3), dtype=complex)
-    A0[:, 0, 0] = 1.0
-    A0[:, 0, 1] = 1.0 - g2 / ams
-    A0[:, 0, 2] = 0.5 - g2 / ams
-    A0[:, 1, 1] = 1.0 - g1 / ams
-    A0[:, 1, 2] = 1.0 - g1 / ams
-    A0[:, 2, 1] = -1.0 / ams
-    A0[:, 2, 2] = 1.0 - 1.0 / ams
-    _accumulate_eigs(np.linalg.eigvals(A0), radius, repeated, valid)
-
-    if with_limit_inf:
-        valid = (af != 0.0) & (g1 != 0.0)
-        afs = np.where(valid, af, 1.0)
-        g1s = np.where(valid, g1, 1.0)
-        Ainf = np.zeros((ncell, 3, 3), dtype=complex)
-        Ainf[:, 0, 0] = 1.0 - 0.5 / afs
-        Ainf[:, 0, 1] = 1.0 - 0.5 / afs
-        Ainf[:, 1, 0] = -1.0 / afs
-        Ainf[:, 1, 1] = 1.0 - 1.0 / afs
-        Ainf[:, 2, 0] = -1.0 / (g1s * afs)
-        Ainf[:, 2, 1] = -1.0 / (g1s * afs)
-        Ainf[:, 2, 2] = 1.0 - 1.0 / g1s
-        _accumulate_eigs(np.linalg.eigvals(Ainf), radius, repeated, valid)
+    if p == 3:
+        valid = am != 0.0
+        A0 = limit_zero_p3(np.where(valid, am, 1.0), *gammas)
+        _accumulate_eigs(np.linalg.eigvals(A0), radius, repeated, valid)
+        if variant is Variant.EQUAL_GAMMA:
+            g1 = gammas[0]
+            valid = (af != 0.0) & (g1 != 0.0)
+            Ainf = limit_inf_p3(np.where(valid, af, 1.0), np.where(valid, g1, 1.0))
+            _accumulate_eigs(np.linalg.eigvals(Ainf), radius, repeated, valid)
 
     return radius, repeated
 
@@ -192,37 +169,17 @@ def _scan_cells_p3(am, af, g1, g2, t_samples, with_limit_inf):
 def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     """Worst spectral radius of G over the sample set, plus limit matrices.
 
-    For p = 3 the T->0 limit matrix is appended for both closures and the
-    T->inf closed form for the equal-gamma closure (its role for the
-    remark-one closure is covered by the largest real samples).  A singular
-    one-step system at some sample marks the parameters unstable
-    (radius = inf) instead of aborting the scan.
+    Every order runs through the plane-scan kernel as a single cell.  For
+    p = 3 the T->0 limit matrix is appended for both closures and the T->inf
+    closed form for the equal-gamma closure (its role for the remark-one
+    closure is covered by the largest real samples); other orders use the
+    samples alone.  A sample on the pole of the one-step system marks the
+    parameters unstable (radius = inf) instead of aborting the scan.
     """
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
-    if params.p == 3:
-        one = np.array([0.0])
-        g1, g2 = params.gammas
-        radius, repeated = _scan_cells_p3(
-            one + params.alpha_m,
-            one + params.alpha_f,
-            one + g1,
-            one + g2,
-            samples,
-            with_limit_inf=params.variant is Variant.EQUAL_GAMMA,
-        )
-        return RadiusReport(float(radius[0]), bool(repeated[0]))
-
-    # Generic path for other orders: per-sample dense eigenvalues, no limits.
-    radius = 0.0
-    repeated = False
-    for t in samples:
-        try:
-            eigs = numkit.eigenvalues(amplification_matrix(params, t))
-        except SingularAtT:
-            return RadiusReport(np.inf, repeated)
-        radius = max(radius, float(np.abs(eigs).max()))
-        repeated = repeated or bool(_pair_repeat_flags(eigs[None, :])[0])
-    return RadiusReport(radius, repeated)
+    cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
+    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], samples, params.variant)
+    return RadiusReport(float(radius[0]), bool(repeated[0]))
 
 
 @dataclass(frozen=True)
@@ -280,9 +237,7 @@ def scan_region(
         g2 = g1
     else:
         g1, g2 = remark_one_gammas(am, af)
-    radius, repeated = _scan_cells_p3(
-        am, af, g1, g2, samples, with_limit_inf=variant is Variant.EQUAL_GAMMA
-    )
+    radius, repeated = _scan_cells(3, am, af, (g1, g2), samples, variant)
     shape = (grid.n_alpha_m, grid.n_alpha_f)
     return StabilityMap(
         alpha_m=am_axis,

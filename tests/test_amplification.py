@@ -11,7 +11,6 @@ from galpha.amplification import (
     characteristic_recurrence_residual,
     limit_matrix_inf,
     limit_matrix_zero,
-    truncation_bracket,
     truncation_residual,
 )
 from galpha.errors import DegenerateParams, SingularAtT, TooShort, VariantUnsupported
@@ -247,16 +246,18 @@ def test_recurrence_needs_p_plus_one_values():
 
 
 def test_bracket_vanishes_for_remark_one():
-    b0, b1 = truncation_bracket(make_scheme(3, 0.9, 0.6, Variant.REMARK_ONE))
-    assert abs(b0) <= 1e-12
-    assert abs(b1) <= 1e-12
+    params = make_scheme(3, 0.9, 0.6, Variant.REMARK_ONE)
+    for t in (0.3, 2.0, 1.0 + 0.5j):
+        assert abs(truncation_residual(params, t)) <= 1e-12 * abs(t) ** 3
 
 
 def test_bracket_equal_gamma_leading_term_zero():
+    # the bracket is b0 + T*b1 with b0 = 0 and b1 = -1/9 at rho_inf = 0.5
     am, af = params_from_rho(0.5)
-    b0, b1 = truncation_bracket(make_scheme(3, am, af))
-    assert abs(b0) <= 1e-12
-    assert b1 == pytest.approx(-1.0 / 9.0, abs=1e-12)
+    params = make_scheme(3, am, af)
+    for t in (0.3, 2.0, 1.0 + 0.5j):
+        expected = -t**4 / (9.0 * 12.0 * (am + params.gamma1 * af * t))
+        assert truncation_residual(params, t) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 def test_truncation_residual_scales_like_t_cubed():

@@ -150,6 +150,22 @@ def test_bad_tau_is_config_error(tmp_path, capsys):
     assert read_error_line(err)["kind"] == "config"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--rho-inf", "0.5", "--lambda", "1", "--tau", "0.3", "--t-end", "1"),
+        ("order-check", "--t-end", "1.3"),
+    ],
+)
+def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    payload = read_error_line(err)
+    assert payload["kind"] == "config"
+    assert "whole number of steps" in payload["message"]
+    assert "error" not in out and "slope" not in out
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--no-such-flag", "--out", str(tmp_path)])

@@ -260,6 +260,16 @@ def test_integrate_validation():
         integrate(params, scalar_problem(1.0), 1.0, 0.5, 0.2)
 
 
+def test_integrate_rejects_t_end_off_the_step_grid():
+    # 1 / 0.3 is 3.33 steps: marching 3 would stop at t = 0.9, not t_end
+    params = make_scheme(3, *params_from_rho(0.5))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(params, scalar_problem(1.0), 1.0, 0.3, 1.0)
+    # 0.3 / 0.1 = 2.9999999999999996 is a whole number within the 1e-9 window
+    trajectory = integrate(params, scalar_problem(1.0), 1.0, 0.1, 0.3)
+    assert len(trajectory) == 4
+
+
 def test_stiff_state_norm_never_grows():
     """With lambda*tau = 1e6 and admissible alphas, the scaled state stays bounded."""
     params = make_scheme(3, *params_from_rho(0.5))

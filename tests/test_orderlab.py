@@ -78,6 +78,9 @@ def test_measure_order_validation():
         measure_order(params, 1.0, 1.0, [0.1])
     with pytest.raises(ValueError):
         measure_order(params, 1.0, 1.0, [0.1, 0.2])
+    # 1.3 is 10.4 steps of 0.125: the errors would be taken at the wrong time
+    with pytest.raises(ValueError, match="whole number of steps"):
+        measure_order(params, 1.0, 1.3, [0.125, 0.0625])
 
 
 # --- closure-constant recovery ------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from galpha import numkit
+from galpha.amplification import amplification_matrix
 from galpha.errors import PoleAtRho
 from galpha.schemes import (
     RhoBranch,
@@ -96,19 +98,28 @@ def test_singular_sample_marks_unstable_p3():
     assert not report.stable
 
 
-def test_generic_order_path_agrees_with_p3_kernel():
-    """p = 3 goes through the vectorized kernel; force the generic loop too."""
-    samples = default_t_samples(12, 1e-3, 1e3)
-    params = make_scheme(3, 0.9, 0.6)
-    fast = worst_case_radius(params, samples)
+def test_singular_sample_marks_unstable_p4():
+    # (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T for every p, so the scan
+    # kernel's pole guard covers orders other than 3 as well
+    params = make_scheme(4, 0.5, 1.2)  # gamma_1 < 0 puts a pole on the real axis
+    t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
+    report = worst_case_radius(params, [t_pole])
+    assert report.radius == np.inf
+    assert not report.stable
 
-    # the generic path has no limit matrices, so compare against the
-    # finite-sample part by appending huge/tiny samples
-    wide = np.concatenate([[1e-12], samples, [1e12]])
-    p4 = make_scheme(4, 0.9, 0.6)
-    generic = worst_case_radius(p4, wide)
-    assert np.isfinite(generic.radius)
-    assert fast.radius == pytest.approx(1.0, abs=1e-6)
+
+@pytest.mark.parametrize("p", [2, 4, 5, 6, 7, 8, 9, 10, 11])
+def test_radius_matches_per_sample_eigenvalues(p):
+    """Every order runs the scan kernel; numkit on G(T) sample by sample agrees."""
+    samples = default_t_samples()
+    for am, af in [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55)]:
+        params = make_scheme(p, am, af)
+        expected = max(
+            float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
+            for t in samples
+        )
+        report = worst_case_radius(params, samples)
+        assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # --- plane scans ----------------------------------------------------------------
