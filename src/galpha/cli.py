@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,35 +49,11 @@ from .stability import (
     write_stability_csv,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent command-line configuration (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a subcommand handler needs, fully resolved."""
-
-    subcommand: str
-    out: Path
-    params: SchemeParams | None = None
-    rho_inf: float | None = None
-    branch: RhoBranch | None = None
-    lam: complex | None = None
-    heat_n: int | None = None
-    kappa: float | None = None
-    tau: float | None = None
-    t_end: float | None = None
-    grid: GridSpec | None = None
-    variant: Variant | None = None
-    t_sample_spec: tuple[int, float, float] | None = None
-    n_rho: int | None = None
-    tau_start: float | None = None
-    n_halvings: int | None = None
-    recover_c: bool = False
-    manifest: dict = field(default_factory=dict)
 
 
 def _parse_lambda(text: str) -> complex:
@@ -163,29 +138,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_manifest(config: RunConfig) -> None:
-    entries = dict(config.manifest)
-    entries["subcommand"] = config.subcommand
-    entries["version"] = __version__
+def _write_manifest(out: Path, subcommand: str, entries: dict) -> None:
+    entries = dict(entries, subcommand=subcommand, version=__version__)
     lines = [f"{key} = {_fmt(entries[key])}" for key in sorted(entries)]
-    (config.out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _scheme_manifest(config: RunConfig) -> dict:
-    p = config.params
+def _scheme_manifest(params: SchemeParams, rho: float | None, branch: RhoBranch) -> dict:
     return {
-        "p": p.p,
-        "variant": p.variant.value,
-        "alpha_m": p.alpha_m,
-        "alpha_f": p.alpha_f,
-        "gammas": ",".join(repr(g) for g in p.gammas),
-        "rho_inf": "none" if config.rho_inf is None else repr(config.rho_inf),
-        "branch": config.branch.value if config.rho_inf is not None else "none",
+        "p": params.p,
+        "variant": params.variant.value,
+        "alpha_m": params.alpha_m,
+        "alpha_f": params.alpha_f,
+        "gammas": ",".join(repr(g) for g in params.gammas),
+        "rho_inf": "none" if rho is None else repr(rho),
+        "branch": branch.value if rho is not None else "none",
     }
 
 
-def cmd_integrate(config: RunConfig) -> int:
-    params = config.params
+def cmd_integrate(args, out: Path) -> dict:
+    params, rho, branch = _resolve_scheme(args)
+    if args.tau <= 0:
+        raise ConfigError(f"--tau must be positive, got {args.tau}")
+    if args.t_end < args.tau:
+        raise ConfigError("--t-end must cover at least one step")
+    if args.heat_n is not None and args.heat_n < 2:
+        raise ConfigError("--heat-n must be at least 2")
+
     if params.p == 3 and not in_stability_region(params.alpha_m, params.alpha_f):
         print(
             f"warning: (alpha_m={params.alpha_m:g}, alpha_f={params.alpha_f:g}) lies "
@@ -193,30 +172,28 @@ def cmd_integrate(config: RunConfig) -> int:
             file=sys.stderr,
         )
 
-    if config.heat_n is not None:
-        problem = heat_problem(config.heat_n, config.kappa)
-        x = np.arange(1, config.heat_n + 1) / (config.heat_n + 1)
+    if args.heat_n is not None:
+        problem = heat_problem(args.heat_n, args.kappa)
+        x = np.arange(1, args.heat_n + 1) / (args.heat_n + 1)
         u0 = np.sin(np.pi * x)
     else:
-        problem = scalar_problem(config.lam)
+        problem = scalar_problem(args.lam)
         u0 = 1.0
 
-    trajectory = integrate(params, problem, u0, config.tau, config.t_end)
-    write_trajectory_csv(trajectory, config.out / "trajectory.csv")
+    trajectory = integrate(params, problem, u0, args.tau, args.t_end)
+    write_trajectory_csv(trajectory, out / "trajectory.csv")
     print(f"wrote trajectory.csv ({len(trajectory)} rows)")
-    if config.heat_n is None:
-        exact = np.exp(-config.lam * config.t_end)
+    if args.heat_n is None:
+        exact = np.exp(-args.lam * args.t_end)
         final_error = abs(trajectory[-1][1][0] - exact)
         print(f"final error vs exact exponential: {final_error:.6e}")
 
-    config.manifest.update(_scheme_manifest(config))
-    config.manifest.update(tau=config.tau, t_end=config.t_end)
-    if config.heat_n is not None:
-        config.manifest.update(problem="heat", heat_n=config.heat_n, kappa=config.kappa)
+    entries = dict(_scheme_manifest(params, rho, branch), tau=args.tau, t_end=args.t_end)
+    if args.heat_n is not None:
+        entries.update(problem="heat", heat_n=args.heat_n, kappa=args.kappa)
     else:
-        config.manifest.update(problem="scalar", **{"lambda": config.lam})
-    _write_manifest(config)
-    return 0
+        entries.update(problem="scalar", **{"lambda": args.lam})
+    return entries
 
 
 _PLOT_TEMPLATE = """\
@@ -236,47 +213,60 @@ plot "stability.csv" skip 1 using 2:1:4 with image notitle
 """
 
 
-def cmd_stability_map(config: RunConfig) -> int:
-    n, lo, hi = config.t_sample_spec
-    samples = default_t_samples(n, lo, hi)
-    smap = scan_region(config.variant, config.grid, t_samples=samples)
-    write_stability_csv(smap, config.out / "stability.csv")
-    grid = config.grid
+def cmd_stability_map(args, out: Path) -> dict:
+    if args.grid_n < 2:
+        raise ConfigError("--grid-n must be at least 2")
+    if not 0 < args.t_min < args.t_max:
+        raise ConfigError("need 0 < --t-min < --t-max")
+    if args.t_samples < 2:
+        raise ConfigError("--t-samples must be at least 2")
+    variant = Variant(args.variant)
+    grid = GridSpec(
+        alpha_m_min=args.alpha_min,
+        alpha_m_max=args.alpha_max,
+        n_alpha_m=args.grid_n,
+        alpha_f_min=args.alpha_min,
+        alpha_f_max=args.alpha_max,
+        n_alpha_f=args.grid_n,
+    )
+    samples = default_t_samples(args.t_samples, args.t_min, args.t_max)
+    smap = scan_region(variant, grid, t_samples=samples)
+    write_stability_csv(smap, out / "stability.csv")
     script = _PLOT_TEMPLATE.format(
         af_min=grid.alpha_f_min,
         af_max=grid.alpha_f_max,
         am_min=grid.alpha_m_min,
         am_max=grid.alpha_m_max,
-        variant=config.variant.value,
+        variant=variant.value,
     )
-    (config.out / "stability.plot").write_text(script, encoding="utf-8")
+    (out / "stability.plot").write_text(script, encoding="utf-8")
     stable = int(smap.stable.sum())
     total = smap.stable.size
     print(f"wrote stability.csv ({total} cells, {stable} stable) and stability.plot")
 
-    config.manifest.update(
-        variant=config.variant.value,
+    return dict(
+        variant=variant.value,
         grid_n_alpha_m=grid.n_alpha_m,
         grid_n_alpha_f=grid.n_alpha_f,
         alpha_m_min=grid.alpha_m_min,
         alpha_m_max=grid.alpha_m_max,
         alpha_f_min=grid.alpha_f_min,
         alpha_f_max=grid.alpha_f_max,
-        t_samples=n,
-        t_min=lo,
-        t_max=hi,
+        t_samples=args.t_samples,
+        t_min=args.t_min,
+        t_max=args.t_max,
     )
-    _write_manifest(config)
-    return 0
 
 
-def cmd_rho_curve(config: RunConfig) -> int:
-    path = config.out / "rho_curves.csv"
+def cmd_rho_curve(args, out: Path) -> dict:
+    if args.n_rho < 2:
+        raise ConfigError("--n-rho must be at least 2")
+    path = out / "rho_curves.csv"
     worst_main = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("branch,rho,alpha_m,alpha_f,inside_region,max_eig_inf,pole\n")
         for branch in RhoBranch:
-            for point in rho_curve(branch, config.n_rho):
+            for point in rho_curve(branch, args.n_rho):
                 if point.pole:
                     fh.write(f"{branch.value},{point.rho:.17g},,,,,1\n")
                     continue
@@ -288,39 +278,39 @@ def cmd_rho_curve(config: RunConfig) -> int:
                     f"{branch.value},{point.rho:.17g},{point.alpha_m:.17g},"
                     f"{point.alpha_f:.17g},{inside},{max_eig:.17g},0\n"
                 )
-    print(f"wrote rho_curves.csv ({len(RhoBranch)} branches x {config.n_rho} samples)")
+    print(f"wrote rho_curves.csv ({len(RhoBranch)} branches x {args.n_rho} samples)")
     print(f"main branch: worst |max_eig_inf - rho| = {worst_main:.3e}")
-
-    config.manifest.update(n_rho=config.n_rho)
-    _write_manifest(config)
-    return 0
+    return {"n_rho": args.n_rho}
 
 
-def cmd_order_check(config: RunConfig) -> int:
-    taus = [config.tau_start / 2**k for k in range(config.n_halvings + 1)]
-    report = measure_order(config.params, config.lam, config.t_end, taus)
-    write_convergence_csv(report, config.out / "convergence.csv")
+def cmd_order_check(args, out: Path) -> dict:
+    params, rho, branch = _resolve_scheme(args)
+    if args.tau_start <= 0:
+        raise ConfigError(f"--tau-start must be positive, got {args.tau_start}")
+    if args.n_halvings < 1:
+        raise ConfigError("--n-halvings must be at least 1")
+
+    taus = [args.tau_start / 2**k for k in range(args.n_halvings + 1)]
+    report = measure_order(params, args.lam, args.t_end, taus)
+    write_convergence_csv(report, out / "convergence.csv")
     print(f"fitted order slope: {report.slope:.4f}")
 
-    if config.recover_c:
-        p = config.params.p
-        recovered = recover_C(p)
-        tabulated = float(c_of_p(p))
+    entries = _scheme_manifest(params, rho, branch)
+    if args.recover_c:
+        recovered = recover_C(params.p)
+        tabulated = float(c_of_p(params.p))
         print(
-            f"recovered closure constant C({p}) = {recovered:.12f} "
+            f"recovered closure constant C({params.p}) = {recovered:.12f} "
             f"(tabulated {tabulated:.12f}, |diff| = {abs(recovered - tabulated):.3e})"
         )
-        config.manifest.update(recovered_c=recovered)
-
-    config.manifest.update(_scheme_manifest(config))
-    config.manifest.update(
-        tau_start=config.tau_start,
-        n_halvings=config.n_halvings,
-        t_end=config.t_end,
-        **{"lambda": config.lam},
+        entries["recovered_c"] = recovered
+    entries.update(
+        tau_start=args.tau_start,
+        n_halvings=args.n_halvings,
+        t_end=args.t_end,
+        **{"lambda": args.lam},
     )
-    _write_manifest(config)
-    return 0
+    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,54 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args) -> RunConfig:
-    out = _prepare_out(args.out)
-    config = RunConfig(subcommand=args.subcommand, out=out)
-
-    if args.subcommand in ("integrate", "order-check"):
-        config.params, config.rho_inf, config.branch = _resolve_scheme(args)
-        config.lam = args.lam
-        config.t_end = args.t_end
-    if args.subcommand == "integrate":
-        if args.tau <= 0:
-            raise ConfigError(f"--tau must be positive, got {args.tau}")
-        if args.t_end < args.tau:
-            raise ConfigError("--t-end must cover at least one step")
-        if args.heat_n is not None and args.heat_n < 2:
-            raise ConfigError("--heat-n must be at least 2")
-        config.tau, config.heat_n, config.kappa = args.tau, args.heat_n, args.kappa
-    elif args.subcommand == "stability-map":
-        if args.grid_n < 2:
-            raise ConfigError("--grid-n must be at least 2")
-        if not 0 < args.t_min < args.t_max:
-            raise ConfigError("need 0 < --t-min < --t-max")
-        if args.t_samples < 2:
-            raise ConfigError("--t-samples must be at least 2")
-        config.variant = Variant(args.variant)
-        config.grid = GridSpec(
-            alpha_m_min=args.alpha_min,
-            alpha_m_max=args.alpha_max,
-            n_alpha_m=args.grid_n,
-            alpha_f_min=args.alpha_min,
-            alpha_f_max=args.alpha_max,
-            n_alpha_f=args.grid_n,
-        )
-        config.t_sample_spec = (args.t_samples, args.t_min, args.t_max)
-    elif args.subcommand == "rho-curve":
-        if args.n_rho < 2:
-            raise ConfigError("--n-rho must be at least 2")
-        config.n_rho = args.n_rho
-    elif args.subcommand == "order-check":
-        if args.tau_start <= 0:
-            raise ConfigError(f"--tau-start must be positive, got {args.tau_start}")
-        if args.n_halvings < 1:
-            raise ConfigError("--n-halvings must be at least 1")
-        config.tau_start = args.tau_start
-        config.n_halvings = args.n_halvings
-        config.recover_c = args.recover_c
-    return config
-
-
 def _emit_error(code: int, kind: str, message: str) -> None:
     line = json.dumps(
         {"status": "error", "kind": kind, "exit_code": code, "message": message}
@@ -434,12 +376,9 @@ def _emit_error(code: int, kind: str, message: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-    except ConfigError as exc:
-        _emit_error(2, "config", str(exc))
-        return 2
-    try:
-        return args.handler(config)
+        out = _prepare_out(args.out)
+        _write_manifest(out, args.subcommand, args.handler(args, out))
+        return 0
     except (ConfigError, ValueError) as exc:
         _emit_error(2, "config", str(exc))
         return 2
