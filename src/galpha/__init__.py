@@ -43,6 +43,7 @@ from .schemes import (
     SchemeParams,
     Variant,
     c_of_p,
+    closure_gammas,
     in_stability_region,
     make_scheme,
     order_condition_residuals,
@@ -71,6 +72,7 @@ __all__ = [
     "RhoBranch",
     "SchemeParams",
     "c_of_p",
+    "closure_gammas",
     "make_scheme",
     "remark_one_gammas",
     "order_condition_residuals",

@@ -35,6 +35,7 @@ __all__ = [
     "RhoBranch",
     "SchemeParams",
     "c_of_p",
+    "closure_gammas",
     "make_scheme",
     "remark_one_gammas",
     "order_condition_residuals",
@@ -147,6 +148,22 @@ def remark_one_gammas(alpha_m: float, alpha_f: float) -> tuple[float, float]:
     return g1, g2
 
 
+def closure_gammas(p: int, alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA) -> tuple:
+    """The p - 1 weights (gamma_1, ..., gamma_{p-1}) that the closure assigns.
+
+    ``alpha_m`` and ``alpha_f`` may be floats or equal-shape arrays (one entry
+    per parameter cell); each returned weight has their shape.  Equal-gamma
+    repeats C(p) + alpha_m - alpha_f; remark-one is third order only.
+    """
+    if variant is Variant.EQUAL_GAMMA:
+        return (float(c_of_p(p)) + alpha_m - alpha_f,) * (p - 1)
+    if variant is Variant.REMARK_ONE:
+        if p != 3:
+            raise VariantUnsupported("remark-one closure is third order only")
+        return remark_one_gammas(alpha_m, alpha_f)
+    raise VariantUnsupported(f"unknown variant {variant!r}")  # pragma: no cover - enum is closed
+
+
 def make_scheme(
     p: int,
     alpha_m: float,
@@ -156,15 +173,7 @@ def make_scheme(
     """Build a validated :class:`SchemeParams` for the requested closure."""
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
-    if variant is Variant.EQUAL_GAMMA:
-        gamma = float(c_of_p(p)) + alpha_m - alpha_f
-        gammas = (gamma,) * (p - 1)
-    elif variant is Variant.REMARK_ONE:
-        if p != 3:
-            raise VariantUnsupported("remark-one closure is third order only")
-        gammas = remark_one_gammas(alpha_m, alpha_f)
-    else:  # pragma: no cover - enum is closed
-        raise VariantUnsupported(f"unknown variant {variant!r}")
+    gammas = closure_gammas(p, alpha_m, alpha_f, variant)
     return SchemeParams(p, float(alpha_m), float(alpha_f), tuple(gammas), variant)
 
 

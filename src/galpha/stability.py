@@ -47,10 +47,10 @@ from .schemes import (
     RhoBranch,
     SchemeParams,
     Variant,
+    closure_gammas,
     in_stability_region,
     make_scheme,
     params_from_rho,
-    remark_one_gammas,
 )
 
 __all__ = [
@@ -232,12 +232,8 @@ def scan_region(
     am_axis, af_axis = grid.axes()
     AM, AF = np.meshgrid(am_axis, af_axis, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
-    if variant is Variant.EQUAL_GAMMA:
-        g1 = 5.0 / 12.0 + am - af
-        g2 = g1
-    else:
-        g1, g2 = remark_one_gammas(am, af)
-    radius, repeated = _scan_cells(3, am, af, (g1, g2), samples, variant)
+    gammas = closure_gammas(3, am, af, variant)
+    radius, repeated = _scan_cells(3, am, af, gammas, samples, variant)
     shape = (grid.n_alpha_m, grid.n_alpha_f)
     return StabilityMap(
         alpha_m=am_axis,

@@ -12,6 +12,7 @@ from galpha.schemes import (
     SchemeParams,
     Variant,
     c_of_p,
+    closure_gammas,
     in_stability_region,
     make_scheme,
     order_condition_residuals,
@@ -94,6 +95,28 @@ def test_remark_one_satisfies_both_order_conditions():
 def test_remark_one_only_defined_for_p3():
     with pytest.raises(VariantUnsupported):
         make_scheme(4, 0.9, 0.6, Variant.REMARK_ONE)
+
+
+@pytest.mark.parametrize(
+    "p,variant",
+    [(2, Variant.EQUAL_GAMMA), (3, Variant.EQUAL_GAMMA), (3, Variant.REMARK_ONE), (7, Variant.EQUAL_GAMMA)],
+)
+def test_closure_gammas_on_arrays_match_make_scheme(p, variant):
+    rng = np.random.default_rng(5)
+    am, af = rng.uniform(0.3, 1.3, size=(2, 6))
+    gammas = closure_gammas(p, am, af, variant)
+    assert len(gammas) == p - 1
+    for k in range(am.size):
+        params = make_scheme(p, am[k], af[k], variant)
+        assert tuple(g[k] for g in gammas) == params.gammas
+
+
+def test_closure_gammas_p3_constant_is_five_twelfths():
+    # the plane scan used to hard-code 5/12; the table value is the same double
+    assert float(c_of_p(3)) == 5.0 / 12.0
+    assert closure_gammas(3, 0.9, 0.6) == (5.0 / 12.0 + 0.9 - 0.6,) * 2
+    with pytest.raises(VariantUnsupported):
+        closure_gammas(4, 0.9, 0.6, Variant.REMARK_ONE)
 
 
 def test_equal_gamma_satisfies_first_condition_only():
