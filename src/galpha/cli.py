@@ -36,7 +36,6 @@ from .schemes import (
     SchemeParams,
     Variant,
     c_of_p,
-    in_stability_region,
     make_scheme,
     params_from_rho,
 )
@@ -46,6 +45,7 @@ from .stability import (
     rho_curve,
     scan_region,
     verify_rho_control,
+    worst_case_radius,
     write_stability_csv,
 )
 
@@ -165,10 +165,13 @@ def cmd_integrate(args, out: Path) -> dict:
     if args.heat_n is not None and args.heat_n < 2:
         raise ConfigError("--heat-n must be at least 2")
 
-    if params.p == 3 and not in_stability_region(params.alpha_m, params.alpha_f):
+    report = worst_case_radius(params)
+    if not report.stable:
+        root = ", repeated unit root" if report.repeated_unit_root else ""
         print(
             f"warning: (alpha_m={params.alpha_m:g}, alpha_f={params.alpha_f:g}) lies "
-            "outside the unconditional-stability region; proceeding anyway",
+            f"outside the unconditional-stability region (spectral radius "
+            f"{report.radius:.6g}{root}); proceeding anyway",
             file=sys.stderr,
         )
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from galpha import __version__
 from galpha.cli import main
 
 
@@ -79,6 +80,39 @@ def test_integrate_warns_outside_region(tmp_path, capsys):
     assert "outside the unconditional-stability region" in err
 
 
+@pytest.mark.parametrize(
+    "argv,radius",
+    [
+        (
+            ("--variant", "remark-one", "--alpha-m", "0.7", "--alpha-f", "0.5",
+             "--lambda", "1e4", "--tau", "0.1", "--t-end", "10"),
+            "1.33806",
+        ),
+        (("--p", "5"), "2.82537"),
+    ],
+)
+def test_integrate_warns_from_the_measured_radius(tmp_path, capsys, argv, radius):
+    # neither pair is judged by the p=3 equal-gamma region: the radius decides
+    code, _, err = run_cli(capsys, "integrate", *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert (
+        "lies outside the unconditional-stability region "
+        f"(spectral radius {radius}); proceeding anyway"
+    ) in err
+
+
+def test_integrate_no_warning_for_stable_remark_one_pair(tmp_path, capsys):
+    # (1.0, 0.95) lies outside the equal-gamma region, but the remark-one
+    # closure there has radius 1
+    code, _, err = run_cli(
+        capsys,
+        "integrate", "--variant", "remark-one", "--alpha-m", "1.0", "--alpha-f", "0.95",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert err == ""
+
+
 def test_integrate_heat_problem(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
@@ -148,6 +182,14 @@ def test_bad_tau_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     assert read_error_line(err)["kind"] == "config"
+
+
+def test_scheme_error_is_reported_before_option_errors(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "integrate", "--alpha-m", "0.9", "--tau", "-1", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert read_error_line(err)["message"] == "--alpha-m and --alpha-f must be given together"
 
 
 @pytest.mark.parametrize(
@@ -278,6 +320,90 @@ def test_order_check_recovers_constant(tmp_path, capsys):
     assert diff <= 1e-8
     _, manifest = manifest_keys(tmp_path)
     assert any(line.startswith("recovered_c = ") for line in manifest)
+
+
+# --- manifest contract ------------------------------------------------------------------
+
+_SCHEME_RHO_HALF = """\
+alpha_f = 0.5555555555555556
+alpha_m = 0.8055555555555556
+branch = main
+gammas = 0.6666666666666667,0.6666666666666667
+"""
+
+MANIFESTS = [
+    (
+        ("integrate",),
+        _SCHEME_RHO_HALF + """\
+lambda = 1.0
+p = 3
+problem = scalar
+rho_inf = 0.5
+subcommand = integrate
+t_end = 1.0
+tau = 0.1
+variant = equal-gamma
+""",
+    ),
+    (
+        ("integrate", "--heat-n", "3"),
+        _SCHEME_RHO_HALF + """\
+heat_n = 3
+kappa = 1.0
+p = 3
+problem = heat
+rho_inf = 0.5
+subcommand = integrate
+t_end = 1.0
+tau = 0.1
+variant = equal-gamma
+""",
+    ),
+    (
+        ("stability-map", "--grid-n", "2", "--t-samples", "2"),
+        """\
+alpha_f_max = 1.5
+alpha_f_min = 0.0
+alpha_m_max = 1.5
+alpha_m_min = 0.0
+grid_n_alpha_f = 2
+grid_n_alpha_m = 2
+subcommand = stability-map
+t_max = 100000000.0
+t_min = 0.0001
+t_samples = 2
+variant = equal-gamma
+""",
+    ),
+    (
+        ("rho-curve", "--n-rho", "2"),
+        """\
+n_rho = 2
+subcommand = rho-curve
+""",
+    ),
+    (
+        ("order-check", "--n-halvings", "1"),
+        _SCHEME_RHO_HALF + """\
+lambda = 1.0
+n_halvings = 1
+p = 3
+rho_inf = 0.5
+subcommand = order-check
+t_end = 2.0
+tau_start = 0.125
+variant = equal-gamma
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", MANIFESTS, ids=[" ".join(a) for a, _ in MANIFESTS])
+def test_manifest_text(tmp_path, capsys, argv, expected):
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "manifest.txt").read_text(encoding="utf-8")
+    assert text == expected + f"version = {__version__}\n"
 
 
 # --- version / module entry -------------------------------------------------------------
