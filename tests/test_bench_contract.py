@@ -3,13 +3,19 @@
 ``perfbench/tracing.py`` times galpha from outside the package by replacing
 module attributes such as ``stability.amplification_matrix`` and
 ``amplification.build_lr``.  A refactor that drops one of those names breaks
-every benchmark run; this test breaks first.
+every benchmark run; this test breaks first.  A smoke run under the
+installed recorder also checks the call shapes it relies on:
+``dataclasses.replace`` on a ``LinearProblem``, the positional
+``step(params, problem, state)``, and ``cli.*`` names looked up at call time.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from galpha import amplification, cli, integrator, numkit, orderlab, stability
+from galpha.schemes import make_scheme, params_from_rho
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (amplification, cli, integrator, numkit, orderlab, stability)
@@ -49,3 +55,29 @@ def test_tracing_install_restores_every_patched_name():
     } <= patched
     assert _patched(before) == set()
     assert [set(vars(module)) for module in MODULES] == [set(names) for names in before]
+
+
+def test_tracing_records_spans_of_a_smoke_run(tmp_path, capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        integrate_out, map_out = tmp_path / "integrate", tmp_path / "map"
+        assert cli.main(["integrate", "--tau", "0.25", "--out", str(integrate_out)]) == 0
+        argv = ["stability-map", "--grid-n", "2", "--t-samples", "2", "--out", str(map_out)]
+        assert cli.main(argv) == 0
+        params = make_scheme(3, *params_from_rho(0.5))
+        dense = integrator.dense_problem(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        integrator.integrate(params, dense, np.ones(2), 0.25, 0.5)
+        stability.worst_case_radius(params)
+    finally:
+        restore()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "cli.integrate",
+        "stability.scan",
+        "integrator.scalar.step",
+        "integrator.dense.solve",
+        "stability.radius",
+    } <= names
