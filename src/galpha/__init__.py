@@ -43,7 +43,6 @@ from .schemes import (
     SchemeParams,
     Variant,
     c_of_p,
-    closure_gammas,
     in_stability_region,
     make_scheme,
     order_condition_residuals,
@@ -72,7 +71,6 @@ __all__ = [
     "RhoBranch",
     "SchemeParams",
     "c_of_p",
-    "closure_gammas",
     "make_scheme",
     "remark_one_gammas",
     "order_condition_residuals",

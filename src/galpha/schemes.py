@@ -174,7 +174,7 @@ def make_scheme(
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
     gammas = closure_gammas(p, alpha_m, alpha_f, variant)
-    return SchemeParams(p, float(alpha_m), float(alpha_f), tuple(gammas), variant)
+    return SchemeParams(p, float(alpha_m), float(alpha_f), gammas, variant)
 
 
 def order_condition_residuals(params: SchemeParams) -> tuple[float, float]:

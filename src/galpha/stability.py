@@ -232,8 +232,7 @@ def scan_region(
     am_axis, af_axis = grid.axes()
     AM, AF = np.meshgrid(am_axis, af_axis, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
-    gammas = closure_gammas(3, am, af, variant)
-    radius, repeated = _scan_cells(3, am, af, gammas, samples, variant)
+    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), samples, variant)
     shape = (grid.n_alpha_m, grid.n_alpha_f)
     return StabilityMap(
         alpha_m=am_axis,

@@ -115,8 +115,6 @@ def test_closure_gammas_p3_constant_is_five_twelfths():
     # the plane scan used to hard-code 5/12; the table value is the same double
     assert float(c_of_p(3)) == 5.0 / 12.0
     assert closure_gammas(3, 0.9, 0.6) == (5.0 / 12.0 + 0.9 - 0.6,) * 2
-    with pytest.raises(VariantUnsupported):
-        closure_gammas(4, 0.9, 0.6, Variant.REMARK_ONE)
 
 
 def test_equal_gamma_satisfies_first_condition_only():
