@@ -48,6 +48,7 @@ from .schemes import SchemeParams, Variant, order_condition_residuals
 __all__ = [
     "one_step_tableau",
     "fill_tableau",
+    "char_poly",
     "build_lr",
     "build_lr_from_gammas",
     "amplification_matrix",
@@ -105,6 +106,41 @@ def fill_tableau(entries, t, out):
     for (i, j), (c0, c1) in entries.items():
         out[i, j] = c0 + t * c1
     return out
+
+
+def char_poly(p, alpha_m, alpha_f, gammas):
+    """Coefficients of (rho, sigma) with det(R(T) - mu L(T)) = rho(mu) + T sigma(mu).
+
+    Every T-coefficient of the tableau sits in the last row, and the
+    determinant is linear in that row: rho is det(R0 - mu L0), and sigma is
+    the same determinant with the last row replaced by that of R1 - mu L1.
+    Both are evaluated at the p + 1 roots of unity, one point at a time, and
+    an FFT turns the values into coefficients.  The mu^p coefficients are
+    set exactly from the pole factor (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!.
+
+    ``alpha_m``, ``alpha_f`` and the p - 1 ``gammas`` are floats or per-cell
+    arrays.  Returns two real arrays of shape (p + 1,) + cell shape, lowest
+    power first.
+    """
+    tab_l, tab_r = one_step_tableau(p, alpha_m, alpha_f, gammas)
+    shape = np.broadcast(alpha_m, alpha_f, *gammas).shape
+    n = p + 1
+    values = np.empty((2, n) + shape, dtype=complex)
+    m = np.empty(shape + (p, p), dtype=complex)
+    entry = np.moveaxis(m, (-2, -1), (0, 1))  # entry[i, j]: that entry of every cell
+    for k in range(n):
+        z = np.exp(2j * np.pi * k / n)
+        for poly in (0, 1):  # rho, then sigma: last row from the T-coefficients
+            m.fill(0.0)
+            for weight, entries in ((1.0, tab_r), (-z, tab_l)):
+                for (i, j), pair in entries.items():
+                    entry[i, j] += weight * pair[poly if i == p - 1 else 0]
+            values[poly, k] = np.linalg.det(m)
+    rho, sigma = np.fft.fft(values, axis=1).real / n
+    sign = (-1) ** p / factorial(p - 2)
+    rho[p] = sign * alpha_m
+    sigma[p] = sign * gammas[0] * alpha_f
+    return rho, sigma
 
 
 def build_lr_from_gammas(p, alpha_m, alpha_f, gammas, t):

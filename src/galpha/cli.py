@@ -98,6 +98,10 @@ def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
         raise ConfigError("give --alpha-m/--alpha-f or --rho-inf/--branch, not both")
     if has_alpha and (args.alpha_m is None or args.alpha_f is None):
         raise ConfigError("--alpha-m and --alpha-f must be given together")
+    if has_rho and args.p != 3:
+        raise ConfigError(
+            f"--rho-inf designs are third order; give --alpha-m/--alpha-f for --p {args.p}"
+        )
 
     rho: float | None = None
     if has_alpha:
@@ -156,15 +160,8 @@ def _scheme_manifest(params: SchemeParams, rho: float | None, branch: RhoBranch)
     }
 
 
-def cmd_integrate(args, out: Path) -> dict:
-    params, rho, branch = _resolve_scheme(args)
-    if args.tau <= 0:
-        raise ConfigError(f"--tau must be positive, got {args.tau}")
-    if args.t_end < args.tau:
-        raise ConfigError("--t-end must cover at least one step")
-    if args.heat_n is not None and args.heat_n < 2:
-        raise ConfigError("--heat-n must be at least 2")
-
+def _warn_if_unstable(params: SchemeParams) -> None:
+    """One stderr line when the sampled spectral radius rejects the scheme."""
     report = worst_case_radius(params)
     if not report.stable:
         root = ", repeated unit root" if report.repeated_unit_root else ""
@@ -174,6 +171,18 @@ def cmd_integrate(args, out: Path) -> dict:
             f"{report.radius:.6g}{root}); proceeding anyway",
             file=sys.stderr,
         )
+
+
+def cmd_integrate(args, out: Path) -> dict:
+    params, rho, branch = _resolve_scheme(args)
+    if args.tau <= 0:
+        raise ConfigError(f"--tau must be positive, got {args.tau}")
+    if args.t_end < args.tau:
+        raise ConfigError("--t-end must cover at least one step")
+    if args.heat_n is not None and args.heat_n < 2:
+        raise ConfigError("--heat-n must be at least 2")
+
+    _warn_if_unstable(params)
 
     if args.heat_n is not None:
         problem = heat_problem(args.heat_n, args.kappa)
@@ -292,6 +301,7 @@ def cmd_order_check(args, out: Path) -> dict:
         raise ConfigError(f"--tau-start must be positive, got {args.tau_start}")
     if args.n_halvings < 1:
         raise ConfigError("--n-halvings must be at least 1")
+    _warn_if_unstable(params)
 
     taus = [args.tau_start / 2**k for k in range(args.n_halvings + 1)]
     report = measure_order(params, args.lam, args.t_end, taus)

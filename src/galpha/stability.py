@@ -24,6 +24,20 @@ repeated unit roots grow polynomially in exact arithmetic, so they are deemed
 unstable even at radius exactly 1.  The repeated-root window (1e-7 both for
 the pair gap and for the distance of each modulus from 1) is applied to every
 eigenvalue pair, real or complex.
+
+Every T-coefficient of the one-step tableau sits in its last row, so
+det(R(T) - mu L(T)) = rho(mu) + T sigma(mu)
+(:func:`~galpha.amplification.char_poly`): on the scalar test equation each
+scheme is a linear multistep method.  At p = 3 a sample's spectrum is
+therefore the three roots of a cubic, whose coefficients are built once per
+scan; on every sample of both default maps each root lies within
+7.1e-12 max(1, radius) of ``eigvals(G)``.  Other orders keep
+``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
+companion roots of rho + T sigma drift from eig(G) by more than 1e-12
+relative.  Both take the T samples in blocks of at most 2**15 (sample, cell)
+pairs: a single cell takes all samples in one call, the default 40 000-cell
+map one sample at a time.  The limit matrices keep their closed forms and
+``eigvals``.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ import numpy as np
 
 from . import numkit
 from .amplification import (
+    char_poly,
     fill_tableau,
     limit_inf_p3,
     limit_matrix_inf,
@@ -75,9 +90,14 @@ RADIUS_TOL = 1e-9
 #: Window for flagging repeated roots on the unit circle.
 REPEAT_WINDOW = 1e-7
 
-# Pole guard for the one-step solve: cells whose L-determinant is this small
-# (relative to 1 + |T|) are marked unstable outright instead of dividing by ~0.
+# Pole guard: cells whose L-determinant (the cubic's leading coefficient at
+# p = 3) is this small relative to 1 + |T| are marked unstable outright
+# instead of dividing by ~0.
 _DET_FLOOR = 1e-8
+
+# Largest number of (T sample, cell) pairs evaluated together; a scan with
+# more cells than this still takes one sample at a time.
+_BLOCK_PAIRS = 1 << 15
 
 
 def default_t_samples(n: int = 48, lo: float = 1e-4, hi: float = 1e8) -> np.ndarray:
@@ -115,42 +135,107 @@ def _pair_repeat_flags(eigs: np.ndarray) -> np.ndarray:
 
 
 def _accumulate_eigs(eigs, radius, repeated, valid=None):
+    """Fold a (..., ncell, d) spectrum into the per-cell radius and flags."""
     r = np.abs(eigs).max(axis=-1)
     f = _pair_repeat_flags(eigs)
     if valid is not None:
         r = np.where(valid, r, np.inf)
         f &= valid
-    np.maximum(radius, r, out=radius)
-    repeated |= f
+    lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
+    np.maximum(radius, r.max(axis=lead), out=radius)
+    repeated |= f.any(axis=lead)
     return radius, repeated
+
+
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
+
+
+def _cubic_roots(c0, c1, c2, c3):
+    """Roots of c3 mu^3 + c2 mu^2 + c1 mu + c0 (c3 != 0) along a new last axis.
+
+    The monic coefficients are scaled by a power of two (exactly) so that
+    every root has modulus below 2.  Cardano's formula gives the largest
+    root, polished by two Newton steps; deflating it through Vieta leaves
+    mu^2 - s mu + q with q = -d/mu1 and s = (b + d/mu1)/mu1, solved by the
+    cancellation-free quadratic formula.  Real and complex inputs share
+    this code.
+    """
+    a, b, d = (np.asarray(c / c3, dtype=complex) for c in (c2, c1, c0))
+    bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
+    scale = np.ldexp(1.0, np.frexp(bound)[1])
+    a = a / scale
+    b = b / scale / scale
+    d = d / scale / scale / scale
+
+    a3 = a / 3.0
+    pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
+    qq = d - a3 * b + 2.0 * a3 * a3 * a3
+    h = np.sqrt(qq * qq / 4.0 + pp * pp * pp / 27.0)
+    u, w = -qq / 2.0 + h, -qq / 2.0 - h
+    cube = np.where(np.abs(u) >= np.abs(w), u, w) ** (1.0 / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = [
+            np.where(cube != 0.0, omega * cube - pp / (3.0 * omega * cube), 0.0) - a3
+            for omega in _CUBE_ROOTS_OF_UNITY
+        ]
+        mods = [np.abs(c) for c in cands]
+        x1 = np.where(mods[0] >= mods[1], cands[0], cands[1])
+        x1 = np.where(np.maximum(mods[0], mods[1]) >= mods[2], x1, cands[2])
+        for _ in range(2):
+            f = ((x1 + a) * x1 + b) * x1 + d
+            fp = (3.0 * x1 + 2.0 * a) * x1 + b
+            x1 = x1 - np.where(fp != 0.0, f / fp, 0.0)
+
+        q = np.where(x1 != 0.0, -d / x1, 0.0)
+        s = np.where(x1 != 0.0, (b - q) / x1, 0.0)
+        h = np.sqrt(s * s - 4.0 * q)
+        u, w = s + h, s - h
+        x2 = np.where(np.abs(u) >= np.abs(w), u, w) / 2.0
+        x3 = np.where(x2 != 0.0, q / x2, 0.0)
+    return np.stack([x1, x2, x3], axis=-1) * scale[..., None]
 
 
 def _scan_cells(p, am, af, gammas, t_samples, variant):
     """Vectorized worst-radius kernel for cells of any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
-    length.  Returns (radius, repeated) arrays.  The tableau is built once;
-    each T sample fills one stacked (ncell, p, p) pair.  A sample where
+    length.  Returns (radius, repeated) arrays.  T samples are taken in
+    blocks of at most ``_BLOCK_PAIRS`` (sample, cell) pairs, but never fewer
+    than one sample.  For p = 3 each sample's spectrum is the three roots of
+    rho + T sigma (:func:`~galpha.amplification.char_poly`, coefficients
+    built once per scan); other orders take ``eigvals(solve(L, R))`` of the
+    stacked one-step matrices, one LAPACK call per matrix.  A sample where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T falls below the pole floor
     marks its cell unstable.  For p = 3 the T->0 limit matrix is always
     included (cells with alpha_m = 0 have no finite limit and are marked
     unstable), and the T->inf closed form for the equal-gamma closure.
     """
     ncell = am.shape[0]
+    samples = np.asarray(t_samples)
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
-    tab_l, tab_r = one_step_tableau(p, am, af, gammas)
+    if p == 3:
+        rho, sigma = char_poly(p, am, af, gammas)
+    else:
+        tab_l, tab_r = one_step_tableau(p, am, af, gammas)
 
-    for t in np.asarray(t_samples):
-        # the transposed views index the stacks as [i, j] -> [:, i, j]
-        L = np.zeros((ncell, p, p), dtype=complex)
-        R = np.zeros((ncell, p, p), dtype=complex)
-        fill_tableau(tab_l, t, L.transpose(1, 2, 0))
-        fill_tableau(tab_r, t, R.transpose(1, 2, 0))
+    per_block = max(1, _BLOCK_PAIRS // ncell)
+    for start in range(0, samples.size, per_block):
+        t = samples[start:start + per_block, None]
         det = am + gammas[0] * af * t
-        valid = np.abs(det) > _DET_FLOOR * (1.0 + abs(t))
-        L[~valid] = np.eye(p)
-        eigs = np.linalg.eigvals(np.linalg.solve(L, R))
+        valid = np.abs(det) > _DET_FLOOR * (1.0 + np.abs(t))
+        if p == 3:
+            # the mu^3 coefficient of rho + T sigma is -det exactly
+            c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
+            eigs = _cubic_roots(c0, c1, c2, np.where(valid, -det, 1.0))
+        else:
+            # the transposed views index the stacks as [i, j] -> [:, :, i, j]
+            L = np.zeros(valid.shape + (p, p), dtype=complex)
+            R = np.zeros(valid.shape + (p, p), dtype=complex)
+            fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
+            fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
+            L[~valid] = np.eye(p)
+            eigs = np.linalg.eigvals(np.linalg.solve(L, R))
         _accumulate_eigs(eigs, radius, repeated, valid)
 
     if p == 3:
@@ -169,12 +254,13 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
 def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     """Worst spectral radius of G over the sample set, plus limit matrices.
 
-    Every order runs through the plane-scan kernel as a single cell.  For
-    p = 3 the T->0 limit matrix is appended for both closures and the T->inf
-    closed form for the equal-gamma closure (its role for the remark-one
-    closure is covered by the largest real samples); other orders use the
-    samples alone.  A sample on the pole of the one-step system marks the
-    parameters unstable (radius = inf) instead of aborting the scan.
+    Every order runs through the plane-scan kernel as a single cell, so up
+    to 2**15 samples go in one block.  For p = 3 the T->0 limit matrix is
+    appended for both closures and the T->inf closed form for the
+    equal-gamma closure (its role for the remark-one closure is covered by
+    the largest real samples); other orders use the samples alone.  A
+    sample on the pole of the one-step system marks the parameters unstable
+    (radius = inf) instead of aborting the scan.
     """
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]

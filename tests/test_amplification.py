@@ -1,5 +1,7 @@
 """Tests for the one-step matrices, their limits, and local-error tools."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from galpha.amplification import (
     amplification_matrix,
     build_lr,
     build_lr_from_gammas,
+    char_poly,
     characteristic_recurrence_residual,
     limit_matrix_inf,
     limit_matrix_zero,
     truncation_residual,
 )
 from galpha.errors import DegenerateParams, SingularAtT, TooShort, VariantUnsupported
-from galpha.schemes import Variant, make_scheme, params_from_rho
+from galpha.schemes import Variant, closure_gammas, make_scheme, params_from_rho
 
 from conftest import assert_spectrum, closed_form_g3
 
@@ -71,6 +74,56 @@ def test_singular_at_the_pole():
     t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
     with pytest.raises(SingularAtT):
         amplification_matrix(params, t_pole)
+
+
+# --- characteristic polynomial ------------------------------------------------
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_char_poly_is_the_determinant(p):
+    """rho(mu) + T sigma(mu) = det(R(T) - mu L(T)) at random complex mu and T."""
+    rng = np.random.default_rng(p)
+    am, af = rng.uniform(0.3, 1.5, 2)
+    gammas = tuple(rng.uniform(-0.5, 1.5, p - 1))
+    rho, sigma = char_poly(p, am, af, gammas)
+    assert rho.shape == sigma.shape == (p + 1,)
+    assert np.isrealobj(rho) and np.isrealobj(sigma)
+    powers = np.arange(p + 1)
+    for _ in range(6):
+        mu, t = rng.normal(size=2) + 1j * rng.normal(size=2)
+        t *= 10.0 ** rng.uniform(-2, 3)
+        L, R = build_lr_from_gammas(p, am, af, gammas, t)
+        expected = np.linalg.det(R - mu * L)
+        terms = np.concatenate([rho * mu**powers, t * sigma * mu**powers])
+        got = terms.sum()
+        assert abs(got - expected) <= 1e-12 * np.abs(terms).sum()
+        # the leading coefficient is the pole factor (-1)^p (p-2)! det L(T)
+        lead = rho[p] + t * sigma[p]
+        expected_lead = (-1) ** p * (am + gammas[0] * af * t) / factorial(p - 2)
+        assert lead == pytest.approx(expected_lead, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("variant", [Variant.EQUAL_GAMMA, Variant.REMARK_ONE])
+def test_char_poly_per_cell_arrays_match_scalar_calls(variant):
+    am = np.array([0.9, 1.2, 0.6, 1.4])
+    af = np.array([0.6, 0.0, 0.55, 1.3])
+    gammas = closure_gammas(3, am, af, variant)
+    rho, sigma = char_poly(3, am, af, gammas)
+    assert rho.shape == sigma.shape == (4, am.size)
+    for k in range(am.size):
+        one = char_poly(3, am[k], af[k], [g[k] for g in gammas])
+        assert np.allclose(rho[:, k], one[0], rtol=1e-15, atol=1e-15)
+        assert np.allclose(sigma[:, k], one[1], rtol=1e-15, atol=1e-15)
+
+
+def test_char_poly_roots_are_the_limit_spectra():
+    # T -> 0: G -> A0, whose spectrum is the roots of rho; T -> inf: the roots
+    # of sigma are the spectrum of Ainf (at a point without double roots:
+    # np.roots splits a double root by ~sqrt(eps))
+    params = make_scheme(3, 0.9, 0.6)
+    rho, sigma = char_poly(3, params.alpha_m, params.alpha_f, params.gammas)
+    assert_spectrum(np.roots(rho[::-1]), numkit.eigenvalues(limit_matrix_zero(params)), tol=1e-12)
+    assert_spectrum(np.roots(sigma[::-1]), numkit.eigenvalues(limit_matrix_inf(params)), tol=1e-12)
 
 
 # --- spectral accuracy of the principal root ---------------------------------

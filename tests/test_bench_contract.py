@@ -81,3 +81,25 @@ def test_tracing_records_spans_of_a_smoke_run(tmp_path, capsys):
         "integrator.dense.solve",
         "stability.radius",
     } <= names
+
+
+def test_traced_plane_scan_makes_two_eigvals_calls_and_no_solve(tmp_path, capsys):
+    # p = 3 samples are cubic roots of rho + T sigma; only the two stacked
+    # limit matrices reach LAPACK's eigvals through stability.np.linalg
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        argv = ["stability-map", "--grid-n", "5", "--t-samples", "7", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        stability.worst_case_radius(make_scheme(4, 1.0, 0.75))
+    finally:
+        restore()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    scan = names[: names.index("stability.radius")]
+    assert scan.count("stability.linalg_eigvals") == 2
+    assert "stability.linalg_solve" not in scan
+    # other orders solve and take eigvals once for all 48 samples of a cell
+    radius = names[names.index("stability.radius"):]
+    assert radius.count("stability.linalg_solve") == radius.count("stability.linalg_eigvals") == 1

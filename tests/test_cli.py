@@ -101,6 +101,16 @@ def test_integrate_warns_from_the_measured_radius(tmp_path, capsys, argv, radius
     ) in err
 
 
+def test_order_check_warns_from_the_measured_radius(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "order-check", "--p", "5", "--out", str(tmp_path))
+    assert code == 0
+    assert err == (
+        "warning: (alpha_m=1, alpha_f=0.75) lies outside the unconditional-stability "
+        "region (spectral radius 2.82537); proceeding anyway\n"
+    )
+    assert "fitted order slope" in out
+
+
 def test_integrate_no_warning_for_stable_remark_one_pair(tmp_path, capsys):
     # (1.0, 0.95) lies outside the equal-gamma region, but the remark-one
     # closure there has radius 1
@@ -174,6 +184,24 @@ def test_alt_branch_pole_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     assert "pole" in read_error_line(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["integrate", "order-check"])
+@pytest.mark.parametrize("p", ["2", "4"])
+def test_rho_inf_is_third_order_only(tmp_path, capsys, command, p):
+    # params_from_rho is the p=3 design: at p=2 it gives radius 0.80 for
+    # rho_inf = 0.5, at p=4 an unstable scheme
+    code, out, err = run_cli(
+        capsys, command, "--p", p, "--rho-inf", "0.5", "--out", str(tmp_path)
+    )
+    assert code == 2
+    payload = read_error_line(err)
+    assert payload["kind"] == "config"
+    assert payload["message"] == (
+        f"--rho-inf designs are third order; give --alpha-m/--alpha-f for --p {p}"
+    )
+    assert len(err.splitlines()) == 1 and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_tau_is_config_error(tmp_path, capsys):

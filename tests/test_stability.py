@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from galpha import numkit
-from galpha.amplification import amplification_matrix
-from galpha.errors import PoleAtRho
+from galpha import numkit, stability
+from galpha.amplification import amplification_matrix, char_poly, fill_tableau, one_step_tableau
+from galpha.errors import PoleAtRho, SingularAtT
 from galpha.schemes import (
     RhoBranch,
     Variant,
+    closure_gammas,
     in_stability_region,
     make_scheme,
     params_from_rho,
@@ -23,6 +25,8 @@ from galpha.stability import (
     worst_case_radius,
     write_stability_csv,
 )
+
+from conftest import assert_spectrum
 
 
 # --- sample sets ---------------------------------------------------------------
@@ -120,6 +124,102 @@ def test_radius_matches_per_sample_eigenvalues(p):
         )
         report = worst_case_radius(params, samples)
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (3.0, 1.0, 1e-12),  # the remaining quadratic needs the cancellation-free form
+        (-2e150, 0.5, 0.25),  # unscaled, Cardano's (Q/2)^2 overflows
+        (1e-100, -3e-101, 2e-102),
+        (1 + 2j, -0.5j, 0.3),  # complex coefficients (complex T)
+        (0.9 + 0.3j, 0.9 - 0.3j, -0.2),
+        (2.0, -1e-9, 1e-9),
+        (0.5, 0.5, 0.5),  # triple root: the Cardano cube root is exactly 0
+        (0.0, 0.0, 0.0),
+    ],
+)
+def test_cubic_roots_of_known_polynomials(roots):
+    c3, c2, c1, c0 = -1.7 * np.poly(roots)
+    got = list(stability._cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
+    for want in roots:
+        k = min(range(len(got)), key=lambda i: abs(got[i] - want))
+        assert abs(got.pop(k) - want) <= 1e-14 * abs(want)
+
+
+def _p3_cells():
+    """Random cells of both closures, alpha_f = 0 cells, and cells one grid
+    step (of the default 200-cell axis) on either side of each region edge."""
+    rng = np.random.default_rng(11)
+    h = 1.5 / 199
+    cells = [(float(am), float(af)) for am, af in rng.uniform(0.0, 1.5, (10, 2))]
+    cells += [(am, 0.0) for am in (0.3, 0.8, 1.1155778894472361, 1.4)]
+    for am in rng.uniform(0.7, 1.4, 3):
+        am = float(am)
+        cells += [(am, 0.5 - h), (am, 0.5 + h), (am, am - 1 / 12 - h), (am, am - 1 / 12 + h)]
+    for af in rng.uniform(0.5, 0.5 + 1 / 12, 2):
+        cells += [(7 / 12 - h, float(af)), (7 / 12 + h, float(af))]
+    return [(am, af, v) for am, af in cells for v in Variant]
+
+
+@pytest.mark.parametrize("am,af,variant", _p3_cells())
+def test_p3_roots_match_per_sample_eigenvalues(am, af, variant):
+    """Each cubic root of rho + T sigma is an eigenvalue of G(T) (numkit, per sample)."""
+    params = make_scheme(3, am, af, variant)
+    rho, sigma = char_poly(3, am, af, params.gammas)
+    samples = default_t_samples()
+    det = am + params.gamma1 * af * samples
+    c0, c1, c2 = rho[:3, None] + samples * sigma[:3, None]
+    roots = stability._cubic_roots(c0, c1, c2, -det)
+    checked = 0
+    for t, got in zip(samples, roots):
+        try:
+            expected = numkit.eigenvalues(amplification_matrix(params, t))
+        except SingularAtT:
+            continue
+        radius = float(np.abs(expected).max())
+        assert_spectrum(got, expected, tol=1e-10 * max(1.0, radius))
+        checked += 1
+    assert checked >= 46
+
+
+def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
+    # remark-one, alpha_f = 0, T = 1e8: one root near -2.1e8 and two of order
+    # 1; Cardano with Newton on all three roots returned 0.330 +- 0.060i for
+    # the small pair, deflation recovers 0.167 and 0.493
+    am, af, t = 1.1155778894472361, 0.0, 1e8
+    params = make_scheme(3, am, af, Variant.REMARK_ONE)
+    with mp.workdps(50):
+        one = mp.mpf(1)
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas], one)
+        G = fill_tableau(tab_l, t * one, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, t * one, mp.zeros(3, 3))
+        exact = [complex(e) for e in mp.eig(G)[0]]
+    exact_radius = max(abs(e) for e in exact)
+    assert exact_radius == pytest.approx(2.12349849906667e8, rel=1e-14)
+    assert worst_case_radius(params, [t]).radius == pytest.approx(exact_radius, rel=1e-14, abs=0.0)
+
+    rho, sigma = char_poly(3, am, af, params.gammas)
+    roots = stability._cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
+    small = sorted((e for e in exact if abs(e) < 1.0), key=abs)
+    assert_spectrum(sorted(roots, key=abs)[:2], small, tol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [default_t_samples(15, 1e-3, 1e7), ray_t_samples(1.3, 6)])
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("ncell", [7, 39, 40, 41, 95])
+def test_blocked_scan_equals_single_cell_calls(monkeypatch, p, ncell, samples):
+    """Blocking T samples changes no bit.  With a block of 40 pairs, 7 cells
+    take 5 samples per block (the last block partial), 39 to 95 cells one
+    sample per block, and a single cell all samples at once."""
+    monkeypatch.setattr(stability, "_BLOCK_PAIRS", 40)
+    rng = np.random.default_rng(ncell)
+    am, af = rng.uniform(0.0, 1.5, (2, ncell))
+    gammas = closure_gammas(p, am, af)
+    radius, repeated = stability._scan_cells(p, am, af, gammas, samples, Variant.EQUAL_GAMMA)
+    for k in range(ncell):
+        report = worst_case_radius(make_scheme(p, float(am[k]), float(af[k])), samples)
+        assert report.radius == radius[k]
+        assert report.repeated_unit_root == repeated[k]
 
 
 # --- plane scans ----------------------------------------------------------------
