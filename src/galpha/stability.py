@@ -134,17 +134,13 @@ def _pair_repeat_flags(eigs: np.ndarray) -> np.ndarray:
     return flag
 
 
-def _accumulate_eigs(eigs, radius, repeated, valid=None):
-    """Fold a (..., ncell, d) spectrum into the per-cell radius and flags."""
-    r = np.abs(eigs).max(axis=-1)
-    f = _pair_repeat_flags(eigs)
-    if valid is not None:
-        r = np.where(valid, r, np.inf)
-        f &= valid
+def _accumulate_eigs(eigs, radius, repeated, valid):
+    """Fold a (..., ncell, d) spectrum into the per-cell radius and flags, in place."""
+    r = np.where(valid, np.abs(eigs).max(axis=-1), np.inf)
+    f = _pair_repeat_flags(eigs) & valid
     lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
     np.maximum(radius, r.max(axis=lead), out=radius)
     repeated |= f.any(axis=lead)
-    return radius, repeated
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
@@ -219,7 +215,7 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     else:
         tab_l, tab_r = one_step_tableau(p, am, af, gammas)
 
-    per_block = max(1, _BLOCK_PAIRS // ncell)
+    per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
         t = samples[start:start + per_block, None]
         det = am + gammas[0] * af * t

@@ -260,6 +260,11 @@ def test_remark_one_scan_has_more_stable_cells():
     assert rm.stable.sum() > eq.stable.sum()
 
 
+def test_scan_of_an_empty_grid():
+    smap = scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=0, n_alpha_f=3))
+    assert smap.radius.shape == smap.repeated_root.shape == (0, 3)
+
+
 def test_scan_axes_and_shapes():
     grid = GridSpec(n_alpha_m=5, n_alpha_f=7)
     smap = scan_region(Variant.EQUAL_GAMMA, grid, t_samples=default_t_samples(4))
