@@ -36,8 +36,9 @@ scan; on every sample of both default maps each root lies within
 companion roots of rho + T sigma drift from eig(G) by more than 1e-12
 relative.  Both take the T samples in blocks of at most 2**15 (sample, cell)
 pairs: a single cell takes all samples in one call, the default 40 000-cell
-map one sample at a time.  The limit matrices keep their closed forms and
-``eigvals``.
+map one sample at a time.  The p = 3 limits are the one-step matrix at
+T = 0, G(0) = L(0)^{-1} R(0), through the same ``eigvals(solve(L, R))``,
+and the closed-form T -> inf matrix of the equal-gamma closure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .amplification import (
     fill_tableau,
     limit_inf_p3,
     limit_matrix_inf,
-    limit_zero_p3,
     one_step_tableau,
 )
 # Not called here: perfbench/tracing.py patches these names in this module.
@@ -151,10 +151,9 @@ def _cubic_roots(c0, c1, c2, c3):
 
     The monic coefficients are scaled by a power of two (exactly) so that
     every root has modulus below 2.  Cardano's formula gives the largest
-    root, polished by two Newton steps; deflating it through Vieta leaves
-    mu^2 - s mu + q with q = -d/mu1 and s = (b + d/mu1)/mu1, solved by the
-    cancellation-free quadratic formula.  Real and complex inputs share
-    this code.
+    root; deflating it through Vieta leaves mu^2 - s mu + q with
+    q = -d/mu1 and s = (b + d/mu1)/mu1, solved by the cancellation-free
+    quadratic formula.  Real and complex inputs share this code.
     """
     a, b, d = (np.asarray(c / c3, dtype=complex) for c in (c2, c1, c0))
     bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
@@ -177,11 +176,6 @@ def _cubic_roots(c0, c1, c2, c3):
         mods = [np.abs(c) for c in cands]
         x1 = np.where(mods[0] >= mods[1], cands[0], cands[1])
         x1 = np.where(np.maximum(mods[0], mods[1]) >= mods[2], x1, cands[2])
-        for _ in range(2):
-            f = ((x1 + a) * x1 + b) * x1 + d
-            fp = (3.0 * x1 + 2.0 * a) * x1 + b
-            x1 = x1 - np.where(fp != 0.0, f / fp, 0.0)
-
         q = np.where(x1 != 0.0, -d / x1, 0.0)
         s = np.where(x1 != 0.0, (b - q) / x1, 0.0)
         h = np.sqrt(s * s - 4.0 * q)
@@ -189,6 +183,21 @@ def _cubic_roots(c0, c1, c2, c3):
         x2 = np.where(np.abs(u) >= np.abs(w), u, w) / 2.0
         x3 = np.where(x2 != 0.0, q / x2, 0.0)
     return np.stack([x1, x2, x3], axis=-1) * scale[..., None]
+
+
+def _one_step_spectra(p, tab_l, tab_r, t, valid):
+    """``eigvals(solve(L, R))`` over a (samples, cells) block of one-step matrices.
+
+    ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I.
+    LAPACK runs once per matrix, so the result does not depend on the block.
+    """
+    # the transposed views index the stacks as [i, j] -> [:, :, i, j]
+    L = np.zeros(valid.shape + (p, p), dtype=complex)
+    R = np.zeros(valid.shape + (p, p), dtype=complex)
+    fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
+    fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
+    L[~valid] = np.eye(p)
+    return np.linalg.eigvals(np.linalg.solve(L, R))
 
 
 def _scan_cells(p, am, af, gammas, t_samples, variant):
@@ -202,7 +211,7 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     built once per scan); other orders take ``eigvals(solve(L, R))`` of the
     stacked one-step matrices, one LAPACK call per matrix.  A sample where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T falls below the pole floor
-    marks its cell unstable.  For p = 3 the T->0 limit matrix is always
+    marks its cell unstable.  For p = 3 the T->0 limit G(0) is always
     included (cells with alpha_m = 0 have no finite limit and are marked
     unstable), and the T->inf closed form for the equal-gamma closure.
     """
@@ -210,10 +219,9 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     samples = np.asarray(t_samples)
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
+    tab_l, tab_r = one_step_tableau(p, am, af, gammas)
     if p == 3:
         rho, sigma = char_poly(p, am, af, gammas)
-    else:
-        tab_l, tab_r = one_step_tableau(p, am, af, gammas)
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
@@ -225,19 +233,14 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
             eigs = _cubic_roots(c0, c1, c2, np.where(valid, -det, 1.0))
         else:
-            # the transposed views index the stacks as [i, j] -> [:, :, i, j]
-            L = np.zeros(valid.shape + (p, p), dtype=complex)
-            R = np.zeros(valid.shape + (p, p), dtype=complex)
-            fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
-            fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
-            L[~valid] = np.eye(p)
-            eigs = np.linalg.eigvals(np.linalg.solve(L, R))
+            eigs = _one_step_spectra(p, tab_l, tab_r, t, valid)
         _accumulate_eigs(eigs, radius, repeated, valid)
 
     if p == 3:
-        valid = am != 0.0
-        A0 = limit_zero_p3(np.where(valid, am, 1.0), *gammas)
-        _accumulate_eigs(np.linalg.eigvals(A0), radius, repeated, valid)
+        # G is continuous at T = 0 wherever det L(0) = alpha_m is nonzero
+        valid = (am != 0.0)[None]
+        A0_eigs = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
+        _accumulate_eigs(A0_eigs, radius, repeated, valid)
         if variant is Variant.EQUAL_GAMMA:
             g1 = gammas[0]
             valid = (af != 0.0) & (g1 != 0.0)

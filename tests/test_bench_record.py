@@ -43,3 +43,10 @@ def test_medians_over_seeds_skip_failed_runs(tmp_path):
     runs = [tool.run_workload(tmp_path, _fake_run(v), "march", s, 25) for s, v in enumerate((3.0, 1.0, 2.0))]
     runs.append({"seed": 9, "exit_code": 1, "error": "boom"})
     assert tool.medians(runs) == {"norm_wall_s": 2.0}
+
+
+def test_run_workload_passes_the_trace_flag(tmp_path):
+    tool = _load_tool()
+    echo = [sys.executable, "-c", "import json, sys; print(json.dumps({'argv': sys.argv[1:]}))"]
+    run = tool.run_workload(tmp_path, echo, "plane-scan", 2, 25, trace=1)
+    assert run["result"]["argv"] == ["--workload", "plane-scan", "--seed", "2", "--seconds", "25", "--trace", "1"]

@@ -1,17 +1,19 @@
 """Run every benchmark workload and keep the results as ``BENCH_<tag>.json``.
 
-    python3 tools/bench_record.py TAG [--root CHECKOUT]
+    python3 tools/bench_record.py TAG [--root CHECKOUT] [--trace 0|1]
 
 For each workload named in the checkout's ``BENCHMARK.json`` and each of the
 seeds 1, 2 and 3, this runs ``python3 perfbench/run.py --workload W --seed S
---seconds N`` in the checkout (default: the repository this script belongs
-to), with N the benchmark's ``run_seconds``, and keeps the last line of its
-output, the result line.  ``BENCH_<tag>.json`` goes to the root of the
-repository this script belongs to.  It also records the git revision of the
-checkout (``+dirty`` if tracked files have uncommitted changes), the date,
-the Python and numpy versions of the interpreter that ran the benchmark, the
-CPU count and, per workload, the median of every end-to-end metric over the
-seeds.  The exit code is 1 if any run failed.
+--seconds N --trace K`` in the checkout (default: the repository this script
+belongs to), with N the benchmark's ``run_seconds`` and K the ``--trace``
+given here (0, the default, for end-to-end metrics; 1 for per-layer ones),
+and keeps the last line of its output, the result line.  ``BENCH_<tag>.json``
+goes to the root of the repository this script belongs to.  It also records
+the git revision of the checkout (``+dirty`` if tracked files have
+uncommitted changes), the date, the Python and numpy versions of the
+interpreter that ran the benchmark, the CPU count and, per workload, the
+median of every metric over the seeds.  The exit code is 1 if any run
+failed.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ def interpreter_versions(python: str) -> dict:
     return {"python": py, "numpy": np}
 
 
-def run_workload(root: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
+def run_workload(
+    root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
+            "--trace", str(trace)]
     print(" ".join(argv), file=sys.stderr, flush=True)
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -71,6 +76,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag", help="file name part: writes BENCH_<tag>.json")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to benchmark")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="passed to perfbench/run.py")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -83,11 +89,12 @@ def main(argv=None) -> int:
         **interpreter_versions(spec["command"][0]),
         "cpu_count": os.cpu_count(),
         "seconds": seconds,
+        "trace": args.trace,
         "workloads": {},
     }
     failed = False
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = [run_workload(root, spec["command"], workload, seed, seconds) for seed in SEEDS]
+        runs = [run_workload(root, spec["command"], workload, seed, seconds, args.trace) for seed in SEEDS]
         failed |= any("error" in run or run["exit_code"] for run in runs)
         record["workloads"][workload] = {"runs": runs, "median": medians(runs)}
 
