@@ -8,7 +8,7 @@ analysis of this family is a real-axis statement: the region
 
 guarantees radius <= 1 for every real T >= 0 including both limits.  The
 default sample set used for the scan therefore walks the real axis (log-spaced
-over twelve decades) and appends the two closed-form limit matrices.
+over twelve decades) and appends the two limit matrices.
 
 Off-axis behaviour is genuinely different and can be probed with
 :func:`ray_t_samples`: measured radii exceed 1 along rays close to the
@@ -31,7 +31,7 @@ det(R(T) - mu L(T)) = rho(mu) + T sigma(mu)
 scheme is a linear multistep method.  At p = 3 a sample's spectrum is
 therefore the three roots of a cubic, whose coefficients are built once per
 scan; on every sample of both default maps each root lies within
-7.1e-12 max(1, radius) of ``eigvals(G)``.  Other orders keep
+7.0e-12 max(1, radius) of ``eigvals(G)``.  Other orders keep
 ``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
 companion roots of rho + T sigma drift from eig(G) by more than 1e-12
 relative.  Both take the T samples in blocks of at most 2**15 (sample, cell)
