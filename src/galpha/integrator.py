@@ -16,11 +16,17 @@ Problems are described by a :class:`LinearProblem`: an ``apply`` callback for
 v -> A v and a ``shifted_solve`` callback for (c1 * I + sigma * A) x = b.
 Factories are provided for scalar equations, dense matrices, and the standard
 second-difference discretization of the heat equation on the unit interval.
+The shift is the same on every step of a march, so the factories pay for the
+shifted operator once: the dense problem keeps the LU factor of its last
+shift, and the heat problem solves in its sine eigenbasis (a DST-I through
+``numpy.fft``), whose eigenvalues it computes once.  ``step`` reads the
+tableau of its scheme from a cache, built on the scheme's first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,6 +106,16 @@ class LinearProblem:
     solution of (c1 * I + sigma * A) x = b and raises :class:`StepSingular`
     when the shifted operator is singular.  Both callbacks must be safe for
     concurrent read-only use.
+
+    A march calls ``shifted_solve`` with one (c1, sigma) on every step, so a
+    callback may keep work that depends only on the shift.  The
+    :func:`dense_problem` callback keeps a one-entry cache: the last
+    (c1, sigma) and its LU factor, held as a single tuple that is read once
+    per call and replaced whole when the shift changes (:func:`heat_problem`
+    keeps its divisors c1 + sigma * lambda_k the same way).  Concurrent
+    callers with different shifts may each factor, but every call solves with
+    the factor of its own shift, so the results do not depend on the
+    interleaving.
     """
 
     dim: int
@@ -135,11 +151,15 @@ def dense_problem(a, description: str = "") -> LinearProblem:
     def apply(v):
         return a @ np.asarray(v, dtype=complex)
 
-    def shifted_solve(c1, sigma, b):
+    @_last_shift
+    def factor(c1, sigma):
         try:
-            return numkit.solve(c1 * eye + sigma * a, b)
+            return numkit.lu_factor(c1 * eye + sigma * a)
         except SingularMatrix as exc:
             raise StepSingular(f"shifted system singular: {exc}") from exc
+
+    def shifted_solve(c1, sigma, b):
+        return numkit.lu_solve(factor(c1, sigma), b)
 
     return LinearProblem(m, apply, shifted_solve, description or f"dense {m}x{m} system")
 
@@ -148,8 +168,12 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     """Method-of-lines heat equation on (0, 1) with zero boundary values.
 
     A = (kappa / h^2) * tridiag(-1, 2, -1) on ``n_interior`` nodes,
-    h = 1/(n+1).  The shifted solve runs the Thomas algorithm on the
-    constant-coefficient tridiagonal system, O(n) per call.
+    h = 1/(n+1).  Its eigenvectors are the sine modes sin(k pi x_j), with
+    eigenvalues lambda_k = 4 (kappa / h^2) sin^2(k pi h / 2), k = 1 .. n.
+    The shifted solve diagonalises A by the DST-I (two O(n log n)
+    transforms through ``numpy.fft``) and divides by c1 + sigma * lambda_k;
+    it raises :class:`StepSingular` when some |c1 + sigma * lambda_k| is at
+    most 1e-14 (|c1| + |sigma| max lambda + 1).
     """
     n = int(n_interior)
     if n < 2:
@@ -158,6 +182,7 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
         raise ValueError(f"diffusivity must be positive, got {diffusivity}")
     h = 1.0 / (n + 1)
     s = diffusivity / h**2
+    lam = 4.0 * s * np.sin(np.arange(1, n + 1) * (np.pi * h / 2.0)) ** 2
 
     def apply(v):
         v = np.asarray(v, dtype=complex)
@@ -166,39 +191,55 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
         out[1:] -= v[:-1]
         return s * out
 
+    @_last_shift
+    def divisor(c1, sigma):
+        den = c1 + sigma * lam
+        k = int(np.argmin(np.abs(den)))
+        if abs(den[k]) <= 1e-14 * (abs(c1) + abs(sigma) * lam[-1] + 1.0):
+            raise StepSingular(f"shifted operator singular: c1 + sigma*lambda_{k + 1} = {den[k]!r}")
+        # x = S diag(1/den) S b * 2/(n+1), with S the DST-I matrix
+        # (symmetric, S @ S = (n+1)/2 * I) and _sine_fft(y) = -2i S y.
+        return -2.0 * (n + 1) * den
+
     def shifted_solve(c1, sigma, b):
-        return _thomas_constant(c1 + 2.0 * sigma * s, -sigma * s, b)
+        return _sine_fft(_sine_fft(b) / divisor(c1, sigma))
 
     return LinearProblem(
         n, apply, shifted_solve, f"heat rod, {n} interior nodes, kappa={diffusivity}"
     )
 
 
-def _thomas_constant(diag, off, b) -> np.ndarray:
-    """Solve the symmetric tridiagonal system with constant coefficients.
+def _sine_fft(x) -> np.ndarray:
+    """-2i times the DST-I of x: -2i sum_j x_j sin(pi j k / (n + 1)), k = 1 .. n.
 
-    Matrix rows are (off, diag, off); forward elimination aborts with
-    :class:`StepSingular` on a vanishing pivot.
+    Entries 1 .. n of the FFT of the odd extension (0, x, 0, -reversed x).
     """
-    b = np.asarray(b, dtype=complex)
-    n = b.shape[0]
-    floor = 1e-14 * (abs(diag) + 2.0 * abs(off) + 1.0)
-    upper = np.empty(n, dtype=complex)
-    x = np.empty(n, dtype=complex)
-    piv = diag
-    if abs(piv) <= floor:
-        raise StepSingular(f"tridiagonal pivot {piv!r} below floor")
-    upper[0] = off / piv
-    x[0] = b[0] / piv
-    for i in range(1, n):
-        piv = diag - off * upper[i - 1]
-        if abs(piv) <= floor:
-            raise StepSingular(f"tridiagonal pivot {piv!r} below floor at row {i}")
-        upper[i] = off / piv
-        x[i] = (b[i] - off * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= upper[i] * x[i + 1]
-    return x
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[0]
+    odd = np.zeros(2 * n + 2, dtype=complex)
+    odd[1:n + 1] = x
+    odd[n + 2:] = -x[::-1]
+    return np.fft.fft(odd)[1:n + 1]
+
+
+def _last_shift(factor):
+    """One-entry cache for ``factor(c1, sigma)``, keyed by the shift.
+
+    The key and its value live in one tuple, read once per call and replaced
+    whole, so concurrent callers always pair a value with its own shift.
+    A call that raises caches nothing.
+    """
+    cache = (None, None)
+
+    def cached(c1, sigma):
+        nonlocal cache
+        shift, value = cache
+        if shift != (c1, sigma):
+            value = factor(c1, sigma)
+            cache = ((c1, sigma), value)
+        return value
+
+    return cached
 
 
 def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
@@ -230,7 +271,7 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
         raise ValueError(f"state carries {state.order} blocks, scheme needs {p}")
     tau = state.tau
     U = state.stack
-    L, R = one_step_tableau(p, params.alpha_m, params.alpha_f, params.gammas)
+    L, R = _tableau(p, params.alpha_m, params.alpha_f, params.gammas)
 
     def t_apply(v):
         return tau * problem.apply(v)
@@ -263,6 +304,12 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     for i in range(p - 1):
         new[i] = ladder[i] - L[i, p - 1][0] * x
     return StateVector(new, tau)
+
+
+@lru_cache(maxsize=32)
+def _tableau(p, alpha_m, alpha_f, gammas):
+    """``one_step_tableau`` once per scheme; the dicts are shared, read-only."""
+    return one_step_tableau(p, alpha_m, alpha_f, gammas)
 
 
 def integrate(
@@ -302,11 +349,12 @@ def integrate(
 
 def write_trajectory_csv(trajectory, path) -> None:
     """Write ``t,re_u_1,im_u_1,...`` rows with 17 significant digits."""
-    first = np.atleast_1d(trajectory[0][1])
-    header = "t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, first.shape[0] + 1))
+    m = np.atleast_1d(trajectory[0][1]).shape[0]
+    header = "t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, m + 1))
+    row = ",".join(["%.17g"] * (1 + 2 * m)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for t, u in trajectory:
-            u = np.atleast_1d(u)
-            cells = ",".join(f"{v.real:.17g},{v.imag:.17g}" for v in u)
-            fh.write(f"{t:.17g},{cells}\n")
+            # (re, im) pairs in order; a real u gains its zero imaginary parts
+            cells = np.ascontiguousarray(u, dtype=complex).view(float).tolist()
+            fh.write(row % (t, *cells))

@@ -1,12 +1,14 @@
 """Small dense complex linear-algebra kernel.
 
-Everything here targets the tiny matrices this package works with (one-step
-matrices of dimension p <= 12).  ``solve`` is a hand-rolled LU factorization
-with partial pivoting so that near-singularity is reported through an explicit
-pivot threshold; ``eigenvalues`` defers to LAPACK, which is the right tool for
-dense nonsymmetric spectra; ``principal_minor_sums`` enumerates index subsets
-directly, which is affordable up to dimension 12 and is used to cross-check
-characteristic polynomials against independently computed eigenvalues.
+``lu_factor`` is a hand-rolled LU factorization with partial pivoting, so
+that near-singularity is reported through an explicit pivot threshold;
+``lu_solve`` reuses one factor for any number of right-hand sides (a march
+factors its fixed shifted operator once), and ``solve`` is the two in one
+call.  ``eigenvalues`` defers to LAPACK, which is the right tool for dense
+nonsymmetric spectra of the one-step matrices (dimension p <= 12);
+``principal_minor_sums`` enumerates index subsets directly, which is
+affordable up to dimension 12 and is used to cross-check characteristic
+polynomials against independently computed eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMatrix
 
-__all__ = ["solve", "eigenvalues", "principal_minor_sums"]
+__all__ = ["lu_factor", "lu_solve", "solve", "eigenvalues", "principal_minor_sums"]
 
 #: Relative pivot threshold below which a solve is reported as singular.
 PIVOT_RTOL = 1e-14
@@ -33,6 +35,66 @@ def _as_square(a) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _as_rhs(b, n) -> np.ndarray:
+    b = np.asarray(b, dtype=complex)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not fit dimension {n}")
+    return b
+
+
+def lu_factor(a):
+    """LU factorization with partial pivoting, for :func:`lu_solve`.
+
+    Returns ``(lu, perm)``: the multipliers of L below the diagonal of ``lu``,
+    U on and above it, and the row order ``perm`` of the pivoting, so that
+    ``a[perm] = L @ U``.
+
+    Raises
+    ------
+    SingularMatrix
+        If any pivot magnitude falls below ``PIVOT_RTOL * max|a|``.
+    """
+    a = _as_square(a)
+    n = a.shape[0]
+    lu = a.copy()
+    perm = np.arange(n)
+
+    scale = np.abs(a).max() if n else 0.0
+    threshold = PIVOT_RTOL * scale
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if np.abs(lu[p, k]) <= threshold:
+            raise SingularMatrix(f"pivot {np.abs(lu[p, k]):.3e} at column {k}")
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        factors = lu[k + 1:, k] / lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(factors, lu[k, k + 1:])
+        lu[k + 1:, k] = factors
+    return lu, perm
+
+
+def lu_solve(factor, b) -> np.ndarray:
+    """Solve ``a @ x = b`` from ``factor = lu_factor(a)``.
+
+    ``b`` is (n,) or (n, k); ``x`` has the same shape.  The arithmetic is the
+    elimination of :func:`lu_factor` replayed on ``b``, so
+    ``lu_solve(lu_factor(a), b)`` is bit for bit the one-shot elimination.
+    """
+    lu, perm = factor
+    n = lu.shape[0]
+    b = _as_rhs(b, n)
+    squeeze = b.ndim == 1
+    rhs = b.reshape(n, -1)[perm]
+    for k in range(n):
+        rhs[k + 1:] -= np.outer(lu[k + 1:, k], rhs[k])
+
+    x = np.empty_like(rhs)
+    for k in range(n - 1, -1, -1):
+        x[k] = (rhs[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x[:, 0] if squeeze else x
 
 
 def solve(a, b) -> np.ndarray:
@@ -53,29 +115,8 @@ def solve(a, b) -> np.ndarray:
         If any pivot magnitude falls below ``PIVOT_RTOL * max|a|``.
     """
     a = _as_square(a)
-    b = np.asarray(b, dtype=complex)
-    n = a.shape[0]
-    squeeze = b.ndim == 1
-    rhs = b.reshape(n, -1).copy()
-    lu = a.copy()
-
-    scale = np.abs(a).max() if n else 0.0
-    threshold = PIVOT_RTOL * scale
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if np.abs(lu[p, k]) <= threshold:
-            raise SingularMatrix(f"pivot {np.abs(lu[p, k]):.3e} at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        factors = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(factors, lu[k, k + 1:])
-        rhs[k + 1:] -= np.outer(factors, rhs[k])
-
-    x = np.empty_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x[:, 0] if squeeze else x
+    _as_rhs(b, a.shape[0])
+    return lu_solve(lu_factor(a), b)
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -1,9 +1,18 @@
 """Tests for state handling, the implicit step, and the integration driver."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from galpha.amplification import amplification_matrix, characteristic_recurrence_residual
+from galpha import integrator, numkit
+from galpha.amplification import (
+    amplification_matrix,
+    characteristic_recurrence_residual,
+    one_step_tableau,
+)
 from galpha.errors import SolveFailed, StepSingular
 from galpha.integrator import (
     LinearProblem,
@@ -160,6 +169,113 @@ def test_dense_problem_singular_shift():
     problem = dense_problem([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(StepSingular):
         problem.shifted_solve(-2.0, 1.0, np.array([1.0, 1.0]))
+    # a failed factorization is not cached: the next call raises again
+    with pytest.raises(StepSingular):
+        problem.shifted_solve(-2.0, 1.0, np.array([1.0, 1.0]))
+    assert np.allclose(problem.shifted_solve(1.0, 1.0, np.array([2.0, 3.0])), [1.0, 1.0])
+
+
+def _march_shift(params, tau):
+    """The (c1, sigma) that ``step`` passes to ``shifted_solve`` for this scheme and tau."""
+    seen = []
+    inner = scalar_problem(1.0)
+
+    def recording_solve(c1, sigma, b):
+        seen.append((c1, sigma))
+        return inner.shifted_solve(c1, sigma, b)
+
+    step(params, LinearProblem(1, inner.apply, recording_solve), init_state(inner, 1.0, params.p, tau))
+    return seen[0]
+
+
+def test_dense_singular_shift_surfaces_with_step_index():
+    params = make_scheme(3, *params_from_rho(0.5))
+    c1, sigma = _march_shift(params, 0.1)
+    problem = dense_problem(np.diag([-c1 / sigma, 1.0]))
+    with pytest.raises(StepSingular, match="step 1 of 5"):
+        integrate(params, problem, [1.0, 1.0], 0.1, 0.5)
+
+
+def test_dense_march_factors_once(monkeypatch):
+    calls, lu_factor = [], numkit.lu_factor
+
+    def counting_factor(a):
+        calls.append(a.shape)
+        return lu_factor(a)
+
+    monkeypatch.setattr(numkit, "lu_factor", counting_factor)
+    params = make_scheme(3, *params_from_rho(0.5))
+    problem = dense_problem(np.diag([1.0, 2.0, 3.0]) + 0.1)
+    integrate(params, problem, np.ones(3), 0.1, 1.0)
+    assert calls == [(3, 3)]
+    integrate(params, problem, np.ones(3), 0.05, 1.0)  # a new tau is a new shift
+    assert calls == [(3, 3)] * 2
+
+
+def test_reused_dense_problem_matches_fresh_objects():
+    """One problem object marched with other taus and schemes: bit for bit a fresh one."""
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((6, 6))
+    a = m @ m.T + np.eye(6) + 1j * np.diag(rng.standard_normal(6))
+    u0 = rng.standard_normal(6)
+    main = make_scheme(3, *params_from_rho(0.5))
+    runs = [(main, 0.1), (main, 0.05), (make_scheme(4, 1.0, 0.75), 0.1), (main, 0.1)]
+    shared = dense_problem(a)
+    for params, tau in runs:
+        reused = integrate(params, shared, u0, tau, 0.5)
+        fresh = integrate(params, dense_problem(a), u0, tau, 0.5)
+        assert [t for t, _ in reused] == [t for t, _ in fresh]
+        assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(reused, fresh))
+
+
+def test_dense_cache_under_concurrent_marches(monkeypatch):
+    """Threads marching one problem, two per shift, each get their own shift's result."""
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((8, 8))
+    a, u0 = m @ m.T + np.eye(8), rng.standard_normal(8)
+    params = make_scheme(3, *params_from_rho(0.5))
+    taus = [0.1, 0.05, 0.1, 0.05, 0.02, 0.02]
+    expected = {tau: integrate(params, dense_problem(a), u0, tau, 0.2)[-1][1] for tau in taus}
+    lu_factor = numkit.lu_factor
+
+    def slow_factor(a):
+        time.sleep(1e-3)  # lets other threads run while a factor is being built
+        return lu_factor(a)
+
+    monkeypatch.setattr(numkit, "lu_factor", slow_factor)
+    shared, results = dense_problem(a), [None] * len(taus)
+
+    def march(i):
+        results[i] = [integrate(params, shared, u0, taus[i], 0.2)[-1][1] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=march, args=(i,)) for i in range(len(taus))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for tau, finals in zip(taus, results):
+        assert all(u.tobytes() == expected[tau].tobytes() for u in finals)
+
+
+def test_march_builds_tableau_once_per_scheme(monkeypatch):
+    calls = []
+
+    def counting_tableau(p, *args):
+        calls.append(p)
+        return one_step_tableau(p, *args)
+
+    monkeypatch.setattr(integrator, "one_step_tableau", counting_tableau)
+    integrator._tableau.cache_clear()
+    for params in (make_scheme(3, *params_from_rho(0.5)), make_scheme(5, 1.1, 0.8)):
+        integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0)
+        integrate(params, dense_problem(np.diag([1.0, 2.0])), [1.0, 1.0], 0.05, 1.0)
+    assert calls == [3, 5]
 
 
 # --- dense problems and decoupling ----------------------------------------------------
@@ -220,6 +336,48 @@ def test_heat_shifted_solve_residual():
     x = problem.shifted_solve(c1, sigma, b)
     residual = c1 * x + sigma * problem.apply(x) - b
     assert np.abs(residual).max() <= 1e-11 * np.abs(b).max()
+
+
+def test_heat_shifted_solve_without_pivoting_breakdown():
+    # c1 + sigma * lambda_k = -12.1, -4.6, 4.6, 12.1: well conditioned, though
+    # tridiagonal elimination without pivoting meets a zero pivot on it
+    problem = heat_problem(4)
+    c1, sigma, b = -2 * 0.3 * 25, 0.3, np.ones(4)
+    x = problem.shifted_solve(c1, sigma, b)
+    residual = c1 * x + sigma * problem.apply(x) - b
+    assert np.abs(residual).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_heat_shift_on_an_eigenvalue_is_singular():
+    n, sigma = 4, 0.3
+    lam_1 = 4.0 * 25.0 * np.sin(np.pi / (2 * (n + 1))) ** 2
+    with pytest.raises(StepSingular):
+        heat_problem(n).shifted_solve(-sigma * lam_1, sigma, np.ones(n))
+
+
+@pytest.mark.parametrize("n", [15, 200])
+def test_heat_march_is_g_power_on_each_sine_mode(n):
+    """Modal oracle: sine mode k of the stack advances by G(lambda_k tau) per step."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    problem = heat_problem(n)
+    tau, h = 0.005, 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
+    modes = np.sin(np.pi * np.outer(k, k) * h)  # symmetric; modes @ modes = (n+1)/2 I
+    lam = 4.0 / h**2 * np.sin(k * np.pi * h / 2) ** 2
+    G = np.array([amplification_matrix(params, t) for t in lam * tau])
+    x = k * h
+    smooth = x * (1.0 - x) * (2.0 - x)  # every sine mode present, weights ~ 1/k^3
+    rough = np.random.default_rng(n).standard_normal(n)
+    for u0 in (smooth, rough):
+        start = init_state(problem, u0, 3, tau)
+        # the rough stack reaches (lambda_n tau)^2 |u0|: round-off scales with it
+        scale = np.abs(u0).max() if u0 is smooth else start.norm
+        weights = (start.stack @ modes * (2.0 / (n + 1))).T  # row k: mode k of each block
+        trajectory = integrate(params, problem, u0, tau, 1.0)  # 200 steps
+        for count, (_, u) in enumerate(trajectory):
+            if count:
+                weights = np.einsum("kij,kj->ki", G, weights)
+            assert np.abs(u - weights[:, 0] @ modes).max() <= 1e-12 * scale, count
 
 
 def test_heat_solution_max_norm_decays():
@@ -294,3 +452,41 @@ def test_write_trajectory_csv_roundtrips(tmp_path):
     last = [float(cell) for cell in lines[-1].split(",")]
     t, u = trajectory[-1]
     assert last == [t, u[0].real, u[0].imag, u[1].real, u[1].imag]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "trajectory, expected",
+    [
+        (  # complex entries with -0.0, inf and nan parts; several unknowns
+            [
+                (0.0, np.array([1.5 + 0j, complex(-0.0, 0.1), complex(_INF, -_INF), complex(_NAN, 2.0)])),
+                (0.25, np.array([1 / 3 + 2j / 3, complex(-_INF, -0.0), 1e-300 - 1e300j, complex(0.0, _NAN)])),
+            ],
+            b"t,re_u_1,im_u_1,re_u_2,im_u_2,re_u_3,im_u_3,re_u_4,im_u_4\n"
+            b"0,1.5,0,-0,0.10000000000000001,inf,-inf,nan,2\n"
+            b"0.25,0.33333333333333331,0.66666666666666663,-inf,-0,1e-300,-1.0000000000000001e+300,0,nan\n",
+        ),
+        (  # a real dtype still writes its zero imaginary column
+            [(0.0, np.array([1.0, -0.0, 0.1])), (0.1, np.array([_INF, _NAN, -2.5e-7]))],
+            b"t,re_u_1,im_u_1,re_u_2,im_u_2,re_u_3,im_u_3\n"
+            b"0,1,0,-0,0,0.10000000000000001,0\n"
+            b"0.10000000000000001,inf,0,nan,0,-2.4999999999999999e-07,0\n",
+        ),
+        (  # one unknown
+            [
+                (0.0, np.array([1.0 + 0j])),
+                (0.1, np.array([np.exp(-0.1) + 0j])),
+                (0.30000000000000004, np.array([0j])),
+            ],
+            b"t,re_u_1,im_u_1\n0,1,0\n0.10000000000000001,0.90483741803595952,0\n0.30000000000000004,0,0\n",
+        ),
+    ],
+    ids=["complex-specials", "real-dtype", "one-unknown"],
+)
+def test_write_trajectory_csv_bytes(tmp_path, trajectory, expected):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(trajectory, path)
+    assert path.read_bytes() == expected

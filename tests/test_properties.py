@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galpha.amplification import amplification_matrix, build_lr_from_gammas
-from galpha.integrator import init_state, scalar_problem, step
+from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.schemes import Variant, make_scheme
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
 
@@ -60,6 +60,24 @@ def test_scalar_step_is_g_times_state(p, am, data, modulus, angle):
     # G's entries reach ~(p-2)! at high order, so round-off scales with |G| |u|
     scale = max(1.0, (np.abs(G) @ np.abs(u)).max())
     assert np.abs(stepped.stack[:, 0] - G @ u).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(
+    p=orders,
+    tau=moduli,
+    ratio=moduli,
+    data=st.data(),
+)
+def test_rescale_round_trip(p, tau, ratio, data):
+    """Rescaling to another step size and back returns the stack to 1e-14."""
+    parts = st.floats(min_value=-1e3, max_value=1e3)
+    entries = data.draw(st.lists(parts, min_size=4 * p, max_size=4 * p))
+    stack = np.reshape(entries, (p, 2, 2)) @ [1.0, 1j]
+    state = StateVector(stack, tau)
+    back = state.rescale(tau * ratio).rescale(tau)
+    assert back.tau == state.tau
+    assert np.all(np.abs(back.stack - state.stack) <= 1e-14 * np.abs(state.stack))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
