@@ -52,7 +52,6 @@ __all__ = [
     "build_lr",
     "build_lr_from_gammas",
     "amplification_matrix",
-    "limit_zero_p3",
     "limit_inf_p3",
     "limit_matrix_zero",
     "limit_matrix_inf",
@@ -179,28 +178,6 @@ def amplification_matrix(params: SchemeParams, t) -> np.ndarray:
         raise SingularAtT(f"one-step matrix is singular at T={t!r}: {exc}") from exc
 
 
-def limit_zero_p3(alpha_m, gamma_1, gamma_2) -> np.ndarray:
-    """Closed-form limit of the p = 3 amplification matrix as T -> 0.
-
-    A0 = [[1, 1 - g2/(2 am), 1/2 - g2/(2 am)],
-          [0, 1 - g1/am,     1 - g1/am],
-          [0, -1/am,         1 - 1/am]]
-
-    Arguments may be per-cell arrays; the result then stacks one 3x3 matrix
-    per cell in its trailing axes.  alpha_m must be nonzero.
-    """
-    am, g1, g2 = alpha_m, gamma_1, gamma_2
-    a0 = np.zeros(np.broadcast(am, g1, g2).shape + (3, 3), dtype=complex)
-    a0[..., 0, 0] = 1.0
-    a0[..., 0, 1] = 1.0 - g2 / (2.0 * am)
-    a0[..., 0, 2] = 0.5 - g2 / (2.0 * am)
-    a0[..., 1, 1] = 1.0 - g1 / am
-    a0[..., 1, 2] = 1.0 - g1 / am
-    a0[..., 2, 1] = -1.0 / am
-    a0[..., 2, 2] = 1.0 - 1.0 / am
-    return a0
-
-
 def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
     """Closed-form limit of the equal-gamma p = 3 amplification matrix as T -> inf.
 
@@ -208,8 +185,8 @@ def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
             [-1/af,        1 - 1/af,     0],
             [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
 
-    Arguments may be per-cell arrays, as for :func:`limit_zero_p3`; alpha_f
-    and gamma_1 must be nonzero.
+    Arguments may be per-cell arrays; the result then stacks one 3x3 matrix
+    per cell in its trailing axes.  alpha_f and gamma_1 must be nonzero.
     """
     af, g1 = alpha_f, gamma_1
     ainf = np.zeros(np.broadcast(af, g1).shape + (3, 3), dtype=complex)
@@ -224,16 +201,26 @@ def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
 
 
 def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
-    """:func:`limit_zero_p3` for a third-order scheme (any closure), alpha_m != 0.
+    """Closed-form limit of a third-order amplification matrix (any closure) as T -> 0.
 
-    Its eigenvalues are 1 (the consistency mode) and the roots of the
-    trailing 2x2 block.
+    A0 = [[1, 1 - g2/(2 am), 1/2 - g2/(2 am)],
+          [0, 1 - g1/am,     1 - g1/am],
+          [0, -1/am,         1 - 1/am]]
+
+    Requires alpha_m != 0.  Its eigenvalues are 1 (the consistency mode) and
+    the roots of the trailing 2x2 block.
     """
     if params.p != 3:
         raise VariantUnsupported("closed-form T->0 limit is available for p=3 only")
-    if params.alpha_m == 0.0:
+    am, (g1, g2) = params.alpha_m, params.gammas
+    if am == 0.0:
         raise DegenerateParams("T->0 limit undefined for alpha_m = 0")
-    return limit_zero_p3(params.alpha_m, *params.gammas)
+    return np.array(
+        [[1.0, 1.0 - g2 / (2.0 * am), 0.5 - g2 / (2.0 * am)],
+         [0.0, 1.0 - g1 / am, 1.0 - g1 / am],
+         [0.0, -1.0 / am, 1.0 - 1.0 / am]],
+        dtype=complex,
+    )
 
 
 def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
@@ -255,32 +242,44 @@ def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
     return limit_inf_p3(params.alpha_f, params.gamma1)
 
 
+def _pole_factor(params: SchemeParams, t) -> complex:
+    """(p-2)! det L(T) = alpha_m + gamma_1 alpha_f T; ``SingularAtT`` when it
+    is at most 1e-12 (|alpha_m| + |gamma_1 alpha_f T|)."""
+    t = complex(t)
+    slope = params.gamma1 * params.alpha_f * t
+    factor = params.alpha_m + slope
+    if abs(factor) <= 1e-12 * (abs(params.alpha_m) + abs(slope)):
+        raise SingularAtT(f"one-step system has a pole at T={t!r}")
+    return factor
+
+
 def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> float:
     """Largest defect of the solution sequence in the scalar p+1-term recurrence.
 
     Any trajectory produced by the one-step map satisfies
 
-        sum_{j=0}^{p} (-1)^j G_j u_{n+1-j} = 0,      G_0 = 1,
+        sum_{k=0}^{p} c_k u_{n-p+k} = 0,
 
-    where G_j is the sum of the j-by-j principal minors of G(T) (G_1 the
-    trace, G_p the determinant).  Returns max_n |residual| over all windows.
+    where c_k are the coefficients of rho + T sigma (:func:`char_poly`)
+    divided by the mu^p one, (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!:
+    the monic characteristic polynomial det(mu I - G(T)).  Returns
+    max_n |residual| over all windows.
 
     Raises
     ------
     TooShort
         If fewer than p + 1 values are supplied.
+    SingularAtT
+        On the pole of the one-step system.
     """
     u = np.asarray(sequence, dtype=complex)
     p = params.p
     if u.ndim != 1 or u.size < p + 1:
         raise TooShort(f"need at least {p + 1} sequence values, got {u.size}")
-    minors = numkit.principal_minor_sums(amplification_matrix(params, t))
-    coeffs = np.concatenate(([1.0 + 0.0j], [(-1.0) ** j * minors[j - 1] for j in range(1, p + 1)]))
-    residual = 0.0
-    for n in range(p, u.size):
-        window = u[n::-1][: p + 1]  # u_{n+1-j} for j = 0 .. p with n+1 -> n shift
-        residual = max(residual, abs(np.dot(coeffs, window)))
-    return float(residual)
+    lead = (-1) ** p * _pole_factor(params, t) / factorial(p - 2)
+    rho, sigma = char_poly(p, params.alpha_m, params.alpha_f, params.gammas)
+    monic = (rho + complex(t) * sigma) / lead
+    return float(np.abs(np.convolve(u, monic[::-1], "valid")).max())
 
 
 def truncation_residual(params: SchemeParams, t) -> complex:
@@ -295,8 +294,4 @@ def truncation_residual(params: SchemeParams, t) -> complex:
     """
     b0, b1 = order_condition_residuals(params)
     t = complex(t)
-    denom = 12.0 * (params.alpha_m + params.gamma1 * params.alpha_f * t)
-    scale = 12.0 * (abs(params.alpha_m) + abs(params.gamma1 * params.alpha_f * t))
-    if abs(denom) <= 1e-12 * scale:
-        raise SingularAtT(f"truncation residual has a pole at T={t!r}")
-    return (b0 + t * b1) * t**3 / denom
+    return (b0 + t * b1) * t**3 / (12.0 * _pole_factor(params, t))

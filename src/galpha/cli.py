@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -228,6 +229,10 @@ plot "stability.csv" skip 1 using 2:1:4 with image notitle
 def cmd_stability_map(args, out: Path) -> dict:
     if args.grid_n < 2:
         raise ConfigError("--grid-n must be at least 2")
+    for option in ("alpha_min", "alpha_max", "t_min", "t_max"):
+        value = getattr(args, option)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{option.replace('_', '-')} must be finite, got {value}")
     if not 0 < args.t_min < args.t_max:
         raise ConfigError("need 0 < --t-min < --t-max")
     if args.t_samples < 2:

@@ -125,8 +125,10 @@ class LinearProblem:
 
 
 def scalar_problem(lam) -> LinearProblem:
-    """The test equation u' + lambda u = 0 (lambda may be complex)."""
+    """The test equation u' + lambda u = 0 (lambda may be complex and finite)."""
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
 
     def apply(v):
         return lam * v
@@ -178,8 +180,8 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     n = int(n_interior)
     if n < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n}")
-    if not diffusivity > 0.0:
-        raise ValueError(f"diffusivity must be positive, got {diffusivity}")
+    if not 0.0 < diffusivity < np.inf:
+        raise ValueError(f"diffusivity must be positive and finite, got {diffusivity}")
     h = 1.0 / (n + 1)
     s = diffusivity / h**2
     lam = 4.0 * s * np.sin(np.arange(1, n + 1) * (np.pi * h / 2.0)) ** 2
@@ -323,13 +325,16 @@ def integrate(
 
     t_end must be a whole number of steps: with n = round(t_end / tau), a
     mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
-    rather than ending the march short of (or past) t_end.  Step failures are
-    re-raised with the failing step index attached.
+    rather than ending the march short of (or past) t_end, and so does a
+    t_end / tau that is not finite.  Step failures are re-raised with the
+    failing step index attached.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if t_end < tau:
         raise ValueError(f"t_end={t_end} does not cover one step of tau={tau}")
+    if not np.isfinite(t_end / tau):
+        raise ValueError(f"t_end={t_end} over tau={tau} is not a finite number of steps")
     n_steps = int(round(t_end / tau))
     if abs(n_steps * tau - t_end) > 1e-9 * t_end:
         raise ValueError(

@@ -5,21 +5,18 @@ that near-singularity is reported through an explicit pivot threshold;
 ``lu_solve`` reuses one factor for any number of right-hand sides (a march
 factors its fixed shifted operator once), and ``solve`` is the two in one
 call.  ``eigenvalues`` defers to LAPACK, which is the right tool for dense
-nonsymmetric spectra of the one-step matrices (dimension p <= 12);
-``principal_minor_sums`` enumerates index subsets directly, which is
-affordable up to dimension 12 and is used to cross-check characteristic
-polynomials against independently computed eigenvalues.
+nonsymmetric spectra of the one-step matrices (dimension p <= 12).
+Characteristic polynomials are not built here: their coefficients come from
+``amplification.char_poly`` as rho + T*sigma.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 from .errors import NoConvergence, SingularMatrix
 
-__all__ = ["lu_factor", "lu_solve", "solve", "eigenvalues", "principal_minor_sums"]
+__all__ = ["lu_factor", "lu_solve", "solve", "eigenvalues"]
 
 #: Relative pivot threshold below which a solve is reported as singular.
 PIVOT_RTOL = 1e-14
@@ -133,27 +130,3 @@ def eigenvalues(a) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def principal_minor_sums(a) -> np.ndarray:
-    """Sums of j-by-j principal minors of ``a`` for j = 1 .. n.
-
-    Computed exactly by enumeration over index subsets, so the result is
-    independent of any eigenvalue computation.  Entry ``j - 1`` of the
-    returned array equals the sum over all principal j-by-j submatrix
-    determinants; the characteristic polynomial of ``a`` is then
-
-        det(a - mu*I) = (-mu)^n + sum_j (-mu)^(n-j) * minors[j-1].
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds cap {MAX_DIM}")
-    sums = np.zeros(n, dtype=complex)
-    for j in range(1, n + 1):
-        total = 0.0 + 0.0j
-        for idx in combinations(range(n), j):
-            sub = a[np.ix_(idx, idx)]
-            total += np.linalg.det(sub)
-        sums[j - 1] = total
-    return sums

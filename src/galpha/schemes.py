@@ -88,10 +88,9 @@ class SchemeParams:
     """Fully resolved parameters of one scheme instance.
 
     ``gammas[j - 1]`` holds gamma_j for j = 1 .. p - 1.  Construction
-    validates the variant-specific closure so that an instance can always be
-    trusted downstream:  equal-gamma instances satisfy
-    gamma_j = C(p) + alpha_m - alpha_f, and remark-one instances satisfy both
-    third-order conditions to round-off.
+    checks the gammas against :func:`closure_gammas` of the variant, to
+    1e-14 max(1, |gamma_j|), so that an instance can always be trusted
+    downstream.
     """
 
     p: int
@@ -111,22 +110,11 @@ class SchemeParams:
         values = (self.alpha_m, self.alpha_f, *self.gammas)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("scheme parameters must be finite")
-        if self.variant is Variant.EQUAL_GAMMA:
-            target = float(c_of_p(self.p)) + self.alpha_m - self.alpha_f
-            tol = 1e-14 * max(1.0, abs(target))
-            if any(abs(g - target) > tol for g in self.gammas):
-                raise ValueError(
-                    "equal-gamma closure violated: gammas "
-                    f"{self.gammas} != C(p) + alpha_m - alpha_f = {target!r}"
-                )
-        elif self.variant is Variant.REMARK_ONE:
-            if self.p != 3:
-                raise VariantUnsupported("remark-one closure is third order only")
-            r1, r2 = order_condition_residuals(self)
-            if max(abs(r1), abs(r2)) > 1e-12:
-                raise ValueError(
-                    f"remark-one closure violated: residuals ({r1:.3e}, {r2:.3e})"
-                )
+        target = closure_gammas(self.p, self.alpha_m, self.alpha_f, self.variant)
+        if any(abs(g - c) > 1e-14 * max(1.0, abs(c)) for g, c in zip(self.gammas, target)):
+            raise ValueError(
+                f"{self.variant.value} closure violated: gammas {self.gammas} != {target}"
+            )
 
     @property
     def gamma1(self) -> float:
@@ -139,7 +127,12 @@ def remark_one_gammas(alpha_m: float, alpha_f: float) -> tuple[float, float]:
     gamma_1 = 3*alpha_m / (2 + 3*alpha_f)
     gamma_2 = (10 - 9*alpha_f - 36*alpha_f^2 + 6*alpha_m + 36*alpha_m*alpha_f)
               / (12 + 18*alpha_f)
+
+    A float ``alpha_f`` on the pole 2 + 3*alpha_f = 0 raises ``ValueError``;
+    per-cell arrays get non-finite weights there.
     """
+    if isinstance(alpha_f, float) and 2.0 + 3.0 * alpha_f == 0.0:
+        raise ValueError("remark-one closure has a pole at 2 + 3*alpha_f = 0")
     g1 = 3.0 * alpha_m / (2.0 + 3.0 * alpha_f)
     g2 = (
         10.0 - 9.0 * alpha_f - 36.0 * alpha_f**2 + 6.0 * alpha_m

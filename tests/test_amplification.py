@@ -270,23 +270,32 @@ def test_limit_matrices_degenerate_params():
 # --- characteristic recurrence ------------------------------------------------
 
 
-def test_recurrence_annihilates_powers_of_g():
-    params = make_scheme(3, 0.9, 0.6)
+@pytest.mark.parametrize("p", range(2, 12))
+def test_recurrence_annihilates_powers_of_g(p):
+    params = make_scheme(p, 0.9, 0.6)
     t = 0.8
     G = amplification_matrix(params, t)
-    u0 = np.array([1.0, -t, t * t], dtype=complex)
+    v = np.array([(-t) ** j for j in range(p)], dtype=complex)
     seq = []
-    v = u0
-    for _ in range(12):
+    for _ in range(p + 9):
         seq.append(v[0])
         v = G @ v
-    assert characteristic_recurrence_residual(params, t, seq) <= 1e-12
+    tol = 1e-10 * np.abs(seq).max()
+    assert characteristic_recurrence_residual(params, t, seq) <= tol
 
 
 def test_recurrence_detects_foreign_sequence():
     params = make_scheme(3, 0.9, 0.6)
     residual = characteristic_recurrence_residual(params, 0.8, np.ones(8))
-    assert residual > 1e-3
+    # the value the principal-minor construction of det(mu I - G) gave
+    assert residual == pytest.approx(0.6430868167202575, rel=1e-12)
+
+
+def test_recurrence_raises_at_the_pole():
+    params = make_scheme(3, 0.9, 0.55)
+    t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
+    with pytest.raises(SingularAtT):
+        characteristic_recurrence_residual(params, t_pole, np.ones(8))
 
 
 def test_recurrence_needs_p_plus_one_values():

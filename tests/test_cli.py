@@ -236,6 +236,33 @@ def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys, argv):
     assert "error" not in out and "slope" not in out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("integrate", "--t-end", "inf"), "not a finite number of steps"),
+        (("integrate", "--t-end", "1e300", "--tau", "1e-300"), "not a finite number of steps"),
+        (("order-check", "--t-end", "inf"), "not a finite number of steps"),
+        (
+            ("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "-0.6666666666666666"),
+            "remark-one closure has a pole",
+        ),
+        (("integrate", "--lambda", "nan"), "lambda must be finite"),
+        (("integrate", "--lambda", "1,nan"), "lambda must be finite"),
+        (("integrate", "--heat-n", "3", "--kappa", "inf"), "diffusivity must be positive and finite"),
+        (("stability-map", "--alpha-max", "inf"), "--alpha-max must be finite"),
+        (("stability-map", "--alpha-min", "nan"), "--alpha-min must be finite"),
+        (("stability-map", "--t-max", "inf"), "--t-max must be finite"),
+    ],
+)
+def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    payload = read_error_line(err)
+    assert payload["kind"] == "config"
+    assert message in payload["message"]
+    assert len(err.splitlines()) == 1 and out == ""
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--no-such-flag", "--out", str(tmp_path)])

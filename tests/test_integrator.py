@@ -395,6 +395,15 @@ def test_heat_problem_validation():
         heat_problem(1)
     with pytest.raises(ValueError):
         heat_problem(5, diffusivity=0.0)
+    for kappa in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            heat_problem(5, diffusivity=kappa)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
+def test_scalar_problem_rejects_nonfinite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        scalar_problem(lam)
 
 
 # --- driver and output ---------------------------------------------------------------------
@@ -416,6 +425,10 @@ def test_integrate_validation():
         integrate(params, scalar_problem(1.0), 1.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         integrate(params, scalar_problem(1.0), 1.0, 0.5, 0.2)
+    # t_end / tau is not a finite number of steps
+    for tau, t_end in [(0.1, np.inf), (1e-300, 1e300), (0.1, np.nan)]:
+        with pytest.raises(ValueError, match="finite number of steps"):
+            integrate(params, scalar_problem(1.0), 1.0, tau, t_end)
 
 
 def test_integrate_rejects_t_end_off_the_step_grid():

@@ -117,44 +117,3 @@ def test_eigenvalues_dimension_cap():
         numkit.eigenvalues(big)
     # at the cap itself everything still works
     assert_spectrum(numkit.eigenvalues(np.eye(numkit.MAX_DIM)), np.ones(numkit.MAX_DIM))
-
-
-def test_principal_minor_sums_fixed_example():
-    a = np.array(
-        [
-            [2.0, 1j, 0.0],
-            [1.0, 3.0, 1.0],
-            [0.0, -1j, 4.0],
-        ]
-    )
-    sums = numkit.principal_minor_sums(a)
-    # k = 1: trace; k = 2: sum of the three 2x2 principal minors; k = 3: det
-    assert np.allclose(sums, [9.0, 26.0, 24.0 - 2.0j], atol=1e-12)
-
-
-def test_minor_sums_are_elementary_symmetric_in_eigenvalues():
-    rng = np.random.default_rng(42)
-    a = _random_complex(rng, 4, 4)
-    sums = numkit.principal_minor_sums(a)
-    lam = numkit.eigenvalues(a)
-    e1 = lam.sum()
-    e2 = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
-    e3 = sum(
-        lam[i] * lam[j] * lam[k]
-        for i in range(4)
-        for j in range(i + 1, 4)
-        for k in range(j + 1, 4)
-    )
-    e4 = lam.prod()
-    assert np.allclose(sums, [e1, e2, e3, e4], atol=1e-9)
-
-
-def test_minor_sums_give_characteristic_polynomial():
-    """det(A - mu I) reconstructed from the minor sums matches a direct det."""
-    rng = np.random.default_rng(3)
-    a = _random_complex(rng, 3, 3)
-    c1, c2, c3 = numkit.principal_minor_sums(a)
-    for mu in (0.3, -1.2 + 0.7j, 2.0):
-        poly = (-mu) ** 3 + c1 * mu**2 - c2 * mu + c3
-        direct = np.linalg.det(a - mu * np.eye(3))
-        assert abs(poly - direct) <= 1e-9 * max(1.0, abs(direct))

@@ -58,6 +58,10 @@ def test_equal_gamma_closure(p):
 def test_equal_gamma_validation_rejects_wrong_gammas():
     with pytest.raises(ValueError, match="closure violated"):
         SchemeParams(3, 0.9, 0.6, (0.7, 0.8), Variant.EQUAL_GAMMA)
+    g1, g2 = remark_one_gammas(0.9, 0.6)
+    assert SchemeParams(3, 0.9, 0.6, (g1, g2), Variant.REMARK_ONE).gammas == (g1, g2)
+    with pytest.raises(ValueError, match="closure violated"):
+        SchemeParams(3, 0.9, 0.6, (g1, g2 + 1e-9), Variant.REMARK_ONE)
 
 
 def test_params_require_two_gammas_for_p3():
@@ -90,6 +94,18 @@ def test_remark_one_satisfies_both_order_conditions():
         r1, r2 = order_condition_residuals(params)
         assert abs(r1) <= 1e-12
         assert abs(r2) <= 1e-12
+
+
+def test_remark_one_pole_is_a_clean_error():
+    # 2 + 3 * alpha_f is exactly 0.0 here
+    with pytest.raises(ValueError, match="pole"):
+        make_scheme(3, 1.0, -0.6666666666666666, Variant.REMARK_ONE)
+    with pytest.raises(ValueError, match="pole"):
+        make_scheme(3, 1.0, np.float64(-2.0 / 3.0), Variant.REMARK_ONE)
+    # per-cell arrays keep the plain floating-point result
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g1, g2 = remark_one_gammas(np.ones(2), np.array([-2.0 / 3.0, 0.6]))
+    assert not np.isfinite(g1[0]) and np.isfinite(g1[1])
 
 
 def test_remark_one_only_defined_for_p3():

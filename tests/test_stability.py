@@ -86,6 +86,31 @@ def test_rays_near_imaginary_axis_destabilize():
     assert report.radius > 1.05
 
 
+A0_DESIGNS = {
+    "main-0.34": (params_from_rho(0.34), Variant.EQUAL_GAMMA),
+    "main-0.5": (params_from_rho(0.5), Variant.EQUAL_GAMMA),
+    "main-0.9": (params_from_rho(0.9), Variant.EQUAL_GAMMA),
+    "alt1-0.5": (params_from_rho(0.5, RhoBranch.ALT1), Variant.EQUAL_GAMMA),
+    "equal-gamma": ((1.0, 0.6), Variant.EQUAL_GAMMA),
+    "remark-one": ((0.9, 0.6), Variant.REMARK_ONE),
+}
+
+
+@pytest.mark.parametrize("design", sorted(A0_DESIGNS))
+def test_third_order_designs_are_a0_stable_not_a_stable(design):
+    """Dahlquist's second barrier: an A-stable LMM has order <= 2.
+
+    So "unconditionally stable" for p = 3 means stable on the real half-line
+    T >= 0 (A0-stability), and a ray just inside the right half-plane finds a
+    radius above 1.
+    """
+    amf, variant = A0_DESIGNS[design]
+    params = make_scheme(3, *amf, variant)
+    assert worst_case_radius(params).stable
+    report = worst_case_radius(params, ray_t_samples(0.999 * np.pi / 2, n=64))
+    assert report.radius > 1.0 + 1e-3
+
+
 def test_singular_sample_marks_unstable_p2():
     params = make_scheme(2, 0.5, 1.5)  # gamma = -1/2
     t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
