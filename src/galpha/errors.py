@@ -50,4 +50,4 @@ class AllAtRoundoff(GalphaError):
 
 
 class NoRoot(GalphaError):
-    """The error functional does not change sign on the search interval."""
+    """No closure constant in the search interval makes the probe defect vanish."""

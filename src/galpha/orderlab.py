@@ -7,14 +7,21 @@ Two independent instruments live here:
   the actual stepping code.
 * :func:`recover_C` treats the constant in the closure rule
   gamma_j = C(p) + alpha_m - alpha_f as an unknown and recovers it from the
-  amplification matrix alone: the principal eigenvalue of G(T) must match
-  exp(-T) to order p + 1 exactly when C takes its tabulated value, so the
-  scaled defect E(C) = [principal eig - exp(-T)] / T^(p+1) crosses zero there.
-  The defect also carries a term linear in T (from the next error order), so
-  the probe T must be tiny for the root to land within 1e-8 of the true
-  constant; the default probe T = 1e-10 pushes that bias to ~1e-11 and the
-  whole evaluation runs in extended precision (mpmath) because the signal
-  sits T^(p+1) below the eigenvalues themselves.
+  one-step matrices alone.  The principal eigenvalue of G(T) matches exp(-T)
+  to order p + 1 exactly when C takes its tabulated value, that is, when
+  mu = exp(-T) is an eigenvalue of G(T) and det(R(T) - mu L(T)) = 0.  Every
+  gamma sits in the last column of the tableau, so with equal gammas g that
+  determinant is affine in g, and two determinants (g = 0 and g = 1) give
+  its root in closed form.  The probe T carries a bias linear in T (from the
+  next error order), so it must be tiny for the root to land within 1e-8 of
+  the true constant; the default T = 1e-10 pushes that bias to ~1e-11, and
+  the determinants run in extended precision (mpmath) because the signal
+  sits T^(p+1) below the matrix entries.
+
+:func:`error_functional` keeps the eigenvalue view: the scaled defect
+E(C) = [principal eig - exp(-T)] / T^(p+1), from ``mp.eig`` of G, crosses
+zero at the same C.  It shares no solver with :func:`recover_C` and is the
+tests' oracle for it.
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import nan
+from math import isfinite, nan
 
 import numpy as np
 from mpmath import mp
@@ -103,24 +110,38 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
+def _lr_mp(p, g, am, af, t):
+    """L(t), R(t) as ``mp.matrix`` with every gamma equal to g."""
+    return (
+        fill_tableau(entries, t, mp.zeros(p, p))
+        for entries in one_step_tableau(p, am, af, [g] * (p - 1), one=mp.mpf(1))
+    )
+
+
 def _defect_mp(p, c, am, af, t):
     """E(C) as an mpf, inside an active extended-precision context."""
-    gammas = [c + am - af] * (p - 1)
-    L, R = (
-        fill_tableau(entries, t, mp.zeros(p, p))
-        for entries in one_step_tableau(p, am, af, gammas, one=mp.mpf(1))
-    )
-    G = L**-1 * R
-    eigs = mp.eig(G, left=False, right=False)
+    L, R = _lr_mp(p, c + am - af, am, af, t)
+    eigs = mp.eig(L**-1 * R, left=False, right=False)
     target = mp.exp(-t)
     principal = min(eigs, key=lambda z: (abs(z - target), -mp.re(z)))
     return mp.re(principal - target) / t ** (p + 1)
 
 
+def _pencil_det(p, g, am, af, t, mu):
+    """det(R(t) - mu L(t)) with every gamma equal to g, in the active mp context."""
+    L, R = _lr_mp(p, g, am, af, t)
+    return mp.det(R - mu * L)
+
+
 def _dps_for(p: int) -> int:
-    # The defect signal sits ~T^(p+1) below the eigenvalues; at T = 1e-10
-    # that is 10*(p+1) digits, plus ~40 guard digits for the eigensolver.
+    # The signal sits ~T^(p+1) below the O(1) matrix entries; at T = 1e-10
+    # that is 10*(p+1) digits, plus ~40 guard digits for the elimination.
     return 40 + 10 * (p + 1)
+
+
+def _check_probe(probe_t: float) -> None:
+    if probe_t == 0 or not isfinite(probe_t):
+        raise ValueError(f"probe_t must be finite and nonzero, got {probe_t}")
 
 
 def error_functional(
@@ -130,7 +151,11 @@ def error_functional(
     alpha_f: float = 0.75,
     probe_t: float = 1e-10,
 ) -> float:
-    """Scaled principal-eigenvalue defect E(C); zero at the tabulated constant."""
+    """Scaled principal-eigenvalue defect E(C); zero at the tabulated constant.
+
+    Raises ``ValueError`` for a ``probe_t`` that is 0, nan or infinite.
+    """
+    _check_probe(probe_t)
     with mp.workdps(_dps_for(p)):
         return float(_defect_mp(p, mp.mpf(c), mp.mpf(alpha_m), mp.mpf(alpha_f), mp.mpf(probe_t)))
 
@@ -141,53 +166,31 @@ def recover_C(
     alpha_f: float = 0.75,
     probe_t: float = 1e-10,
 ) -> float:
-    """Root of E(C) on [0, 1]: the closure constant, recovered not assumed.
+    """The closure constant C(p), recovered from the one-step matrices, not assumed.
 
-    Designed for p = 2 .. 6; larger orders run but push the extended
-    precision (and the runtime) up, so treat those results as experimental.
-    Raises :class:`NoRoot` when E does not change sign on [0, 1].
+    With every gamma equal to g, D(g) = det(R(T) - mu L(T)) at T = ``probe_t``
+    and mu = exp(-T) is affine in g, so its root is
+    g* = D(0) / (D(0) - D(1)) and C = g* - alpha_m + alpha_f.  Both
+    determinants are taken in extended precision.  Any order p >= 2 runs;
+    the precision, and with it the runtime, grows with p.
+
+    Raises :class:`NoRoot` when D(0) = D(1) (D does not depend on g) or when
+    the root C lies outside [0, 1], and ``ValueError`` for p < 2 or a
+    ``probe_t`` that is 0, nan or infinite.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
+    _check_probe(probe_t)
     with mp.workdps(_dps_for(p)):
         am, af, t = mp.mpf(alpha_m), mp.mpf(alpha_f), mp.mpf(probe_t)
-
-        def f(c):
-            return _defect_mp(p, c, am, af, t)
-
-        # Bracket on a coarse grid, then refine by regula falsi (Illinois).
-        grid = [mp.mpf(k) / 10 for k in range(11)]
-        vals = [f(c) for c in grid]
-        bracket = None
-        for (a, fa), (b, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if fa == 0:
-                return float(a)
-            if mp.sign(fa) != mp.sign(fb):
-                bracket = (a, b, fa, fb)
-                break
-        if bracket is None:
-            if vals[-1] == 0:
-                return float(grid[-1])
-            raise NoRoot(f"defect keeps sign {mp.sign(vals[0])} across [0, 1] for p={p}")
-
-        a, b, fa, fb = bracket
-        side = 0
-        for _ in range(100):
-            x = b - fb * (b - a) / (fb - fa)
-            fx = f(x)
-            if fx == 0 or abs(b - a) < mp.mpf("1e-11"):
-                return float(x)
-            if mp.sign(fx) == mp.sign(fb):
-                b, fb = x, fx
-                if side == 1:
-                    fa /= 2
-                side = 1
-            else:
-                a, fa = x, fx
-                if side == -1:
-                    fb /= 2
-                side = -1
-        return float((a + b) / 2)
+        mu = mp.exp(-t)
+        d0, d1 = (_pencil_det(p, mp.mpf(g), am, af, t, mu) for g in (0, 1))
+        if d0 == d1:
+            raise NoRoot(f"det(R - exp(-T) L) does not depend on gamma for p={p}")
+        c = d0 / (d0 - d1) - am + af
+        if not 0 <= c <= 1:
+            raise NoRoot(f"closure constant {mp.nstr(c, 6)} lies outside [0, 1] for p={p}")
+        return float(c)
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from galpha.errors import AllAtRoundoff
+from galpha.errors import AllAtRoundoff, NoRoot
 from galpha.orderlab import (
     ConvergenceReport,
     error_functional,
@@ -110,6 +110,53 @@ def test_recover_is_independent_of_alpha_choice():
 def test_recover_rejects_low_order():
     with pytest.raises(ValueError):
         recover_C(1)
+
+
+# Returned by the grid bracket and Illinois search over mp.eig that the
+# two-determinant root replaced; the closed form reproduces them bit for bit.
+PINNED_C = {
+    (2, 1.0, 0.75): 0.5000000000145833,
+    (3, 1.0, 0.75): 0.4166666666763889,
+    (4, 1.0, 0.75): 0.33333333333791665,
+    (5, 1.0, 0.75): 0.25833333333332636,
+    (6, 1.0, 0.75): 0.19999999999677381,
+    (7, 1.0, 0.75): 0.16269841269348387,
+    (3, 0.9, 0.6): 0.41666666667480556,
+    (3, 1.2, 0.8): 0.4166666666829722,
+}
+
+
+@pytest.mark.parametrize("p, alpha_m, alpha_f", sorted(PINNED_C))
+def test_recover_matches_pinned_values(p, alpha_m, alpha_f):
+    assert recover_C(p, alpha_m=alpha_m, alpha_f=alpha_f) == PINNED_C[p, alpha_m, alpha_f]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_recovered_constant_is_the_root_of_the_eigen_defect(p):
+    """The mp.eig defect E, an independent path, changes sign across recover_C(p)."""
+    c = recover_C(p)
+    below, at, above = (error_functional(p, c + d) for d in (-1e-9, 0.0, 1e-9))
+    assert below * above < 0
+    assert abs(at) < min(abs(below), abs(above))
+
+
+def test_recover_reports_a_root_outside_the_unit_interval():
+    # at this probe the equal-gamma root sits at C = 1.5
+    with pytest.raises(NoRoot, match="outside"):
+        recover_C(3, alpha_m=1.0, alpha_f=1.5, probe_t=100.0)
+
+
+@pytest.mark.parametrize("probe_t", [0.0, math.nan, math.inf, -math.inf])
+def test_bad_probe_is_rejected(probe_t):
+    with pytest.raises(ValueError, match="probe_t"):
+        recover_C(3, probe_t=probe_t)
+    with pytest.raises(ValueError, match="probe_t"):
+        error_functional(3, 0.4, probe_t=probe_t)
+
+
+def test_negative_probe_is_a_valid_t():
+    assert abs(recover_C(3, probe_t=-1e-10) - 5.0 / 12.0) <= 1e-8
+    assert error_functional(3, 0.3, probe_t=-1e-10) * error_functional(3, 0.5, probe_t=-1e-10) < 0
 
 
 def test_error_functional_sign_structure():

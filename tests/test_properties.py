@@ -6,9 +6,11 @@ from math import factorial
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from galpha.amplification import amplification_matrix, build_lr_from_gammas
 from galpha.integrator import StateVector, init_state, scalar_problem, step
+from galpha.orderlab import _pencil_det
 from galpha.schemes import Variant, make_scheme
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
 
@@ -99,3 +101,25 @@ def test_scan_equals_per_cell_radius(variant, n_am, n_af, lo, width, n_t):
             report = worst_case_radius(make_scheme(3, float(am), float(af), variant), samples)
             assert report.radius == smap.radius[i, j]
             assert report.repeated_unit_root == smap.repeated_root[i, j]
+
+
+@PROPERTY
+@given(
+    p=orders,
+    am=alphas,
+    af=alphas,
+    t_modulus=moduli,
+    t_angle=st.floats(min_value=-np.pi, max_value=np.pi),
+    mu_modulus=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e),
+    mu_angle=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_pencil_det_is_affine_in_the_common_gamma(p, am, af, t_modulus, t_angle, mu_modulus, mu_angle):
+    """D(g) = det(R(T) - mu L(T)) with equal gammas g is affine in g: recover_C's closed form."""
+    with mp.workdps(40):
+        t = mp.mpc(t_modulus * cmath.exp(1j * t_angle))
+        mu = mp.mpc(mu_modulus * cmath.exp(1j * mu_angle))
+        d0, half, d1 = (
+            _pencil_det(p, mp.mpf(g), mp.mpf(am), mp.mpf(af), t, mu) for g in (0, 0.5, 1)
+        )
+        scale = max(abs(d0), abs(d1))
+        assert abs(half - (d0 + d1) / 2) <= 1e-12 * scale
