@@ -9,19 +9,15 @@ Two independent instruments live here:
   gamma_j = C(p) + alpha_m - alpha_f as an unknown and recovers it from the
   one-step matrices alone.  The principal eigenvalue of G(T) matches exp(-T)
   to order p + 1 exactly when C takes its tabulated value, that is, when
-  mu = exp(-T) is an eigenvalue of G(T) and det(R(T) - mu L(T)) = 0.  Every
-  gamma sits in the last column of the tableau, so with equal gammas g that
-  determinant is affine in g, and two determinants (g = 0 and g = 1) give
-  its root in closed form.  The probe T carries a bias linear in T (from the
-  next error order), so it must be tiny for the root to land within 1e-8 of
-  the true constant; the default T = 1e-10 pushes that bias to ~1e-11, and
-  the determinants run in extended precision (mpmath) because the signal
-  sits T^(p+1) below the matrix entries.
+  det(R(T) - exp(-T) L(T)) = 0, and with equal gammas that determinant is
+  affine in the common gamma.  The probe T carries a bias linear in T (from
+  the next error order); the default T = 1e-10 keeps it at ~1e-11, and the
+  determinants run in extended precision (mpmath) because the signal sits
+  T^(p+1) below the matrix entries.
 
-:func:`error_functional` keeps the eigenvalue view: the scaled defect
-E(C) = [principal eig - exp(-T)] / T^(p+1), from ``mp.eig`` of G, crosses
-zero at the same C.  It shares no solver with :func:`recover_C` and is the
-tests' oracle for it.
+:func:`error_functional`, the scaled defect [principal eig - exp(-T)] /
+T^(p+1) from ``mp.eig`` of G, crosses zero at the same C by another solver
+and is the tests' oracle for recover_C.
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -169,10 +165,8 @@ def recover_C(
     """The closure constant C(p), recovered from the one-step matrices, not assumed.
 
     With every gamma equal to g, D(g) = det(R(T) - mu L(T)) at T = ``probe_t``
-    and mu = exp(-T) is affine in g, so its root is
-    g* = D(0) / (D(0) - D(1)) and C = g* - alpha_m + alpha_f.  Both
-    determinants are taken in extended precision.  Any order p >= 2 runs;
-    the precision, and with it the runtime, grows with p.
+    and mu = exp(-T) is affine in g (every gamma sits in the last column), so
+    its root is g* = D(0) / (D(0) - D(1)) and C = g* - alpha_m + alpha_f.
 
     Raises :class:`NoRoot` when D(0) = D(1) (D does not depend on g) or when
     the root C lies outside [0, 1], and ``ValueError`` for p < 2 or a
