@@ -7,8 +7,8 @@ layout from ``amplification.one_step_tableau``, solves a single shifted system
     (alpha_m * I + gamma_1 * alpha_f * tau * A) x / (p-2)! = b
 
 for the highest derivative block and then updates every lower block
-explicitly, so the per-step cost is one implicit solve plus p matrix-vector
-products -- regardless of the order p.  For a scalar problem the
+explicitly, so the per-step cost is one implicit solve plus one
+matrix-vector product -- regardless of the order p.  For a scalar problem the
 step operator is exactly multiplication by the amplification matrix G(lambda *
 tau), which is the main correctness oracle used in the tests.
 
@@ -20,7 +20,8 @@ The shift is the same on every step of a march, so the factories pay for the
 shifted operator once: the dense problem keeps the LU factor of its last
 shift, and the heat problem solves in its sine eigenbasis (a DST-I through
 ``numpy.fft``), whose eigenvalues it computes once.  ``step`` reads the
-tableau of its scheme from a cache, built on the scheme's first step.
+plan of its scheme (ladder weights and last-row coefficients of the
+tableau) from a cache, built on the scheme's first step.
 """
 
 from __future__ import annotations
@@ -263,55 +264,49 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
 
     One call to ``problem.shifted_solve`` (c1 = alpha_m / (p-2)!, shift
     sigma = gamma_1 * alpha_f * tau / (p-2)!) produces the new highest block;
-    the rest of the stack follows from explicit Taylor-ladder updates.  Each
-    nonzero T-coefficient on the last row of the tableau costs one
-    ``problem.apply``, p in all.  Exceptions from the solve are re-raised as
-    :class:`SolveFailed` unless they already carry a package error type.
+    the rest of the stack follows from explicit Taylor-ladder updates.  A
+    step makes one ``problem.apply`` at every order.  Exceptions from the
+    solve are re-raised as :class:`SolveFailed` unless they already carry a
+    package error type.
     """
     p = params.p
     if state.order != p:
         raise ValueError(f"state carries {state.order} blocks, scheme needs {p}")
     tau = state.tau
-    U = state.stack
-    L, R = _tableau(p, params.alpha_m, params.alpha_f, params.gammas)
-
-    def t_apply(v):
-        return tau * problem.apply(v)
-
-    # Rows 0..p-2 are free of T: new block i = ladder[i] - L[i, p-1] * x,
-    # where x is the new last block.
-    ladder = [sum(R[i, j][0] * U[j] for j in range(i, p)) for i in range(p - 1)]
-
-    # Last row, with the new block p-2 eliminated through row p-2:
-    # (L[p-1, p-1] - L[p-1, p-2] L[p-2, p-1] tau A) x
-    #     = R[p-1, :](tau A) U - L[p-1, p-2] tau A ladder[p-2].
-    diag = L[p - 1, p - 1][0]
-    coupling = L[p - 1, p - 2][1]
-    b = -coupling * t_apply(ladder[p - 2])
-    for j in range(p):
-        c0, c1 = R[p - 1, j]
-        if c0:
-            b = b + c0 * U[j]
-        if c1:
-            b = b + c1 * t_apply(U[j])
+    M, c, d, k = _plan(p, params.alpha_m, params.alpha_f, params.gammas)
+    # einsum, not BLAS: each column of the stack is combined on its own, so a
+    # diagonal system steps bit for bit like its scalar components
+    rows = np.einsum("ij,jm->im", M, state.stack)
+    ladder, (r0u, r1u) = rows[:p - 1], rows[p - 1:]
+    b = r0u + tau * problem.apply(r1u - k * ladder[-1])
     try:
-        x = problem.shifted_solve(diag, -coupling * L[p - 2, p - 1][0] * tau, b)
+        x = problem.shifted_solve(d, -k * c[-1] * tau, b)
     except GalphaError:
         raise
     except Exception as exc:
         raise SolveFailed(f"shifted solve raised {type(exc).__name__}: {exc}") from exc
-
-    new = np.empty_like(U)
-    new[p - 1] = x
-    for i in range(p - 1):
-        new[i] = ladder[i] - L[i, p - 1][0] * x
-    return StateVector(new, tau)
+    return StateVector(np.vstack([ladder - c[:, None] * x, x]), tau)
 
 
 @lru_cache(maxsize=32)
-def _tableau(p, alpha_m, alpha_f, gammas):
-    """``one_step_tableau`` once per scheme; the dicts are shared, read-only."""
-    return one_step_tableau(p, alpha_m, alpha_f, gammas)
+def _plan(p, alpha_m, alpha_f, gammas):
+    """The step plan of one scheme, read once from ``one_step_tableau``.
+
+    Rows 0..p-2 of L(T) and R(T) are free of T, so new block i is
+    ladder[i] - c[i] x, with ladder = W U (W: rows 0..p-2 of R0) and x the
+    new last block.  Eliminating new block p-2 from the last row gives
+    (d - k c[p-2] tau A) x = r0 U + tau A (r1 U - k ladder[p-2]).  Returns
+    the read-only ``(M, c, d, k)``: M stacks W and the last rows r0, r1 of
+    R0, R1; d = L0[p-1, p-1] and k = L1[p-1, p-2].
+    """
+    L, R = one_step_tableau(p, alpha_m, alpha_f, gammas)
+    M = np.zeros((p + 1, p))
+    for (i, j), (c0, c1) in R.items():
+        M[i, j] = c0
+        M[p, j] += c1  # every T-coefficient of R sits in its last row
+    c = np.array([L[i, p - 1][0] for i in range(p - 1)])
+    M.flags.writeable = c.flags.writeable = False
+    return M, c, L[p - 1, p - 1][0], L[p - 1, p - 2][1]
 
 
 def integrate(

@@ -217,6 +217,8 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     """
     ncell = am.shape[0]
     samples = np.asarray(t_samples)
+    if samples.size == 0 or not np.isfinite(samples).all():
+        raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
     tab_l, tab_r = one_step_tableau(p, am, af, gammas)

@@ -104,3 +104,20 @@ def test_traced_plane_scan_makes_two_eigvals_calls_and_one_solve(tmp_path, capsy
     # other orders solve and take eigvals once for all 48 samples of a cell
     radius = names[names.index("stability.radius"):]
     assert radius.count("stability.linalg_solve") == radius.count("stability.linalg_eigvals") == 1
+
+
+def test_traced_dense_march_counts_one_apply_per_step():
+    # run.py reports integrator.<kind>.apply_calls from these spans:
+    # p - 1 applies build the initial state, then one per step
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        params = make_scheme(3, *params_from_rho(0.5))
+        dense = integrator.dense_problem(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        integrator.integrate(params, dense, np.ones(2), 0.1, 1.0)
+    finally:
+        restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("integrator.dense.step") == 10
+    assert names.count("integrator.dense.apply") == 12

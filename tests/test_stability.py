@@ -137,6 +137,23 @@ def test_singular_sample_marks_unstable_p4():
     assert not report.stable
 
 
+BAD_SAMPLES = [[], [np.inf], [np.nan], [1.0, -np.inf], [1.0, complex(1.0, np.nan)]]
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES)
+@pytest.mark.parametrize("p", [3, 4])
+def test_radius_rejects_empty_or_nonfinite_samples(p, samples):
+    # an empty set would read as radius 0, a stable verdict from no evidence
+    with pytest.raises(ValueError, match="T samples"):
+        worst_case_radius(make_scheme(p, 1.0, 0.75), samples)
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES)
+def test_scan_rejects_empty_or_nonfinite_samples(samples):
+    with pytest.raises(ValueError, match="T samples"):
+        scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=2, n_alpha_f=2), t_samples=samples)
+
+
 @pytest.mark.parametrize("p", [2, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_radius_matches_per_sample_eigenvalues(p):
     """Every order runs the scan kernel; numkit on G(T) sample by sample agrees."""
