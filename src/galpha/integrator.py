@@ -20,8 +20,7 @@ The shift is the same on every step of a march, so the factories pay for the
 shifted operator once: the dense problem keeps the LU factor of its last
 shift, and the heat problem solves in its sine eigenbasis (a DST-I through
 ``numpy.fft``), whose eigenvalues it computes once.  ``step`` reads the
-plan of its scheme (ladder weights and last-row coefficients of the
-tableau) from a cache, built on the scheme's first step.
+plan of its scheme from a cache, built on the scheme's first step.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateVector:
-    """Stacked scheme state: row j holds tau^j * u^(j), shape (p, m).
+    """Stacked scheme state: row j holds tau^j * u^(j), a C-ordered (p, m) array.
 
     The scaling ties the stack to the step size it was built with; use
     :meth:`rescale` before stepping with a different tau.
@@ -62,7 +61,7 @@ class StateVector:
     tau: float
 
     def __post_init__(self):
-        stack = np.asarray(self.stack, dtype=complex)
+        stack = np.ascontiguousarray(self.stack, dtype=complex)
         if stack.ndim != 2:
             raise ValueError(f"state stack must be 2-d (p, m), got shape {stack.shape}")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
@@ -273,16 +272,15 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     if state.order != p:
         raise ValueError(f"state carries {state.order} blocks, scheme needs {p}")
     tau = state.tau
-    M, c, d, k = _plan(p, params.alpha_m, params.alpha_f, params.gammas)
-    # einsum, not BLAS: each column of the stack is combined on its own, so a
-    # diagonal system steps bit for bit like its scalar components.  It runs on
-    # the real and imaginary parts: the real kernel is up to 6x faster.
-    parts = np.ascontiguousarray(state.stack).view(float)
-    rows = np.einsum("ij,jm->im", M, parts).view(complex)
+    M, c, d, k, s = _plan(p, params.alpha_m, params.alpha_f, params.gammas)
+    # einsum on the real and imaginary parts, not BLAS: each column of the
+    # stack is combined on its own (a diagonal system steps bit for bit like
+    # its scalar components), and the real kernel is up to 6x faster
+    rows = np.einsum("ij,jm->im", M, state.stack.view(float)).view(complex)
     ladder, (r0u, r1u) = rows[:p - 1], rows[p - 1:]
     b = r0u + tau * problem.apply(r1u - k * ladder[-1])
     try:
-        x = problem.shifted_solve(d, -k * c[-1] * tau, b)
+        x = problem.shifted_solve(d, s * tau, b)
     except GalphaError:
         raise
     except Exception as exc:
@@ -297,9 +295,10 @@ def _plan(p, alpha_m, alpha_f, gammas):
     Rows 0..p-2 of L(T) and R(T) are free of T, so new block i is
     ladder[i] - c[i] x, with ladder = W U (W: rows 0..p-2 of R0) and x the
     new last block.  Eliminating new block p-2 from the last row gives
-    (d - k c[p-2] tau A) x = r0 U + tau A (r1 U - k ladder[p-2]).  Returns
-    the read-only ``(M, c, d, k)``: M stacks W and the last rows r0, r1 of
-    R0, R1; d = L0[p-1, p-1] and k = L1[p-1, p-2].
+    (d + s tau A) x = r0 U + tau A (r1 U - k ladder[p-2]).  Returns the
+    read-only ``(M, c, d, k, s)``: M stacks W and the last rows r0, r1 of R0,
+    R1; c is an array, and d = L0[p-1, p-1], k = L1[p-1, p-2] and
+    s = -k c[p-2] are Python floats (numpy scalars slow a scalar solve 3x).
     """
     L, R = one_step_tableau(p, alpha_m, alpha_f, gammas)
     M = np.zeros((p + 1, p))
@@ -308,7 +307,8 @@ def _plan(p, alpha_m, alpha_f, gammas):
         M[p, j] += c1  # every T-coefficient of R sits in its last row
     c = np.array([L[i, p - 1][0] for i in range(p - 1)])
     M.flags.writeable = c.flags.writeable = False
-    return M, c, L[p - 1, p - 1][0], L[p - 1, p - 2][1]
+    k = L[p - 1, p - 2][1]
+    return M, c, L[p - 1, p - 1][0], k, -k * L[p - 2, p - 1][0]
 
 
 def integrate(
