@@ -88,6 +88,7 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
         default=RhoBranch.MAIN.value,
         help="design branch used with --rho-inf",
     )
+    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=complex(1.0))
 
 
 def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
@@ -341,12 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("integrate", help="march one linear problem")
     _add_scheme_flags(sub)
-    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=complex(1.0))
     sub.add_argument("--heat-n", type=int, default=None, help="use the heat problem with N interior nodes")
     sub.add_argument("--kappa", type=float, default=1.0, help="heat diffusivity")
     sub.add_argument("--tau", type=float, default=0.1)
     sub.add_argument("--t-end", type=float, default=1.0)
-    sub.add_argument("--out", default=".")
     sub.set_defaults(handler=cmd_integrate)
 
     sub = subs.add_parser("stability-map", help="scan the (alpha_m, alpha_f) plane")
@@ -361,17 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--t-samples", type=int, default=48, help="real T samples per cell")
     sub.add_argument("--t-min", type=float, default=1e-4)
     sub.add_argument("--t-max", type=float, default=1e8)
-    sub.add_argument("--out", default=".")
     sub.set_defaults(handler=cmd_stability_map)
 
     sub = subs.add_parser("rho-curve", help="tabulate the stiff-limit design branches")
     sub.add_argument("--n-rho", type=int, default=101, help="samples per branch")
-    sub.add_argument("--out", default=".")
     sub.set_defaults(handler=cmd_rho_curve)
 
     sub = subs.add_parser("order-check", help="measure the convergence order")
     _add_scheme_flags(sub)
-    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=complex(1.0))
     # Default t_end = 2: at lambda*t_end = 1 exactly, the leading final-time
     # error term of the equal-gamma family cancels and the fit reports the
     # superconvergent order p + 1 instead of p.
@@ -379,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tau-start", type=float, default=0.125)
     sub.add_argument("--n-halvings", type=int, default=5)
     sub.add_argument("--recover-c", action="store_true", help="re-derive the closure constant")
-    sub.add_argument("--out", default=".")
     sub.set_defaults(handler=cmd_order_check)
+    for sub in subs.choices.values():
+        sub.add_argument("--out", default=".")
     return parser
 
 

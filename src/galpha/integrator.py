@@ -105,17 +105,12 @@ class LinearProblem:
     ``apply(v)`` returns A v.  ``shifted_solve(c1, sigma, b)`` returns the
     solution of (c1 * I + sigma * A) x = b and raises :class:`StepSingular`
     when the shifted operator is singular.  Both callbacks must be safe for
-    concurrent read-only use.
+    concurrent read-only use.  ``dim`` is the length of u; :func:`init_state`
+    rejects a u0 of any other shape.
 
-    A march calls ``shifted_solve`` with one (c1, sigma) on every step, so a
-    callback may keep work that depends only on the shift.  The
-    :func:`dense_problem` callback keeps a one-entry cache: the last
-    (c1, sigma) and its LU factor, held as a single tuple that is read once
-    per call and replaced whole when the shift changes (:func:`heat_problem`
-    keeps its divisors c1 + sigma * lambda_k the same way).  Concurrent
-    callers with different shifts may each factor, but every call solves with
-    the factor of its own shift, so the results do not depend on the
-    interleaving.
+    A march calls ``shifted_solve`` with one (c1, sigma) on every step, so
+    :func:`dense_problem` and :func:`heat_problem` keep the LU factor or the
+    divisors of the last shift in a ``functools.lru_cache(maxsize=1)``.
     """
 
     dim: int
@@ -143,17 +138,15 @@ def scalar_problem(lam) -> LinearProblem:
 
 
 def dense_problem(a, description: str = "") -> LinearProblem:
-    """Wrap a dense square matrix A as a :class:`LinearProblem`."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    """Wrap a dense square matrix A with finite entries as a :class:`LinearProblem`."""
+    a = numkit._as_square(a)
     m = a.shape[0]
     eye = np.eye(m)
 
     def apply(v):
         return a @ np.asarray(v, dtype=complex)
 
-    @_last_shift
+    @lru_cache(maxsize=1)
     def factor(c1, sigma):
         try:
             return numkit.lu_factor(c1 * eye + sigma * a)
@@ -193,7 +186,7 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
         out[1:] -= v[:-1]
         return s * out
 
-    @_last_shift
+    @lru_cache(maxsize=1)
     def divisor(c1, sigma):
         den = c1 + sigma * lam
         k = int(np.argmin(np.abs(den)))
@@ -224,26 +217,6 @@ def _sine_fft(x) -> np.ndarray:
     return np.fft.fft(odd)[1:n + 1]
 
 
-def _last_shift(factor):
-    """One-entry cache for ``factor(c1, sigma)``, keyed by the shift.
-
-    The key and its value live in one tuple, read once per call and replaced
-    whole, so concurrent callers always pair a value with its own shift.
-    A call that raises caches nothing.
-    """
-    cache = (None, None)
-
-    def cached(c1, sigma):
-        nonlocal cache
-        shift, value = cache
-        if shift != (c1, sigma):
-            value = factor(c1, sigma)
-            cache = ((c1, sigma), value)
-        return value
-
-    return cached
-
-
 def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     """Exact-derivative initial state: block j = tau^j * (-A)^j u0."""
     if p < 2:
@@ -251,7 +224,9 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
-    stack = np.empty((p, u0.shape[0]), dtype=complex)
+    if u0.shape != (problem.dim,):
+        raise ValueError(f"u0 of shape {u0.shape} does not fit a problem of dim {problem.dim}")
+    stack = np.empty((p, problem.dim), dtype=complex)
     stack[0] = u0
     for j in range(1, p):
         stack[j] = -tau * problem.apply(stack[j - 1])

@@ -76,7 +76,11 @@ _C_TABLE: dict[int, Fraction] = {
 
 
 def c_of_p(p: int) -> Fraction:
-    """Tabulated scheme constant C(p) as an exact rational, p = 2 .. 11."""
+    """Tabulated scheme constant C(p) as an exact rational, p = 2 .. 11.
+
+    In closed form C(p) = (1 - B_{p-1}) / (p - 1), with B_n the Bernoulli
+    numbers and B_1 = +1/2.
+    """
     try:
         return _C_TABLE[p]
     except KeyError:

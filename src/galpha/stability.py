@@ -1,8 +1,8 @@
-"""Spectral-radius scanning of the third-order two-parameter family.
+"""Spectral-radius scanning of the (alpha_m, alpha_f) plane, at every order p.
 
 The stability question for u' + lambda*u = 0 is decided by the spectral
 radius of G(T) over the relevant range of T = lambda*tau.  The closed-form
-analysis of this family is a real-axis statement: the region
+analysis of the third-order family is a real-axis statement: the region
 
     alpha_m >= 7/12,   1/2 <= alpha_f <= alpha_m - 1/12
 
@@ -390,12 +390,9 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
 
 def write_stability_csv(smap: StabilityMap, path) -> None:
     """Write the map row-major as ``alpha_m,alpha_f,radius,stable`` (17 digits)."""
-    stable = smap.stable
+    am, af = np.meshgrid(smap.alpha_m, smap.alpha_f, indexing="ij")
+    columns = (am, af, smap.radius, smap.stable)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha_m,alpha_f,radius,stable\n")
-        for i, am in enumerate(smap.alpha_m):
-            for j, af in enumerate(smap.alpha_f):
-                fh.write(
-                    f"{am:.17g},{af:.17g},{smap.radius[i, j]:.17g},"
-                    f"{1 if stable[i, j] else 0}\n"
-                )
+        for cell in zip(*(column.ravel().tolist() for column in columns)):
+            fh.write("%.17g,%.17g,%.17g,%d\n" % cell)

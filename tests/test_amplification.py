@@ -61,6 +61,15 @@ def test_p3_matches_hand_written_entries(t, variant):
     assert np.allclose(G, expected, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "p, gammas, message",
+    [(1, (), "order p must be >= 2"), (3, (0.5,), "expected 2 gammas"), (3, (0.5,) * 3, "expected 2 gammas")],
+)
+def test_build_lr_from_gammas_validates_layout(p, gammas, message):
+    with pytest.raises(ValueError, match=message):
+        build_lr_from_gammas(p, 0.9, 0.6, gammas, 0.5)
+
+
 def test_build_lr_uses_scheme_gammas():
     params = make_scheme(3, 0.85, 0.58, Variant.REMARK_ONE)
     L, R = build_lr(params, 0.4)

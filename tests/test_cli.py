@@ -263,6 +263,45 @@ def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, mes
     assert len(err.splitlines()) == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("integrate", "--lambda", "1,2,3"), "expected RE or RE,IM, got '1,2,3'"),
+        (("integrate", "--lambda", "abc"), "expected RE or RE,IM, got 'abc'"),
+        (("integrate", "--p", "12"), "no tabulated constant for order p=12"),
+        (("integrate", "--out", "{file}"), "cannot create output directory"),
+        (("integrate", "--out", "{blocked}"), "i/o failure"),
+        (("integrate", "--tau", "0.5", "--t-end", "0.25"), "--t-end must cover at least one step"),
+        (("integrate", "--heat-n", "1"), "--heat-n must be at least 2"),
+        (("stability-map", "--t-min", "5", "--t-max", "1"), "need 0 < --t-min < --t-max"),
+        (("stability-map", "--t-samples", "1"), "--t-samples must be at least 2"),
+        (("rho-curve", "--n-rho", "1"), "--n-rho must be at least 2"),
+        (("order-check", "--tau-start", "0"), "--tau-start must be positive"),
+        (("order-check", "--n-halvings", "0"), "--n-halvings must be at least 1"),
+    ],
+)
+def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
+    """Each rejected configuration exits 2; all but argparse's own errors print one JSON line."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "blocked" / "trajectory.csv").mkdir(parents=True)  # the CSV cannot be opened
+    paths = {"{file}": tmp_path / "file", "{blocked}": tmp_path / "blocked"}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    if "--lambda" in argv:  # argparse rejects the value: usage text, no JSON line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = read_error_line(err)
+    assert (payload["kind"], payload["exit_code"]) == ("config", 2)
+    assert message in payload["message"]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--no-such-flag", "--out", str(tmp_path)])
@@ -480,3 +519,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "galpha" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    """Importing the package and its CLI loads no scipy module.
+
+    scipy is installed but not a dependency.  Importing ``scipy.linalg`` or
+    ``scipy.fft`` after galpha measured 0.28-0.36 s and 25-27 MB on top of a
+    33 MB process (2-core x86-64 VM, Python 3.11, numpy 2.4.6, scipy 1.17.1),
+    more than the benchmark's bounds on setup time and peak RSS allow.
+    """
+    code = "import sys, galpha, galpha.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -87,6 +87,22 @@ def test_init_state_validation():
         init_state(scalar_problem(1.0), 1.0, 3, 0.0)
 
 
+@pytest.mark.parametrize(
+    "problem, u0",
+    [
+        (heat_problem(5), [1.0]),
+        (heat_problem(5), np.ones(4)),
+        (dense_problem(np.eye(3)), np.ones(2)),
+        (dense_problem(np.eye(3)), np.ones((3, 1))),
+        (scalar_problem(1.0), [1.0, 2.0]),
+    ],
+)
+def test_u0_must_match_problem_dim(problem, u0):
+    """A u0 of the wrong shape is rejected before the first step, not marched."""
+    with pytest.raises(ValueError, match=f"does not fit a problem of dim {problem.dim}$"):
+        integrate(make_scheme(3, 0.9, 0.6), problem, u0, 0.01, 0.03)
+
+
 # --- the implicit step --------------------------------------------------------------
 
 
@@ -332,6 +348,13 @@ def test_diagonal_system_decouples_exactly():
 def test_dense_problem_rejects_nonsquare():
     with pytest.raises(ValueError):
         dense_problem(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_dense_problem_rejects_nonfinite_entries(bad):
+    """A non-finite entry fails at construction, not as SolveFailed at step 1."""
+    with pytest.raises(ValueError, match="finite"):
+        dense_problem([[1.0, bad], [0.0, 1.0]])
 
 
 def test_trajectory_satisfies_characteristic_recurrence():

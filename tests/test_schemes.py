@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,13 @@ TABLE = {
 @pytest.mark.parametrize("p,expected", sorted(TABLE.items()))
 def test_tabulated_constants(p, expected):
     assert c_of_p(p) == expected
+
+
+@pytest.mark.parametrize("p", sorted(TABLE))
+def test_constants_match_bernoulli_closed_form(p):
+    """C(p) = (1 - B_{p-1}) / (p - 1), Bernoulli numbers from mpmath with B_1 = +1/2."""
+    b = Fraction(1, 2) if p == 2 else Fraction(*mpmath.bernfrac(p - 1))
+    assert c_of_p(p) == (1 - b) / (p - 1)
 
 
 @pytest.mark.parametrize("p", [1, 0, 12, 40])

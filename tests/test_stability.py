@@ -17,6 +17,7 @@ from galpha.schemes import (
 )
 from galpha.stability import (
     GridSpec,
+    StabilityMap,
     default_t_samples,
     ray_t_samples,
     rho_curve,
@@ -392,3 +393,26 @@ def test_write_stability_csv(tmp_path):
     second = tmp_path / "again.csv"
     write_stability_csv(smap, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_write_stability_csv_bytes(tmp_path):
+    """17 significant digits per value, ``inf`` for an unbounded radius, 0/1 for stable."""
+    smap = StabilityMap(
+        alpha_m=np.array([0.1, 2.0 / 3.0]),
+        alpha_f=np.array([0.0, 0.5, 1e-20]),
+        radius=np.array([[0.5, np.inf, 1.0 + 1e-10], [1.0, 0.1 + 0.2, 1e8 / 3.0]]),
+        repeated_root=np.array([[False, False, False], [True, False, False]]),
+        variant=Variant.EQUAL_GAMMA,
+        t_samples=np.array([1.0]),
+    )
+    path = tmp_path / "stability.csv"
+    write_stability_csv(smap, path)
+    assert path.read_bytes() == (
+        b"alpha_m,alpha_f,radius,stable\n"
+        b"0.10000000000000001,0,0.5,1\n"
+        b"0.10000000000000001,0.5,inf,0\n"
+        b"0.10000000000000001,9.9999999999999995e-21,1.0000000001,1\n"
+        b"0.66666666666666663,0,1,0\n"
+        b"0.66666666666666663,0.5,0.30000000000000004,1\n"
+        b"0.66666666666666663,9.9999999999999995e-21,33333333.333333332,0\n"
+    )
