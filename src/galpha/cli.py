@@ -88,7 +88,7 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
         default=RhoBranch.MAIN.value,
         help="design branch used with --rho-inf",
     )
-    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=complex(1.0))
+    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
 
 
 def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
@@ -162,7 +162,7 @@ def _scheme_manifest(params: SchemeParams, rho: float | None, branch: RhoBranch)
     }
 
 
-def _warn_if_unstable(params: SchemeParams) -> None:
+def _warn_if_unstable(params: SchemeParams) -> bool:
     """One stderr line when the sampled spectral radius rejects the scheme."""
     report = worst_case_radius(params)
     if not report.stable:
@@ -173,6 +173,7 @@ def _warn_if_unstable(params: SchemeParams) -> None:
             f"{report.radius:.6g}{root}); proceeding anyway",
             file=sys.stderr,
         )
+    return report.stable
 
 
 def cmd_integrate(args, out: Path) -> dict:
@@ -183,22 +184,35 @@ def cmd_integrate(args, out: Path) -> dict:
         raise ConfigError("--t-end must cover at least one step")
     if args.heat_n is not None and args.heat_n < 2:
         raise ConfigError("--heat-n must be at least 2")
+    if args.heat_n is not None and args.lam is not None:
+        raise ConfigError("--lambda sets the scalar problem; it cannot go with --heat-n")
 
-    _warn_if_unstable(params)
+    stable = _warn_if_unstable(params)
 
     if args.heat_n is not None:
         problem = heat_problem(args.heat_n, args.kappa)
         x = np.arange(1, args.heat_n + 1) / (args.heat_n + 1)
         u0 = np.sin(np.pi * x)
     else:
-        problem = scalar_problem(args.lam)
+        lam = complex(1.0) if args.lam is None else args.lam
+        problem = scalar_problem(lam)
         u0 = 1.0
+        # check the T = lambda*tau the march steps with, where u does not grow
+        if stable and lam.real >= 0.0:
+            report = worst_case_radius(params, [lam * args.tau])
+            if not report.stable:
+                print(
+                    f"warning: spectral radius {report.radius:.6g} at lambda*tau = "
+                    f"{_fmt(lam * args.tau)}: the march grows where the solution "
+                    f"does not; proceeding anyway",
+                    file=sys.stderr,
+                )
 
     trajectory = integrate(params, problem, u0, args.tau, args.t_end)
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     print(f"wrote trajectory.csv ({len(trajectory)} rows)")
     if args.heat_n is None:
-        exact = np.exp(-args.lam * args.t_end)
+        exact = np.exp(-lam * args.t_end)
         final_error = abs(trajectory[-1][1][0] - exact)
         print(f"final error vs exact exponential: {final_error:.6e}")
 
@@ -206,7 +220,7 @@ def cmd_integrate(args, out: Path) -> dict:
     if args.heat_n is not None:
         entries.update(problem="heat", heat_n=args.heat_n, kappa=args.kappa)
     else:
-        entries.update(problem="scalar", **{"lambda": args.lam})
+        entries.update(problem="scalar", **{"lambda": lam})
     return entries
 
 
@@ -309,8 +323,9 @@ def cmd_order_check(args, out: Path) -> dict:
         raise ConfigError("--n-halvings must be at least 1")
     _warn_if_unstable(params)
 
+    lam = complex(1.0) if args.lam is None else args.lam
     taus = [args.tau_start / 2**k for k in range(args.n_halvings + 1)]
-    report = measure_order(params, args.lam, args.t_end, taus)
+    report = measure_order(params, lam, args.t_end, taus)
     write_convergence_csv(report, out / "convergence.csv")
     print(f"fitted order slope: {report.slope:.4f}")
 
@@ -327,7 +342,7 @@ def cmd_order_check(args, out: Path) -> dict:
         tau_start=args.tau_start,
         n_halvings=args.n_halvings,
         t_end=args.t_end,
-        **{"lambda": args.lam},
+        **{"lambda": lam},
     )
     return entries
 

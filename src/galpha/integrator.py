@@ -17,10 +17,10 @@ v -> A v and a ``shifted_solve`` callback for (c1 * I + sigma * A) x = b.
 Factories are provided for scalar equations, dense matrices, and the standard
 second-difference discretization of the heat equation on the unit interval.
 The shift is the same on every step of a march, so the factories pay for the
-shifted operator once: the dense problem keeps the LU factor of its last
-shift, and the heat problem solves in its sine eigenbasis (a DST-I through
-``numpy.fft``), whose eigenvalues it computes once.  ``step`` reads the
-plan of its scheme from a cache, built on the scheme's first step.
+shifted operator once: the dense problem keeps LAPACK's inverse of its
+last shifted operator, and the heat problem solves in its sine eigenbasis (a
+DST-I through ``numpy.fft``), whose eigenvalues it computes once.  ``step``
+reads the plan of its scheme from a cache, built on the scheme's first step.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numkit
 from .amplification import one_step_tableau
-from .errors import GalphaError, SingularMatrix, SolveFailed, StepSingular
+from .errors import GalphaError, SolveFailed, StepSingular
 from .schemes import SchemeParams
 
 __all__ = [
@@ -109,7 +109,7 @@ class LinearProblem:
     rejects a u0 of any other shape.
 
     A march calls ``shifted_solve`` with one (c1, sigma) on every step, so
-    :func:`dense_problem` and :func:`heat_problem` keep the LU factor or the
+    :func:`dense_problem` and :func:`heat_problem` keep the inverse or the
     divisors of the last shift in a ``functools.lru_cache(maxsize=1)``.
     """
 
@@ -138,8 +138,12 @@ def scalar_problem(lam) -> LinearProblem:
 
 
 def dense_problem(a, description: str = "") -> LinearProblem:
-    """Wrap a dense square matrix A with finite entries as a :class:`LinearProblem`."""
-    a = numkit._as_square(a)
+    """Wrap a copy of a dense square matrix A with finite entries as a :class:`LinearProblem`.
+
+    Solves multiply by LAPACK's inverse of M = c1 I + sigma A, which raises
+    :class:`StepSingular` if singular or if max|M| max|M^-1| >= 1 / ``numkit.PIVOT_RTOL``.
+    """
+    a = numkit._as_square(a).copy()
     m = a.shape[0]
     eye = np.eye(m)
 
@@ -147,14 +151,19 @@ def dense_problem(a, description: str = "") -> LinearProblem:
         return a @ np.asarray(v, dtype=complex)
 
     @lru_cache(maxsize=1)
-    def factor(c1, sigma):
+    def inverse(c1, sigma):
+        shifted = c1 * eye + sigma * a
         try:
-            return numkit.lu_factor(c1 * eye + sigma * a)
-        except SingularMatrix as exc:
+            inv = np.linalg.inv(shifted)
+        except np.linalg.LinAlgError as exc:
             raise StepSingular(f"shifted system singular: {exc}") from exc
+        cond = np.abs(shifted).max() * np.abs(inv).max()
+        if not cond * numkit.PIVOT_RTOL < 1.0:  # also catches a NaN inverse
+            raise StepSingular(f"shifted system singular: condition estimate {cond:.3e}")
+        return inv
 
     def shifted_solve(c1, sigma, b):
-        return numkit.lu_solve(factor(c1, sigma), b)
+        return inverse(c1, sigma) @ b
 
     return LinearProblem(m, apply, shifted_solve, description or f"dense {m}x{m} system")
 

@@ -111,6 +111,29 @@ def test_order_check_warns_from_the_measured_radius(tmp_path, capsys):
     assert "fitted order slope" in out
 
 
+def test_integrate_warns_from_the_lambda_tau_it_marches(tmp_path, capsys):
+    # the default design passes the real-axis samples, but not T = 2.75i
+    code, out, err = run_cli(
+        capsys,
+        "integrate", "--lambda", "0,2.75", "--tau", "1", "--t-end", "200",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert err == (
+        "warning: spectral radius 1.2297 at lambda*tau = 0.0+2.75j: the march grows "
+        "where the solution does not; proceeding anyway\n"
+    )
+    assert "wrote trajectory.csv (201 rows)" in out
+
+
+@pytest.mark.parametrize("argv", [(), ("--lambda", "-1", "--tau", "1", "--t-end", "10")])
+def test_integrate_no_lambda_tau_warning(tmp_path, capsys, argv):
+    # defaults: T = 0.1 is stable; lambda = -1: a radius above 1 is the solution's own growth
+    code, _, err = run_cli(capsys, "integrate", *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert err == ""
+
+
 def test_integrate_no_warning_for_stable_remark_one_pair(tmp_path, capsys):
     # (1.0, 0.95) lies outside the equal-gamma region, but the remark-one
     # closure there has radius 1
@@ -273,6 +296,7 @@ def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, mes
         (("integrate", "--out", "{blocked}"), "i/o failure"),
         (("integrate", "--tau", "0.5", "--t-end", "0.25"), "--t-end must cover at least one step"),
         (("integrate", "--heat-n", "1"), "--heat-n must be at least 2"),
+        (("integrate", "--heat-n", "5", "--lambda", "3"), "cannot go with --heat-n"),
         (("stability-map", "--t-min", "5", "--t-max", "1"), "need 0 < --t-min < --t-max"),
         (("stability-map", "--t-samples", "1"), "--t-samples must be at least 2"),
         (("rho-curve", "--n-rho", "1"), "--n-rho must be at least 2"),
@@ -288,7 +312,7 @@ def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [str(paths.get(arg, arg)) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
-    if "--lambda" in argv:  # argparse rejects the value: usage text, no JSON line
+    if message.startswith("expected RE"):  # argparse rejects the value: usage text, no JSON line
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from galpha import integrator, numkit
+from galpha import integrator
 from galpha.amplification import (
     amplification_matrix,
     characteristic_recurrence_residual,
@@ -249,13 +249,13 @@ def test_dense_singular_shift_surfaces_with_step_index():
 
 
 def test_dense_march_factors_once(monkeypatch):
-    calls, lu_factor = [], numkit.lu_factor
+    calls, inv = [], np.linalg.inv
 
-    def counting_factor(a):
+    def counting_inv(a):
         calls.append(a.shape)
-        return lu_factor(a)
+        return inv(a)
 
-    monkeypatch.setattr(numkit, "lu_factor", counting_factor)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     params = make_scheme(3, *params_from_rho(0.5))
     problem = dense_problem(np.diag([1.0, 2.0, 3.0]) + 0.1)
     integrate(params, problem, np.ones(3), 0.1, 1.0)
@@ -288,13 +288,13 @@ def test_dense_cache_under_concurrent_marches(monkeypatch):
     params = make_scheme(3, *params_from_rho(0.5))
     taus = [0.1, 0.05, 0.1, 0.05, 0.02, 0.02]
     expected = {tau: integrate(params, dense_problem(a), u0, tau, 0.2)[-1][1] for tau in taus}
-    lu_factor = numkit.lu_factor
+    inv = np.linalg.inv
 
-    def slow_factor(a):
-        time.sleep(1e-3)  # lets other threads run while a factor is being built
-        return lu_factor(a)
+    def slow_inv(a):
+        time.sleep(1e-3)  # lets other threads run while an inverse is being built
+        return inv(a)
 
-    monkeypatch.setattr(numkit, "lu_factor", slow_factor)
+    monkeypatch.setattr(np.linalg, "inv", slow_inv)
     shared, results = dense_problem(a), [None] * len(taus)
 
     def march(i):
@@ -313,6 +313,47 @@ def test_dense_cache_under_concurrent_marches(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     for tau, finals in zip(taus, results):
         assert all(u.tobytes() == expected[tau].tobytes() for u in finals)
+
+
+def _rotation(seed, n):
+    """A seeded random orthogonal n x n matrix."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+
+
+def test_dense_march_is_g_power_on_each_mode():
+    """Modal oracle: A = Q diag(lambda) Q^T advances mode k by G(lambda_k tau) per step."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    q, lam, tau = _rotation(21, 12), np.logspace(0, 4, 12), 0.01
+    problem = dense_problem(q * lam @ q.T)
+    u0 = np.random.default_rng(22).standard_normal(12)
+    G = np.array([amplification_matrix(params, t) for t in lam * tau])
+    weights = (init_state(problem, u0, 3, tau).stack @ q).T  # row k: mode k of each block
+    trajectory = integrate(params, problem, u0, tau, 0.5)
+    scale = max(np.abs(u).max() for _, u in trajectory)
+    for count, (_, u) in enumerate(trajectory):
+        if count:
+            weights = np.einsum("kij,kj->ki", G, weights)
+        assert np.abs(u - q @ weights[:, 0]).max() <= 1e-11 * scale, count
+
+
+def test_dense_singular_shift_on_a_rotated_matrix():
+    params = make_scheme(3, *params_from_rho(0.5))
+    c1, sigma = _march_shift(params, 0.1)
+    q = _rotation(23, 3)
+    problem = dense_problem(q * [-c1 / sigma, 1.0, 2.0] @ q.T)
+    with pytest.raises(StepSingular, match="step 1 of"):
+        integrate(params, problem, np.ones(3), 0.1, 0.5)
+
+
+def test_dense_problem_copies_its_matrix():
+    """Writing into the caller's array after construction changes no march."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    a = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
+    problem = dense_problem(a)
+    first = integrate(params, problem, [1.0, 1.0], 0.1, 1.0)
+    a[0, 0] = 5.0
+    second = integrate(params, problem, [1.0, 1.0], 0.1, 1.0)
+    assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(first, second))
 
 
 def test_march_builds_tableau_once_per_scheme(monkeypatch):
