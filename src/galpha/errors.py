@@ -41,6 +41,10 @@ class SolveFailed(GalphaError):
     """The implicit stage solve failed during time stepping."""
 
 
+class StateOverflow(GalphaError):
+    """The stacked state of a march is not finite."""
+
+
 class StepSingular(GalphaError):
     """The implicit-stage shift makes the stage system singular."""
 

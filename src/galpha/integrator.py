@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numkit
 from .amplification import one_step_tableau
-from .errors import GalphaError, SolveFailed, StepSingular
+from .errors import GalphaError, SolveFailed, StateOverflow, StepSingular
 from .schemes import SchemeParams
 
 __all__ = [
@@ -227,7 +227,11 @@ def _sine_fft(x) -> np.ndarray:
 
 
 def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
-    """Exact-derivative initial state: block j = tau^j * (-A)^j u0."""
+    """Exact-derivative initial state: block j = tau^j * (-A)^j u0.
+
+    Raises :class:`StateOverflow` when a block is not finite, as it is once
+    (tau |A|)^j exceeds the double range, instead of marching infs and nans.
+    """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
     if not tau > 0.0:
@@ -237,8 +241,13 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
         raise ValueError(f"u0 of shape {u0.shape} does not fit a problem of dim {problem.dim}")
     stack = np.empty((p, problem.dim), dtype=complex)
     stack[0] = u0
-    for j in range(1, p):
-        stack[j] = -tau * problem.apply(stack[j - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, p):
+            stack[j] = -tau * problem.apply(stack[j - 1])
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise StateOverflow(f"block {j} of the initial state, tau^{j} (-A)^{j} u0, is not finite at tau={tau}")
     return StateVector(stack, tau)
 
 

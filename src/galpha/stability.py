@@ -28,17 +28,21 @@ eigenvalue pair, real or complex.
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu)
 (:func:`~galpha.amplification.char_poly`): on the scalar test equation each
-scheme is a linear multistep method.  At p = 3 a sample's spectrum is
-therefore the three roots of a cubic, whose coefficients are built once per
-scan; on every sample of both default maps each root lies within
-7.0e-12 max(1, radius) of ``eigvals(G)``.  Other orders keep
-``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
-companion roots of rho + T sigma drift from eig(G) by more than 1e-12
+scheme is a linear multistep method.  At p = 3 a real sample's spectrum is
+therefore the three roots of a real cubic, whose coefficients are built once
+per scan; they are found in real arithmetic (Cardano or the trigonometric
+form, then deflation), and on every sample of both default maps each root
+lies within 7.0e-12 max(1, radius) of ``eigvals(G)``.  Complex T at p = 3
+(off-axis diagnostics such as :func:`ray_t_samples`) and every other order
+take ``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and
+11 companion roots of rho + T sigma drift from eig(G) by more than 1e-12
 relative.  Both take the T samples in blocks of at most 2**15 (sample, cell)
 pairs: a single cell takes all samples in one call, the default 40 000-cell
 map one sample at a time.  The p = 3 limits are the one-step matrix at
 T = 0, G(0) = L(0)^{-1} R(0), through the same ``eigvals(solve(L, R))``,
-and the closed-form T -> inf matrix of the equal-gamma closure.
+and the closed-form T -> inf matrix of the equal-gamma closure, by
+``eigvals``: a cubic in mu would split the defective double root -1 of that
+matrix at (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8.
 """
 
 from __future__ import annotations
@@ -122,40 +126,42 @@ class RadiusReport:
         return self.radius <= 1.0 + RADIUS_TOL and not self.repeated_unit_root
 
 
-def _pair_repeat_flags(eigs: np.ndarray) -> np.ndarray:
-    """Repeated-unit-root flag per stacked eigenvalue triple (..., d)."""
-    d = eigs.shape[-1]
-    near_one = np.abs(np.abs(eigs) - 1.0) <= REPEAT_WINDOW
-    flag = np.zeros(eigs.shape[:-1], dtype=bool)
-    for i in range(d):
-        for j in range(i + 1, d):
-            close = np.abs(eigs[..., i] - eigs[..., j]) <= REPEAT_WINDOW
-            flag |= close & near_one[..., i] & near_one[..., j]
-    return flag
+def _accumulate(re, im, radius, repeated, valid):
+    """Fold a spectrum into the per-cell radius and repeated-root flags, in place.
 
-
-def _accumulate_eigs(eigs, radius, repeated, valid):
-    """Fold a (..., ncell, d) spectrum into the per-cell radius and flags, in place."""
-    r = np.where(valid, np.abs(eigs).max(axis=-1), np.inf)
-    f = _pair_repeat_flags(eigs) & valid
+    ``re`` and ``im`` hold the real and imaginary parts of the d roots along
+    their first axis, then any sample axes, then the cells.  The
+    repeated-unit-root window applies to every root pair, real or complex.
+    """
+    mods = np.hypot(re, im)
+    near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
+    r = mods[0]
+    flag = np.zeros(r.shape, dtype=bool)
+    for i in range(1, len(mods)):
+        r = np.maximum(r, mods[i])
+        for j in range(i):
+            dre, dim = re[i] - re[j], im[i] - im[j]
+            flag |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
     lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
-    np.maximum(radius, r.max(axis=lead), out=radius)
-    repeated |= f.any(axis=lead)
-
-
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
+    np.maximum(radius, np.where(valid, r, np.inf).max(axis=lead), out=radius)
+    repeated |= (flag & valid).any(axis=lead)
 
 
 def _cubic_roots(c0, c1, c2, c3):
-    """Roots of c3 mu^3 + c2 mu^2 + c1 mu + c0 (c3 != 0) along a new last axis.
+    """Roots of the real cubic c3 mu^3 + c2 mu^2 + c1 mu + c0 (c3 != 0).
 
-    The monic coefficients are scaled by a power of two (exactly) so that
-    every root has modulus below 2.  Cardano's formula gives the largest
-    root; deflating it through Vieta leaves mu^2 - s mu + q with
-    q = -d/mu1 and s = (b + d/mu1)/mu1, solved by the cancellation-free
-    quadratic formula.  Real and complex inputs share this code.
+    Returns their real and imaginary parts, each with the three roots along
+    a new first axis.  The monic coefficients are scaled by a power of two
+    (exactly) so that every root has modulus below 2, and mu = x - a/3
+    turns the cubic into x^3 + pp x + qq.  With discriminant
+    qq^2/4 + pp^3/27 > 0 real Cardano gives the one real root mu1, written
+    without cancellation (Kahan); otherwise the trigonometric form gives the
+    largest-modulus root mu1 of three real ones.  Deflating mu1 through
+    Vieta leaves mu^2 - s mu + q, solved by the cancellation-free quadratic
+    formula: s = -a - mu1 and q = b - mu1 s when mu1 may be the smaller
+    root (mu1^2 <= |q|), q = -d/mu1 and s = (b - q)/mu1 otherwise.
     """
-    a, b, d = (np.asarray(c / c3, dtype=complex) for c in (c2, c1, c0))
+    a, b, d = c2 / c3, c1 / c3, c0 / c3
     bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
     scale = np.ldexp(1.0, np.frexp(bound)[1])
     a = a / scale
@@ -165,24 +171,39 @@ def _cubic_roots(c0, c1, c2, c3):
     a3 = a / 3.0
     pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
     qq = d - a3 * b + 2.0 * a3 * a3 * a3
-    h = np.sqrt(qq * qq / 4.0 + pp * pp * pp / 27.0)
-    u, w = -qq / 2.0 + h, -qq / 2.0 - h
-    cube = np.where(np.abs(u) >= np.abs(w), u, w) ** (1.0 / 3.0)
+    disc = qq * qq / 4.0 + pp * pp * pp / 27.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cands = [
-            np.where(cube != 0.0, omega * cube - pp / (3.0 * omega * cube), 0.0) - a3
-            for omega in _CUBE_ROOTS_OF_UNITY
-        ]
-        mods = [np.abs(c) for c in cands]
-        x1 = np.where(mods[0] >= mods[1], cands[0], cands[1])
-        x1 = np.where(np.maximum(mods[0], mods[1]) >= mods[2], x1, cands[2])
-        q = np.where(x1 != 0.0, -d / x1, 0.0)
-        s = np.where(x1 != 0.0, (b - q) / x1, 0.0)
-        h = np.sqrt(s * s - 4.0 * q)
-        u, w = s + h, s - h
-        x2 = np.where(np.abs(u) >= np.abs(w), u, w) / 2.0
-        x3 = np.where(x2 != 0.0, q / x2, 0.0)
-    return np.stack([x1, x2, x3], axis=-1) * scale[..., None]
+        # Cardano: x = u + v with u^3 = w, u v = -pp/3; for pp > 0 u and v
+        # differ in sign, and x = -qq/(u^2 + v^2 + pp/3) sums positive terms
+        u = np.cbrt(-qq / 2.0 - np.copysign(np.sqrt(disc), qq))
+        v = -pp / (3.0 * u)
+        cardano = np.where(pp > 0.0, -qq / (u * u + v * v + pp / 3.0), u + v) - a3
+        # three real roots 2 r cos((theta + 2 pi k)/3) - a/3: the largest
+        # (k = 0) or the smallest (k = 1) has the largest modulus
+        r = np.sqrt(-pp / 3.0)
+        theta = np.arccos(np.clip(-qq / (2.0 * r * r * r), -1.0, 1.0)) / 3.0
+        hi = 2.0 * r * np.cos(theta) - a3
+        lo = 2.0 * r * np.cos(theta + 2.0 * np.pi / 3.0) - a3
+        trig = np.where(r > 0.0, np.where(np.abs(hi) >= np.abs(lo), hi, lo), -a3)
+        x1 = np.where(disc > 0.0, cardano, trig)
+
+        s = -a - x1
+        q = b - x1 * s
+        small = x1 * x1 <= np.abs(q)
+        q = np.where(small, q, -d / x1)
+        s = np.where(small, s, (b - q) / x1)
+        h = s * s - 4.0 * q
+        root = np.sqrt(np.abs(h))
+        x2 = (s + np.copysign(root, s)) / 2.0
+        real = h >= 0.0
+        re2 = np.where(real, x2, s / 2.0)
+        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
+        im2 = np.where(real, 0.0, root / 2.0)
+    re = np.stack([x1, re2, re3])
+    im = np.stack([np.zeros_like(im2), im2, -im2])
+    re *= scale
+    im *= scale
+    return re, im
 
 
 def _one_step_spectra(p, tab_l, tab_r, t, valid):
@@ -190,6 +211,7 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
 
     ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I.
     LAPACK runs once per matrix, so the result does not depend on the block.
+    Returns the real and imaginary parts, eigenvalues first (:func:`_parts`).
     """
     # the transposed views index the stacks as [i, j] -> [:, :, i, j]
     L = np.zeros(valid.shape + (p, p), dtype=complex)
@@ -197,7 +219,13 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
     fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
     L[~valid] = np.eye(p)
-    return np.linalg.eigvals(np.linalg.solve(L, R))
+    return _parts(np.linalg.eigvals(np.linalg.solve(L, R)))
+
+
+def _parts(eigs):
+    """Real and imaginary parts of a (..., d) spectrum, roots along the first axis."""
+    eigs = np.moveaxis(eigs, -1, 0)
+    return eigs.real, eigs.imag
 
 
 def _scan_cells(p, am, af, gammas, t_samples, variant):
@@ -206,10 +234,12 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
     length.  Returns (radius, repeated) arrays.  T samples are taken in
     blocks of at most ``_BLOCK_PAIRS`` (sample, cell) pairs, but never fewer
-    than one sample.  For p = 3 each sample's spectrum is the three roots of
-    rho + T sigma (:func:`~galpha.amplification.char_poly`, coefficients
-    built once per scan); other orders take ``eigvals(solve(L, R))`` of the
-    stacked one-step matrices, one LAPACK call per matrix.  A sample where
+    than one sample.  For p = 3 and real samples each sample's spectrum is
+    the three roots of the real cubic rho + T sigma
+    (:func:`~galpha.amplification.char_poly`, coefficients built once per
+    scan; :func:`_cubic_roots`); complex samples at p = 3 and every other
+    order take ``eigvals(solve(L, R))`` of the stacked one-step matrices, one
+    LAPACK call per matrix.  A sample where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T falls below the pole floor
     marks its cell unstable.  For p = 3 the T->0 limit G(0) is always
     included (cells with alpha_m = 0 have no finite limit and are marked
@@ -222,7 +252,8 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
     tab_l, tab_r = one_step_tableau(p, am, af, gammas)
-    if p == 3:
+    cubic = p == 3 and np.isrealobj(samples)
+    if cubic:
         rho, sigma = char_poly(p, am, af, gammas)
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
@@ -230,24 +261,23 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
         t = samples[start:start + per_block, None]
         det = am + gammas[0] * af * t
         valid = np.abs(det) > _DET_FLOOR * (1.0 + np.abs(t))
-        if p == 3:
+        if cubic:
             # the mu^3 coefficient of rho + T sigma is -det exactly
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
-            eigs = _cubic_roots(c0, c1, c2, np.where(valid, -det, 1.0))
+            roots = _cubic_roots(c0, c1, c2, np.where(valid, -det, 1.0))
         else:
-            eigs = _one_step_spectra(p, tab_l, tab_r, t, valid)
-        _accumulate_eigs(eigs, radius, repeated, valid)
+            roots = _one_step_spectra(p, tab_l, tab_r, t, valid)
+        _accumulate(*roots, radius, repeated, valid)
 
     if p == 3:
         # G is continuous at T = 0 wherever det L(0) = alpha_m is nonzero
         valid = (am != 0.0)[None]
-        A0_eigs = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
-        _accumulate_eigs(A0_eigs, radius, repeated, valid)
+        _accumulate(*_one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
         if variant is Variant.EQUAL_GAMMA:
             g1 = gammas[0]
             valid = (af != 0.0) & (g1 != 0.0)
             Ainf = limit_inf_p3(np.where(valid, af, 1.0), np.where(valid, g1, 1.0))
-            _accumulate_eigs(np.linalg.eigvals(Ainf), radius, repeated, valid)
+            _accumulate(*_parts(np.linalg.eigvals(Ainf)), radius, repeated, valid)
 
     return radius, repeated
 

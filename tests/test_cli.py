@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -345,6 +346,23 @@ def test_order_check_at_roundoff_exits_3(tmp_path, capsys):
     assert payload["kind"] == "numeric"
     assert payload["exit_code"] == 3
     assert "AllAtRoundoff" in payload["message"]
+
+
+def test_integrate_overflowing_initial_state_exits_3(tmp_path, capsys):
+    # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--lambda", "1e200", "--tau", "0.1", "--out", str(tmp_path),
+        )
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = read_error_line(err)
+    assert payload["kind"] == "numeric"
+    assert "StateOverflow" in payload["message"]
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 # --- stability map --------------------------------------------------------------------

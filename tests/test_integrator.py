@@ -13,7 +13,7 @@ from galpha.amplification import (
     characteristic_recurrence_residual,
     one_step_tableau,
 )
-from galpha.errors import SolveFailed, StepSingular
+from galpha.errors import SolveFailed, StateOverflow, StepSingular
 from galpha.integrator import (
     LinearProblem,
     StateVector,
@@ -78,6 +78,14 @@ def test_init_state_zero_lambda():
 def test_init_state_diagonal_matrix():
     state = init_state(dense_problem(np.diag([1.0, 2.0])), [1.0, 1.0], 2, 1.0)
     assert np.allclose(state.stack, [[1.0, 1.0], [-1.0, -2.0]], atol=0)
+
+
+def test_init_state_overflow_raises():
+    # block j is (-lambda*tau)^j u0: finite up to j = 1, inf from j = 2 on
+    with pytest.raises(StateOverflow, match="block 2"):
+        init_state(scalar_problem(1e200), 1.0, 3, 0.1)
+    with pytest.raises(StateOverflow, match="block 1"):
+        init_state(dense_problem(np.diag([1.0, 1e308])), [1.0, 1.0], 2, 10.0)
 
 
 def test_init_state_validation():

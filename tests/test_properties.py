@@ -4,6 +4,7 @@ import cmath
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -12,6 +13,7 @@ from galpha.amplification import amplification_matrix, build_lr_from_gammas
 from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.orderlab import _pencil_det
 from galpha.schemes import Variant, make_scheme
+from galpha import stability
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
 
 # Derandomized and without an example database, so every run checks the same
@@ -123,3 +125,101 @@ def test_pencil_det_is_affine_in_the_common_gamma(p, am, af, t_modulus, t_angle,
         )
         scale = max(abs(d0), abs(d1))
         assert abs(half - (d0 + d1) / 2) <= 1e-12 * scale
+
+
+
+def _cubic_roots(coeffs):
+    """Roots of c3 mu^3 + c2 mu^2 + c1 mu + c0 from the scan kernel, as complex."""
+    c3, c2, c1, c0 = (np.array([c]) for c in coeffs)
+    re, im = stability._cubic_roots(c0, c1, c2, c3)
+    return re[:, 0] + 1j * im[:, 0]
+
+
+
+@st.composite
+def real_cubics(draw):
+    """(c3, c2, c1, c0) of a real cubic and its drawn (root, multiplicity) pairs.
+
+    Simple roots: three real roots or a real root and a conjugate pair, with
+    moduli 10**e for e in [-100, 150] at least 10**0.1 apart; a common shift
+    of e keeps the constant term within 1e-300..1e300.  Their coefficients
+    are the exact ones rounded once to float.  Double and triple roots are
+    m 2**k with m < 128, so that the float coefficients are exact and the
+    drawn roots are the exact roots of the float cubic; their moduli lie
+    between about 1e-97 and 1e104.
+    """
+    kind = draw(st.sampled_from(["real", "pair", "double", "triple"]))
+    sign = [draw(st.sampled_from([-1, 1])) for _ in range(2)]
+    if kind in ("double", "triple"):
+        k = draw(st.integers(-320, 310))  # |x^2 y| stays within 2**-997..2**997
+        x = sign[0] * draw(st.integers(1, 127)) * mp.ldexp(1, k)
+        # |y/x| >= 2 or <= 1/2 keeps the simple root well conditioned
+        j = draw(st.integers(8, 30)) * draw(st.sampled_from([-1, 1]))
+        y = sign[1] * draw(st.integers(1, 127)) * mp.ldexp(1, k + j)
+        roots = [(x, 3)] if kind == "triple" else [(x, 2), (y, 1)]
+    else:
+        e = sorted(draw(st.lists(st.floats(-100.0, 150.0), min_size=3, max_size=3)))
+        for k in (1, 2):
+            e[k] = max(e[k], e[k - 1] + 0.1)
+        e = draw(st.permutations(e))
+        if kind == "pair":
+            e[2] = e[1]  # the pair's second root; the third drawn modulus goes unused
+        total = sum(e)
+        mods = [mp.mpf(10) ** (x - max(0.0, total - 300.0) / 3 + max(0.0, -300.0 - total) / 3) for x in e]
+        if kind == "real":
+            roots = [(sign[0] * mods[0], 1), (sign[1] * mods[1], 1), (-sign[0] * mods[2], 1)]
+        else:
+            pair = mods[1] * mp.expj(draw(st.floats(0.1, np.pi - 0.1)))
+            roots = [(sign[0] * mods[0], 1), (pair, 1), (mp.conj(pair), 1)]
+    r1, r2, r3 = (r for r, m in roots for _ in range(m))
+    with mp.workdps(50):
+        coeffs = [1, -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3]
+        return [float(mp.re(c)) for c in coeffs], roots
+
+
+def _exact_roots(coeffs, roots):
+    """Roots of the float cubic at 50 digits: mpmath.polyroots for simple
+    drawn roots, the drawn roots themselves for exact repeated ones."""
+    if any(m > 1 for _, m in roots):
+        return [complex(r) for r, m in roots for _ in range(m)]
+    with mp.workdps(50):
+        # Durand-Kerner stops on an absolute correction: scale the largest root to 1
+        scale = max(abs(r) for r, _ in roots)
+        monic = [mp.mpf(c) / coeffs[0] / scale**k for k, c in enumerate(coeffs)]
+        guess = [r / scale for r, _ in roots]
+        found = mp.polyroots(monic, maxsteps=100, extraprec=20, cleanup=False, roots_init=guess)
+        return [complex(z * scale) for z in found]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cubic=real_cubics())
+def test_real_cubic_kernel_matches_extended_precision(cubic):
+    """The largest-modulus root to 1e-14 relative, each simple root to
+    1e-12 max|root|, and a root of multiplicity m to 10 eps**(1/m) max|root|."""
+    coeffs, roots = cubic
+    exact = _exact_roots(coeffs, roots)
+    got = list(_cubic_roots(coeffs))
+    big = max(abs(r) for r in exact)
+    if max(roots, key=lambda rm: abs(rm[0]))[1] == 1:
+        assert abs(max(abs(g) for g in got) - big) <= 1e-14 * big
+    for x in exact:
+        mult = min(roots, key=lambda rm: abs(complex(rm[0]) - x))[1]
+        tol = 1e-12 if mult == 1 else 10 * np.finfo(float).eps ** (1 / mult)
+        k = min(range(len(got)), key=lambda i: abs(got[i] - x))
+        assert abs(got.pop(k) - x) <= tol * big
+
+
+@PROPERTY
+@given(
+    unit=st.sampled_from([-1.0, 1.0]),
+    third=st.floats(min_value=-0.9, max_value=0.9),
+    apart=st.booleans(),
+)
+def test_cubic_repeat_flag_separates_a_double_unit_root_from_a_close_pair(unit, third, apart):
+    """A double root at +-1 is flagged; a conjugate pair on the unit circle 1e-6 apart is not."""
+    pair = unit * np.exp([5e-7j, -5e-7j]) if apart else [unit, unit]
+    c3, c2, c1, c0 = (np.array([c]) for c in np.poly([*pair, third]).real)
+    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
+    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, np.ones(1, dtype=bool))
+    assert radius[0] == pytest.approx(1.0, abs=1e-7)
+    assert repeated[0] == (not apart)

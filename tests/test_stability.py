@@ -5,7 +5,14 @@ import pytest
 from mpmath import mp
 
 from galpha import numkit, stability
-from galpha.amplification import amplification_matrix, char_poly, fill_tableau, one_step_tableau
+from galpha.amplification import (
+    amplification_matrix,
+    char_poly,
+    fill_tableau,
+    limit_matrix_inf,
+    limit_matrix_zero,
+    one_step_tableau,
+)
 from galpha.errors import PoleAtRho, SingularAtT
 from galpha.schemes import (
     RhoBranch,
@@ -169,22 +176,43 @@ def test_radius_matches_per_sample_eigenvalues(p):
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _cubic_roots(c0, c1, c2, c3):
+    """The real kernel's roots as one complex array, roots along the last axis."""
+    re, im = stability._cubic_roots(c0, c1, c2, c3)
+    return np.moveaxis(re + 1j * im, 0, -1)
+
+
+@pytest.mark.parametrize("samples", [ray_t_samples(1.3), ray_t_samples(0.999 * np.pi / 2, n=64)])
+@pytest.mark.parametrize("design", sorted(A0_DESIGNS))
+def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
+    """Complex T at p = 3 take eigvals of the one-step matrices; numkit on G(T)
+    sample by sample, and on the limit matrices, agrees."""
+    amf, variant = A0_DESIGNS[design]
+    params = make_scheme(3, *amf, variant)
+    matrices = [amplification_matrix(params, t) for t in samples] + [limit_matrix_zero(params)]
+    if variant is Variant.EQUAL_GAMMA:
+        matrices.append(limit_matrix_inf(params))
+    expected = max(float(np.abs(numkit.eigenvalues(m)).max()) for m in matrices)
+    report = worst_case_radius(params, samples)
+    assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "roots",
     [
         (3.0, 1.0, 1e-12),  # the remaining quadratic needs the cancellation-free form
         (-2e150, 0.5, 0.25),  # unscaled, Cardano's (Q/2)^2 overflows
         (1e-100, -3e-101, 2e-102),
-        (1 + 2j, -0.5j, 0.3),  # complex coefficients (complex T)
         (0.9 + 0.3j, 0.9 - 0.3j, -0.2),
+        (1e-12, 1j, -1j),  # the one real root is the small one: deflate by -a - mu1
         (2.0, -1e-9, 1e-9),
-        (0.5, 0.5, 0.5),  # triple root: the Cardano cube root is exactly 0
+        (0.5, 0.5, 0.5),  # triple root: pp = qq = 0
         (0.0, 0.0, 0.0),
     ],
 )
 def test_cubic_roots_of_known_polynomials(roots):
-    c3, c2, c1, c0 = -1.7 * np.poly(roots)
-    got = list(stability._cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
+    c3, c2, c1, c0 = -1.7 * np.poly(roots).real
+    got = list(_cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
     for want in roots:
         k = min(range(len(got)), key=lambda i: abs(got[i] - want))
         assert abs(got.pop(k) - want) <= 1e-14 * abs(want)
@@ -213,7 +241,7 @@ def test_p3_roots_match_per_sample_eigenvalues(am, af, variant):
     samples = default_t_samples()
     det = am + params.gamma1 * af * samples
     c0, c1, c2 = rho[:3, None] + samples * sigma[:3, None]
-    roots = stability._cubic_roots(c0, c1, c2, -det)
+    roots = _cubic_roots(c0, c1, c2, -det)
     checked = 0
     for t, got in zip(samples, roots):
         try:
@@ -242,7 +270,7 @@ def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
     assert worst_case_radius(params, [t]).radius == pytest.approx(exact_radius, rel=1e-14, abs=0.0)
 
     rho, sigma = char_poly(3, am, af, params.gammas)
-    roots = stability._cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
+    roots = _cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
     small = sorted((e for e in exact if abs(e) < 1.0), key=abs)
     assert_spectrum(sorted(roots, key=abs)[:2], small, tol=1e-12)
 
