@@ -247,7 +247,9 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     finite = np.isfinite(stack).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
-        raise StateOverflow(f"block {j} of the initial state, tau^{j} (-A)^{j} u0, is not finite at tau={tau}")
+        raise StateOverflow(
+            f"block {j} of the initial state, tau^{j} (-A)^{j} u0, is not finite at tau={tau}"
+        )
     return StateVector(stack, tau)
 
 

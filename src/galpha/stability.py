@@ -272,7 +272,8 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     if p == 3:
         # G is continuous at T = 0 wherever det L(0) = alpha_m is nonzero
         valid = (am != 0.0)[None]
-        _accumulate(*_one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
+        A0_eigs = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
+        _accumulate(*A0_eigs, radius, repeated, valid)
         if variant is Variant.EQUAL_GAMMA:
             g1 = gammas[0]
             valid = (af != 0.0) & (g1 != 0.0)

@@ -40,6 +40,15 @@ def assert_spectrum(got, expected, tol=1e-8):
         del got[k]
 
 
+def cubic_roots(c0, c1, c2, c3):
+    """Roots of c3 mu^3 + c2 mu^2 + c1 mu + c0 from the scan's real kernel,
+    joined into one complex array with the roots along the last axis."""
+    from galpha.stability import _cubic_roots
+
+    re, im = _cubic_roots(c0, c1, c2, c3)
+    return np.moveaxis(re + 1j * im, 0, -1)
+
+
 @pytest.fixture
 def eig_match():
     return assert_spectrum

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from galpha import stability
 from galpha.amplification import amplification_matrix, build_lr_from_gammas
 from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.orderlab import _pencil_det
 from galpha.schemes import Variant, make_scheme
-from galpha import stability
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
+
+from conftest import cubic_roots
 
 # Derandomized and without an example database, so every run checks the same
 # examples.
@@ -127,15 +129,6 @@ def test_pencil_det_is_affine_in_the_common_gamma(p, am, af, t_modulus, t_angle,
         assert abs(half - (d0 + d1) / 2) <= 1e-12 * scale
 
 
-
-def _cubic_roots(coeffs):
-    """Roots of c3 mu^3 + c2 mu^2 + c1 mu + c0 from the scan kernel, as complex."""
-    c3, c2, c1, c0 = (np.array([c]) for c in coeffs)
-    re, im = stability._cubic_roots(c0, c1, c2, c3)
-    return re[:, 0] + 1j * im[:, 0]
-
-
-
 @st.composite
 def real_cubics(draw):
     """(c3, c2, c1, c0) of a real cubic and its drawn (root, multiplicity) pairs.
@@ -149,7 +142,7 @@ def real_cubics(draw):
     between about 1e-97 and 1e104.
     """
     kind = draw(st.sampled_from(["real", "pair", "double", "triple"]))
-    sign = [draw(st.sampled_from([-1, 1])) for _ in range(2)]
+    sign = [draw(st.sampled_from([-1, 1])) for _ in range(3)]
     if kind in ("double", "triple"):
         k = draw(st.integers(-320, 310))  # |x^2 y| stays within 2**-997..2**997
         x = sign[0] * draw(st.integers(1, 127)) * mp.ldexp(1, k)
@@ -167,7 +160,7 @@ def real_cubics(draw):
         total = sum(e)
         mods = [mp.mpf(10) ** (x - max(0.0, total - 300.0) / 3 + max(0.0, -300.0 - total) / 3) for x in e]
         if kind == "real":
-            roots = [(sign[0] * mods[0], 1), (sign[1] * mods[1], 1), (-sign[0] * mods[2], 1)]
+            roots = [(s * m, 1) for s, m in zip(sign, mods)]
         else:
             pair = mods[1] * mp.expj(draw(st.floats(0.1, np.pi - 0.1)))
             roots = [(sign[0] * mods[0], 1), (pair, 1), (mp.conj(pair), 1)]
@@ -198,7 +191,7 @@ def test_real_cubic_kernel_matches_extended_precision(cubic):
     1e-12 max|root|, and a root of multiplicity m to 10 eps**(1/m) max|root|."""
     coeffs, roots = cubic
     exact = _exact_roots(coeffs, roots)
-    got = list(_cubic_roots(coeffs))
+    got = list(cubic_roots(*coeffs[::-1]))
     big = max(abs(r) for r in exact)
     if max(roots, key=lambda rm: abs(rm[0]))[1] == 1:
         assert abs(max(abs(g) for g in got) - big) <= 1e-14 * big

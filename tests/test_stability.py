@@ -34,7 +34,7 @@ from galpha.stability import (
     write_stability_csv,
 )
 
-from conftest import assert_spectrum
+from conftest import assert_spectrum, cubic_roots
 
 
 # --- sample sets ---------------------------------------------------------------
@@ -176,12 +176,6 @@ def test_radius_matches_per_sample_eigenvalues(p):
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _cubic_roots(c0, c1, c2, c3):
-    """The real kernel's roots as one complex array, roots along the last axis."""
-    re, im = stability._cubic_roots(c0, c1, c2, c3)
-    return np.moveaxis(re + 1j * im, 0, -1)
-
-
 @pytest.mark.parametrize("samples", [ray_t_samples(1.3), ray_t_samples(0.999 * np.pi / 2, n=64)])
 @pytest.mark.parametrize("design", sorted(A0_DESIGNS))
 def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
@@ -212,7 +206,7 @@ def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
 )
 def test_cubic_roots_of_known_polynomials(roots):
     c3, c2, c1, c0 = -1.7 * np.poly(roots).real
-    got = list(_cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
+    got = list(cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
     for want in roots:
         k = min(range(len(got)), key=lambda i: abs(got[i] - want))
         assert abs(got.pop(k) - want) <= 1e-14 * abs(want)
@@ -241,7 +235,7 @@ def test_p3_roots_match_per_sample_eigenvalues(am, af, variant):
     samples = default_t_samples()
     det = am + params.gamma1 * af * samples
     c0, c1, c2 = rho[:3, None] + samples * sigma[:3, None]
-    roots = _cubic_roots(c0, c1, c2, -det)
+    roots = cubic_roots(c0, c1, c2, -det)
     checked = 0
     for t, got in zip(samples, roots):
         try:
@@ -270,7 +264,7 @@ def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
     assert worst_case_radius(params, [t]).radius == pytest.approx(exact_radius, rel=1e-14, abs=0.0)
 
     rho, sigma = char_poly(3, am, af, params.gammas)
-    roots = _cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
+    roots = cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
     small = sorted((e for e in exact if abs(e) < 1.0), key=abs)
     assert_spectrum(sorted(roots, key=abs)[:2], small, tol=1e-12)
 
