@@ -186,10 +186,11 @@ def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
             [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
 
     Arguments may be per-cell arrays; the result then stacks one 3x3 matrix
-    per cell in its trailing axes.  alpha_f and gamma_1 must be nonzero.
+    per cell in its trailing axes, as float64.  alpha_f and gamma_1 must be
+    real and nonzero.
     """
     af, g1 = alpha_f, gamma_1
-    ainf = np.zeros(np.broadcast(af, g1).shape + (3, 3), dtype=complex)
+    ainf = np.zeros(np.broadcast(af, g1).shape + (3, 3))
     ainf[..., 0, 0] = 1.0 - 0.5 / af
     ainf[..., 0, 1] = 1.0 - 0.5 / af
     ainf[..., 1, 0] = -1.0 / af
@@ -224,7 +225,7 @@ def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
 
 
 def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
-    """:func:`limit_inf_p3` for an equal-gamma third-order scheme.
+    """:func:`limit_inf_p3` (float64) for an equal-gamma third-order scheme.
 
     Requires alpha_f != 0 and gamma_1 != 0.  The trailing entry 1 - 1/g1 is
     an exact eigenvalue (the third column is otherwise zero), and the leading

@@ -12,6 +12,11 @@ matrix-vector product -- regardless of the order p.  For a scalar problem the
 step operator is exactly multiplication by the amplification matrix G(lambda *
 tau), which is the main correctness oracle used in the tests.
 
+The march runs in the dtype of its data: the result type of u0 and of A u0.
+A real operator with a real u0 (the heat rod, a real dense matrix) marches
+in float64; a complex operator, a complex u0 or the scalar problem (whose
+lambda is complex) marches in complex128.
+
 Problems are described by a :class:`LinearProblem`: an ``apply`` callback for
 v -> A v and a ``shifted_solve`` callback for (c1 * I + sigma * A) x = b.
 Factories are provided for scalar equations, dense matrices, and the standard
@@ -19,8 +24,9 @@ second-difference discretization of the heat equation on the unit interval.
 The shift is the same on every step of a march, so the factories pay for the
 shifted operator once: the dense problem keeps LAPACK's inverse of its
 last shifted operator, and the heat problem solves in its sine eigenbasis (a
-DST-I through ``numpy.fft``), whose eigenvalues it computes once.  ``step``
-reads the plan of its scheme from a cache, built on the scheme's first step.
+real DST-I through ``numpy.fft.rfft``), whose eigenvalues it computes once.
+``step`` reads the plan of its scheme from a cache, built on the scheme's
+first step.
 """
 
 from __future__ import annotations
@@ -53,15 +59,17 @@ __all__ = [
 class StateVector:
     """Stacked scheme state: row j holds tau^j * u^(j), a C-ordered (p, m) array.
 
-    The scaling ties the stack to the step size it was built with; use
-    :meth:`rescale` before stepping with a different tau.
+    A real stack is kept as float64, any other as complex128.  The scaling
+    ties the stack to the step size it was built with; use :meth:`rescale`
+    before stepping with a different tau.
     """
 
     stack: np.ndarray
     tau: float
 
     def __post_init__(self):
-        stack = np.ascontiguousarray(self.stack, dtype=complex)
+        stack = np.asarray(self.stack)
+        stack = np.ascontiguousarray(stack, dtype=complex if np.iscomplexobj(stack) else float)
         if stack.ndim != 2:
             raise ValueError(f"state stack must be 2-d (p, m), got shape {stack.shape}")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
@@ -106,7 +114,9 @@ class LinearProblem:
     solution of (c1 * I + sigma * A) x = b and raises :class:`StepSingular`
     when the shifted operator is singular.  Both callbacks must be safe for
     concurrent read-only use.  ``dim`` is the length of u; :func:`init_state`
-    rejects a u0 of any other shape.
+    rejects a u0 of any other shape.  A march runs in the result type of u0
+    and ``apply(u0)``, so a real operator that returns real arrays for real
+    input keeps the march of a real u0 in float64.
 
     A march calls ``shifted_solve`` with one (c1, sigma) on every step, so
     :func:`dense_problem` and :func:`heat_problem` keep the inverse or the
@@ -142,13 +152,16 @@ def dense_problem(a, description: str = "") -> LinearProblem:
 
     Solves multiply by LAPACK's inverse of M = c1 I + sigma A, which raises
     :class:`StepSingular` if singular or if max|M| max|M^-1| >= 1 / ``numkit.PIVOT_RTOL``.
+    An A with no imaginary part is kept real, so its ``apply`` and inverse
+    are real and a real u0 marches in float64.
     """
-    a = numkit._as_square(a).copy()
+    a = numkit._as_square(a)
+    a = (a if a.imag.any() else a.real).copy()
     m = a.shape[0]
     eye = np.eye(m)
 
     def apply(v):
-        return a @ np.asarray(v, dtype=complex)
+        return a @ np.asarray(v)
 
     @lru_cache(maxsize=1)
     def inverse(c1, sigma):
@@ -175,7 +188,7 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     h = 1/(n+1).  Its eigenvectors are the sine modes sin(k pi x_j), with
     eigenvalues lambda_k = 4 (kappa / h^2) sin^2(k pi h / 2), k = 1 .. n.
     The shifted solve diagonalises A by the DST-I (two O(n log n)
-    transforms through ``numpy.fft``) and divides by c1 + sigma * lambda_k;
+    transforms through ``numpy.fft.rfft``) and divides by c1 + sigma * lambda_k;
     it raises :class:`StepSingular` when some |c1 + sigma * lambda_k| is at
     most 1e-14 (|c1| + |sigma| max lambda + 1).
     """
@@ -189,7 +202,7 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     lam = 4.0 * s * np.sin(np.arange(1, n + 1) * (np.pi * h / 2.0)) ** 2
 
     def apply(v):
-        v = np.asarray(v, dtype=complex)
+        v = np.asarray(v)
         out = 2.0 * v
         out[:-1] -= v[1:]
         out[1:] -= v[:-1]
@@ -202,33 +215,42 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
         if abs(den[k]) <= 1e-14 * (abs(c1) + abs(sigma) * lam[-1] + 1.0):
             raise StepSingular(f"shifted operator singular: c1 + sigma*lambda_{k + 1} = {den[k]!r}")
         # x = S diag(1/den) S b * 2/(n+1), with S the DST-I matrix
-        # (symmetric, S @ S = (n+1)/2 * I) and _sine_fft(y) = -2i S y.
-        return -2.0 * (n + 1) * den
+        # (symmetric, S @ S = (n+1)/2 * I) and _sine_transform(y) = -2 S y.
+        return 2.0 * (n + 1) * den
 
     def shifted_solve(c1, sigma, b):
-        return _sine_fft(_sine_fft(b) / divisor(c1, sigma))
+        return _sine_transform(_sine_transform(b) / divisor(c1, sigma))
 
     return LinearProblem(
         n, apply, shifted_solve, f"heat rod, {n} interior nodes, kappa={diffusivity}"
     )
 
 
-def _sine_fft(x) -> np.ndarray:
-    """-2i times the DST-I of x: -2i sum_j x_j sin(pi j k / (n + 1)), k = 1 .. n.
+def _sine_transform(x) -> np.ndarray:
+    """-2 times the DST-I of x: -2 sum_j x_j sin(pi j k / (n + 1)), k = 1 .. n.
 
-    Entries 1 .. n of the FFT of the odd extension (0, x, 0, -reversed x).
+    The FFT of the real odd extension (0, y, 0, -reversed y) is -2i S y at
+    entries 1 .. n, so one ``rfft`` over the real and the imaginary part of
+    x, taken apart, gives both transforms.  A real x gives a real result.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     n = x.shape[0]
-    odd = np.zeros(2 * n + 2, dtype=complex)
-    odd[1:n + 1] = x
-    odd[n + 2:] = -x[::-1]
-    return np.fft.fft(odd)[1:n + 1]
+    parts = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None]
+    odd = np.zeros((len(parts), 2 * n + 2))
+    odd[:, 1:n + 1] = parts
+    odd[:, n + 2:] = -parts[:, ::-1]
+    out = np.fft.rfft(odd)[:, 1:n + 1].imag
+    if len(out) == 1:
+        return out[0]
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = out
+    return z
 
 
 def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     """Exact-derivative initial state: block j = tau^j * (-A)^j u0.
 
+    The stack takes the result type of u0 and A u0 (at least float64).
     Raises :class:`StateOverflow` when a block is not finite, as it is once
     (tau |A|)^j exceeds the double range, instead of marching infs and nans.
     """
@@ -236,13 +258,16 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
         raise ValueError(f"order p must be >= 2, got {p}")
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
+    u0 = np.atleast_1d(np.asarray(u0))
+    u0 = u0.astype(np.result_type(u0, float), copy=False)
     if u0.shape != (problem.dim,):
         raise ValueError(f"u0 of shape {u0.shape} does not fit a problem of dim {problem.dim}")
-    stack = np.empty((p, problem.dim), dtype=complex)
-    stack[0] = u0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, p):
+        first = problem.apply(u0)
+        stack = np.empty((p, problem.dim), dtype=np.result_type(u0, first))
+        stack[0] = u0
+        stack[1] = -tau * first
+        for j in range(2, p):
             stack[j] = -tau * problem.apply(stack[j - 1])
     finite = np.isfinite(stack).all(axis=1)
     if not finite.all():
@@ -271,7 +296,7 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     # einsum on the real and imaginary parts, not BLAS: each column of the
     # stack is combined on its own (a diagonal system steps bit for bit like
     # its scalar components), and the real kernel is up to 6x faster
-    rows = np.einsum("ij,jm->im", M, state.stack.view(float)).view(complex)
+    rows = np.einsum("ij,jm->im", M, state.stack.view(float)).view(state.stack.dtype)
     ladder, (r0u, r1u) = rows[:p - 1], rows[p - 1:]
     b = r0u + tau * problem.apply(r1u - k * ladder[-1])
     try:
@@ -319,7 +344,11 @@ def integrate(
     mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
     rather than ending the march short of (or past) t_end, and so does a
     t_end / tau that is not finite.  Step failures are re-raised with the
-    failing step index attached.
+    failing step index attached, and so is :class:`StateOverflow` when the
+    march leaves the double range.  A non-finite state stays non-finite on
+    every later step (inf and nan pass through the solve), so one test of the
+    last state decides, and the first step whose u is not finite is searched
+    for only then.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -335,23 +364,34 @@ def integrate(
         )
     state = init_state(problem, u0, params.p, tau)
     trajectory = [(0.0, state.value.copy())]
-    for k in range(1, n_steps + 1):
-        try:
-            state = step(params, problem, state)
-        except GalphaError as exc:
-            raise type(exc)(f"step {k} of {n_steps}: {exc}") from exc
-        trajectory.append((k * tau, state.value.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                state = step(params, problem, state)
+            except GalphaError as exc:
+                raise type(exc)(f"step {k} of {n_steps}: {exc}") from exc
+            trajectory.append((k * tau, state.value.copy()))
+    if not np.isfinite(state.stack).all():
+        k = next((k for k, (_, u) in enumerate(trajectory) if not np.isfinite(u).all()), n_steps)
+        raise StateOverflow(f"step {k} of {n_steps}: the state is not finite at tau={tau}")
     return trajectory
 
 
 def write_trajectory_csv(trajectory, path) -> None:
-    """Write ``t,re_u_1,im_u_1,...`` rows with 17 significant digits."""
+    """Write ``t,re_u_1,im_u_1,...`` rows with 17 significant digits.
+
+    A trajectory with no complex u writes its imaginary cells as the literal
+    ``0``, the bytes that ``%.17g`` gives for 0.0, without formatting them.
+    """
     m = np.atleast_1d(trajectory[0][1]).shape[0]
     header = "t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, m + 1))
-    row = ",".join(["%.17g"] * (1 + 2 * m)) + "\n"
+    if any(np.iscomplexobj(u) for _, u in trajectory):
+        row, dtype = "%.17g" + ",%.17g,%.17g" * m + "\n", complex
+    else:
+        row, dtype = "%.17g" + ",%.17g,0" * m + "\n", float
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for t, u in trajectory:
-            # (re, im) pairs in order; a real u gains its zero imaginary parts
-            cells = np.ascontiguousarray(u, dtype=complex).view(float).tolist()
+            # complex u: (re, im) pairs in order
+            cells = np.ascontiguousarray(u, dtype=dtype).view(float).tolist()
             fh.write(row % (t, *cells))

@@ -210,12 +210,15 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     """``eigvals(solve(L, R))`` over a (samples, cells) block of one-step matrices.
 
     ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I.
-    LAPACK runs once per matrix, so the result does not depend on the block.
-    Returns the real and imaginary parts, eigenvalues first (:func:`_parts`).
+    The stacks take the dtype of ``t``, so real T goes to LAPACK's real
+    eigensolver.  LAPACK runs once per matrix, so the result does not depend
+    on the block.  Returns the real and imaginary parts, eigenvalues first
+    (:func:`_parts`).
     """
     # the transposed views index the stacks as [i, j] -> [:, :, i, j]
-    L = np.zeros(valid.shape + (p, p), dtype=complex)
-    R = np.zeros(valid.shape + (p, p), dtype=complex)
+    dtype = np.result_type(t, float)
+    L = np.zeros(valid.shape + (p, p), dtype=dtype)
+    R = np.zeros(valid.shape + (p, p), dtype=dtype)
     fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
     fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
     L[~valid] = np.eye(p)

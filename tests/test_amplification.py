@@ -12,6 +12,7 @@ from galpha.amplification import (
     build_lr_from_gammas,
     char_poly,
     characteristic_recurrence_residual,
+    limit_inf_p3,
     limit_matrix_inf,
     limit_matrix_zero,
     truncation_residual,
@@ -217,6 +218,11 @@ def test_limit_inf_trailing_eigenvalue_is_exact():
     assert np.min(np.abs(numkit.eigenvalues(Ainf) - eta1)) <= 1e-13
     # third column is (0, 0, eta1): the exact-eigenvalue structure
     assert Ainf[0, 2] == 0.0 and Ainf[1, 2] == 0.0 and Ainf[2, 2] == eta1
+
+
+def test_limit_inf_is_real():
+    assert limit_matrix_inf(make_scheme(3, 1.1, 0.8)).dtype == np.float64
+    assert limit_inf_p3(np.array([0.6, 0.9]), np.array([1.2, 1.5])).dtype == np.float64
 
 
 def test_limit_inf_block_radius_floor_is_one_third():

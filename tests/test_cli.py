@@ -161,6 +161,21 @@ def test_integrate_heat_problem(tmp_path, capsys):
     assert "problem = heat" in manifest
 
 
+def test_integrate_heat_imaginary_columns_are_exact_zeros(tmp_path, capsys):
+    """The heat rod marches in real arithmetic: every im_u_k cell is written as 0."""
+    code, _, _ = run_cli(
+        capsys,
+        "integrate", "--heat-n", "40", "--rho-inf", "0.5", "--tau", "0.005", "--t-end", "0.1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    imaginary = [k for k, name in enumerate(header) if name.startswith("im_u_")]
+    assert len(imaginary) == 40 and len(lines) == 22
+    assert {line.split(",")[k] for line in lines[1:] for k in imaginary} == {"0"}
+
+
 def test_integrate_complex_lambda(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
@@ -362,6 +377,23 @@ def test_integrate_overflowing_initial_state_exits_3(tmp_path, capsys):
     payload = read_error_line(err)
     assert payload["kind"] == "numeric"
     assert "StateOverflow" in payload["message"]
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_integrate_overflowing_march_exits_3(tmp_path, capsys):
+    # the initial stack is finite, (lambda*tau)^2 = 1e298, but step 1 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys,
+            "integrate", "--lambda", "1e150", "--tau", "0.1", "--out", str(tmp_path),
+        )
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = read_error_line(err)
+    assert payload["kind"] == "numeric"
+    assert payload["message"].startswith("StateOverflow: step 1 of 10:")
     assert not (tmp_path / "trajectory.csv").exists()
 
 

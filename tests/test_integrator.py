@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,21 @@ def test_heat_shifted_solve_without_pivoting_breakdown():
     assert np.abs(residual).max() <= 1e-12 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("n", [2, 17])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_sine_transform_is_minus_two_dst(n, kind):
+    """The rfft-based transform against an explicit DST-I matrix product."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    k = np.arange(1, n + 1)
+    sine = np.sin(np.pi * np.outer(k, k) / (n + 1))
+    got = integrator._sine_transform(x)
+    assert got.dtype == (complex if kind == "complex" else float)
+    assert np.abs(got - (-2.0 * sine @ x)).max() <= 1e-14 * n * np.abs(x).max()
+
+
 def test_heat_shift_on_an_eigenvalue_is_singular():
     n, sigma = 4, 0.3
     lam_1 = 4.0 * 25.0 * np.sin(np.pi / (2 * (n + 1))) ** 2
@@ -514,6 +530,56 @@ def test_scalar_problem_rejects_nonfinite_lambda(lam):
         scalar_problem(lam)
 
 
+# --- march dtype --------------------------------------------------------------------------
+
+
+_SPD = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "problem, u0, dtype",
+    [
+        (heat_problem(6), np.linspace(0.1, 0.6, 6), np.float64),
+        (dense_problem(_SPD), [1.0, -1.0, 0.5], np.float64),
+        (dense_problem(_SPD.astype(complex)), [1.0, -1.0, 0.5], np.float64),  # no imaginary part
+        (dense_problem(_SPD), [1, 2, 3], np.float64),  # an integer u0
+        (heat_problem(6), np.linspace(0.1, 0.6, 6) + 0j, np.complex128),
+        (dense_problem(_SPD), [1.0, 1j, 0.5], np.complex128),
+        (dense_problem(_SPD + 1j * np.eye(3)), [1.0, -1.0, 0.5], np.complex128),
+        (scalar_problem(2.0), 1.0, np.complex128),
+    ],
+    ids=["heat", "real-dense", "zero-imaginary-dense", "integer-u0", "heat-complex-u0",
+         "dense-complex-u0", "complex-dense", "scalar"],
+)
+def test_march_runs_in_the_dtype_of_its_data(problem, u0, dtype):
+    """Real A with real u0 marches in float64; complex A, complex u0 or a scalar in complex128."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    state = init_state(problem, u0, 3, 0.05)
+    assert state.stack.dtype == dtype
+    assert step(params, problem, state).stack.dtype == dtype
+    assert all(u.dtype == dtype for _, u in integrate(params, problem, u0, 0.05, 0.2))
+
+
+def test_real_and_complex_heat_marches_agree():
+    """The float64 march of a real heat problem matches its complex128 march to round-off."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    problem = heat_problem(50)
+    u0 = np.sin(np.pi * np.arange(1, 51) / 51)
+    real = integrate(params, problem, u0, 0.005, 0.5)
+    cplx = integrate(params, problem, u0 + 0j, 0.005, 0.5)
+    for (_, u), (_, v) in zip(real, cplx):
+        assert np.abs(u - v).max() <= 1e-14
+        assert np.abs(v.imag).max() <= 1e-14
+
+
+def test_state_vector_keeps_a_real_stack_real():
+    assert StateVector(np.ones((3, 2)), 0.1).stack.dtype == np.float64
+    assert StateVector(np.ones((3, 2), dtype=np.float32), 0.1).stack.dtype == np.float64
+    assert StateVector(np.ones((3, 2), dtype=int), 0.1).stack.dtype == np.float64
+    assert StateVector(np.ones((3, 2), dtype=np.complex64), 0.1).stack.dtype == np.complex128
+    assert StateVector(np.ones((3, 2), dtype=complex), 0.1).rescale(0.2).stack.dtype == np.complex128
+
+
 # --- driver and output ---------------------------------------------------------------------
 
 
@@ -547,6 +613,20 @@ def test_integrate_rejects_t_end_off_the_step_grid():
     # 0.3 / 0.1 = 2.9999999999999996 is a whole number within the 1e-9 window
     trajectory = integrate(params, scalar_problem(1.0), 1.0, 0.1, 0.3)
     assert len(trajectory) == 4
+
+
+@pytest.mark.parametrize(
+    "problem, u0",
+    [(scalar_problem(1e150), 1.0), (dense_problem(np.diag([1e150, 2e150])), [1.0, 1.0])],
+    ids=["scalar", "dense"],
+)
+def test_state_leaving_the_double_range_mid_march_raises(problem, u0):
+    """A finite initial stack whose march overflows raises with the first non-finite step."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StateOverflow, match="^step 1 of 10: the state is not finite"):
+            integrate(params, problem, u0, 0.1, 1.0)
 
 
 def test_stiff_state_norm_never_grows():

@@ -287,6 +287,32 @@ def test_blocked_scan_equals_single_cell_calls(monkeypatch, p, ncell, samples):
         assert report.repeated_unit_root == repeated[k]
 
 
+def test_real_samples_take_the_real_eigensolver(monkeypatch):
+    """Real T (and the T -> 0 and T -> inf limits) reach eigvals as float64 stacks,
+    complex T as complex128; the spectra agree to round-off."""
+    dtypes, eigvals = [], np.linalg.eigvals
+
+    def recording_eigvals(a):
+        dtypes.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    rng = np.random.default_rng(3)
+    am, af = rng.uniform(0.6, 1.4, (2, 9))
+    for p in (3, 4):
+        tab_l, tab_r = one_step_tableau(p, am, af, closure_gammas(p, am, af))
+        t = default_t_samples(5)[:, None]
+        valid = np.ones((5, 9), dtype=bool)
+        real = stability._one_step_spectra(p, tab_l, tab_r, t, valid)
+        cplx = stability._one_step_spectra(p, tab_l, tab_r, t + 0j, valid)
+        radius = [np.hypot(*parts).max(axis=0) for parts in (real, cplx)]
+        assert np.abs(radius[0] - radius[1]).max() <= 1e-13 * radius[1].max()
+    assert dtypes == [np.float64, np.complex128] * 2
+    dtypes.clear()
+    scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=3, n_alpha_f=3))
+    assert dtypes == [np.float64, np.float64]
+
+
 # --- plane scans ----------------------------------------------------------------
 
 
