@@ -39,7 +39,7 @@ def test_numeric_csv_change_is_summarized(tmp_path):
         "extra.csv: only in the change",
         "manifest.txt: bytes differ (6 -> 6 bytes)",
         "stability.csv: 2 of 3 rows differ in 1 columns (radius); largest relative change 0.2 "
-        "(radius), largest absolute change 0.25 (radius), largest |value| 2.5",
+        "(radius), largest absolute change 0.25 (radius), largest |value| in those columns 2.5",
         "sub/x.txt: only in the parent",
     ]
 
@@ -100,5 +100,5 @@ def test_main_runs_both_checkouts(tmp_path, monkeypatch, capsys):
         "integrate-defaults: DIFFERS  (galpha integrate)",
         "  exit code 0 -> 3",
         "  trajectory.csv: 1 of 2 rows differ in 1 columns (re_u_1); largest relative change 0.33 "
-        "(re_u_1), largest absolute change 0.25 (re_u_1), largest |value| 1",
+        "(re_u_1), largest absolute change 0.25 (re_u_1), largest |value| in those columns 1",
     ]

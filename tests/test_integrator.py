@@ -560,18 +560,6 @@ def test_march_runs_in_the_dtype_of_its_data(problem, u0, dtype):
     assert all(u.dtype == dtype for _, u in integrate(params, problem, u0, 0.05, 0.2))
 
 
-def test_real_and_complex_heat_marches_agree():
-    """The float64 march of a real heat problem matches its complex128 march to round-off."""
-    params = make_scheme(3, *params_from_rho(0.5))
-    problem = heat_problem(50)
-    u0 = np.sin(np.pi * np.arange(1, 51) / 51)
-    real = integrate(params, problem, u0, 0.005, 0.5)
-    cplx = integrate(params, problem, u0 + 0j, 0.005, 0.5)
-    for (_, u), (_, v) in zip(real, cplx):
-        assert np.abs(u - v).max() <= 1e-14
-        assert np.abs(v.imag).max() <= 1e-14
-
-
 def test_state_vector_keeps_a_real_stack_real():
     assert StateVector(np.ones((3, 2)), 0.1).stack.dtype == np.float64
     assert StateVector(np.ones((3, 2), dtype=np.float32), 0.1).stack.dtype == np.float64

@@ -8,8 +8,10 @@ with ``--out out``, so that both runs see the same relative paths.
 CHANGE_ROOT defaults to the repository this script belongs to.  For each
 case this compares stdout, stderr, the exit code and every file under the
 output directory byte for byte.  For a CSV file that differs in its numbers
-only, it prints how many rows changed, in which columns, and the largest
-relative and absolute change.  The exit code is 1 on any difference.
+only, it prints how many rows changed, in which columns, the largest
+relative and absolute change, and the largest finite |value| of the
+parent's changed columns, the scale of that absolute change.  The exit code
+is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
     if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return None
     header = rows_a[0]
-    rows, columns = 0, set()
-    rel, rel_col, diff, diff_col, largest = 0.0, "", 0.0, "", 0.0
+    rows, columns, largest = 0, set(), dict.fromkeys(header, 0.0)
+    rel, rel_col, diff, diff_col = 0.0, "", 0.0, ""
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         if len(row_a) != len(header) or len(row_b) != len(header):
             return None
@@ -93,7 +95,7 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
                     return None
                 continue
             if math.isfinite(a):
-                largest = max(largest, abs(a))
+                largest[name] = max(largest[name], abs(a))
             if cell_a == cell_b:
                 continue
             changed = True
@@ -110,7 +112,8 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
     return (
         f"{rows} of {len(rows_a) - 1} rows differ in {len(names)} columns ({shown}); "
         f"largest relative change {rel:.2g} ({rel_col}), largest absolute change "
-        f"{diff:.2g} ({diff_col}), largest |value| {largest:.3g}"
+        f"{diff:.2g} ({diff_col}), largest |value| in those columns "
+        f"{max((largest[name] for name in names), default=0.0):.3g}"
     )
 
 
