@@ -55,6 +55,7 @@ __all__ = [
     "limit_inf_p3",
     "limit_matrix_zero",
     "limit_matrix_inf",
+    "pole_factor",
     "characteristic_recurrence_residual",
     "truncation_residual",
 ]
@@ -243,13 +244,24 @@ def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
     return limit_inf_p3(params.alpha_f, params.gamma1)
 
 
+def pole_factor(a, b):
+    """The pole rule of the one-step system: ``(a + b, |a + b| > 1e-12 (|a| + |b|))``.
+
+    With a = alpha_m and b = gamma_1 alpha_f T, a + b is (p-2)! det L(T),
+    the one factor that can vanish; the flag is False on the pole, where the
+    sum is lost to cancellation (or not a number).  Arrays broadcast, and
+    Python scalars stay Python scalars (the builtin ``abs``).
+    """
+    factor = a + b
+    return factor, abs(factor) > 1e-12 * (abs(a) + abs(b))
+
+
 def _pole_factor(params: SchemeParams, t) -> complex:
-    """(p-2)! det L(T) = alpha_m + gamma_1 alpha_f T; ``SingularAtT`` when it
-    is at most 1e-12 (|alpha_m| + |gamma_1 alpha_f T|)."""
+    """(p-2)! det L(T) = alpha_m + gamma_1 alpha_f T; ``SingularAtT`` on the
+    pole (:func:`pole_factor`)."""
     t = complex(t)
-    slope = params.gamma1 * params.alpha_f * t
-    factor = params.alpha_m + slope
-    if abs(factor) <= 1e-12 * (abs(params.alpha_m) + abs(slope)):
+    factor, nonzero = pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)
+    if not nonzero:
         raise SingularAtT(f"one-step system has a pole at T={t!r}")
     return factor
 

@@ -45,7 +45,6 @@ from .stability import (
     default_t_samples,
     rho_curve,
     scan_region,
-    verify_rho_control,
     worst_case_radius,
     write_stability_csv,
 )
@@ -302,7 +301,7 @@ def cmd_rho_curve(args, out: Path) -> dict:
                 if point.pole:
                     fh.write(f"{branch.value},{point.rho:.17g},,,,,1\n")
                     continue
-                max_eig = point.rho + verify_rho_control(point.rho, branch)
+                max_eig = point.max_eig_inf
                 if branch is RhoBranch.MAIN:
                     worst_main = max(worst_main, abs(max_eig - point.rho))
                 inside = "true" if point.inside_region else "false"

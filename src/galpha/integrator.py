@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import numkit
-from .amplification import one_step_tableau
+from .amplification import one_step_tableau, pole_factor
 from .errors import GalphaError, SolveFailed, StateOverflow, StepSingular
 from .schemes import SchemeParams
 
@@ -130,7 +130,14 @@ class LinearProblem:
 
 
 def scalar_problem(lam) -> LinearProblem:
-    """The test equation u' + lambda u = 0 (lambda may be complex and finite)."""
+    """The test equation u' + lambda u = 0 (lambda may be complex and finite).
+
+    A march shifts by c1 = alpha_m / (p-2)! and sigma = gamma_1 alpha_f tau /
+    (p-2)!, so c1 + sigma lambda is the pole factor of the one-step system at
+    T = lambda tau over (p-2)!.  The solve raises :class:`StepSingular` where
+    :func:`~galpha.amplification.pole_factor` finds it vanished, the rule by
+    which the stability scan reports a pole (radius inf).
+    """
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -139,15 +146,15 @@ def scalar_problem(lam) -> LinearProblem:
         return lam * v
 
     def shifted_solve(c1, sigma, b):
-        den = c1 + sigma * lam
-        if abs(den) <= 1e-14 * (abs(c1) + abs(sigma * lam) + 1.0):
+        den, nonzero = pole_factor(c1, sigma * lam)
+        if not nonzero:
             raise StepSingular(f"stage denominator vanishes: c1 + sigma*lambda = {den!r}")
         return b / den
 
     return LinearProblem(1, apply, shifted_solve, f"scalar lambda={lam}")
 
 
-def dense_problem(a, description: str = "") -> LinearProblem:
+def dense_problem(a) -> LinearProblem:
     """Wrap a copy of a dense square matrix A with finite entries as a :class:`LinearProblem`.
 
     Solves multiply by LAPACK's inverse of M = c1 I + sigma A, which raises
@@ -178,7 +185,7 @@ def dense_problem(a, description: str = "") -> LinearProblem:
     def shifted_solve(c1, sigma, b):
         return inverse(c1, sigma) @ b
 
-    return LinearProblem(m, apply, shifted_solve, description or f"dense {m}x{m} system")
+    return LinearProblem(m, apply, shifted_solve, f"dense {m}x{m} system")
 
 
 def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:

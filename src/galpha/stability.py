@@ -25,6 +25,14 @@ unstable even at radius exactly 1.  The repeated-root window (1e-7 both for
 the pair gap and for the distance of each modulus from 1) is applied to every
 eigenvalue pair, real or complex.
 
+The one-step system has one pole: (p-2)! det L(T) = alpha_m + gamma_1
+alpha_f T.  A sample where that sum is lost to cancellation, at most 1e-12
+(|alpha_m| + |gamma_1 alpha_f T|) (:func:`~galpha.amplification.pole_factor`,
+the rule by which the recurrence checks raise ``SingularAtT`` and a scalar
+march raises ``StepSingular``), marks its cell unstable with radius inf.
+With alpha_f = 0 the factor is alpha_m at every T, so such a cell is
+scanned at every sample (unless alpha_m = 0) and has no pole.
+
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu)
 (:func:`~galpha.amplification.char_poly`): on the scalar test equation each
@@ -58,6 +66,7 @@ from .amplification import (
     limit_inf_p3,
     limit_matrix_inf,
     one_step_tableau,
+    pole_factor,
 )
 # Not called here: perfbench/tracing.py patches these names in this module.
 from .amplification import amplification_matrix, limit_matrix_zero  # noqa: F401
@@ -93,11 +102,6 @@ RADIUS_TOL = 1e-9
 
 #: Window for flagging repeated roots on the unit circle.
 REPEAT_WINDOW = 1e-7
-
-# Pole guard: cells whose L-determinant (the cubic's leading coefficient at
-# p = 3) is this small relative to 1 + |T| are marked unstable outright
-# instead of dividing by ~0.
-_DET_FLOOR = 1e-8
 
 # Largest number of (T sample, cell) pairs evaluated together; a scan with
 # more cells than this still takes one sample at a time.
@@ -242,11 +246,13 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     (:func:`~galpha.amplification.char_poly`, coefficients built once per
     scan; :func:`_cubic_roots`); complex samples at p = 3 and every other
     order take ``eigvals(solve(L, R))`` of the stacked one-step matrices, one
-    LAPACK call per matrix.  A sample where
-    (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T falls below the pole floor
-    marks its cell unstable.  For p = 3 the T->0 limit G(0) is always
-    included (cells with alpha_m = 0 have no finite limit and are marked
-    unstable), and the T->inf closed form for the equal-gamma closure.
+    LAPACK call per matrix.  A sample on the pole, where
+    (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
+    :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
+    factor itself is the cubic's leading coefficient.  For p = 3 the T->0
+    limit G(0) is always included (cells with alpha_m = 0 have no finite
+    limit and are marked unstable), and the T->inf closed form for the
+    equal-gamma closure.
     """
     ncell = am.shape[0]
     samples = np.asarray(t_samples)
@@ -262,8 +268,7 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
         t = samples[start:start + per_block, None]
-        det = am + gammas[0] * af * t
-        valid = np.abs(det) > _DET_FLOOR * (1.0 + np.abs(t))
+        det, valid = pole_factor(am, gammas[0] * af * t)
         if cubic:
             # the mu^3 coefficient of rho + T sigma is -det exactly
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
@@ -389,20 +394,28 @@ def verify_rho_control(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> fl
     This is the measured behaviour of the closed-form limit matrix itself;
     see the stability notes in README.
     """
-    am, af = params_from_rho(rho_inf, branch)
-    params = make_scheme(3, am, af, Variant.EQUAL_GAMMA)
-    eigs = numkit.eigenvalues(limit_matrix_inf(params))
-    return float(np.abs(eigs).max() - rho_inf)
+    return _max_eig_inf(*params_from_rho(rho_inf, branch)) - rho_inf
+
+
+def _max_eig_inf(alpha_m, alpha_f) -> float:
+    """max |eig(Ainf)| of the equal-gamma third-order scheme, by ``numkit.eigenvalues``."""
+    params = make_scheme(3, alpha_m, alpha_f, Variant.EQUAL_GAMMA)
+    return float(np.abs(numkit.eigenvalues(limit_matrix_inf(params))).max())
 
 
 @dataclass(frozen=True)
 class RhoPoint:
-    """One sample of a rho-parameterized branch; ``pole`` marks undefined rows."""
+    """One sample of a rho-parameterized branch; ``pole`` marks undefined rows.
+
+    ``max_eig_inf`` is the stiff-limit radius max |eig(Ainf)| of the
+    equal-gamma scheme, the value :func:`verify_rho_control` compares with rho.
+    """
 
     rho: float
     alpha_m: float | None
     alpha_f: float | None
     inside_region: bool | None
+    max_eig_inf: float | None
     pole: bool
 
 
@@ -416,9 +429,9 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
         try:
             am, af = params_from_rho(rho, branch)
         except PoleAtRho:
-            points.append(RhoPoint(rho, None, None, None, True))
+            points.append(RhoPoint(rho, None, None, None, None, True))
             continue
-        points.append(RhoPoint(rho, am, af, in_stability_region(am, af), False))
+        points.append(RhoPoint(rho, am, af, in_stability_region(am, af), _max_eig_inf(am, af), False))
     return points
 
 

@@ -6,10 +6,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from galpha import __version__
+from galpha import __version__, numkit
+from galpha.amplification import limit_matrix_inf
 from galpha.cli import main
+from galpha.schemes import make_scheme
 
 
 def run_cli(capsys, *argv):
@@ -450,6 +453,21 @@ def test_rho_curve_rows_and_poles(tmp_path, capsys):
     assert all(r[4] == "true" for r in main_rows)
     alt2_zero = next(r for r in rows if r[0] == "alt2" and float(r[1]) == 0.0)
     assert float(alt2_zero[3]) == pytest.approx((5.0 + math.sqrt(7.0)) / 4.0, abs=1e-12)
+
+
+def test_rho_curve_writes_the_stiff_limit_radius(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "rho-curve", "--out", str(tmp_path))
+    assert code == 0
+    checked = 0
+    for line in (tmp_path / "rho_curves.csv").read_text().splitlines()[1:]:
+        _, _, am, af, _, max_eig, pole = line.split(",")
+        if pole == "1":
+            continue
+        params = make_scheme(3, float(am), float(af))
+        expected = float(np.abs(numkit.eigenvalues(limit_matrix_inf(params))).max())
+        assert float(max_eig) == expected, line
+        checked += 1
+    assert checked == 401
 
 
 # --- order check ----------------------------------------------------------------------

@@ -59,6 +59,15 @@ def test_inf_to_finite_is_an_infinite_relative_change(tmp_path):
     assert "largest relative change inf (radius)" in summary
 
 
+def test_moves_between_inf_and_finite_are_counted(tmp_path):
+    tool = _load_tool()
+    old = _MAP + "1,1,inf,0\n"
+    new = old.replace("inf", "7").replace("2.5,0", "inf,0")
+    summary = tool.csv_changes(old.encode(), new.encode())
+    assert summary.endswith("; 2 cells inf -> finite; 1 cell finite -> inf")
+    assert "cells" not in tool.csv_changes(_MAP.encode(), _MAP.replace("2.5", "3").encode())
+
+
 def test_runs_differ_in_output_and_exit_code():
     tool = _load_tool()
     old = {"stdout": b"wrote 3 rows\n", "stderr": b"", "exit code": 0}

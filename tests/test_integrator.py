@@ -7,11 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from galpha import integrator
 from galpha.amplification import (
     amplification_matrix,
     characteristic_recurrence_residual,
+    fill_tableau,
     one_step_tableau,
 )
 from galpha.errors import SolveFailed, StateOverflow, StepSingular
@@ -27,6 +29,7 @@ from galpha.integrator import (
     write_trajectory_csv,
 )
 from galpha.schemes import Variant, make_scheme, params_from_rho
+from galpha.stability import worst_case_radius
 
 from conftest import region_draws
 
@@ -152,6 +155,31 @@ def test_high_order_scalar_step_is_amplification_multiply(p):
         assert np.abs(stepped.stack[:, 0] - expected).max() <= bound * scale
 
 
+@pytest.mark.parametrize("t", [1e1, 1e3, 1e5])
+def test_stiff_scalar_march_follows_extended_precision(t):
+    """A stiff march's error is the scheme's transient from the exact-derivative
+    start, not round-off: every u_n of the double march lies within 1e-9 max|u|
+    of the same march G(T)^n U0 in 60 digits (off by 6.1e-16, 6.2e-13 and
+    1.4e-11 at T = 1e1, 1e3 and 1e5)."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    tau = 0.1
+    lam = t / tau
+    got = np.array([u[0] for _, u in integrate(params, scalar_problem(lam), 1.0, tau, 1.0)])
+    with mp.workdps(60):
+        one = mp.mpf(1)
+        gammas = [mp.mpf(g) for g in params.gammas]
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(params.alpha_m), mp.mpf(params.alpha_f), gammas, one)
+        big_t = mp.mpf(lam) * mp.mpf(tau)
+        G = fill_tableau(tab_l, big_t, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, big_t, mp.zeros(3, 3))
+        state = mp.matrix([(-big_t) ** j for j in range(3)])
+        expected = [complex(state[0])]
+        for _ in range(len(got) - 1):
+            state = G * state
+            expected.append(complex(state[0]))
+    expected = np.array(expected)
+    assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("p", range(2, 12))
 def test_one_apply_per_step(p):
     calls = {"apply": 0}
@@ -224,6 +252,27 @@ def test_scalar_problem_singular_shift():
     problem = scalar_problem(-2.0)
     with pytest.raises(StepSingular):
         problem.shifted_solve(1.0, 0.5, np.array([1.0]))
+
+
+POLE_CELLS = [(2, 0.5, 1.2), (3, 0.5, 1.2), (4, 0.4, 1.3), (6, 0.3, 1.0), (11, 0.2, 0.9)]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-11, 1e-9])
+@pytest.mark.parametrize("p, alpha_m, alpha_f", POLE_CELLS)
+def test_scalar_march_is_singular_where_the_scan_finds_the_pole(p, alpha_m, alpha_f, delta):
+    """gamma_1 < 0 puts the pole T* = -alpha_m / (gamma_1 alpha_f) on T > 0;
+    a march at lambda tau = T* (1 + delta) fails exactly where the scan
+    reports radius inf."""
+    params = make_scheme(p, alpha_m, alpha_f)
+    assert params.gamma1 < 0.0
+    t = -params.alpha_m / (params.gamma1 * params.alpha_f) * (1.0 + delta)
+    pole = worst_case_radius(params, [t]).radius == np.inf
+    assert pole == (delta < 1e-12)
+    if pole:
+        with pytest.raises(StepSingular):
+            integrate(params, scalar_problem(t), 1.0, 1.0, 1.0)
+    else:
+        integrate(params, scalar_problem(t), 1.0, 1.0, 1.0)
 
 
 def test_dense_problem_singular_shift():

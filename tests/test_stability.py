@@ -145,6 +145,17 @@ def test_singular_sample_marks_unstable_p4():
     assert not report.stable
 
 
+@pytest.mark.parametrize("alpha_m", [0.25, 0.5, 0.99])
+def test_no_pole_without_alpha_f(alpha_m):
+    """At alpha_f = 0, (p-2)! det L(T) = alpha_m for every T: no sample is a
+    pole, and the radius is the worst per-sample eig(G) with the T -> 0 limit."""
+    params = make_scheme(3, alpha_m, 0.0, Variant.REMARK_ONE)
+    mats = [amplification_matrix(params, t) for t in default_t_samples()]
+    mats.append(limit_matrix_zero(params))
+    expected = max(float(np.abs(numkit.eigenvalues(m)).max()) for m in mats)
+    assert worst_case_radius(params).radius == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 BAD_SAMPLES = [[], [np.inf], [np.nan], [1.0, -np.inf], [1.0, complex(1.0, np.nan)]]
 
 
@@ -414,6 +425,15 @@ def test_rho_curve_alt_branches_flag_the_pole(branch):
     assert last.alpha_m is None and last.alpha_f is None and last.inside_region is None
     with pytest.raises(PoleAtRho):
         params_from_rho(1.0, branch)
+
+
+@pytest.mark.parametrize("branch", list(RhoBranch))
+def test_rho_curve_max_eig_inf_is_what_verify_rho_control_measures(branch):
+    for point in rho_curve(branch, 11):
+        if point.pole:
+            assert point.max_eig_inf is None
+        else:
+            assert point.max_eig_inf - point.rho == verify_rho_control(point.rho, branch)
 
 
 def test_rho_curve_needs_two_points():

@@ -9,9 +9,10 @@ CHANGE_ROOT defaults to the repository this script belongs to.  For each
 case this compares stdout, stderr, the exit code and every file under the
 output directory byte for byte.  For a CSV file that differs in its numbers
 only, it prints how many rows changed, in which columns, the largest
-relative and absolute change, and the largest finite |value| of the
-parent's changed columns, the scale of that absolute change.  The exit code
-is 1 on any difference.
+relative and absolute change, the largest finite |value| of the parent's
+changed columns (the scale of that absolute change), and how many cells
+moved between inf and a finite value, when any did.  The exit code is 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
     header = rows_a[0]
     rows, columns, largest = 0, set(), dict.fromkeys(header, 0.0)
     rel, rel_col, diff, diff_col = 0.0, "", 0.0, ""
+    moved = {"inf -> finite": 0, "finite -> inf": 0}
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         if len(row_a) != len(header) or len(row_b) != len(header):
             return None
@@ -106,6 +108,10 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
             d = abs(b - a) if math.isfinite(a) and math.isfinite(b) else math.inf
             if d > diff:
                 diff, diff_col = d, name
+            if math.isinf(a) and math.isfinite(b):
+                moved["inf -> finite"] += 1
+            elif math.isfinite(a) and math.isinf(b):
+                moved["finite -> inf"] += 1
         rows += changed
     names = [name for name in header if name in columns]
     shown = ", ".join(names[:4]) + (f" and {len(names) - 4} more" if len(names) > 4 else "")
@@ -114,6 +120,7 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
         f"largest relative change {rel:.2g} ({rel_col}), largest absolute change "
         f"{diff:.2g} ({diff_col}), largest |value| in those columns "
         f"{max((largest[name] for name in names), default=0.0):.3g}"
+        + "".join(f"; {n} cell{'s' * (n != 1)} {move}" for move, n in moved.items() if n)
     )
 
 
