@@ -37,6 +37,7 @@ The p = 3 case reduces to
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -108,38 +109,50 @@ def fill_tableau(entries, t, out):
     return out
 
 
-def char_poly(p, alpha_m, alpha_f, gammas):
+def _poly_sum(products):
+    """Sum of products of polynomials, each a coefficient list, lowest power first."""
+    total = []
+    for first, *rest in products:
+        for y in rest:
+            out = [0] * (len(first) + len(y) - 1)
+            for i, xi in enumerate(first):
+                for j, yj in enumerate(y):
+                    out[i + j] = out[i + j] + xi * yj
+            first = out
+        total = [s + t for s, t in zip_longest(total, first, fillvalue=0)]
+    return total
+
+
+def char_poly(p, alpha_m, alpha_f, gammas, one=1.0):
     """Coefficients of (rho, sigma) with det(R(T) - mu L(T)) = rho(mu) + T sigma(mu).
 
-    Every T-coefficient of the tableau sits in the last row, and the
-    determinant is linear in that row: rho is det(R0 - mu L0), and sigma is
-    the same determinant with the last row replaced by that of R1 - mu L1.
-    Both are evaluated at the p + 1 roots of unity, one point at a time, and
-    an FFT turns the values into coefficients.  The mu^p coefficients are
-    set exactly from the pole factor (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!.
-
-    ``alpha_m``, ``alpha_f`` and the p - 1 ``gammas`` are floats or per-cell
-    arrays.  Returns two real arrays of shape (p + 1,) + cell shape, lowest
-    power first.
+    T enters the last row only: rho is det(R0 - mu L0), sigma the same with
+    the last row from R1 - mu L1.  Rows 0 .. p-2 are upper triangular (U,
+    diagonal 1 - mu); back-substituting the last column c through them
+    without division, w_i = c_i (1-mu)^(p-2-i) - sum_{j>i} U_ij w_j (1-mu)^(j-i-1),
+    gives det = (1-mu)^(p-1) d - sum_j r_j w_j (1-mu)^j for the last row r and
+    corner d, in + and * only.  Arguments are floats, per-cell arrays,
+    Fractions or mpmath numbers (``one`` as in :func:`one_step_tableau`).
+    Returns two arrays of shape (p + 1,) + cell shape, lowest power first:
+    float64 for float input, exact Fractions (or mpmath numbers) otherwise.
+    The mu^p terms are set from the pole factor (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!.
     """
-    tab_l, tab_r = one_step_tableau(p, alpha_m, alpha_f, gammas)
-    shape = np.broadcast(alpha_m, alpha_f, *gammas).shape
-    n = p + 1
-    values = np.empty((2, n) + shape, dtype=complex)
-    m = np.empty(shape + (p, p), dtype=complex)
-    entry = np.moveaxis(m, (-2, -1), (0, 1))  # entry[i, j]: that entry of every cell
-    for k in range(n):
-        z = np.exp(2j * np.pi * k / n)
-        for poly in (0, 1):  # rho, then sigma: last row from the T-coefficients
-            m.fill(0.0)
-            for weight, entries in ((1.0, tab_r), (-z, tab_l)):
-                for (i, j), pair in entries.items():
-                    entry[i, j] += weight * pair[poly if i == p - 1 else 0]
-            values[poly, k] = np.linalg.det(m)
-    rho, sigma = np.fft.fft(values, axis=1).real / n
-    sign = (-1) ** p / factorial(p - 2)
-    rho[p] = sign * alpha_m
-    sigma[p] = sign * gammas[0] * alpha_f
+    tab_l, tab_r = one_step_tableau(p, alpha_m, alpha_f, gammas, one)
+    last, none = p - 1, (0 * one, 0 * one)
+
+    def entry(i, j, poly=0):  # R - mu L at (i, j) from the c0 (rho) or c1 (sigma) terms
+        return [tab_r.get((i, j), none)[poly], -tab_l.get((i, j), none)[poly]]
+    powers = [_poly_sum([[[one]] + [entry(0, 0)] * m]) for m in range(p)]  # (1 - mu)^m
+    w = {}  # back-substitution through rows p-2 .. 0
+    for i in reversed(range(last)):
+        w[i] = _poly_sum([(powers[last - 1 - i], entry(i, last))] + [
+            ([-tab_r[i, j][0]], powers[j - i - 1], w[j]) for j in range(i + 1, last)])
+    rho, sigma = (np.stack(np.broadcast_arrays(*_poly_sum(
+        [(powers[last], entry(last, last, poly))]
+        + [([-one], powers[j], entry(last, j, poly), w[j]) for j in range(last)]
+    ))) for poly in (0, 1))
+    rho[p] = (-1) ** p * alpha_m / factorial(p - 2)
+    sigma[p] = (-1) ** p * gammas[0] * alpha_f / factorial(p - 2)
     return rho, sigma
 
 

@@ -5,8 +5,8 @@ Everything here targets the one-step matrices of dimension p <= 12.
 near-singularity is reported through an explicit pivot threshold (its caller,
 ``amplification_matrix``, turns that into ``SingularAtT``); ``eigenvalues``
 defers to LAPACK, which is the right tool for dense nonsymmetric spectra.
-Characteristic polynomials are not built here: their coefficients come from
-``amplification.char_poly`` as rho + T*sigma.
+Characteristic polynomials are not built here: ``amplification.char_poly``
+reads rho + T*sigma from the one-step tableau, exactly for Fraction input.
 """
 
 from __future__ import annotations

@@ -34,23 +34,24 @@ With alpha_f = 0 the factor is alpha_m at every T, so such a cell is
 scanned at every sample (unless alpha_m = 0) and has no pole.
 
 Every T-coefficient of the one-step tableau sits in its last row, so
-det(R(T) - mu L(T)) = rho(mu) + T sigma(mu)
-(:func:`~galpha.amplification.char_poly`): on the scalar test equation each
-scheme is a linear multistep method.  At p = 3 a real sample's spectrum is
-therefore the three roots of a real cubic, whose coefficients are built once
-per scan; they are found in real arithmetic (Cardano or the trigonometric
-form, then deflation), and on every sample of both default maps each root
-lies within 7.0e-12 max(1, radius) of ``eigvals(G)``.  Complex T at p = 3
-(off-axis diagnostics such as :func:`ray_t_samples`) and every other order
-take ``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and
-11 companion roots of rho + T sigma drift from eig(G) by more than 1e-12
-relative.  Both take the T samples in blocks of at most 2**15 (sample, cell)
-pairs: a single cell takes all samples in one call, the default 40 000-cell
-map one sample at a time.  The p = 3 limits are the one-step matrix at
-T = 0, G(0) = L(0)^{-1} R(0), through the same ``eigvals(solve(L, R))``,
-and the closed-form T -> inf matrix of the equal-gamma closure, by
-``eigvals``: a cubic in mu would split the defective double root -1 of that
-matrix at (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8.
+det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
+each scheme is a linear multistep method.  At p = 3 a real sample's spectrum
+is therefore the three roots of a real cubic, whose coefficients
+:func:`~galpha.amplification.char_poly` reads off the tableau once per scan
+(no determinant, no FFT).  The roots are found in real arithmetic (Cardano
+or the trigonometric form, then deflation), and on every sample of both
+default maps each root lies within 7.0e-12 max(1, radius) of
+``eigvals(G)``.  Complex T at p = 3 (off-axis diagnostics such as
+:func:`ray_t_samples`) and every other order take ``eigvals(solve(L, R))``
+of the stacked one-step matrices: at p = 10 and 11 companion roots of
+rho + T sigma drift from eig(G) by more than 1e-12 relative.  Both take the
+T samples in blocks of at most 2**15 (sample, cell) pairs: a single cell
+takes all samples in one call, the default 40 000-cell map one sample at a
+time.  The p = 3 limits are the one-step matrix at T = 0, G(0) =
+L(0)^{-1} R(0), through the same ``eigvals(solve(L, R))``, and the
+closed-form T -> inf matrix of the equal-gamma closure, by ``eigvals``: a
+cubic in mu would split the defective double root -1 of that matrix at
+(alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8.
 """
 
 from __future__ import annotations
@@ -437,9 +438,10 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
 
 def write_stability_csv(smap: StabilityMap, path) -> None:
     """Write the map row-major as ``alpha_m,alpha_f,radius,stable`` (17 digits)."""
-    am, af = np.meshgrid(smap.alpha_m, smap.alpha_f, indexing="ij")
-    columns = (am, af, smap.radius, smap.stable)
+    am_text = ["%.17g," % am for am in smap.alpha_m.tolist()]  # each axis value formatted once
+    af_text = ["%.17g," % af for af in smap.alpha_f.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha_m,alpha_f,radius,stable\n")
-        for cell in zip(*(column.ravel().tolist() for column in columns)):
-            fh.write("%.17g,%.17g,%.17g,%d\n" % cell)
+        for head, radius, stable in zip(am_text, smap.radius.tolist(), smap.stable.tolist()):
+            cells = zip(af_text, radius, stable)
+            fh.write("".join([head + af + "%.17g,%d\n" % (r, s) for af, r, s in cells]))

@@ -1,9 +1,11 @@
 """Tests for the one-step matrices, their limits, and local-error tools."""
 
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from galpha import numkit
 from galpha.amplification import (
@@ -12,13 +14,15 @@ from galpha.amplification import (
     build_lr_from_gammas,
     char_poly,
     characteristic_recurrence_residual,
+    fill_tableau,
     limit_inf_p3,
     limit_matrix_inf,
     limit_matrix_zero,
+    one_step_tableau,
     truncation_residual,
 )
 from galpha.errors import DegenerateParams, SingularAtT, TooShort, VariantUnsupported
-from galpha.schemes import Variant, closure_gammas, make_scheme, params_from_rho
+from galpha.schemes import Variant, c_of_p, closure_gammas, make_scheme, params_from_rho
 
 from conftest import assert_spectrum, closed_form_g3
 
@@ -124,6 +128,77 @@ def test_char_poly_per_cell_arrays_match_scalar_calls(variant):
         one = char_poly(3, am[k], af[k], [g[k] for g in gammas])
         assert np.allclose(rho[:, k], one[0], rtol=1e-15, atol=1e-15)
         assert np.allclose(sigma[:, k], one[1], rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_char_poly_arrays_match_scalar_calls_bit_for_bit(p):
+    """Per-cell arrays give the scalar calls' bits, and the mu^p coefficients
+    are the pole factor's terms (-1)^p alpha_m/(p-2)! and (-1)^p gamma_1 alpha_f/(p-2)!."""
+    rng = np.random.default_rng(100 + p)
+    am, af = rng.uniform(0.0, 1.5, (2, 9))
+    gammas = tuple(rng.uniform(-0.5, 1.5, (p - 1, 9)))
+    rho, sigma = char_poly(p, am, af, gammas)
+    assert rho.dtype == sigma.dtype == np.float64
+    for k in range(am.size):
+        one = char_poly(p, am[k], af[k], [g[k] for g in gammas])
+        assert np.array_equal(rho[:, k], one[0]) and np.array_equal(sigma[:, k], one[1])
+    assert np.array_equal(rho[p], (-1) ** p * am / factorial(p - 2))
+    assert np.array_equal(sigma[p], (-1) ** p * gammas[0] * af / factorial(p - 2))
+
+
+def _error_coefficients(rho, sigma, n):
+    """C_0 .. C_n of sum_j (rho_j + T sigma_j) e^{-jT} = sum_q C_q T^q."""
+    return [
+        (sum(r * (-j) ** q for j, r in enumerate(rho))
+         + (q * sum(s * (-j) ** (q - 1) for j, s in enumerate(sigma)) if q else 0)) / factorial(q)
+        for q in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_char_poly_exact_order_of_equal_gamma_schemes(p):
+    """Fraction input gives exact Fractions; the equal-gamma closure has C_0 .. C_p = 0."""
+    one = Fraction(1)
+    for am, af in [(Fraction(3, 4), Fraction(1, 2)), (one, Fraction(3, 5)), (Fraction(7, 5), Fraction(2, 3))]:
+        gammas = [c_of_p(p) + am - af] * (p - 1)
+        rho, sigma = char_poly(p, am, af, gammas, one)
+        assert all(type(c) is Fraction for c in [*rho, *sigma])
+        C = _error_coefficients(rho, sigma, p + 1)
+        assert C[: p + 1] == [0] * (p + 1)
+        assert C[p + 1] != 0
+
+
+@pytest.mark.parametrize(
+    "p,am,af,constant",
+    [
+        (2, Fraction(3, 4), Fraction(1, 2), Fraction(1, 12)),
+        (4, Fraction(1), Fraction(3, 5), Fraction(11, 300)),
+        (5, Fraction(1), Fraction(3, 5), Fraction(-719, 86400)),
+        (6, Fraction(1), Fraction(3, 5), Fraction(37, 25200)),
+    ],
+)
+def test_char_poly_exact_error_constant(p, am, af, constant):
+    """C_{p+1}/sigma(1) in exact arithmetic (0.0833, 0.0367, -0.00832, 0.00147 in floats)."""
+    rho, sigma = char_poly(p, am, af, [c_of_p(p) + am - af] * (p - 1), Fraction(1))
+    assert _error_coefficients(rho, sigma, p + 1)[p + 1] / sum(sigma) == constant
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_char_poly_in_extended_precision_is_the_determinant(p):
+    """With mpmath input, rho(mu) + T sigma(mu) is mp.det(R - mu L) to 50 digits."""
+    rng = np.random.default_rng(200 + p)
+    with mp.workdps(50):
+        one = mp.mpf(1)
+        am, af, *gammas = (mp.mpf(x) for x in rng.uniform(-0.5, 1.5, p + 1))
+        rho, sigma = char_poly(p, am, af, gammas, one)
+        tab_l, tab_r = one_step_tableau(p, am, af, gammas, one)
+        for _ in range(4):
+            mu, t = (mp.mpc(*rng.normal(size=2)) for _ in range(2))
+            t *= 10 ** rng.uniform(-2, 3)
+            L = fill_tableau(tab_l, t, mp.zeros(p, p))
+            R = fill_tableau(tab_r, t, mp.zeros(p, p))
+            terms = [r * mu**j for j, r in enumerate(rho)] + [t * s * mu**j for j, s in enumerate(sigma)]
+            assert abs(mp.fsum(terms) - mp.det(R - mu * L)) <= mp.mpf(10) ** -40 * mp.fsum(map(abs, terms))
 
 
 def test_char_poly_roots_are_the_limit_spectra():
