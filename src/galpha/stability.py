@@ -38,7 +38,7 @@ det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
 each scheme is a linear multistep method.  At p = 3 a real sample's spectrum
 is therefore the three roots of a real cubic, whose coefficients
 :func:`~galpha.amplification.char_poly` reads off the tableau once per scan
-(no determinant, no FFT).  The roots are found in real arithmetic (Cardano
+by back-substitution.  The roots are found in real arithmetic (Cardano
 or the trigonometric form, then deflation), and on every sample of both
 default maps each root lies within 7.0e-12 max(1, radius) of
 ``eigvals(G)``.  Complex T at p = 3 (off-axis diagnostics such as
