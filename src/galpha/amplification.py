@@ -53,7 +53,6 @@ __all__ = [
     "build_lr",
     "build_lr_from_gammas",
     "amplification_matrix",
-    "limit_inf_p3",
     "limit_matrix_zero",
     "limit_matrix_inf",
     "pole_factor",
@@ -192,29 +191,6 @@ def amplification_matrix(params: SchemeParams, t) -> np.ndarray:
         raise SingularAtT(f"one-step matrix is singular at T={t!r}: {exc}") from exc
 
 
-def limit_inf_p3(alpha_f, gamma_1) -> np.ndarray:
-    """Closed-form limit of the equal-gamma p = 3 amplification matrix as T -> inf.
-
-    Ainf = [[1 - 1/(2 af), 1 - 1/(2 af), 0],
-            [-1/af,        1 - 1/af,     0],
-            [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
-
-    Arguments may be per-cell arrays; the result then stacks one 3x3 matrix
-    per cell in its trailing axes, as float64.  alpha_f and gamma_1 must be
-    real and nonzero.
-    """
-    af, g1 = alpha_f, gamma_1
-    ainf = np.zeros(np.broadcast(af, g1).shape + (3, 3))
-    ainf[..., 0, 0] = 1.0 - 0.5 / af
-    ainf[..., 0, 1] = 1.0 - 0.5 / af
-    ainf[..., 1, 0] = -1.0 / af
-    ainf[..., 1, 1] = 1.0 - 1.0 / af
-    ainf[..., 2, 0] = -1.0 / (g1 * af)
-    ainf[..., 2, 1] = -1.0 / (g1 * af)
-    ainf[..., 2, 2] = 1.0 - 1.0 / g1
-    return ainf
-
-
 def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
     """Closed-form limit of a third-order amplification matrix (any closure) as T -> 0.
 
@@ -239,11 +215,15 @@ def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
 
 
 def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
-    """:func:`limit_inf_p3` (float64) for an equal-gamma third-order scheme.
+    """Closed-form limit of an equal-gamma third-order amplification matrix as T -> inf.
 
-    Requires alpha_f != 0 and gamma_1 != 0.  The trailing entry 1 - 1/g1 is
-    an exact eigenvalue (the third column is otherwise zero), and the leading
-    2x2 block depends on alpha_f alone.
+    Ainf = [[1 - 1/(2 af), 1 - 1/(2 af), 0],
+            [-1/af,        1 - 1/af,     0],
+            [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
+
+    as float64.  Requires alpha_f != 0 and gamma_1 != 0.  The trailing entry
+    1 - 1/g1 is an exact eigenvalue (the third column is otherwise zero), and
+    the leading 2x2 block depends on alpha_f alone.
     """
     if params.p != 3:
         raise VariantUnsupported("closed-form T->inf limit is available for p=3 only")
@@ -252,9 +232,14 @@ def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
             "T->inf limit has closed form only for the equal-gamma closure; "
             "sample G at large T instead"
         )
-    if params.alpha_f == 0.0 or params.gamma1 == 0.0:
+    af, g1 = params.alpha_f, params.gamma1
+    if af == 0.0 or g1 == 0.0:
         raise DegenerateParams("T->inf limit undefined for alpha_f = 0 or gamma_1 = 0")
-    return limit_inf_p3(params.alpha_f, params.gamma1)
+    return np.array(
+        [[1.0 - 0.5 / af, 1.0 - 0.5 / af, 0.0],
+         [-1.0 / af, 1.0 - 1.0 / af, 0.0],
+         [-1.0 / (g1 * af), -1.0 / (g1 * af), 1.0 - 1.0 / g1]]
+    )
 
 
 def pole_factor(a, b):

@@ -9,15 +9,18 @@ Two independent instruments live here:
   gamma_j = C(p) + alpha_m - alpha_f as an unknown and recovers it from the
   one-step matrices alone.  The principal eigenvalue of G(T) matches exp(-T)
   to order p + 1 exactly when C takes its tabulated value, that is, when
-  det(R(T) - exp(-T) L(T)) = 0, and with equal gammas that determinant is
-  affine in the common gamma.  The probe T carries a bias linear in T (from
-  the next error order); the default T = 1e-10 keeps it at ~1e-11, and the
-  determinants run in extended precision (mpmath) because the signal sits
-  T^(p+1) below the matrix entries.
+  det(R(T) - mu L(T)) = rho(mu) + T sigma(mu) vanishes at mu = exp(-T), and
+  with equal gammas that determinant is affine in the common gamma.  Its
+  coefficients come from :func:`~galpha.amplification.char_poly`, read off
+  the tableau by back-substitution.  The probe T carries a bias linear in T
+  (from the next error order); the default T = 1e-10 keeps it at ~1e-11, and
+  the coefficients and their evaluation run in extended precision (mpmath)
+  because the signal sits T^(p+1) below the matrix entries.
 
 :func:`error_functional`, the scaled defect [principal eig - exp(-T)] /
 T^(p+1) from ``mp.eig`` of G, crosses zero at the same C by another solver
-and is the tests' oracle for recover_C.
+(eigenvalues of the matrices, not roots of the polynomial) and is the
+tests' oracle for recover_C.
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -33,7 +36,7 @@ from math import isfinite, nan
 import numpy as np
 from mpmath import mp
 
-from .amplification import fill_tableau, one_step_tableau
+from .amplification import char_poly, fill_tableau, one_step_tableau
 from .errors import AllAtRoundoff, NoRoot
 from .integrator import integrate, scalar_problem
 from .schemes import SchemeParams, c_of_p
@@ -106,17 +109,12 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
-def _lr_mp(p, g, am, af, t):
-    """L(t), R(t) as ``mp.matrix`` with every gamma equal to g."""
-    return (
-        fill_tableau(entries, t, mp.zeros(p, p))
-        for entries in one_step_tableau(p, am, af, [g] * (p - 1), one=mp.mpf(1))
-    )
-
-
 def _defect_mp(p, c, am, af, t):
     """E(C) as an mpf, inside an active extended-precision context."""
-    L, R = _lr_mp(p, c + am - af, am, af, t)
+    L, R = (
+        fill_tableau(entries, t, mp.zeros(p, p))
+        for entries in one_step_tableau(p, am, af, [c + am - af] * (p - 1), one=mp.mpf(1))
+    )
     eigs = mp.eig(L**-1 * R, left=False, right=False)
     target = mp.exp(-t)
     principal = min(eigs, key=lambda z: (abs(z - target), -mp.re(z)))
@@ -124,14 +122,15 @@ def _defect_mp(p, c, am, af, t):
 
 
 def _pencil_det(p, g, am, af, t, mu):
-    """det(R(t) - mu L(t)) with every gamma equal to g, in the active mp context."""
-    L, R = _lr_mp(p, g, am, af, t)
-    return mp.det(R - mu * L)
+    """det(R(t) - mu L(t)) = rho(mu) + t sigma(mu) with every gamma equal to g,
+    in the active mp context."""
+    rho, sigma = char_poly(p, am, af, [g] * (p - 1), mp.mpf(1))
+    return mp.polyval(list(rho[::-1] + t * sigma[::-1]), mu)
 
 
 def _dps_for(p: int) -> int:
     # The signal sits ~T^(p+1) below the O(1) matrix entries; at T = 1e-10
-    # that is 10*(p+1) digits, plus ~40 guard digits for the elimination.
+    # that is 10*(p+1) digits, plus ~40 guard digits for the arithmetic.
     return 40 + 10 * (p + 1)
 
 
@@ -164,9 +163,10 @@ def recover_C(
 ) -> float:
     """The closure constant C(p), recovered from the one-step matrices, not assumed.
 
-    With every gamma equal to g, D(g) = det(R(T) - mu L(T)) at T = ``probe_t``
-    and mu = exp(-T) is affine in g (every gamma sits in the last column), so
-    its root is g* = D(0) / (D(0) - D(1)) and C = g* - alpha_m + alpha_f.
+    With every gamma equal to g, D(g) = det(R(T) - mu L(T)) = rho(mu) +
+    T sigma(mu) at T = ``probe_t`` and mu = exp(-T) is affine in g (every
+    gamma sits in the last column), so its root is g* = D(0) / (D(0) - D(1))
+    and C = g* - alpha_m + alpha_f.
 
     Raises :class:`NoRoot` when D(0) = D(1) (D does not depend on g) or when
     the root C lies outside [0, 1], and ``ValueError`` for p < 2 or a

@@ -8,7 +8,7 @@ analysis of the third-order family is a real-axis statement: the region
 
 guarantees radius <= 1 for every real T >= 0 including both limits.  The
 default sample set used for the scan therefore walks the real axis (log-spaced
-over twelve decades) and appends the two limit matrices.
+over twelve decades), and at p = 3 the scan adds both limits.
 
 Off-axis behaviour is genuinely different and can be probed with
 :func:`ray_t_samples`: measured radii exceed 1 along rays close to the
@@ -47,11 +47,16 @@ of the stacked one-step matrices: at p = 10 and 11 companion roots of
 rho + T sigma drift from eig(G) by more than 1e-12 relative.  Both take the
 T samples in blocks of at most 2**15 (sample, cell) pairs: a single cell
 takes all samples in one call, the default 40 000-cell map one sample at a
-time.  The p = 3 limits are the one-step matrix at T = 0, G(0) =
-L(0)^{-1} R(0), through the same ``eigvals(solve(L, R))``, and the
-closed-form T -> inf matrix of the equal-gamma closure, by ``eigvals``: a
-cubic in mu would split the defective double root -1 of that matrix at
-(alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8.
+time.  The p = 3 limits are points of the same tableau.  T = 0 is one more
+sample, ahead of the others, so the real cubic takes it too, and its pole
+is alpha_m = 0 by the same :func:`~galpha.amplification.pole_factor`.  For
+the equal-gamma closure, dividing the last rows of L(T) and R(T) by T and
+letting T -> inf leaves their T-coefficients alone; that pair goes through
+``eigvals(solve(L, R))``, with its pole gamma_1 alpha_f = 0 again by
+:func:`~galpha.amplification.pole_factor`.  A cubic in mu would split the
+defective double root -1 of G(inf) at (alpha_m, alpha_f) = (7/12, 1/2) by
+about 1e-8.  The remark-one closure takes no T -> inf limit: its largest
+real samples stand in for it.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from . import numkit
 from .amplification import (
     char_poly,
     fill_tableau,
-    limit_inf_p3,
     limit_matrix_inf,
     one_step_tableau,
     pole_factor,
@@ -217,8 +221,7 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I.
     The stacks take the dtype of ``t``, so real T goes to LAPACK's real
     eigensolver.  LAPACK runs once per matrix, so the result does not depend
-    on the block.  Returns the real and imaginary parts, eigenvalues first
-    (:func:`_parts`).
+    on the block.  Returns the real and imaginary parts, eigenvalues first.
     """
     # the transposed views index the stacks as [i, j] -> [:, :, i, j]
     dtype = np.result_type(t, float)
@@ -227,12 +230,7 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
     fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
     L[~valid] = np.eye(p)
-    return _parts(np.linalg.eigvals(np.linalg.solve(L, R)))
-
-
-def _parts(eigs):
-    """Real and imaginary parts of a (..., d) spectrum, roots along the first axis."""
-    eigs = np.moveaxis(eigs, -1, 0)
+    eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
     return eigs.real, eigs.imag
 
 
@@ -251,14 +249,17 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
     :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
     factor itself is the cubic's leading coefficient.  For p = 3 the T->0
-    limit G(0) is always included (cells with alpha_m = 0 have no finite
-    limit and are marked unstable), and the T->inf closed form for the
-    equal-gamma closure.
+    limit is the sample T = 0, placed before the others (alpha_m = 0 is its
+    pole), and the equal-gamma closure adds the T->inf limit: the last rows
+    of L and R divided by T keep their T-coefficients alone, and the pole of
+    that pair is gamma_1 alpha_f = 0.
     """
     ncell = am.shape[0]
     samples = np.asarray(t_samples)
     if samples.size == 0 or not np.isfinite(samples).all():
         raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
+    if p == 3:
+        samples = np.concatenate(([0.0], samples))
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
     tab_l, tab_r = one_step_tableau(p, am, af, gammas)
@@ -278,30 +279,29 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
             roots = _one_step_spectra(p, tab_l, tab_r, t, valid)
         _accumulate(*roots, radius, repeated, valid)
 
-    if p == 3:
-        # G is continuous at T = 0 wherever det L(0) = alpha_m is nonzero
-        valid = (am != 0.0)[None]
-        A0_eigs = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
-        _accumulate(*A0_eigs, radius, repeated, valid)
-        if variant is Variant.EQUAL_GAMMA:
-            g1 = gammas[0]
-            valid = (af != 0.0) & (g1 != 0.0)
-            Ainf = limit_inf_p3(np.where(valid, af, 1.0), np.where(valid, g1, 1.0))
-            _accumulate(*_parts(np.linalg.eigvals(Ainf)), radius, repeated, valid)
+    if p == 3 and variant is Variant.EQUAL_GAMMA:
+        # the last rows divided by T tend to their T-coefficients
+        tab_l, tab_r = (
+            {(i, j): (c1 if i == p - 1 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
+            for tab in (tab_l, tab_r)
+        )
+        valid = pole_factor(0.0, gammas[0] * af)[1][None]
+        roots = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
+        _accumulate(*roots, radius, repeated, valid)
 
     return radius, repeated
 
 
 def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
-    """Worst spectral radius of G over the sample set, plus limit matrices.
+    """Worst spectral radius of G over the sample set, plus limits at p = 3.
 
     Every order runs through the plane-scan kernel as a single cell, so up
-    to 2**15 samples go in one block.  For p = 3 the T->0 limit matrix is
-    appended for both closures and the T->inf closed form for the
+    to 2**15 samples go in one block.  For p = 3 the sample T = 0 is added
+    for both closures and the T->inf limit of the tableau for the
     equal-gamma closure (its role for the remark-one closure is covered by
     the largest real samples); other orders use the samples alone.  A
-    sample on the pole of the one-step system marks the parameters unstable
-    (radius = inf) instead of aborting the scan.
+    sample or limit on the pole of the one-step system marks the parameters
+    unstable (radius = inf) instead of aborting the scan.
     """
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]

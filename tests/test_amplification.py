@@ -15,7 +15,6 @@ from galpha.amplification import (
     char_poly,
     characteristic_recurrence_residual,
     fill_tableau,
-    limit_inf_p3,
     limit_matrix_inf,
     limit_matrix_zero,
     one_step_tableau,
@@ -297,7 +296,6 @@ def test_limit_inf_trailing_eigenvalue_is_exact():
 
 def test_limit_inf_is_real():
     assert limit_matrix_inf(make_scheme(3, 1.1, 0.8)).dtype == np.float64
-    assert limit_inf_p3(np.array([0.6, 0.9]), np.array([1.2, 1.5])).dtype == np.float64
 
 
 def test_limit_inf_block_radius_floor_is_one_third():

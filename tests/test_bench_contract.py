@@ -83,10 +83,11 @@ def test_tracing_records_spans_of_a_smoke_run(tmp_path, capsys):
     } <= names
 
 
-def test_traced_plane_scan_makes_two_eigvals_calls_and_one_solve(tmp_path, capsys):
-    # p = 3 samples are cubic roots of rho + T sigma; only the two stacked
-    # limit matrices reach LAPACK through stability.np.linalg, G(0) by a
-    # solve.  run.py's per-call figures divide by both counts.
+def test_traced_plane_scan_makes_one_eigvals_call_and_one_solve(tmp_path, capsys):
+    # p = 3 samples, T = 0 among them, are cubic roots of rho + T sigma; only
+    # the stacked T -> inf limit reaches LAPACK through stability.np.linalg,
+    # by one solve and one eigvals.  run.py's per-call figures divide by both
+    # counts.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
@@ -99,7 +100,7 @@ def test_traced_plane_scan_makes_two_eigvals_calls_and_one_solve(tmp_path, capsy
     capsys.readouterr()
     names = [span[0] for span in tracer.spans]
     scan = names[: names.index("stability.radius")]
-    assert scan.count("stability.linalg_eigvals") == 2
+    assert scan.count("stability.linalg_eigvals") == 1
     assert scan.count("stability.linalg_solve") == 1
     # other orders solve and take eigvals once for all 48 samples of a cell
     radius = names[names.index("stability.radius"):]

@@ -1,6 +1,7 @@
 """Property tests over random orders, parameters and T (hypothesis)."""
 
 import cmath
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from galpha import stability
-from galpha.amplification import amplification_matrix, build_lr_from_gammas
+from galpha.amplification import amplification_matrix, build_lr_from_gammas, char_poly
 from galpha.integrator import StateVector, init_state, scalar_problem, step
-from galpha.orderlab import _pencil_det
 from galpha.schemes import Variant, make_scheme
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
 
@@ -108,25 +108,18 @@ def test_scan_equals_per_cell_radius(variant, n_am, n_af, lo, width, n_t):
 
 
 @PROPERTY
-@given(
-    p=orders,
-    am=alphas,
-    af=alphas,
-    t_modulus=moduli,
-    t_angle=st.floats(min_value=-np.pi, max_value=np.pi),
-    mu_modulus=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e),
-    mu_angle=st.floats(min_value=-np.pi, max_value=np.pi),
-)
-def test_pencil_det_is_affine_in_the_common_gamma(p, am, af, t_modulus, t_angle, mu_modulus, mu_angle):
-    """D(g) = det(R(T) - mu L(T)) with equal gammas g is affine in g: recover_C's closed form."""
-    with mp.workdps(40):
-        t = mp.mpc(t_modulus * cmath.exp(1j * t_angle))
-        mu = mp.mpc(mu_modulus * cmath.exp(1j * mu_angle))
-        d0, half, d1 = (
-            _pencil_det(p, mp.mpf(g), mp.mpf(am), mp.mpf(af), t, mu) for g in (0, 0.5, 1)
-        )
-        scale = max(abs(d0), abs(d1))
-        assert abs(half - (d0 + d1) / 2) <= 1e-12 * scale
+@given(p=orders, am=alphas, af=alphas)
+def test_pencil_det_is_affine_in_the_common_gamma(p, am, af):
+    """With equal gammas g, every coefficient of rho and sigma (char_poly, in
+    exact Fractions) is affine in g, so D(g) = det(R(T) - mu L(T)) =
+    rho(mu) + T sigma(mu) is affine in g at every T and mu: recover_C's
+    closed form."""
+    am, af = Fraction(am), Fraction(af)
+    (rho0, sigma0), (rho_half, sigma_half), (rho1, sigma1) = (
+        char_poly(p, am, af, [g] * (p - 1), Fraction(1)) for g in (Fraction(0), Fraction(1, 2), Fraction(1))
+    )
+    assert (2 * rho_half == rho0 + rho1).all()
+    assert (2 * sigma_half == sigma0 + sigma1).all()
 
 
 @st.composite

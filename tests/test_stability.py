@@ -173,18 +173,44 @@ def test_scan_rejects_empty_or_nonfinite_samples(samples):
         scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=2, n_alpha_f=2), t_samples=samples)
 
 
-@pytest.mark.parametrize("p", [2, 4, 5, 6, 7, 8, 9, 10, 11])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_radius_matches_per_sample_eigenvalues(p):
-    """Every order runs the scan kernel; numkit on G(T) sample by sample agrees."""
+    """Every order runs the scan kernel; numkit on G(T) sample by sample agrees,
+    at p = 3 together with the closed-form limit matrices (G(0) decides the
+    first three p = 3 radii, G(inf) the last)."""
     samples = default_t_samples()
-    for am, af in [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55)]:
+    for am, af in [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55), (0.5, 0.5)]:
         params = make_scheme(p, am, af)
-        expected = max(
-            float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
-            for t in samples
-        )
+        matrices = [amplification_matrix(params, t) for t in samples]
+        if p == 3:
+            matrices += [limit_matrix_zero(params), limit_matrix_inf(params)]
+        expected = max(float(np.abs(numkit.eigenvalues(m)).max()) for m in matrices)
         report = worst_case_radius(params, samples)
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_alpha_m_zero_is_a_pole_of_the_t0_limit():
+    # det L(T) = gamma_1 alpha_f T: every positive sample is finite, T = 0 is the pole
+    params = make_scheme(3, 0.0, 0.6)
+    per_sample = max(
+        float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
+        for t in default_t_samples()
+    )
+    assert np.isfinite(per_sample)
+    assert worst_case_radius(params).radius == np.inf
+
+
+def test_alpha_f_zero_is_a_pole_of_the_equal_gamma_tinf_limit():
+    # det L(T) = alpha_m at every T, but the T -> inf pair has determinant
+    # gamma_1 alpha_f = 0; the remark-one closure takes no T -> inf limit
+    params = make_scheme(3, 0.9, 0.0)
+    per_sample = max(
+        float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
+        for t in default_t_samples()
+    )
+    assert np.isfinite(per_sample)
+    assert worst_case_radius(params).radius == np.inf
+    assert np.isfinite(worst_case_radius(make_scheme(3, 0.9, 0.0, Variant.REMARK_ONE)).radius)
 
 
 @pytest.mark.parametrize("samples", [ray_t_samples(1.3), ray_t_samples(0.999 * np.pi / 2, n=64)])
@@ -299,7 +325,7 @@ def test_blocked_scan_equals_single_cell_calls(monkeypatch, p, ncell, samples):
 
 
 def test_real_samples_take_the_real_eigensolver(monkeypatch):
-    """Real T (and the T -> 0 and T -> inf limits) reach eigvals as float64 stacks,
+    """Real T (and the T -> inf limit) reach eigvals as float64 stacks,
     complex T as complex128; the spectra agree to round-off."""
     dtypes, eigvals = [], np.linalg.eigvals
 
@@ -321,7 +347,7 @@ def test_real_samples_take_the_real_eigensolver(monkeypatch):
     assert dtypes == [np.float64, np.complex128] * 2
     dtypes.clear()
     scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=3, n_alpha_f=3))
-    assert dtypes == [np.float64, np.float64]
+    assert dtypes == [np.float64]
 
 
 # --- plane scans ----------------------------------------------------------------

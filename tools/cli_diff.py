@@ -40,6 +40,7 @@ CASES = [
     ("stability-map-remark-one", ["stability-map", "--variant", "remark-one"]),
     ("rho-curve", ["rho-curve", "--n-rho", "11"]),
     *((f"order-check-p{p}", ["order-check", "--p", str(p), "--recover-c"]) for p in range(2, 7)),
+    ("integrate-remark-one", ["integrate", "--variant", "remark-one", "--alpha-m", "0.5", "--alpha-f", "0.3"]),
 ]
 
 
