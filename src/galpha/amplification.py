@@ -44,7 +44,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DegenerateParams, SingularAtT, SingularMatrix, TooShort, VariantUnsupported
-from .schemes import SchemeParams, Variant, order_condition_residuals
+from .schemes import SchemeParams, order_condition_residuals
 
 __all__ = [
     "one_step_tableau",
@@ -215,28 +215,26 @@ def limit_matrix_zero(params: SchemeParams) -> np.ndarray:
 
 
 def limit_matrix_inf(params: SchemeParams) -> np.ndarray:
-    """Closed-form limit of an equal-gamma third-order amplification matrix as T -> inf.
+    """Closed-form limit of a third-order amplification matrix (any closure) as T -> inf.
 
-    Ainf = [[1 - 1/(2 af), 1 - 1/(2 af), 0],
+    With r = g2/g1,
+
+    Ainf = [[1 - r/(2 af), 1 - r/(2 af), 1/2 - r/2],
             [-1/af,        1 - 1/af,     0],
             [-1/(g1 af),   -1/(g1 af),   1 - 1/g1]]
 
-    as float64.  Requires alpha_f != 0 and gamma_1 != 0.  The trailing entry
-    1 - 1/g1 is an exact eigenvalue (the third column is otherwise zero), and
-    the leading 2x2 block depends on alpha_f alone.
+    as float64.  Requires alpha_f != 0 and gamma_1 != 0.  For equal gammas
+    r = 1, so the third column is (0, 0, 1 - 1/g1): the trailing entry is an
+    exact eigenvalue and the leading 2x2 block depends on alpha_f alone.
     """
     if params.p != 3:
         raise VariantUnsupported("closed-form T->inf limit is available for p=3 only")
-    if params.variant is not Variant.EQUAL_GAMMA:
-        raise VariantUnsupported(
-            "T->inf limit has closed form only for the equal-gamma closure; "
-            "sample G at large T instead"
-        )
-    af, g1 = params.alpha_f, params.gamma1
+    af, (g1, g2) = params.alpha_f, params.gammas
     if af == 0.0 or g1 == 0.0:
         raise DegenerateParams("T->inf limit undefined for alpha_f = 0 or gamma_1 = 0")
+    r = g2 / g1
     return np.array(
-        [[1.0 - 0.5 / af, 1.0 - 0.5 / af, 0.0],
+        [[1.0 - 0.5 * r / af, 1.0 - 0.5 * r / af, 0.5 - 0.5 * r],
          [-1.0 / af, 1.0 - 1.0 / af, 0.0],
          [-1.0 / (g1 * af), -1.0 / (g1 * af), 1.0 - 1.0 / g1]]
     )
@@ -294,14 +292,18 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
 
 
 def truncation_residual(params: SchemeParams, t) -> complex:
-    """Leading local-error term of the p = 3 family at T = lambda*tau.
+    """The hand-written local-error bracket of the p = 3 family at T = lambda*tau:
 
-    The residual of the exact solution in the one-step recurrence expands as
+        T^3 / (12 (alpha_m + gamma_1 alpha_f T)) * [b0 + T b1]
 
-        T^3 / (12 (alpha_m + gamma_1 alpha_f T)) * [b0 + T b1] + O(T^5)
-
-    where (b0, b1) are exactly the two order-condition residuals of
-    :func:`~galpha.schemes.order_condition_residuals`.
+    where (b0, b1) are the two order-condition residuals of
+    :func:`~galpha.schemes.order_condition_residuals`.  It is not the
+    residual of the exact solution in the recurrence: for u_n = exp(-T n),
+    :func:`characteristic_recurrence_residual` has a T^4 coefficient that
+    tends to 7/(108 alpha_m) at MAIN rho_inf = 0.5, where the bracket gives
+    1/(108 alpha_m), and to C_4/alpha_m = 37/456 for the remark-one closure
+    at (1, 0.6), where the bracket is 0.  What the bracket measures is an
+    open question (ROADMAP item 8).
     """
     b0, b1 = order_condition_residuals(params)
     t = complex(t)

@@ -30,8 +30,8 @@ alpha_f T.  A sample where that sum is lost to cancellation, at most 1e-12
 (|alpha_m| + |gamma_1 alpha_f T|) (:func:`~galpha.amplification.pole_factor`,
 the rule by which the recurrence checks raise ``SingularAtT`` and a scalar
 march raises ``StepSingular``), marks its cell unstable with radius inf.
-With alpha_f = 0 the factor is alpha_m at every T, so such a cell is
-scanned at every sample (unless alpha_m = 0) and has no pole.
+With alpha_f = 0 the factor is alpha_m at every T, so no sample of such a
+cell is on the pole (unless alpha_m = 0).
 
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
@@ -49,14 +49,15 @@ T samples in blocks of at most 2**15 (sample, cell) pairs: a single cell
 takes all samples in one call, the default 40 000-cell map one sample at a
 time.  The p = 3 limits are points of the same tableau.  T = 0 is one more
 sample, ahead of the others, so the real cubic takes it too, and its pole
-is alpha_m = 0 by the same :func:`~galpha.amplification.pole_factor`.  For
-the equal-gamma closure, dividing the last rows of L(T) and R(T) by T and
-letting T -> inf leaves their T-coefficients alone; that pair goes through
+is alpha_m = 0 by the same :func:`~galpha.amplification.pole_factor`.
+Dividing the last rows of L(T) and R(T) by T and letting T -> inf leaves
+their T-coefficients alone, for either closure; that pair goes through
 ``eigvals(solve(L, R))``, with its pole gamma_1 alpha_f = 0 again by
-:func:`~galpha.amplification.pole_factor`.  A cubic in mu would split the
-defective double root -1 of G(inf) at (alpha_m, alpha_f) = (7/12, 1/2) by
-about 1e-8.  The remark-one closure takes no T -> inf limit: its largest
-real samples stand in for it.
+:func:`~galpha.amplification.pole_factor`.  So a cell with alpha_f = 0 has
+no pole at any sample but reads radius inf: there the largest root grows
+like T without bound.  A cubic in mu would split the defective double root
+-1 of the equal-gamma G(inf) at (alpha_m, alpha_f) = (7/12, 1/2) by about
+1e-8.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     return eigs.real, eigs.imag
 
 
-def _scan_cells(p, am, af, gammas, t_samples, variant):
+def _scan_cells(p, am, af, gammas, t_samples):
     """Vectorized worst-radius kernel for cells of any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
@@ -250,13 +251,14 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
     :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
     factor itself is the cubic's leading coefficient.  For p = 3 the T->0
     limit is the sample T = 0, placed before the others (alpha_m = 0 is its
-    pole), and the equal-gamma closure adds the T->inf limit: the last rows
-    of L and R divided by T keep their T-coefficients alone, and the pole of
-    that pair is gamma_1 alpha_f = 0.
+    pole), and the T->inf limit follows them: the last rows of L and R
+    divided by T keep their T-coefficients alone, whatever the gammas, and
+    the pole of that pair is gamma_1 alpha_f = 0.  ``t_samples`` must be a
+    non-empty 1-D set of finite numbers.
     """
     ncell = am.shape[0]
     samples = np.asarray(t_samples)
-    if samples.size == 0 or not np.isfinite(samples).all():
+    if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
         raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
     if p == 3:
         samples = np.concatenate(([0.0], samples))
@@ -279,7 +281,7 @@ def _scan_cells(p, am, af, gammas, t_samples, variant):
             roots = _one_step_spectra(p, tab_l, tab_r, t, valid)
         _accumulate(*roots, radius, repeated, valid)
 
-    if p == 3 and variant is Variant.EQUAL_GAMMA:
+    if p == 3:
         # the last rows divided by T tend to their T-coefficients
         tab_l, tab_r = (
             {(i, j): (c1 if i == p - 1 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
@@ -296,16 +298,15 @@ def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     """Worst spectral radius of G over the sample set, plus limits at p = 3.
 
     Every order runs through the plane-scan kernel as a single cell, so up
-    to 2**15 samples go in one block.  For p = 3 the sample T = 0 is added
-    for both closures and the T->inf limit of the tableau for the
-    equal-gamma closure (its role for the remark-one closure is covered by
-    the largest real samples); other orders use the samples alone.  A
-    sample or limit on the pole of the one-step system marks the parameters
-    unstable (radius = inf) instead of aborting the scan.
+    to 2**15 samples go in one block.  For p = 3 the sample T = 0 and the
+    T->inf limit of the tableau are added, for either closure; other orders
+    use the samples alone.  A sample or limit on the pole of the one-step
+    system marks the parameters unstable (radius = inf) instead of aborting
+    the scan.
     """
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
-    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], samples, params.variant)
+    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], samples)
     return RadiusReport(float(radius[0]), bool(repeated[0]))
 
 
@@ -359,7 +360,7 @@ def scan_region(
     am_axis, af_axis = grid.axes()
     AM, AF = np.meshgrid(am_axis, af_axis, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
-    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), samples, variant)
+    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), samples)
     shape = (grid.n_alpha_m, grid.n_alpha_f)
     return StabilityMap(
         alpha_m=am_axis,

@@ -329,9 +329,19 @@ def test_limit_inf_block_radius_floor_is_one_third():
     assert radii[k] == pytest.approx(1.0 / 3.0, abs=1e-7)
 
 
-def test_limit_inf_requires_equal_gamma():
-    with pytest.raises(VariantUnsupported):
-        limit_matrix_inf(make_scheme(3, 0.9, 0.6, Variant.REMARK_ONE))
+@pytest.mark.parametrize("am,af", [(0.9, 0.6), (0.5, 0.3), (1.2, 0.55), (0.7, 1.1)])
+def test_limit_inf_is_the_remark_one_large_t_limit(am, af):
+    """The closed form holds for distinct gammas: against G(1e40) in 50 digits."""
+    params = make_scheme(3, am, af, Variant.REMARK_ONE)
+    Ainf = limit_matrix_inf(params)
+    with mp.workdps(50):
+        one = mp.mpf(1)
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas], one)
+        t = mp.mpf(10) ** 40
+        G = fill_tableau(tab_l, t, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, t, mp.zeros(3, 3))
+        for i in range(3):
+            for j in range(3):
+                assert abs(Ainf[i, j] - G[i, j]) <= 1e-15 * max(1, abs(G[i, j]))
 
 
 def test_limit_matrices_p3_only():
@@ -416,6 +426,23 @@ def test_truncation_residual_scales_like_t_cubed():
     r2 = truncation_residual(params, 2e-3)
     # b0 = 0 for equal-gamma, so the leading behaviour here is T^4
     assert abs(r2 / r1) == pytest.approx(16.0, rel=0.01)
+
+
+def test_truncation_residual_is_not_the_recurrence_residual():
+    """The bracket disagrees with the T^4 coefficient of exp(-T n) in the
+    recurrence (an open question, ROADMAP item 8): at MAIN rho_inf = 0.5 the
+    recurrence tends to 7/(108 am) and the bracket to 1/(108 am); for
+    remark-one at (1, 0.6) the recurrence tends to C_4/am = 37/456 and the
+    bracket is 0."""
+    t = 2.5e-3
+    u = np.exp(-t * np.arange(4))
+    am, af = params_from_rho(0.5)
+    main = make_scheme(3, am, af)
+    assert characteristic_recurrence_residual(main, t, u) / t**4 == pytest.approx(7 / (108 * am), rel=1e-2)
+    assert abs(truncation_residual(main, t)) / t**4 == pytest.approx(1 / (108 * am), rel=1e-2)
+    remark = make_scheme(3, 1.0, 0.6, Variant.REMARK_ONE)
+    assert characteristic_recurrence_residual(remark, t, u) / t**4 == pytest.approx(37 / 456, rel=1e-2)
+    assert abs(truncation_residual(remark, t)) <= 1e-12 * t**4
 
 
 def test_truncation_residual_pole():

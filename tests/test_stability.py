@@ -145,18 +145,23 @@ def test_singular_sample_marks_unstable_p4():
     assert not report.stable
 
 
-@pytest.mark.parametrize("alpha_m", [0.25, 0.5, 0.99])
-def test_no_pole_without_alpha_f(alpha_m):
-    """At alpha_f = 0, (p-2)! det L(T) = alpha_m for every T: no sample is a
-    pole, and the radius is the worst per-sample eig(G) with the T -> 0 limit."""
-    params = make_scheme(3, alpha_m, 0.0, Variant.REMARK_ONE)
-    mats = [amplification_matrix(params, t) for t in default_t_samples()]
-    mats.append(limit_matrix_zero(params))
-    expected = max(float(np.abs(numkit.eigenvalues(m)).max()) for m in mats)
-    assert worst_case_radius(params).radius == pytest.approx(expected, rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("alpha_m", [0.25, 0.5, 0.9, 0.99])
+def test_alpha_f_zero_is_a_pole_of_the_tinf_limit(alpha_m, variant):
+    """At alpha_f = 0, (p-2)! det L(T) = alpha_m for every T, so every
+    sample's G(T) is finite; but the T -> inf pair has determinant
+    gamma_1 alpha_f = 0 and the largest root grows like T, so the radius is inf."""
+    params = make_scheme(3, alpha_m, 0.0, variant)
+
+    def radius(t):
+        return float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
+
+    assert np.isfinite([radius(t) for t in default_t_samples()]).all()
+    assert radius(1e8) / radius(1e5) == pytest.approx(1e3, rel=1e-4)
+    assert worst_case_radius(params).radius == np.inf
 
 
-BAD_SAMPLES = [[], [np.inf], [np.nan], [1.0, -np.inf], [1.0, complex(1.0, np.nan)]]
+BAD_SAMPLES = [[], [np.inf], [np.nan], [1.0, -np.inf], [1.0, complex(1.0, np.nan)], 1.0, [[1.0, 2.0]]]
 
 
 @pytest.mark.parametrize("samples", BAD_SAMPLES)
@@ -177,10 +182,16 @@ def test_scan_rejects_empty_or_nonfinite_samples(samples):
 def test_radius_matches_per_sample_eigenvalues(p):
     """Every order runs the scan kernel; numkit on G(T) sample by sample agrees,
     at p = 3 together with the closed-form limit matrices (G(0) decides the
-    first three p = 3 radii, G(inf) the last)."""
+    first three equal-gamma p = 3 radii, G(inf) the fourth and three of the
+    remark-one ones)."""
     samples = default_t_samples()
-    for am, af in [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55), (0.5, 0.5)]:
-        params = make_scheme(p, am, af)
+    cells = [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55), (0.5, 0.5)]
+    designs = [(am, af, Variant.EQUAL_GAMMA) for am, af in cells]
+    if p == 3:
+        cells = [(0.5, 0.3), (0.9, 0.6), (1.2, 0.55), (0.7, 1.1)]
+        designs += [(am, af, Variant.REMARK_ONE) for am, af in cells]
+    for am, af, variant in designs:
+        params = make_scheme(p, am, af, variant)
         matrices = [amplification_matrix(params, t) for t in samples]
         if p == 3:
             matrices += [limit_matrix_zero(params), limit_matrix_inf(params)]
@@ -200,19 +211,6 @@ def test_alpha_m_zero_is_a_pole_of_the_t0_limit():
     assert worst_case_radius(params).radius == np.inf
 
 
-def test_alpha_f_zero_is_a_pole_of_the_equal_gamma_tinf_limit():
-    # det L(T) = alpha_m at every T, but the T -> inf pair has determinant
-    # gamma_1 alpha_f = 0; the remark-one closure takes no T -> inf limit
-    params = make_scheme(3, 0.9, 0.0)
-    per_sample = max(
-        float(np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max())
-        for t in default_t_samples()
-    )
-    assert np.isfinite(per_sample)
-    assert worst_case_radius(params).radius == np.inf
-    assert np.isfinite(worst_case_radius(make_scheme(3, 0.9, 0.0, Variant.REMARK_ONE)).radius)
-
-
 @pytest.mark.parametrize("samples", [ray_t_samples(1.3), ray_t_samples(0.999 * np.pi / 2, n=64)])
 @pytest.mark.parametrize("design", sorted(A0_DESIGNS))
 def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
@@ -220,9 +218,8 @@ def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
     sample by sample, and on the limit matrices, agrees."""
     amf, variant = A0_DESIGNS[design]
     params = make_scheme(3, *amf, variant)
-    matrices = [amplification_matrix(params, t) for t in samples] + [limit_matrix_zero(params)]
-    if variant is Variant.EQUAL_GAMMA:
-        matrices.append(limit_matrix_inf(params))
+    matrices = [amplification_matrix(params, t) for t in samples]
+    matrices += [limit_matrix_zero(params), limit_matrix_inf(params)]
     expected = max(float(np.abs(numkit.eigenvalues(m)).max()) for m in matrices)
     report = worst_case_radius(params, samples)
     assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -298,10 +295,10 @@ def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
         exact = [complex(e) for e in mp.eig(G)[0]]
     exact_radius = max(abs(e) for e in exact)
     assert exact_radius == pytest.approx(2.12349849906667e8, rel=1e-14)
-    assert worst_case_radius(params, [t]).radius == pytest.approx(exact_radius, rel=1e-14, abs=0.0)
 
     rho, sigma = char_poly(3, am, af, params.gammas)
     roots = cubic_roots(*(rho[:3] + t * sigma[:3]), -(am + params.gamma1 * af * t))
+    assert np.abs(roots).max() == pytest.approx(exact_radius, rel=1e-14, abs=0.0)
     small = sorted((e for e in exact if abs(e) < 1.0), key=abs)
     assert_spectrum(sorted(roots, key=abs)[:2], small, tol=1e-12)
 
@@ -317,7 +314,7 @@ def test_blocked_scan_equals_single_cell_calls(monkeypatch, p, ncell, samples):
     rng = np.random.default_rng(ncell)
     am, af = rng.uniform(0.0, 1.5, (2, ncell))
     gammas = closure_gammas(p, am, af)
-    radius, repeated = stability._scan_cells(p, am, af, gammas, samples, Variant.EQUAL_GAMMA)
+    radius, repeated = stability._scan_cells(p, am, af, gammas, samples)
     for k in range(ncell):
         report = worst_case_radius(make_scheme(p, float(am[k]), float(af[k])), samples)
         assert report.radius == radius[k]

@@ -41,6 +41,8 @@ CASES = [
     ("rho-curve", ["rho-curve", "--n-rho", "11"]),
     *((f"order-check-p{p}", ["order-check", "--p", str(p), "--recover-c"]) for p in range(2, 7)),
     ("integrate-remark-one", ["integrate", "--variant", "remark-one", "--alpha-m", "0.5", "--alpha-f", "0.3"]),
+    ("integrate-remark-one-alpha-f-zero",
+     ["integrate", "--variant", "remark-one", "--alpha-m", "0.5", "--alpha-f", "0"]),
 ]
 
 
