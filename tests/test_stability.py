@@ -185,11 +185,11 @@ def test_radius_matches_per_sample_eigenvalues(p):
     first three equal-gamma p = 3 radii, G(inf) the fourth and three of the
     remark-one ones)."""
     samples = default_t_samples()
-    cells = [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55), (0.5, 0.5)]
-    designs = [(am, af, Variant.EQUAL_GAMMA) for am, af in cells]
+    equal_gamma = [(1.0, 0.75), (0.8, 0.6), (1.3, 0.55), (0.5, 0.5)]
+    designs = [(am, af, Variant.EQUAL_GAMMA) for am, af in equal_gamma]
     if p == 3:
-        cells = [(0.5, 0.3), (0.9, 0.6), (1.2, 0.55), (0.7, 1.1)]
-        designs += [(am, af, Variant.REMARK_ONE) for am, af in cells]
+        remark_one = [(0.5, 0.3), (0.9, 0.6), (1.2, 0.55), (0.7, 1.1)]
+        designs += [(am, af, Variant.REMARK_ONE) for am, af in remark_one]
     for am, af, variant in designs:
         params = make_scheme(p, am, af, variant)
         matrices = [amplification_matrix(params, t) for t in samples]
