@@ -25,6 +25,7 @@ The shift is the same on every step of a march, so the factories pay for the
 shifted operator once: the dense problem keeps LAPACK's inverse of its
 last shifted operator, and the heat problem solves in its sine eigenbasis (a
 real DST-I through ``numpy.fft.rfft``), whose eigenvalues it computes once.
+Both refuse a shifted operator by the one rule of :mod:`galpha.numkit`.
 ``step`` reads the plan of its scheme from a cache, built on the scheme's
 first step.
 """
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import numkit
 from .amplification import one_step_tableau, pole_factor
-from .errors import GalphaError, SolveFailed, StateOverflow, StepSingular
+from .errors import GalphaError, SingularMatrix, SolveFailed, StateOverflow, StepSingular
 from .schemes import SchemeParams
 
 __all__ = [
@@ -112,7 +113,8 @@ class LinearProblem:
 
     ``apply(v)`` returns A v.  ``shifted_solve(c1, sigma, b)`` returns the
     solution of (c1 * I + sigma * A) x = b and raises :class:`StepSingular`
-    when the shifted operator is singular.  Both callbacks must be safe for
+    when the shifted operator is singular; the dense and heat factories
+    decide that by :func:`galpha.numkit.check_condition`.  Both callbacks must be safe for
     concurrent read-only use.  ``dim`` is the length of u; :func:`init_state`
     rejects a u0 of any other shape.  A march runs in the result type of u0
     and ``apply(u0)``, so a real operator that returns real arrays for real
@@ -157,8 +159,8 @@ def scalar_problem(lam) -> LinearProblem:
 def dense_problem(a) -> LinearProblem:
     """Wrap a copy of a dense square matrix A with finite entries as a :class:`LinearProblem`.
 
-    Solves multiply by LAPACK's inverse of M = c1 I + sigma A, which raises
-    :class:`StepSingular` if singular or if max|M| max|M^-1| >= 1 / ``numkit.PIVOT_RTOL``.
+    Solves multiply by :func:`galpha.numkit.inverse` of M = c1 I + sigma A; where
+    it refuses M (max|M| max|M^-1| * PIVOT_RTOL >= 1) they raise :class:`StepSingular`.
     An A with no imaginary part is kept real, so its ``apply`` and inverse
     are real and a real u0 marches in float64.
     """
@@ -172,15 +174,10 @@ def dense_problem(a) -> LinearProblem:
 
     @lru_cache(maxsize=1)
     def inverse(c1, sigma):
-        shifted = c1 * eye + sigma * a
         try:
-            inv = np.linalg.inv(shifted)
-        except np.linalg.LinAlgError as exc:
+            return numkit.inverse(c1 * eye + sigma * a)
+        except SingularMatrix as exc:
             raise StepSingular(f"shifted system singular: {exc}") from exc
-        cond = np.abs(shifted).max() * np.abs(inv).max()
-        if not cond * numkit.PIVOT_RTOL < 1.0:  # also catches a NaN inverse
-            raise StepSingular(f"shifted system singular: condition estimate {cond:.3e}")
-        return inv
 
     def shifted_solve(c1, sigma, b):
         return inverse(c1, sigma) @ b
@@ -195,9 +192,9 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     h = 1/(n+1).  Its eigenvectors are the sine modes sin(k pi x_j), with
     eigenvalues lambda_k = 4 (kappa / h^2) sin^2(k pi h / 2), k = 1 .. n.
     The shifted solve diagonalises A by the DST-I (two O(n log n)
-    transforms through ``numpy.fft.rfft``) and divides by c1 + sigma * lambda_k;
-    it raises :class:`StepSingular` when some |c1 + sigma * lambda_k| is at
-    most 1e-14 (|c1| + |sigma| max lambda + 1).
+    transforms through ``numpy.fft.rfft``) and divides by d_k = c1 + sigma * lambda_k;
+    it raises :class:`StepSingular` where :func:`galpha.numkit.check_condition`
+    refuses the diagonal shift's estimate max|d| / min|d| (a zero d included).
     """
     n = int(n_interior)
     if n < 2:
@@ -218,9 +215,11 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     @lru_cache(maxsize=1)
     def divisor(c1, sigma):
         den = c1 + sigma * lam
-        k = int(np.argmin(np.abs(den)))
-        if abs(den[k]) <= 1e-14 * (abs(c1) + abs(sigma) * lam[-1] + 1.0):
-            raise StepSingular(f"shifted operator singular: c1 + sigma*lambda_{k + 1} = {den[k]!r}")
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                numkit.check_condition(np.abs(den).max() / np.abs(den).min())
+        except SingularMatrix as exc:
+            raise StepSingular(f"shifted operator singular: {exc}") from exc
         # x = S diag(1/den) S b * 2/(n+1), with S the DST-I matrix
         # (symmetric, S @ S = (n+1)/2 * I) and _sine_transform(y) = -2 S y.
         return 2.0 * (n + 1) * den

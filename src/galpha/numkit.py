@@ -1,12 +1,17 @@
-"""Small dense complex linear-algebra kernel.
+"""Small dense complex linear algebra and the one singularity rule.
 
-Everything here targets the one-step matrices of dimension p <= 12.
-``solve`` is a hand-rolled LU factorization with partial pivoting, so that
-near-singularity is reported through an explicit pivot threshold (its caller,
-``amplification_matrix``, turns that into ``SingularAtT``); ``eigenvalues``
-defers to LAPACK, which is the right tool for dense nonsymmetric spectra.
-Characteristic polynomials are not built here: ``amplification.char_poly``
-reads rho + T*sigma from the one-step tableau, exactly for Fraction input.
+Every operator the package inverts is refused with ``SingularMatrix``
+unless its condition estimate kappa satisfies kappa * ``PIVOT_RTOL`` < 1
+(:func:`check_condition`): the one-step matrix L(T) that
+``amplification_matrix`` solves with, the shifted operator of a dense march
+and the diagonalised shift of the heat rod.  For a dense matrix M the
+estimate is max|M| max|M^-1|, read from LAPACK's inverse (:func:`inverse`);
+``solve`` checks its matrix by that rule and returns LAPACK's solve.
+``eigenvalues`` defers to LAPACK as well.  The scalar pole rule of the scan
+and of the scalar march is ``amplification.pole_factor``, kept apart from
+this one.  Characteristic polynomials are not built here:
+``amplification.char_poly`` reads rho + T*sigma from the one-step tableau,
+exactly for Fraction input.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMatrix
 
-__all__ = ["solve", "eigenvalues"]
+__all__ = ["check_condition", "inverse", "solve", "eigenvalues"]
 
-#: Relative pivot threshold below which a solve is reported as singular.
+#: An operator whose condition estimate reaches 1 / PIVOT_RTOL is singular.
 PIVOT_RTOL = 1e-14
 
 #: Largest dimension accepted by the spectral helpers.
@@ -28,53 +33,42 @@ def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("expected a non-empty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def check_condition(estimate) -> None:
+    """The singularity rule: raise ``SingularMatrix`` unless
+    ``estimate * PIVOT_RTOL < 1``, so a nan estimate is refused too."""
+    if not estimate * PIVOT_RTOL < 1.0:
+        raise SingularMatrix(f"condition estimate {estimate:.3e} reaches 1 / PIVOT_RTOL")
+
+
+def inverse(m: np.ndarray) -> np.ndarray:
+    """LAPACK's inverse of a square ndarray, in its dtype, passed through
+    :func:`check_condition` with the estimate max|m| max|m^-1|."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    check_condition(np.abs(m).max() * np.abs(inv).max())
+    return inv
+
+
 def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
-
-    Arguments
-    ---------
-    a : (n, n) array_like, complex
-    b : (n,) or (n, k) array_like, complex
-
-    Returns
-    -------
-    x : ndarray with the same trailing shape as ``b``.
-
-    Raises
-    ------
-    SingularMatrix
-        If any pivot magnitude falls below ``PIVOT_RTOL * max|a|``.
-    """
+    """Solve ``a @ x = b`` by LAPACK for a finite (n, n) ``a``, n >= 1, and an
+    (n,) or (n, k) ``b``; x is complex, shaped like ``b``.  Raises
+    ``SingularMatrix`` where :func:`inverse` refuses ``a``."""
     a = _as_square(a)
     n = a.shape[0]
     b = np.asarray(b, dtype=complex)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"right-hand side of shape {b.shape} does not fit dimension {n}")
-    squeeze = b.ndim == 1
-    rhs = b.reshape(n, -1).copy()
-    lu = a.copy()
-
-    threshold = PIVOT_RTOL * (np.abs(a).max() if n else 0.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if np.abs(lu[p, k]) <= threshold:
-            raise SingularMatrix(f"pivot {np.abs(lu[p, k]):.3e} at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        factors = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(factors, lu[k, k + 1:])
-        rhs[k + 1:] -= np.outer(factors, rhs[k])
-
-    x = np.empty_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x[:, 0] if squeeze else x
+    inverse(a)
+    return np.linalg.solve(a, b)
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -124,6 +124,11 @@ def ray_t_samples(angle: float, n: int = 16, lo: float = 1e-4, hi: float = 1e8) 
     return default_t_samples(n, lo, hi) * complex(np.cos(angle), np.sin(angle))
 
 
+def _stable(radius, repeated):
+    """The stable rule, elementwise: radius <= 1 + RADIUS_TOL and not repeated."""
+    return np.logical_and(radius <= 1.0 + RADIUS_TOL, np.logical_not(repeated))
+
+
 @dataclass(frozen=True)
 class RadiusReport:
     """Worst sampled spectral radius plus the repeated-unit-root flag."""
@@ -133,7 +138,7 @@ class RadiusReport:
 
     @property
     def stable(self) -> bool:
-        return self.radius <= 1.0 + RADIUS_TOL and not self.repeated_unit_root
+        return bool(_stable(self.radius, self.repeated_unit_root))
 
 
 def _accumulate(re, im, radius, repeated, valid):
@@ -341,7 +346,7 @@ class StabilityMap:
 
     @property
     def stable(self) -> np.ndarray:
-        return (self.radius <= 1.0 + RADIUS_TOL) & ~self.repeated_root
+        return _stable(self.radius, self.repeated_root)
 
 
 def scan_region(

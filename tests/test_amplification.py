@@ -82,11 +82,15 @@ def test_build_lr_uses_scheme_gammas():
     assert np.array_equal(R, R2)
 
 
-def test_singular_at_the_pole():
-    params = make_scheme(3, 0.9, 0.6)
+@pytest.mark.parametrize("p", range(2, 12))
+def test_singular_at_the_pole(p):
+    """L(T*) is refused at the pole T* = -alpha_m / (gamma_1 alpha_f) and
+    solved a relative 1e-6 away from it."""
+    params = make_scheme(p, 0.9, 0.6)
     t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
     with pytest.raises(SingularAtT):
         amplification_matrix(params, t_pole)
+    assert np.isfinite(amplification_matrix(params, t_pole * (1.0 + 1e-6))).all()
 
 
 # --- characteristic polynomial ------------------------------------------------

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import galpha
 from galpha import __version__, numkit
 from galpha.amplification import limit_matrix_inf
 from galpha.cli import main
@@ -602,12 +605,19 @@ def test_version_flag(capsys):
     assert "galpha" in capsys.readouterr().out
 
 
+def _child_env():
+    """Environment for a child interpreter that imports the galpha under test."""
+    paths = [str(Path(galpha.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "galpha", "--version"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "galpha" in proc.stdout
@@ -622,6 +632,8 @@ def test_import_leaves_scipy_unloaded():
     more than the benchmark's bounds on setup time and peak RSS allow.
     """
     code = "import sys, galpha, galpha.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from galpha import integrator
+from galpha import integrator, numkit
 from galpha.amplification import (
     amplification_matrix,
     characteristic_recurrence_residual,
@@ -444,6 +444,11 @@ def test_diagonal_system_decouples_exactly():
             assert u_c[j] == u_s[0]
 
 
+def test_dense_problem_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="non-empty"):
+        dense_problem(np.zeros((0, 0)))
+
+
 def test_dense_problem_rejects_nonsquare():
     with pytest.raises(ValueError):
         dense_problem(np.ones((2, 3)))
@@ -521,11 +526,35 @@ def test_sine_transform_is_minus_two_dst(n, kind):
     assert np.abs(got - (-2.0 * sine @ x)).max() <= 1e-14 * n * np.abs(x).max()
 
 
-def test_heat_shift_on_an_eigenvalue_is_singular():
-    n, sigma = 4, 0.3
-    lam_1 = 4.0 * 25.0 * np.sin(np.pi / (2 * (n + 1))) ** 2
-    with pytest.raises(StepSingular):
-        heat_problem(n).shifted_solve(-sigma * lam_1, sigma, np.ones(n))
+@pytest.mark.parametrize("c1, sigma", [("eigenvalue", 0.3), (0.0, 0.0)])
+def test_heat_shift_on_an_eigenvalue_is_singular(c1, sigma):
+    """A vanishing divisor c1 + sigma lambda_k, or all of them at once, is
+    singular and sets off no numpy warning on the way."""
+    n = 4
+    if c1 == "eigenvalue":
+        c1 = -sigma * 4.0 * 25.0 * np.sin(np.pi / (2 * (n + 1))) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSingular):
+            heat_problem(n).shifted_solve(c1, sigma, np.ones(n))
+
+
+@pytest.mark.parametrize("ratio", [0.9e14, 1.1e14])
+def test_heat_shift_follows_the_condition_rule(ratio):
+    """The divisors d_k = c1 + lambda_k are refused where max|d| / min|d|
+    reaches 1 / PIVOT_RTOL, and solved just below it."""
+    n = 4
+    lam = 100.0 * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+    c1 = -lam[0] + (lam[-1] - lam[0]) / (ratio - 1.0)
+    den = np.abs(c1 + lam)
+    assert den.max() / den.min() == pytest.approx(ratio, rel=1e-2)
+    problem = heat_problem(n)
+    if ratio * numkit.PIVOT_RTOL >= 1.0:
+        with pytest.raises(StepSingular, match="condition estimate"):
+            problem.shifted_solve(c1, 1.0, np.ones(n))
+    else:
+        x = problem.shifted_solve(c1, 1.0, np.ones(n))
+        assert np.isfinite(x).all()
 
 
 @pytest.mark.parametrize("n", [15, 200])

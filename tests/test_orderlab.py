@@ -7,6 +7,7 @@ import pytest
 
 from galpha.errors import AllAtRoundoff, NoRoot
 from galpha.orderlab import (
+    ROUNDOFF_FLOOR,
     ConvergenceReport,
     error_functional,
     measure_order,
@@ -200,3 +201,17 @@ def test_write_convergence_csv_blanks_nan_windows(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[2].split(",")[2] != ""
     assert lines[3].split(",")[2] == ""
+
+
+def test_measured_slope_at_the_floor_is_nan_and_blank(tmp_path):
+    """At tau = 1e-3 the error, 8.9e-15, sits below the round-off floor: the
+    pairwise slope into it is nan, and its CSV cell stays empty."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    report = measure_order(params, 1.0, 1.0, (0.25, 0.125, 1e-3))
+    assert report.errors[2] <= ROUNDOFF_FLOOR < report.errors[1]
+    assert report.slope_window[0] == pytest.approx(3.137, abs=1e-3)
+    assert math.isnan(report.slope_window[1])
+    path = tmp_path / "convergence.csv"
+    write_convergence_csv(report, path)
+    cells = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert cells == ["", f"{report.slope_window[0]:.17g}", ""]

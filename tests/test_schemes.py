@@ -85,6 +85,9 @@ def test_params_reject_nonfinite():
 def test_params_reject_low_order():
     with pytest.raises(ValueError):
         make_scheme(1, 0.9, 0.6)
+    # make_scheme refuses p = 1 first; the dataclass holds the same line
+    with pytest.raises(ValueError, match="order p must be >= 2"):
+        SchemeParams(1, 0.9, 0.6, (), Variant.EQUAL_GAMMA)
 
 
 def test_remark_one_reference_point():

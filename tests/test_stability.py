@@ -23,7 +23,9 @@ from galpha.schemes import (
     params_from_rho,
 )
 from galpha.stability import (
+    RADIUS_TOL,
     GridSpec,
+    RadiusReport,
     StabilityMap,
     default_t_samples,
     ray_t_samples,
@@ -398,6 +400,21 @@ def test_scan_axes_and_shapes():
     assert smap.radius.shape == (5, 7)
     assert smap.repeated_root.shape == (5, 7)
     assert smap.stable.dtype == bool
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize(
+    "radius", [1.0, 1.0 + RADIUS_TOL, np.nextafter(1.0 + RADIUS_TOL, 2.0), np.inf, np.nan]
+)
+def test_report_and_map_share_the_stable_rule(radius, repeated):
+    """One rule for one cell and for a map; a report's verdict is a Python bool."""
+    report = RadiusReport(float(radius), repeated)
+    smap = StabilityMap(
+        np.zeros(1), np.zeros(1), np.array([[radius]]), np.array([[repeated]]),
+        Variant.EQUAL_GAMMA, np.ones(1),
+    )
+    assert type(report.stable) is bool
+    assert report.stable == smap.stable[0, 0] == (radius <= 1.0 + RADIUS_TOL and not repeated)
 
 
 # --- rho_inf design control ------------------------------------------------------
