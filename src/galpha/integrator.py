@@ -114,11 +114,11 @@ class LinearProblem:
     ``apply(v)`` returns A v.  ``shifted_solve(c1, sigma, b)`` returns the
     solution of (c1 * I + sigma * A) x = b and raises :class:`StepSingular`
     when the shifted operator is singular; the dense and heat factories
-    decide that by :func:`galpha.numkit.check_condition`.  Both callbacks must be safe for
-    concurrent read-only use.  ``dim`` is the length of u; :func:`init_state`
-    rejects a u0 of any other shape.  A march runs in the result type of u0
-    and ``apply(u0)``, so a real operator that returns real arrays for real
-    input keeps the march of a real u0 in float64.
+    decide that by :func:`galpha.numkit.check_condition`.  Both callbacks
+    must be safe for concurrent read-only use.  ``dim`` is the length of u;
+    :func:`init_state` rejects a u0 of any other shape.  A march runs in the
+    result type of u0 and ``apply(u0)``, so a real operator that returns real
+    arrays for real input keeps the march of a real u0 in float64.
 
     A march calls ``shifted_solve`` with one (c1, sigma) on every step, so
     :func:`dense_problem` and :func:`heat_problem` keep the inverse or the
