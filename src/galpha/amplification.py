@@ -276,6 +276,8 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
 
     Raises
     ------
+    ValueError
+        If the sequence is not 1-D.
     TooShort
         If fewer than p + 1 values are supplied.
     SingularAtT
@@ -283,7 +285,9 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     """
     u = np.asarray(sequence, dtype=complex)
     p = params.p
-    if u.ndim != 1 or u.size < p + 1:
+    if u.ndim != 1:
+        raise ValueError(f"sequence must be 1-D, got shape {u.shape}")
+    if u.size < p + 1:
         raise TooShort(f"need at least {p + 1} sequence values, got {u.size}")
     lead = (-1) ** p * _pole_factor(params, t) / factorial(p - 2)
     rho, sigma = char_poly(p, params.alpha_m, params.alpha_f, params.gammas)

@@ -52,6 +52,3 @@ class StepSingular(GalphaError):
 class AllAtRoundoff(GalphaError):
     """Every measured error sits below the round-off floor."""
 
-
-class NoRoot(GalphaError):
-    """No closure constant in the search interval makes the probe defect vanish."""

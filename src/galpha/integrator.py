@@ -32,6 +32,7 @@ first step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -189,14 +190,15 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     """Method-of-lines heat equation on (0, 1) with zero boundary values.
 
     A = (kappa / h^2) * tridiag(-1, 2, -1) on ``n_interior`` nodes,
-    h = 1/(n+1).  Its eigenvectors are the sine modes sin(k pi x_j), with
+    h = 1/(n+1); ``n_interior`` must be an integer (``TypeError`` otherwise).
+    Its eigenvectors are the sine modes sin(k pi x_j), with
     eigenvalues lambda_k = 4 (kappa / h^2) sin^2(k pi h / 2), k = 1 .. n.
     The shifted solve diagonalises A by the DST-I (two O(n log n)
     transforms through ``numpy.fft.rfft``) and divides by d_k = c1 + sigma * lambda_k;
     it raises :class:`StepSingular` where :func:`galpha.numkit.check_condition`
     refuses the diagonal shift's estimate max|d| / min|d| (a zero d included).
     """
-    n = int(n_interior)
+    n = operator.index(n_interior)
     if n < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n}")
     if not 0.0 < diffusivity < np.inf:

@@ -7,20 +7,21 @@ Two independent instruments live here:
   the actual stepping code.
 * :func:`recover_C` treats the constant in the closure rule
   gamma_j = C(p) + alpha_m - alpha_f as an unknown and recovers it from the
-  one-step matrices alone.  The principal eigenvalue of G(T) matches exp(-T)
-  to order p + 1 exactly when C takes its tabulated value, that is, when
-  det(R(T) - mu L(T)) = rho(mu) + T sigma(mu) vanishes at mu = exp(-T), and
-  with equal gammas that determinant is affine in the common gamma.  Its
-  coefficients come from :func:`~galpha.amplification.char_poly`, read off
-  the tableau by back-substitution.  The probe T carries a bias linear in T
-  (from the next error order); the default T = 1e-10 keeps it at ~1e-11, and
-  the coefficients and their evaluation run in extended precision (mpmath)
-  because the signal sits T^(p+1) below the matrix entries.
+  one-step matrices alone.  The principal root mu = exp(-T) of
+  det(R(T) - mu L(T)) = rho(mu) + T sigma(mu) is of order p when the T^k
+  coefficients C_k of rho(exp(-T)) + T sigma(exp(-T)) vanish for k <= p
+  (Hairer, Norsett & Wanner, Solving ODEs I, III.2).  With equal gammas
+  C_0 .. C_(p-1) vanish identically and C_p is affine in the common gamma,
+  so C is its exact root, read from the Fraction coefficients of
+  :func:`~galpha.amplification.char_poly`.
 
 :func:`error_functional`, the scaled defect [principal eig - exp(-T)] /
-T^(p+1) from ``mp.eig`` of G, crosses zero at the same C by another solver
-(eigenvalues of the matrices, not roots of the polynomial) and is the
-tests' oracle for recover_C.
+T^(p+1) from ``mp.eig`` of G at a probe T, crosses zero at the same C by
+another solver (eigenvalues of the matrices, not coefficients of the
+polynomial) and is the tests' oracle for recover_C.  The probe carries a
+bias linear in T (from the next error order); the default T = 1e-10 keeps
+it at ~1e-11, and the eigenvalues run in extended precision (mpmath)
+because the signal sits T^(p+1) below the matrix entries.
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isfinite, nan
 
 import numpy as np
 from mpmath import mp
 
 from .amplification import char_poly, fill_tableau, one_step_tableau
-from .errors import AllAtRoundoff, NoRoot
+from .errors import AllAtRoundoff
 from .integrator import integrate, scalar_problem
 from .schemes import SchemeParams, c_of_p
 
@@ -121,13 +123,6 @@ def _defect_mp(p, c, am, af, t):
     return mp.re(principal - target) / t ** (p + 1)
 
 
-def _pencil_det(p, g, am, af, t, mu):
-    """det(R(t) - mu L(t)) = rho(mu) + t sigma(mu) with every gamma equal to g,
-    in the active mp context."""
-    rho, sigma = char_poly(p, am, af, [g] * (p - 1), mp.mpf(1))
-    return mp.polyval(list(rho[::-1] + t * sigma[::-1]), mu)
-
-
 def _dps_for(p: int) -> int:
     # The signal sits ~T^(p+1) below the O(1) matrix entries; at T = 1e-10
     # that is 10*(p+1) digits, plus ~40 guard digits for the arithmetic.
@@ -155,36 +150,28 @@ def error_functional(
         return float(_defect_mp(p, mp.mpf(c), mp.mpf(alpha_m), mp.mpf(alpha_f), mp.mpf(probe_t)))
 
 
-def recover_C(
-    p: int,
-    alpha_m: float = 1.0,
-    alpha_f: float = 0.75,
-    probe_t: float = 1e-10,
-) -> float:
+def recover_C(p: int, alpha_m: float = 1.0, alpha_f: float = 0.75) -> float:
     """The closure constant C(p), recovered from the one-step matrices, not assumed.
 
-    With every gamma equal to g, D(g) = det(R(T) - mu L(T)) = rho(mu) +
-    T sigma(mu) at T = ``probe_t`` and mu = exp(-T) is affine in g (every
-    gamma sits in the last column), so its root is g* = D(0) / (D(0) - D(1))
-    and C = g* - alpha_m + alpha_f.
+    With every gamma equal to g, the order condition p! C_p(g) =
+    sum_j rho_j (-j)^p + p sum_j sigma_j (-j)^(p-1) is affine in g (every
+    gamma sits in the last column), so its root is g* = C_p(0) / (C_p(0) -
+    C_p(1)), exact in Fractions, and C = g* - alpha_m + alpha_f.
 
-    Raises :class:`NoRoot` when D(0) = D(1) (D does not depend on g) or when
-    the root C lies outside [0, 1], and ``ValueError`` for p < 2 or a
-    ``probe_t`` that is 0, nan or infinite.
+    Raises ``ValueError`` for p < 2 or a non-finite ``alpha_m`` or ``alpha_f``.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
-    _check_probe(probe_t)
-    with mp.workdps(_dps_for(p)):
-        am, af, t = mp.mpf(alpha_m), mp.mpf(alpha_f), mp.mpf(probe_t)
-        mu = mp.exp(-t)
-        d0, d1 = (_pencil_det(p, mp.mpf(g), am, af, t, mu) for g in (0, 1))
-        if d0 == d1:
-            raise NoRoot(f"det(R - exp(-T) L) does not depend on gamma for p={p}")
-        c = d0 / (d0 - d1) - am + af
-        if not 0 <= c <= 1:
-            raise NoRoot(f"closure constant {mp.nstr(c, 6)} lies outside [0, 1] for p={p}")
-        return float(c)
+    if not (isfinite(alpha_m) and isfinite(alpha_f)):
+        raise ValueError(f"alpha_m and alpha_f must be finite, got {alpha_m} and {alpha_f}")
+    am, af = Fraction(alpha_m), Fraction(alpha_f)
+
+    def order_condition(g):
+        rho, sigma = char_poly(p, am, af, [g] * (p - 1), Fraction(1))
+        return sum(r * (-j) ** p + p * s * (-j) ** (p - 1) for j, (r, s) in enumerate(zip(rho, sigma)))
+
+    c0, c1 = order_condition(Fraction(0)), order_condition(Fraction(1))
+    return float(c0 / (c0 - c1) - am + af)
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:

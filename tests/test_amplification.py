@@ -406,6 +406,12 @@ def test_recurrence_needs_p_plus_one_values():
         characteristic_recurrence_residual(params, 0.8, [1.0, 0.9, 0.8])
 
 
+def test_recurrence_refuses_a_sequence_that_is_not_1d():
+    params = make_scheme(3, 0.9, 0.6)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(10, 10\)"):
+        characteristic_recurrence_residual(params, 0.8, np.ones((10, 10)))
+
+
 # --- local truncation error ----------------------------------------------------
 
 

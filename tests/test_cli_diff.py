@@ -37,11 +37,27 @@ def test_numeric_csv_change_is_summarized(tmp_path):
     new = _tree(tmp_path / "b", {"stability.csv": changed, "manifest.txt": "p = 4\n", "extra.csv": "t\n"})
     assert tool.compare_trees(old, new) == [
         "extra.csv: only in the change",
-        "manifest.txt: bytes differ (6 -> 6 bytes)",
+        "manifest.txt: p 3 -> 4",
         "stability.csv: 2 of 3 rows differ in 1 columns (radius); largest relative change 0.2 "
         "(radius), largest absolute change 0.25 (radius), largest |value| in those columns 2.5",
         "sub/x.txt: only in the parent",
     ]
+
+
+def test_manifest_keys_that_changed_are_listed(tmp_path):
+    tool = _load_tool()
+    old = "p = 3\nrecovered_c = 0.4166666666763889\nversion = 0.1.0\n"
+    new = "p = 3\nrecovered_c = 0.4166666666666667\nrho_inf = 0.5\n"
+    assert tool.manifest_changes(old.encode(), new.encode()) == (
+        "recovered_c 0.4166666666763889 -> 0.4166666666666667; "
+        "rho_inf (absent) -> 0.5; version 0.1.0 -> (absent)"
+    )
+    # a line that is not ``key = value``, or a change of layout only, is a byte difference
+    assert tool.manifest_changes(b"p = 3\n", b"p: 3\n") is None
+    assert tool.manifest_changes(b"p = 3\n", b"p = 3") is None
+    a = _tree(tmp_path / "a", {"manifest.txt": "p = 3\n"})
+    b = _tree(tmp_path / "b", {"manifest.txt": "p = 3"})
+    assert tool.compare_trees(a, b) == ["manifest.txt: bytes differ (6 -> 5 bytes)"]
 
 
 def test_csv_of_another_shape_is_a_byte_difference(tmp_path):

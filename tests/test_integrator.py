@@ -602,6 +602,12 @@ def test_heat_problem_validation():
             heat_problem(5, diffusivity=kappa)
 
 
+def test_heat_problem_needs_an_integer_node_count():
+    with pytest.raises(TypeError):
+        heat_problem(2.9)  # int() would truncate it to a 2-node rod
+    assert heat_problem(np.int64(3)).dim == 3
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
 def test_scalar_problem_rejects_nonfinite_lambda(lam):
     with pytest.raises(ValueError, match="finite"):

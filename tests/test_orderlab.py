@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from galpha.errors import AllAtRoundoff, NoRoot
+from galpha.amplification import char_poly
+from galpha.errors import AllAtRoundoff
 from galpha.orderlab import (
     ROUNDOFF_FLOOR,
     ConvergenceReport,
@@ -87,49 +88,46 @@ def test_measure_order_validation():
 # --- closure-constant recovery ------------------------------------------------------
 
 
-def test_recover_constant_p2():
-    assert abs(recover_C(2) - 0.5) <= 1e-8
-
-
-def test_recover_constant_p3():
-    assert abs(recover_C(3) - 5.0 / 12.0) <= 1e-8
-
-
-def test_recover_constant_p4():
-    assert abs(recover_C(4) - float(c_of_p(4))) <= 1e-8
-
-
-def test_recover_is_independent_of_alpha_choice():
-    values = [
-        recover_C(3, alpha_m=1.0, alpha_f=0.75),
-        recover_C(3, alpha_m=0.9, alpha_f=0.6),
-        recover_C(3, alpha_m=1.2, alpha_f=0.8),
-    ]
-    assert max(values) - min(values) <= 1e-8
-
-
 def test_recover_rejects_low_order():
     with pytest.raises(ValueError):
         recover_C(1)
 
 
-# Returned by the grid bracket and Illinois search over mp.eig that the
-# two-determinant root replaced; the closed form reproduces them bit for bit.
-PINNED_C = {
-    (2, 1.0, 0.75): 0.5000000000145833,
-    (3, 1.0, 0.75): 0.4166666666763889,
-    (4, 1.0, 0.75): 0.33333333333791665,
-    (5, 1.0, 0.75): 0.25833333333332636,
-    (6, 1.0, 0.75): 0.19999999999677381,
-    (7, 1.0, 0.75): 0.16269841269348387,
-    (3, 0.9, 0.6): 0.41666666667480556,
-    (3, 1.2, 0.8): 0.4166666666829722,
-}
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recover_rejects_non_finite_alphas(bad):
+    with pytest.raises(ValueError, match="finite"):
+        recover_C(3, alpha_m=bad)
+    with pytest.raises(ValueError, match="finite"):
+        recover_C(3, alpha_f=bad)
 
 
-@pytest.mark.parametrize("p, alpha_m, alpha_f", sorted(PINNED_C))
-def test_recover_matches_pinned_values(p, alpha_m, alpha_f):
-    assert recover_C(p, alpha_m=alpha_m, alpha_f=alpha_f) == PINNED_C[p, alpha_m, alpha_f]
+@pytest.mark.parametrize("alpha_m, alpha_f", [(1.0, 0.75), (0.9, 0.6), (1.2, 0.8)])
+@pytest.mark.parametrize("p", range(2, 12))
+def test_recover_is_the_tabulated_constant_exactly(p, alpha_m, alpha_f):
+    """The root of the exact order condition is C(p) for any (alpha_m, alpha_f)."""
+    assert recover_C(p, alpha_m=alpha_m, alpha_f=alpha_f) == float(c_of_p(p))
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_order_conditions_of_the_equal_gamma_pencil(p):
+    """With every gamma equal to g, the T^k coefficients C_k of
+    rho(exp(-T)) + T sigma(exp(-T)) vanish for k < p, and
+    p! C_p(g) = -p (p-1) (g - C(p) - alpha_m + alpha_f): recover_C's root is
+    C(p), and its slope never vanishes."""
+    sympy = pytest.importorskip("sympy")
+    am, af, g = sympy.symbols("alpha_m alpha_f g")
+    rho, sigma = char_poly(p, am, af, [g] * (p - 1), sympy.Integer(1))
+
+    def coefficient(k):  # of T^k, from exp(-jT) = sum_k (-jT)^k / k!
+        total = sum(r * sympy.Integer(-j) ** k for j, r in enumerate(rho)) / sympy.factorial(k)
+        if k:
+            total += sum(s * sympy.Integer(-j) ** (k - 1) for j, s in enumerate(sigma)) / sympy.factorial(k - 1)
+        return total
+
+    for k in range(p):
+        assert sympy.expand(coefficient(k)) == 0
+    c = sympy.Rational(c_of_p(p).numerator, c_of_p(p).denominator)
+    assert sympy.expand(sympy.factorial(p) * coefficient(p) + p * (p - 1) * (g - c - am + af)) == 0
 
 
 @pytest.mark.parametrize("p", range(2, 7))
@@ -141,22 +139,13 @@ def test_recovered_constant_is_the_root_of_the_eigen_defect(p):
     assert abs(at) < min(abs(below), abs(above))
 
 
-def test_recover_reports_a_root_outside_the_unit_interval():
-    # at this probe the equal-gamma root sits at C = 1.5
-    with pytest.raises(NoRoot, match="outside"):
-        recover_C(3, alpha_m=1.0, alpha_f=1.5, probe_t=100.0)
-
-
 @pytest.mark.parametrize("probe_t", [0.0, math.nan, math.inf, -math.inf])
 def test_bad_probe_is_rejected(probe_t):
-    with pytest.raises(ValueError, match="probe_t"):
-        recover_C(3, probe_t=probe_t)
     with pytest.raises(ValueError, match="probe_t"):
         error_functional(3, 0.4, probe_t=probe_t)
 
 
 def test_negative_probe_is_a_valid_t():
-    assert abs(recover_C(3, probe_t=-1e-10) - 5.0 / 12.0) <= 1e-8
     assert error_functional(3, 0.3, probe_t=-1e-10) * error_functional(3, 0.5, probe_t=-1e-10) < 0
 
 

@@ -109,11 +109,10 @@ def test_scan_equals_per_cell_radius(variant, n_am, n_af, lo, width, n_t):
 
 @PROPERTY
 @given(p=orders, am=alphas, af=alphas)
-def test_pencil_det_is_affine_in_the_common_gamma(p, am, af):
+def test_char_poly_is_affine_in_the_common_gamma(p, am, af):
     """With equal gammas g, every coefficient of rho and sigma (char_poly, in
-    exact Fractions) is affine in g, so D(g) = det(R(T) - mu L(T)) =
-    rho(mu) + T sigma(mu) is affine in g at every T and mu: recover_C's
-    closed form."""
+    exact Fractions) is affine in g, and so is every order condition read
+    from them: recover_C's root."""
     am, af = Fraction(am), Fraction(af)
     (rho0, sigma0), (rho_half, sigma_half), (rho1, sigma1) = (
         char_poly(p, am, af, [g] * (p - 1), Fraction(1)) for g in (Fraction(0), Fraction(1, 2), Fraction(1))

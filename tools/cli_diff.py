@@ -11,8 +11,9 @@ output directory byte for byte.  For a CSV file that differs in its numbers
 only, it prints how many rows changed, in which columns, the largest
 relative and absolute change, the largest finite |value| of the parent's
 changed columns (the scale of that absolute change), and how many cells
-moved between inf and a finite value, when any did.  The exit code is 1 on
-any difference.
+moved between inf and a finite value, when any did.  For a ``manifest.txt``
+of ``key = value`` lines it prints each key that changed, with its old and
+new value.  The exit code is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -127,6 +128,32 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
     )
 
 
+def _manifest_entries(text: bytes) -> dict[str, str] | None:
+    try:
+        lines = text.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    pairs = [line.split(" = ", 1) for line in lines]
+    return dict(pairs) if all(len(pair) == 2 for pair in pairs) else None
+
+
+def manifest_changes(old: bytes, new: bytes) -> str | None:
+    """``key old -> new`` for each changed key of two ``key = value`` manifests.
+
+    A key on one side only shows ``(absent)`` on the other.  Returns None when
+    either file has a line that is not ``key = value``, or when the entries
+    are equal (the files then differ in their layout only).
+    """
+    a, b = _manifest_entries(old), _manifest_entries(new)
+    if a is None or b is None:
+        return None
+    changed = [
+        f"{key} {a.get(key, '(absent)')} -> {b.get(key, '(absent)')}"
+        for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)
+    ]
+    return "; ".join(changed) or None
+
+
 def compare_trees(old: Path, new: Path) -> list[str]:
     """One line for each file that is missing on one side or differs in its bytes."""
     files_a = {p.relative_to(old) for p in old.rglob("*") if p.is_file()} if old.is_dir() else set()
@@ -140,7 +167,10 @@ def compare_trees(old: Path, new: Path) -> list[str]:
         else:
             a, b = (old / rel).read_bytes(), (new / rel).read_bytes()
             if a != b:
-                summary = csv_changes(a, b) if rel.suffix == ".csv" else None
+                summary = (
+                    csv_changes(a, b) if rel.suffix == ".csv"
+                    else manifest_changes(a, b) if rel.name == "manifest.txt" else None
+                )
                 lines.append(f"{rel}: {summary or f'bytes differ ({len(a)} -> {len(b)} bytes)'}")
     return lines
 
