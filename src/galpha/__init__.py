@@ -13,12 +13,11 @@ from . import errors
 from .amplification import (
     amplification_matrix,
     build_lr,
-    build_lr_from_gammas,
     characteristic_recurrence_residual,
     limit_matrix_inf,
     limit_matrix_zero,
     one_step_tableau,
-    truncation_residual,
+    order_condition,
 )
 from .integrator import (
     LinearProblem,
@@ -45,7 +44,6 @@ from .schemes import (
     c_of_p,
     in_stability_region,
     make_scheme,
-    order_condition_residuals,
     params_from_rho,
     remark_one_gammas,
 )
@@ -73,18 +71,16 @@ __all__ = [
     "c_of_p",
     "make_scheme",
     "remark_one_gammas",
-    "order_condition_residuals",
     "params_from_rho",
     "in_stability_region",
     # amplification
     "one_step_tableau",
     "build_lr",
-    "build_lr_from_gammas",
     "amplification_matrix",
     "limit_matrix_zero",
     "limit_matrix_inf",
     "characteristic_recurrence_residual",
-    "truncation_residual",
+    "order_condition",
     # stability
     "default_t_samples",
     "ray_t_samples",

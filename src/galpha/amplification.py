@@ -44,20 +44,19 @@ import numpy as np
 
 from . import numkit
 from .errors import DegenerateParams, SingularAtT, SingularMatrix, TooShort, VariantUnsupported
-from .schemes import SchemeParams, order_condition_residuals
+from .schemes import SchemeParams
 
 __all__ = [
     "one_step_tableau",
     "fill_tableau",
     "char_poly",
+    "order_condition",
     "build_lr",
-    "build_lr_from_gammas",
     "amplification_matrix",
     "limit_matrix_zero",
     "limit_matrix_inf",
     "pole_factor",
     "characteristic_recurrence_residual",
-    "truncation_residual",
 ]
 
 
@@ -155,23 +154,29 @@ def char_poly(p, alpha_m, alpha_f, gammas, one=1.0):
     return rho, sigma
 
 
-def build_lr_from_gammas(p, alpha_m, alpha_f, gammas, t):
-    """(L, R) for explicit gamma weights; ``t`` is lambda*tau (may be complex).
+def order_condition(rho, sigma, q):
+    """The T^q coefficient C_q of rho(exp(-T)) + T sigma(exp(-T)).
 
-    :func:`build_lr` calls this with a scheme's gammas; callers that scan over
-    non-standard gamma choices call it directly.
+    From exp(-jT) = sum_q (-jT)^q / q!,
+
+        C_q = (sum_j rho_j (-j)^q + q sum_j sigma_j (-j)^(q-1)) / q!
+
+    for the coefficients of :func:`char_poly`, lowest power first.  The
+    scheme has order p when C_0 = ... = C_p = 0 (Hairer, Norsett & Wanner,
+    Solving ODEs I, III.2).  Exact for Fraction input; floats give floats.
     """
-    t = complex(t)
-    return tuple(
-        fill_tableau(entries, t, np.zeros((p, p), dtype=complex))
-        for entries in one_step_tableau(p, alpha_m, alpha_f, gammas)
-    )
+    total = sum(r * (-j) ** q for j, r in enumerate(rho))
+    if q:
+        total += q * sum(s * (-j) ** (q - 1) for j, s in enumerate(sigma))
+    return total / factorial(q)
 
 
 def build_lr(params: SchemeParams, t):
-    """(L, R) of the one-step system for a validated scheme at T = lambda*tau."""
-    return build_lr_from_gammas(
-        params.p, params.alpha_m, params.alpha_f, params.gammas, t
+    """(L, R) of the one-step system for a validated scheme at T = lambda*tau (may be complex)."""
+    t = complex(t)
+    return tuple(
+        fill_tableau(entries, t, np.zeros((params.p, params.p), dtype=complex))
+        for entries in one_step_tableau(params.p, params.alpha_m, params.alpha_f, params.gammas)
     )
 
 
@@ -272,7 +277,9 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     where c_k are the coefficients of rho + T sigma (:func:`char_poly`)
     divided by the mu^p one, (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!:
     the monic characteristic polynomial det(mu I - G(T)).  Returns
-    max_n |residual| over all windows.
+    max_n |residual| over all windows.  For u_n = exp(-T n) it is
+    |sum_q C_q T^q| / |lead| (:func:`order_condition`), which tends to
+    (p-2)! |C_(p+1)| T^(p+1) / alpha_m for a scheme of order p.
 
     Raises
     ------
@@ -294,21 +301,3 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     monic = (rho + complex(t) * sigma) / lead
     return float(np.abs(np.convolve(u, monic[::-1], "valid")).max())
 
-
-def truncation_residual(params: SchemeParams, t) -> complex:
-    """The hand-written local-error bracket of the p = 3 family at T = lambda*tau:
-
-        T^3 / (12 (alpha_m + gamma_1 alpha_f T)) * [b0 + T b1]
-
-    where (b0, b1) are the two order-condition residuals of
-    :func:`~galpha.schemes.order_condition_residuals`.  It is not the
-    residual of the exact solution in the recurrence: for u_n = exp(-T n),
-    :func:`characteristic_recurrence_residual` has a T^4 coefficient that
-    tends to 7/(108 alpha_m) at MAIN rho_inf = 0.5, where the bracket gives
-    1/(108 alpha_m), and to C_4/alpha_m = 37/456 for the remark-one closure
-    at (1, 0.6), where the bracket is 0.  What the bracket measures is an
-    open question (ROADMAP item 8).
-    """
-    b0, b1 = order_condition_residuals(params)
-    t = complex(t)
-    return (b0 + t * b1) * t**3 / (12.0 * _pole_factor(params, t))

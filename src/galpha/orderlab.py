@@ -10,18 +10,18 @@ Two independent instruments live here:
   one-step matrices alone.  The principal root mu = exp(-T) of
   det(R(T) - mu L(T)) = rho(mu) + T sigma(mu) is of order p when the T^k
   coefficients C_k of rho(exp(-T)) + T sigma(exp(-T)) vanish for k <= p
-  (Hairer, Norsett & Wanner, Solving ODEs I, III.2).  With equal gammas
+  (:func:`~galpha.amplification.order_condition`).  With equal gammas
   C_0 .. C_(p-1) vanish identically and C_p is affine in the common gamma,
   so C is its exact root, read from the Fraction coefficients of
   :func:`~galpha.amplification.char_poly`.
 
 :func:`error_functional`, the scaled defect [principal eig - exp(-T)] /
-T^(p+1) from ``mp.eig`` of G at a probe T, crosses zero at the same C by
-another solver (eigenvalues of the matrices, not coefficients of the
-polynomial) and is the tests' oracle for recover_C.  The probe carries a
-bias linear in T (from the next error order); the default T = 1e-10 keeps
-it at ~1e-11, and the eigenvalues run in extended precision (mpmath)
-because the signal sits T^(p+1) below the matrix entries.
+T^(p+1) from ``mp.eig`` of G at the probe T = 1e-10, crosses zero at the
+same C by another solver (eigenvalues of the matrices, not coefficients of
+the polynomial) and is the tests' oracle for recover_C.  The probe carries a
+bias linear in T (from the next error order) of ~1e-11, and the eigenvalues
+run in extended precision (mpmath) because the signal sits T^(p+1) below
+the matrix entries.
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -33,15 +33,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, nan
+from math import nan
 
 import numpy as np
-from mpmath import mp
 
-from .amplification import char_poly, fill_tableau, one_step_tableau
+from .amplification import char_poly, fill_tableau, one_step_tableau, order_condition
 from .errors import AllAtRoundoff
 from .integrator import integrate, scalar_problem
-from .schemes import SchemeParams, c_of_p
+from .schemes import SchemeParams
 
 __all__ = [
     "ROUNDOFF_FLOOR",
@@ -111,66 +110,44 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
-def _defect_mp(p, c, am, af, t):
-    """E(C) as an mpf, inside an active extended-precision context."""
-    L, R = (
-        fill_tableau(entries, t, mp.zeros(p, p))
-        for entries in one_step_tableau(p, am, af, [c + am - af] * (p - 1), one=mp.mpf(1))
-    )
-    eigs = mp.eig(L**-1 * R, left=False, right=False)
-    target = mp.exp(-t)
-    principal = min(eigs, key=lambda z: (abs(z - target), -mp.re(z)))
-    return mp.re(principal - target) / t ** (p + 1)
-
-
-def _dps_for(p: int) -> int:
-    # The signal sits ~T^(p+1) below the O(1) matrix entries; at T = 1e-10
-    # that is 10*(p+1) digits, plus ~40 guard digits for the arithmetic.
-    return 40 + 10 * (p + 1)
-
-
-def _check_probe(probe_t: float) -> None:
-    if probe_t == 0 or not isfinite(probe_t):
-        raise ValueError(f"probe_t must be finite and nonzero, got {probe_t}")
-
-
-def error_functional(
-    p: int,
-    c: float,
-    alpha_m: float = 1.0,
-    alpha_f: float = 0.75,
-    probe_t: float = 1e-10,
-) -> float:
+def error_functional(p: int, c: float) -> float:
     """Scaled principal-eigenvalue defect E(C); zero at the tabulated constant.
 
-    Raises ``ValueError`` for a ``probe_t`` that is 0, nan or infinite.
+    E(C) = Re(mu_1 - exp(-T)) / T^(p+1) for the eigenvalue mu_1 of G(T)
+    nearest exp(-T), at T = 1e-10 and (alpha_m, alpha_f) = (1, 3/4).
     """
-    _check_probe(probe_t)
-    with mp.workdps(_dps_for(p)):
-        return float(_defect_mp(p, mp.mpf(c), mp.mpf(alpha_m), mp.mpf(alpha_f), mp.mpf(probe_t)))
+    from mpmath import mp  # galpha's only mpmath user; imported on first call
+
+    # The signal sits ~T^(p+1) below the O(1) matrix entries: 10 (p + 1)
+    # digits at T = 1e-10, plus ~40 guard digits for the arithmetic.
+    with mp.workdps(40 + 10 * (p + 1)):
+        one, t = mp.mpf(1), mp.mpf(1e-10)
+        am, af = one, mp.mpf(0.75)
+        L, R = (
+            fill_tableau(entries, t, mp.zeros(p, p))
+            for entries in one_step_tableau(p, am, af, [mp.mpf(c) + am - af] * (p - 1), one)
+        )
+        eigs = mp.eig(L**-1 * R, left=False, right=False)
+        target = mp.exp(-t)
+        principal = min(eigs, key=lambda z: (abs(z - target), -mp.re(z)))
+        return float(mp.re(principal - target) / t ** (p + 1))
 
 
-def recover_C(p: int, alpha_m: float = 1.0, alpha_f: float = 0.75) -> float:
+def recover_C(p: int) -> float:
     """The closure constant C(p), recovered from the one-step matrices, not assumed.
 
-    With every gamma equal to g, the order condition p! C_p(g) =
-    sum_j rho_j (-j)^p + p sum_j sigma_j (-j)^(p-1) is affine in g (every
-    gamma sits in the last column), so its root is g* = C_p(0) / (C_p(0) -
-    C_p(1)), exact in Fractions, and C = g* - alpha_m + alpha_f.
+    With every gamma equal to g, the order condition C_p(g)
+    (:func:`~galpha.amplification.order_condition`) is affine in g, since
+    every gamma sits in the last column, so its root is g* = C_p(0) /
+    (C_p(0) - C_p(1)), exact in Fractions, and C = g* - alpha_m + alpha_f.
+    The root does not depend on (alpha_m, alpha_f); this takes (1, 3/4).
 
-    Raises ``ValueError`` for p < 2 or a non-finite ``alpha_m`` or ``alpha_f``.
+    Raises ``ValueError`` for p < 2.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
-    if not (isfinite(alpha_m) and isfinite(alpha_f)):
-        raise ValueError(f"alpha_m and alpha_f must be finite, got {alpha_m} and {alpha_f}")
-    am, af = Fraction(alpha_m), Fraction(alpha_f)
-
-    def order_condition(g):
-        rho, sigma = char_poly(p, am, af, [g] * (p - 1), Fraction(1))
-        return sum(r * (-j) ** p + p * s * (-j) ** (p - 1) for j, (r, s) in enumerate(zip(rho, sigma)))
-
-    c0, c1 = order_condition(Fraction(0)), order_condition(Fraction(1))
+    am, af = Fraction(1), Fraction(3, 4)
+    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1), Fraction(1)), p) for g in (0, 1))
     return float(c0 / (c0 - c1) - am + af)
 
 

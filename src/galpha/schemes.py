@@ -9,8 +9,12 @@ supported:
   where C(p) is a tabulated rational constant per order (1/2 for p = 2,
   5/12 for p = 3, ...).  Defined for p = 2 .. 11.
 * ``Variant.REMARK_ONE``:  third order only; gamma_1 and gamma_2 are distinct
-  rational functions of (alpha_m, alpha_f) that solve the same two order
-  conditions.  This closure trades the clean stiff-limit form for a larger
+  rational functions of (alpha_m, alpha_f).  gamma_1 (2 + 3 alpha_f) =
+  3 alpha_m, and gamma_2 then meets the third-order condition C_3 = 0 of
+  ``amplification.order_condition``.  The first relation is not an order
+  condition of rho and sigma: C_4 != 0, and both closures are exactly third
+  order.
+  This closure trades the clean stiff-limit form for a larger
   unconditional-stability region.
 
 The module also carries the closed-form descriptions of the third-order
@@ -38,7 +42,6 @@ __all__ = [
     "closure_gammas",
     "make_scheme",
     "remark_one_gammas",
-    "order_condition_residuals",
     "params_from_rho",
     "in_stability_region",
 ]
@@ -126,7 +129,7 @@ class SchemeParams:
 
 
 def remark_one_gammas(alpha_m: float, alpha_f: float) -> tuple[float, float]:
-    """Distinct (gamma_1, gamma_2) solving both third-order conditions.
+    """Distinct (gamma_1, gamma_2) of the remark-one closure (module docstring).
 
     gamma_1 = 3*alpha_m / (2 + 3*alpha_f)
     gamma_2 = (10 - 9*alpha_f - 36*alpha_f^2 + 6*alpha_m + 36*alpha_m*alpha_f)
@@ -172,28 +175,6 @@ def make_scheme(
         raise ValueError(f"order p must be >= 2, got {p}")
     gammas = closure_gammas(p, alpha_m, alpha_f, variant)
     return SchemeParams(p, float(alpha_m), float(alpha_f), gammas, variant)
-
-
-def order_condition_residuals(params: SchemeParams) -> tuple[float, float]:
-    """Residuals (r1, r2) of the two order conditions of the p = 3 family.
-
-    r1 = -5 + 6*gamma_1 + 6*gamma_2 + 12*alpha_f - 12*alpha_m
-    r2 = -5 - 2*gamma_1 + 6*gamma_2 + 12*alpha_f - 12*gamma_1*alpha_f
-
-    r1 = 0 is the third-order condition proper and holds for both closures
-    (it fixes the equal-gamma constant at 5/12).  r2 = 0 is the auxiliary
-    condition that distinguishes the remark-one closure: its gammas zero the
-    entire bracket of the leading local-error term, at the price of a
-    different stability region.  Equal-gamma instances generically have
-    r2 != 0.  Third order only.
-    """
-    if params.p != 3:
-        raise VariantUnsupported("order-condition residuals are defined for p=3")
-    g1, g2 = params.gammas
-    am, af = params.alpha_m, params.alpha_f
-    r1 = -5.0 + 6.0 * g1 + 6.0 * g2 + 12.0 * af - 12.0 * am
-    r2 = -5.0 - 2.0 * g1 + 6.0 * g2 + 12.0 * af - 12.0 * g1 * af
-    return r1, r2
 
 
 def params_from_rho(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> tuple[float, float]:

@@ -49,6 +49,17 @@ def cubic_roots(c0, c1, c2, c3):
     return np.moveaxis(re + 1j * im, 0, -1)
 
 
+def one_step_matrices(p, alpha_m, alpha_f, gammas, t):
+    """Complex (L, R) at T = t for explicit gamma weights, filled from the one tableau."""
+    from galpha.amplification import fill_tableau, one_step_tableau
+
+    t = complex(t)
+    return tuple(
+        fill_tableau(entries, t, np.zeros((p, p), dtype=complex))
+        for entries in one_step_tableau(p, alpha_m, alpha_f, gammas)
+    )
+
+
 @pytest.fixture
 def eig_match():
     return assert_spectrum

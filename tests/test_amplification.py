@@ -11,19 +11,18 @@ from galpha import numkit
 from galpha.amplification import (
     amplification_matrix,
     build_lr,
-    build_lr_from_gammas,
     char_poly,
     characteristic_recurrence_residual,
     fill_tableau,
     limit_matrix_inf,
     limit_matrix_zero,
     one_step_tableau,
-    truncation_residual,
+    order_condition,
 )
 from galpha.errors import DegenerateParams, SingularAtT, TooShort, VariantUnsupported
 from galpha.schemes import Variant, c_of_p, closure_gammas, make_scheme, params_from_rho
 
-from conftest import assert_spectrum, closed_form_g3
+from conftest import assert_spectrum, closed_form_g3, one_step_matrices
 
 
 # --- matrix layout -----------------------------------------------------------
@@ -31,14 +30,14 @@ from conftest import assert_spectrum, closed_form_g3
 
 def test_one_step_matrices_p2_literal():
     am, af, g, t = 0.8, 0.6, 0.7, 0.9
-    L, R = build_lr_from_gammas(2, am, af, (g,), t)
+    L, R = one_step_matrices(2, am, af, (g,), t)
     assert np.allclose(L, [[1.0, -g], [af * t, am]], atol=0)
     assert np.allclose(R, [[1.0, 1.0 - g], [(af - 1.0) * t, am - 1.0]], atol=0)
 
 
 def test_one_step_matrices_p4_literal():
     am, af, g, t = 0.9, 0.7, 0.45, 1.3
-    L, R = build_lr_from_gammas(4, am, af, (g, g, g), t)
+    L, R = one_step_matrices(4, am, af, (g, g, g), t)
     L_expected = [
         [1.0, 0.0, 0.0, -g / 6.0],
         [0.0, 1.0, 0.0, -g / 2.0],
@@ -69,15 +68,15 @@ def test_p3_matches_hand_written_entries(t, variant):
     "p, gammas, message",
     [(1, (), "order p must be >= 2"), (3, (0.5,), "expected 2 gammas"), (3, (0.5,) * 3, "expected 2 gammas")],
 )
-def test_build_lr_from_gammas_validates_layout(p, gammas, message):
+def test_one_step_tableau_validates_layout(p, gammas, message):
     with pytest.raises(ValueError, match=message):
-        build_lr_from_gammas(p, 0.9, 0.6, gammas, 0.5)
+        one_step_tableau(p, 0.9, 0.6, gammas)
 
 
 def test_build_lr_uses_scheme_gammas():
     params = make_scheme(3, 0.85, 0.58, Variant.REMARK_ONE)
     L, R = build_lr(params, 0.4)
-    L2, R2 = build_lr_from_gammas(3, 0.85, 0.58, params.gammas, 0.4)
+    L2, R2 = one_step_matrices(3, 0.85, 0.58, params.gammas, 0.4)
     assert np.array_equal(L, L2)
     assert np.array_equal(R, R2)
 
@@ -109,7 +108,7 @@ def test_char_poly_is_the_determinant(p):
     for _ in range(6):
         mu, t = rng.normal(size=2) + 1j * rng.normal(size=2)
         t *= 10.0 ** rng.uniform(-2, 3)
-        L, R = build_lr_from_gammas(p, am, af, gammas, t)
+        L, R = one_step_matrices(p, am, af, gammas, t)
         expected = np.linalg.det(R - mu * L)
         terms = np.concatenate([rho * mu**powers, t * sigma * mu**powers])
         got = terms.sum()
@@ -149,15 +148,6 @@ def test_char_poly_arrays_match_scalar_calls_bit_for_bit(p):
     assert np.array_equal(sigma[p], (-1) ** p * gammas[0] * af / factorial(p - 2))
 
 
-def _error_coefficients(rho, sigma, n):
-    """C_0 .. C_n of sum_j (rho_j + T sigma_j) e^{-jT} = sum_q C_q T^q."""
-    return [
-        (sum(r * (-j) ** q for j, r in enumerate(rho))
-         + (q * sum(s * (-j) ** (q - 1) for j, s in enumerate(sigma)) if q else 0)) / factorial(q)
-        for q in range(n + 1)
-    ]
-
-
 @pytest.mark.parametrize("p", range(2, 12))
 def test_char_poly_exact_order_of_equal_gamma_schemes(p):
     """Fraction input gives exact Fractions; the equal-gamma closure has C_0 .. C_p = 0."""
@@ -166,9 +156,8 @@ def test_char_poly_exact_order_of_equal_gamma_schemes(p):
         gammas = [c_of_p(p) + am - af] * (p - 1)
         rho, sigma = char_poly(p, am, af, gammas, one)
         assert all(type(c) is Fraction for c in [*rho, *sigma])
-        C = _error_coefficients(rho, sigma, p + 1)
-        assert C[: p + 1] == [0] * (p + 1)
-        assert C[p + 1] != 0
+        assert [order_condition(rho, sigma, q) for q in range(p + 1)] == [0] * (p + 1)
+        assert order_condition(rho, sigma, p + 1) != 0
 
 
 @pytest.mark.parametrize(
@@ -183,7 +172,7 @@ def test_char_poly_exact_order_of_equal_gamma_schemes(p):
 def test_char_poly_exact_error_constant(p, am, af, constant):
     """C_{p+1}/sigma(1) in exact arithmetic (0.0833, 0.0367, -0.00832, 0.00147 in floats)."""
     rho, sigma = char_poly(p, am, af, [c_of_p(p) + am - af] * (p - 1), Fraction(1))
-    assert _error_coefficients(rho, sigma, p + 1)[p + 1] / sum(sigma) == constant
+    assert order_condition(rho, sigma, p + 1) / sum(sigma) == constant
 
 
 @pytest.mark.parametrize("p", range(2, 12))
@@ -412,51 +401,38 @@ def test_recurrence_refuses_a_sequence_that_is_not_1d():
         characteristic_recurrence_residual(params, 0.8, np.ones((10, 10)))
 
 
-# --- local truncation error ----------------------------------------------------
+# --- order conditions ------------------------------------------------------------
 
 
-def test_bracket_vanishes_for_remark_one():
-    params = make_scheme(3, 0.9, 0.6, Variant.REMARK_ONE)
-    for t in (0.3, 2.0, 1.0 + 0.5j):
-        assert abs(truncation_residual(params, t)) <= 1e-12 * abs(t) ** 3
+@pytest.mark.parametrize("p", range(2, 7))
+def test_order_condition_is_the_taylor_coefficient(p):
+    """C_q is the T^q coefficient of rho(exp(-T)) + T sigma(exp(-T)), by sympy's series."""
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(300 + p)
+    am, af, *gammas = (Fraction(int(n), 16) for n in rng.integers(1, 33, p + 1))
+    rho, sigma = char_poly(p, am, af, gammas, Fraction(1))
+    t = sympy.Symbol("T")
+    series = sum(
+        (sympy.Rational(r) + t * sympy.Rational(s)) * sympy.exp(-j * t) for j, (r, s) in enumerate(zip(rho, sigma))
+    )
+    taylor = sympy.Poly(sympy.series(series, t, 0, p + 3).removeO(), t)
+    for q in range(p + 3):
+        assert order_condition(rho, sigma, q) == Fraction(str(taylor.coeff_monomial(t**q)))
 
 
-def test_bracket_equal_gamma_leading_term_zero():
-    # the bracket is b0 + T*b1 with b0 = 0 and b1 = -1/9 at rho_inf = 0.5
-    am, af = params_from_rho(0.5)
-    params = make_scheme(3, am, af)
-    for t in (0.3, 2.0, 1.0 + 0.5j):
-        expected = -t**4 / (9.0 * 12.0 * (am + params.gamma1 * af * t))
-        assert truncation_residual(params, t) == pytest.approx(expected, rel=1e-12, abs=1e-13)
-
-
-def test_truncation_residual_scales_like_t_cubed():
-    params = make_scheme(3, 0.9, 0.55)
-    r1 = truncation_residual(params, 1e-3)
-    r2 = truncation_residual(params, 2e-3)
-    # b0 = 0 for equal-gamma, so the leading behaviour here is T^4
-    assert abs(r2 / r1) == pytest.approx(16.0, rel=0.01)
-
-
-def test_truncation_residual_is_not_the_recurrence_residual():
-    """The bracket disagrees with the T^4 coefficient of exp(-T n) in the
-    recurrence (an open question, ROADMAP item 8): at MAIN rho_inf = 0.5 the
-    recurrence tends to 7/(108 am) and the bracket to 1/(108 am); for
-    remark-one at (1, 0.6) the recurrence tends to C_4/am = 37/456 and the
-    bracket is 0."""
+def test_recurrence_residual_of_the_exact_solution_tends_to_c4_over_alpha_m():
+    """For u_n = exp(-T n) the recurrence residual is C_4 T^4 / alpha_m to
+    leading order: 7/(108 alpha_m) at MAIN rho_inf = 1/2, and 37/456 for
+    remark-one at (1, 3/5), where its C_4 is 37/456."""
     t = 2.5e-3
     u = np.exp(-t * np.arange(4))
     am, af = params_from_rho(0.5)
     main = make_scheme(3, am, af)
     assert characteristic_recurrence_residual(main, t, u) / t**4 == pytest.approx(7 / (108 * am), rel=1e-2)
-    assert abs(truncation_residual(main, t)) / t**4 == pytest.approx(1 / (108 * am), rel=1e-2)
     remark = make_scheme(3, 1.0, 0.6, Variant.REMARK_ONE)
+    am, af = Fraction(1), Fraction(3, 5)
+    g1 = 3 * am / (2 + 3 * af)
+    g2 = (10 - 9 * af - 36 * af**2 + 6 * am + 36 * am * af) / (12 + 18 * af)
+    assert remark.gammas == pytest.approx((float(g1), float(g2)), rel=1e-15)
+    assert order_condition(*char_poly(3, am, af, [g1, g2], Fraction(1)), 4) == Fraction(37, 456)
     assert characteristic_recurrence_residual(remark, t, u) / t**4 == pytest.approx(37 / 456, rel=1e-2)
-    assert abs(truncation_residual(remark, t)) <= 1e-12 * t**4
-
-
-def test_truncation_residual_pole():
-    params = make_scheme(3, 0.9, 0.55)
-    t_pole = -params.alpha_m / (params.gamma1 * params.alpha_f)
-    with pytest.raises(SingularAtT):
-        truncation_residual(params, t_pole)

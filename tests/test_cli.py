@@ -624,14 +624,19 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_unloaded():
-    """Importing the package and its CLI loads no scipy module.
+    """Importing the package and its CLI loads no scipy or mpmath module.
 
     scipy is installed but not a dependency.  Importing ``scipy.linalg`` or
     ``scipy.fft`` after galpha measured 0.28-0.36 s and 25-27 MB on top of a
     33 MB process (2-core x86-64 VM, Python 3.11, numpy 2.4.6, scipy 1.17.1),
     more than the benchmark's bounds on setup time and peak RSS allow.
+    mpmath is a dependency, but only ``orderlab.error_functional`` uses it,
+    so it is imported there, on the first call.
     """
-    code = "import sys, galpha, galpha.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, galpha, galpha.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
     )

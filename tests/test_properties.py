@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from galpha import stability
-from galpha.amplification import amplification_matrix, build_lr_from_gammas, char_poly
+from galpha.amplification import amplification_matrix, char_poly
 from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.schemes import Variant, make_scheme
 from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
 
-from conftest import cubic_roots
+from conftest import cubic_roots, one_step_matrices
 
 # Derandomized and without an example database, so every run checks the same
 # examples.
@@ -40,7 +40,7 @@ def test_det_l_is_the_pole_factor(p, am, af, gammas, modulus, angle):
     """(p-2)! det L(T) = alpha_m + gamma_1 alpha_f T: the scan's pole guard for every p."""
     t = modulus * cmath.exp(1j * angle)
     g = gammas[: p - 1]
-    L, _ = build_lr_from_gammas(p, am, af, g, t)
+    L, _ = one_step_matrices(p, am, af, g, t)
     expected = am + g[0] * af * t
     scale = abs(am) + abs(g[0] * af * t)
     assert abs(np.linalg.det(L) * factorial(p - 2) - expected) <= 1e-12 * scale
@@ -208,3 +208,25 @@ def test_cubic_repeat_flag_separates_a_double_unit_root_from_a_close_pair(unit, 
     stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, np.ones(1, dtype=bool))
     assert radius[0] == pytest.approx(1.0, abs=1e-7)
     assert repeated[0] == (not apart)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("windows", [0.9, 1.1])
+@PROPERTY
+@given(unit=st.sampled_from([-1.0, 1.0]), distance=st.floats(min_value=1.0, max_value=1.9))
+def test_cubic_repeat_flag_window_is_one_repeat_window(windows, conjugate, unit, distance):
+    """Two roots at +-1 that are 0.9 REPEAT_WINDOW apart are flagged and two
+    1.1 windows apart are not, for a real pair astride the circle and for a
+    conjugate pair on it.  The third root sits ``distance`` from the pair, on
+    the far side of 0.  On the pair's side the rounding of the coefficients
+    alone moves the float cubic's pair (50-digit roots) by up to 0.3 windows."""
+    half = windows * stability.REPEAT_WINDOW / 2.0
+    if conjugate:
+        pair = unit * np.exp([1j * np.arcsin(half), -1j * np.arcsin(half)])
+    else:
+        pair = unit * np.array([1.0 + half, 1.0 - half])
+    c3, c2, c1, c0 = (np.array([c]) for c in np.poly([*pair, unit * (1.0 - distance)]).real)
+    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
+    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, np.ones(1, dtype=bool))
+    assert radius[0] == pytest.approx(np.abs(pair).max(), abs=1e-8)
+    assert repeated[0] == (windows < 1.0)

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from galpha.amplification import char_poly, order_condition
 from galpha.errors import OutOfTable, PoleAtRho, VariantUnsupported
 from galpha.schemes import (
     RhoBranch,
@@ -16,7 +17,6 @@ from galpha.schemes import (
     closure_gammas,
     in_stability_region,
     make_scheme,
-    order_condition_residuals,
     params_from_rho,
     remark_one_gammas,
 )
@@ -97,14 +97,16 @@ def test_remark_one_reference_point():
     assert g2 == pytest.approx(5.0 / 6.0, abs=1e-15)
 
 
-def test_remark_one_satisfies_both_order_conditions():
+def test_remark_one_meets_the_third_order_conditions():
+    """C_0 .. C_3 = 0 to 1e-12 on random cells, and gamma_1 (2 + 3 alpha_f) = 3 alpha_m."""
     rng = np.random.default_rng(11)
     for _ in range(10):
         am, af = rng.uniform(0.3, 1.3, size=2)
-        params = make_scheme(3, am, af, Variant.REMARK_ONE)
-        r1, r2 = order_condition_residuals(params)
-        assert abs(r1) <= 1e-12
-        assert abs(r2) <= 1e-12
+        g1, g2 = make_scheme(3, am, af, Variant.REMARK_ONE).gammas
+        rho, sigma = char_poly(3, am, af, [g1, g2])
+        for q in range(4):
+            assert abs(order_condition(rho, sigma, q)) <= 1e-12
+        assert g1 * (2.0 + 3.0 * af) == pytest.approx(3.0 * am, rel=1e-15)
 
 
 def test_remark_one_pole_is_a_clean_error():
@@ -144,18 +146,15 @@ def test_closure_gammas_p3_constant_is_five_twelfths():
     assert closure_gammas(3, 0.9, 0.6) == (5.0 / 12.0 + 0.9 - 0.6,) * 2
 
 
-def test_equal_gamma_satisfies_first_condition_only():
-    am, af = params_from_rho(0.5)
-    params = make_scheme(3, am, af)
-    r1, r2 = order_condition_residuals(params)
-    assert abs(r1) <= 1e-12
-    # the auxiliary residual is generically nonzero for the equal-gamma rule
-    assert r2 == pytest.approx(-1.0 / 9.0, abs=1e-12)
-
-
-def test_order_conditions_p3_only():
-    with pytest.raises(VariantUnsupported):
-        order_condition_residuals(make_scheme(2, 0.5, 0.5))
+def test_equal_gamma_meets_the_third_order_conditions_exactly():
+    """At MAIN rho_inf = 1/2, (29/36, 5/9), C_0 .. C_3 = 0 and C_4 = 7/108 exactly;
+    the remark-one relation gamma_1 (2 + 3 alpha_f) = 3 alpha_m does not hold."""
+    am, af = Fraction(29, 36), Fraction(5, 9)
+    assert params_from_rho(0.5) == pytest.approx((float(am), float(af)), abs=1e-15)
+    g = c_of_p(3) + am - af
+    rho, sigma = char_poly(3, am, af, [g, g], Fraction(1))
+    assert [order_condition(rho, sigma, q) for q in range(5)] == [0, 0, 0, 0, Fraction(7, 108)]
+    assert g * (2 + 3 * af) - 3 * am == Fraction(1, 36)
 
 
 def test_main_branch_endpoints():
