@@ -13,8 +13,7 @@ supported:
   3 alpha_m, and gamma_2 then meets the third-order condition C_3 = 0 of
   ``amplification.order_condition``.  The first relation is not an order
   condition of rho and sigma: C_4 != 0, and both closures are exactly third
-  order.
-  This closure trades the clean stiff-limit form for a larger
+  order.  This closure trades the clean stiff-limit form for a larger
   unconditional-stability region.
 
 The module also carries the closed-form descriptions of the third-order
