@@ -1,6 +1,7 @@
 """Tests for order measurement and recovery of the closure constant."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_recover_rejects_low_order():
 def test_recover_is_the_tabulated_constant_exactly(p):
     """The root of the exact order condition is C(p), bit for bit."""
     assert recover_C(p) == float(c_of_p(p))
+
+
+@pytest.mark.parametrize("alpha_m, alpha_f", [(1.0, 0.75), (0.9, 0.6), (1.2, 0.8)])
+@pytest.mark.parametrize("p", range(2, 12))
+def test_order_condition_root_is_the_constant_at_every_cell(p, alpha_m, alpha_f):
+    """recover_C's root g* = C_p(0) / (C_p(0) - C_p(1)) gives C(p) exactly at
+    any (alpha_m, alpha_f), not only its fixed cell (1, 3/4): in Fractions,
+    without sympy."""
+    am, af = Fraction(alpha_m), Fraction(alpha_f)
+    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1), Fraction(1)), p) for g in (0, 1))
+    assert c0 / (c0 - c1) - am + af == c_of_p(p)
 
 
 @pytest.mark.parametrize("p", range(2, 12))
