@@ -4,18 +4,16 @@ The package provides the scheme family itself (orders 2 and up, two gamma
 closures, stiff-damping design via rho_inf), the amplification-matrix algebra
 that underpins its analysis, stability-region scanning, convergence and
 closure-constant verification tools, and a small CLI for producing CSV/plot
-artifacts.
+artifacts.  References that only check other code (``build_lr``,
+``amplification_matrix``, the limit matrices, the recurrence residual,
+``verify_rho_control`` and ``error_functional``) are imported from their
+modules.
 """
 
 __version__ = "0.1.0"
 
 from . import errors
 from .amplification import (
-    amplification_matrix,
-    build_lr,
-    characteristic_recurrence_residual,
-    limit_matrix_inf,
-    limit_matrix_zero,
     one_step_tableau,
     order_condition,
 )
@@ -32,7 +30,6 @@ from .integrator import (
 )
 from .orderlab import (
     ConvergenceReport,
-    error_functional,
     measure_order,
     recover_C,
     write_convergence_csv,
@@ -48,15 +45,12 @@ from .schemes import (
     remark_one_gammas,
 )
 from .stability import (
-    GridSpec,
     RadiusReport,
     RhoPoint,
     StabilityMap,
     default_t_samples,
-    ray_t_samples,
     rho_curve,
     scan_region,
-    verify_rho_control,
     worst_case_radius,
     write_stability_csv,
 )
@@ -75,21 +69,13 @@ __all__ = [
     "in_stability_region",
     # amplification
     "one_step_tableau",
-    "build_lr",
-    "amplification_matrix",
-    "limit_matrix_zero",
-    "limit_matrix_inf",
-    "characteristic_recurrence_residual",
     "order_condition",
     # stability
     "default_t_samples",
-    "ray_t_samples",
     "RadiusReport",
     "worst_case_radius",
-    "GridSpec",
     "StabilityMap",
     "scan_region",
-    "verify_rho_control",
     "RhoPoint",
     "rho_curve",
     "write_stability_csv",
@@ -106,7 +92,6 @@ __all__ = [
     # orderlab
     "ConvergenceReport",
     "measure_order",
-    "error_functional",
     "recover_C",
     "write_convergence_csv",
 ]

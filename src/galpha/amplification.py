@@ -257,16 +257,6 @@ def pole_factor(a, b):
     return factor, abs(factor) > 1e-12 * (abs(a) + abs(b))
 
 
-def _pole_factor(params: SchemeParams, t) -> complex:
-    """(p-2)! det L(T) = alpha_m + gamma_1 alpha_f T; ``SingularAtT`` on the
-    pole (:func:`pole_factor`)."""
-    t = complex(t)
-    factor, nonzero = pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)
-    if not nonzero:
-        raise SingularAtT(f"one-step system has a pole at T={t!r}")
-    return factor
-
-
 def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> float:
     """Largest defect of the solution sequence in the scalar p+1-term recurrence.
 
@@ -288,7 +278,7 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     TooShort
         If fewer than p + 1 values are supplied.
     SingularAtT
-        On the pole of the one-step system.
+        On the pole of the one-step system (:func:`pole_factor`).
     """
     u = np.asarray(sequence, dtype=complex)
     p = params.p
@@ -296,8 +286,12 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
         raise ValueError(f"sequence must be 1-D, got shape {u.shape}")
     if u.size < p + 1:
         raise TooShort(f"need at least {p + 1} sequence values, got {u.size}")
-    lead = (-1) ** p * _pole_factor(params, t) / factorial(p - 2)
+    t = complex(t)
+    factor, nonzero = pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)
+    if not nonzero:
+        raise SingularAtT(f"one-step system has a pole at T={t!r}")
+    lead = (-1) ** p * factor / factorial(p - 2)
     rho, sigma = char_poly(p, params.alpha_m, params.alpha_f, params.gammas)
-    monic = (rho + complex(t) * sigma) / lead
+    monic = (rho + t * sigma) / lead
     return float(np.abs(np.convolve(u, monic[::-1], "valid")).max())
 

@@ -41,7 +41,6 @@ from .schemes import (
     params_from_rho,
 )
 from .stability import (
-    GridSpec,
     default_t_samples,
     rho_curve,
     scan_region,
@@ -252,22 +251,15 @@ def cmd_stability_map(args, out: Path) -> dict:
     if args.t_samples < 2:
         raise ConfigError("--t-samples must be at least 2")
     variant = Variant(args.variant)
-    grid = GridSpec(
-        alpha_m_min=args.alpha_min,
-        alpha_m_max=args.alpha_max,
-        n_alpha_m=args.grid_n,
-        alpha_f_min=args.alpha_min,
-        alpha_f_max=args.alpha_max,
-        n_alpha_f=args.grid_n,
-    )
+    axis = np.linspace(args.alpha_min, args.alpha_max, args.grid_n)
     samples = default_t_samples(args.t_samples, args.t_min, args.t_max)
-    smap = scan_region(variant, grid, t_samples=samples)
+    smap = scan_region(axis, axis, variant, t_samples=samples)
     write_stability_csv(smap, out / "stability.csv")
     script = _PLOT_TEMPLATE.format(
-        af_min=grid.alpha_f_min,
-        af_max=grid.alpha_f_max,
-        am_min=grid.alpha_m_min,
-        am_max=grid.alpha_m_max,
+        af_min=args.alpha_min,
+        af_max=args.alpha_max,
+        am_min=args.alpha_min,
+        am_max=args.alpha_max,
         variant=variant.value,
     )
     (out / "stability.plot").write_text(script, encoding="utf-8")
@@ -277,12 +269,12 @@ def cmd_stability_map(args, out: Path) -> dict:
 
     return dict(
         variant=variant.value,
-        grid_n_alpha_m=grid.n_alpha_m,
-        grid_n_alpha_f=grid.n_alpha_f,
-        alpha_m_min=grid.alpha_m_min,
-        alpha_m_max=grid.alpha_m_max,
-        alpha_f_min=grid.alpha_f_min,
-        alpha_f_max=grid.alpha_f_max,
+        grid_n_alpha_m=args.grid_n,
+        grid_n_alpha_f=args.grid_n,
+        alpha_m_min=args.alpha_min,
+        alpha_m_max=args.alpha_max,
+        alpha_f_min=args.alpha_min,
+        alpha_f_max=args.alpha_max,
         t_samples=args.t_samples,
         t_min=args.t_min,
         t_max=args.t_max,
@@ -416,6 +408,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         _emit_error(2, "config", f"i/o failure: {exc}")
+        return 2
+    except MemoryError as exc:
+        _emit_error(2, "config", f"the requested size does not fit in memory: {exc}")
         return 2
 
 

@@ -10,13 +10,13 @@ guarantees radius <= 1 for every real T >= 0 including both limits.  The
 default sample set used for the scan therefore walks the real axis (log-spaced
 over twelve decades), and at p = 3 the scan adds both limits.
 
-Off-axis behaviour is genuinely different and can be probed with
-:func:`ray_t_samples`: measured radii exceed 1 along rays close to the
-imaginary axis even at parameter points well inside the region above (e.g.
-radius ~= 1.04 at (alpha_m, alpha_f) = (1, 0.6) for arg T = 0.98*pi/2,
-|T| = 1).  Such samples are deliberately not part of the stability decision,
-which mirrors the real-axis theory; pass them explicitly when you want a
-sector diagnosis.
+Off-axis behaviour is genuinely different and can be probed with the rays
+``default_t_samples() * exp(1j * angle)``: measured radii exceed 1 along rays
+close to the imaginary axis even at parameter points well inside the region
+above (e.g. radius ~= 1.04 at (alpha_m, alpha_f) = (1, 0.6) for
+arg T = 0.98*pi/2, |T| = 1).  Such samples are deliberately not part of the
+stability decision, which mirrors the real-axis theory; pass them explicitly
+when you want a sector diagnosis.
 
 A cell is declared stable when its worst sampled radius is at most 1 + 1e-9
 and no sample produced a (numerically) repeated root on the unit circle;
@@ -41,28 +41,29 @@ is therefore the three roots of a real cubic, whose coefficients
 by back-substitution.  The roots are found in real arithmetic (Cardano
 or the trigonometric form, then deflation), and on every sample of both
 default maps each root lies within 7.0e-12 max(1, radius) of
-``eigvals(G)``.  Complex T at p = 3 (off-axis diagnostics such as
-:func:`ray_t_samples`) and every other order take ``eigvals(solve(L, R))``
-of the stacked one-step matrices: at p = 10 and 11 companion roots of
-rho + T sigma drift from eig(G) by more than 1e-12 relative.  Both take the
-T samples in blocks of at most 2**15 (sample, cell) pairs: a single cell
-takes all samples in one call, the default 40 000-cell map one sample at a
-time.  The p = 3 limits are points of the same tableau.  T = 0 is one more
-sample, ahead of the others, so the real cubic takes it too, and its pole
-is alpha_m = 0 by the same :func:`~galpha.amplification.pole_factor`.
-Dividing the last rows of L(T) and R(T) by T and letting T -> inf leaves
-their T-coefficients alone, for either closure; that pair goes through
+``eigvals(G)``.  Complex T at p = 3 (off-axis diagnostics on such rays)
+and every other order take ``eigvals(solve(L, R))`` of the stacked
+one-step matrices: at p = 10 and 11 companion roots of rho + T sigma drift
+from eig(G) by more than 1e-12 relative.  Both take the T samples in blocks
+of at most 2**15 (sample, cell) pairs: a single cell takes all samples in
+one call, the default 40 000-cell map one sample at a time.  The p = 3
+limits are points of the same tableau.  T = 0 is one more sample, ahead of
+the others, so the real cubic takes it too, and its pole is alpha_m = 0 by
+the same :func:`~galpha.amplification.pole_factor`.  Dividing the last
+rows of L(T) and R(T) by T and letting T -> inf leaves their
+T-coefficients alone, for either closure; that pair goes through
 ``eigvals(solve(L, R))``, with its pole gamma_1 alpha_f = 0 again by
 :func:`~galpha.amplification.pole_factor`.  So a cell with alpha_f = 0 has
 no pole at any sample but reads radius inf: there the largest root grows
-like T without bound.  A cubic in mu would split the defective double root
--1 of the equal-gamma G(inf) at (alpha_m, alpha_f) = (7/12, 1/2) by about
-1e-8.
+like T without bound.  A defective double root of G(inf) is split by either
+route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
+(alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8, and ``eigvals`` splits the
+-rho_inf of MAIN by up to 6.8e-8 relative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +92,8 @@ __all__ = [
     "RADIUS_TOL",
     "REPEAT_WINDOW",
     "default_t_samples",
-    "ray_t_samples",
     "RadiusReport",
     "worst_case_radius",
-    "GridSpec",
     "StabilityMap",
     "scan_region",
     "verify_rho_control",
@@ -117,11 +116,6 @@ _BLOCK_PAIRS = 1 << 15
 def default_t_samples(n: int = 48, lo: float = 1e-4, hi: float = 1e8) -> np.ndarray:
     """Real, positive, log-spaced T samples used for stability decisions."""
     return np.logspace(np.log10(lo), np.log10(hi), n)
-
-
-def ray_t_samples(angle: float, n: int = 16, lo: float = 1e-4, hi: float = 1e8) -> np.ndarray:
-    """Log-spaced samples along the ray arg(T) = angle (off-axis diagnostics)."""
-    return default_t_samples(n, lo, hi) * complex(np.cos(angle), np.sin(angle))
 
 
 def _stable(radius, repeated):
@@ -315,24 +309,6 @@ def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     return RadiusReport(float(radius[0]), bool(repeated[0]))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular (alpha_m, alpha_f) grid, inclusive of endpoints."""
-
-    alpha_m_min: float = 0.0
-    alpha_m_max: float = 1.5
-    n_alpha_m: int = 200
-    alpha_f_min: float = 0.0
-    alpha_f_max: float = 1.5
-    n_alpha_f: int = 200
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.alpha_m_min, self.alpha_m_max, self.n_alpha_m),
-            np.linspace(self.alpha_f_min, self.alpha_f_max, self.n_alpha_f),
-        )
-
-
 @dataclass
 class StabilityMap:
     """Scan result on a parameter grid (row index = alpha_m, column = alpha_f)."""
@@ -341,40 +317,25 @@ class StabilityMap:
     alpha_f: np.ndarray
     radius: np.ndarray
     repeated_root: np.ndarray
-    variant: Variant
-    t_samples: np.ndarray = field(repr=False)
 
     @property
     def stable(self) -> np.ndarray:
         return _stable(self.radius, self.repeated_root)
 
 
-def scan_region(
-    variant: Variant = Variant.EQUAL_GAMMA,
-    grid: GridSpec | None = None,
-    t_samples=None,
-) -> StabilityMap:
-    """Scan the grid and classify every cell, identically to per-cell calls.
+def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samples=None) -> StabilityMap:
+    """Scan the grid of the 1-D axes ``alpha_m`` x ``alpha_f``, identically to per-cell calls.
 
     Cells are independent; this implementation evaluates them as one stacked
     array per T sample, which is deterministic by construction.  The gamma
     weights per cell follow the requested closure.
     """
-    grid = grid or GridSpec()
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
-    am_axis, af_axis = grid.axes()
-    AM, AF = np.meshgrid(am_axis, af_axis, indexing="ij")
+    alpha_m, alpha_f = np.asarray(alpha_m), np.asarray(alpha_f)
+    AM, AF = np.meshgrid(alpha_m, alpha_f, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
     radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), samples)
-    shape = (grid.n_alpha_m, grid.n_alpha_f)
-    return StabilityMap(
-        alpha_m=am_axis,
-        alpha_f=af_axis,
-        radius=radius.reshape(shape),
-        repeated_root=repeated.reshape(shape),
-        variant=variant,
-        t_samples=samples,
-    )
+    return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
 
 
 def verify_rho_control(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> float:
@@ -423,7 +384,10 @@ class RhoPoint:
     alpha_f: float | None
     inside_region: bool | None
     max_eig_inf: float | None
-    pole: bool
+
+    @property
+    def pole(self) -> bool:
+        return self.alpha_m is None
 
 
 def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
@@ -436,9 +400,9 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
         try:
             am, af = params_from_rho(rho, branch)
         except PoleAtRho:
-            points.append(RhoPoint(rho, None, None, None, None, True))
+            points.append(RhoPoint(rho, None, None, None, None))
             continue
-        points.append(RhoPoint(rho, am, af, in_stability_region(am, af), _max_eig_inf(am, af), False))
+        points.append(RhoPoint(rho, am, af, in_stability_region(am, af), _max_eig_inf(am, af)))
     return points
 
 

@@ -37,7 +37,7 @@ from galpha.schemes import (
     make_scheme,
     params_from_rho,
 )
-from galpha.stability import GridSpec, rho_curve, scan_region, verify_rho_control, worst_case_radius
+from galpha.stability import rho_curve, scan_region, verify_rho_control, worst_case_radius
 
 from conftest import closed_form_g3, record_acceptance, region_draws
 
@@ -56,10 +56,10 @@ def _report(num, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def plane_scans():
     """The two full-resolution parameter-plane scans (shared by 4 and 5)."""
-    grid = GridSpec()  # 200 x 200 over [0, 1.5]^2
+    axis = np.linspace(0.0, 1.5, 200)  # 200 x 200 over [0, 1.5]^2
     return (
-        scan_region(Variant.EQUAL_GAMMA, grid),
-        scan_region(Variant.REMARK_ONE, grid),
+        scan_region(axis, axis, Variant.EQUAL_GAMMA),
+        scan_region(axis, axis, Variant.REMARK_ONE),
     )
 
 

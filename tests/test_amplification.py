@@ -239,6 +239,37 @@ def test_limit_inf_is_the_large_t_limit():
     assert np.allclose(amplification_matrix(params, 1e12), Ainf, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("p", range(2, 12))
+def test_g_is_the_pole_weighted_mean_of_its_limits(p):
+    """T enters only the last rows of L and R, so by Sherman-Morrison
+    G(T) = (alpha_m G(0) + gamma_1 alpha_f T G(inf)) / (alpha_m + gamma_1 alpha_f T),
+    with G(0) solved from the T = 0 tableau and G(inf) from its last-row
+    T-coefficients.  At p = 3 both are the closed-form limit matrices."""
+    rng = np.random.default_rng(p)
+
+    def solved(tab_l, tab_r):
+        return np.linalg.solve(*(fill_tableau(tab, 0.0, np.zeros((p, p))) for tab in (tab_l, tab_r)))
+
+    for _ in range(20):
+        am = rng.uniform(0.6, 1.3)
+        af = rng.uniform(0.5, am)
+        params = make_scheme(p, am, af)
+        tab_l, tab_r = one_step_tableau(p, am, af, params.gammas)
+        g0 = solved(tab_l, tab_r)
+        ginf = solved(*(
+            {(i, j): (c1 if i == p - 1 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
+            for tab in (tab_l, tab_r)
+        ))
+        b = params.gamma1 * af
+        for t in (1e-3, 0.7, 5.0, 1e3, 1e6, 2.0 + 3.0j):
+            g = amplification_matrix(params, t)
+            mean = (am * g0 + b * t * ginf) / (am + b * t)
+            assert np.abs(g - mean).max() <= 1e-13 * max(1.0, np.abs(g).max())
+        if p == 3:
+            for got, closed in ((g0, limit_matrix_zero(params)), (ginf, limit_matrix_inf(params))):
+                assert np.abs(got - closed).max() <= 1e-13 * max(1.0, np.abs(closed).max())
+
+
 def test_limit_zero_spectrum_at_corner(eig_match):
     # (7/12, 1/2) is the rho_inf = 1 design point
     A0 = limit_matrix_zero(make_scheme(3, 7.0 / 12.0, 0.5))

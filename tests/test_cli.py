@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import galpha
-from galpha import __version__, numkit
+from galpha import __version__, cli, numkit
 from galpha.amplification import limit_matrix_inf
 from galpha.cli import main
 from galpha.schemes import make_scheme
@@ -435,6 +435,21 @@ def test_stability_map_validates_grid(tmp_path, capsys):
     )
     assert code == 2
     assert read_error_line(err)["kind"] == "config"
+
+
+def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    """An allocation that cannot succeed exits 2 with one JSON line, not a traceback."""
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 65.5 TiB for an array with shape (3000000, 3000000)")
+
+    monkeypatch.setattr(cli, "scan_region", no_memory)
+    code, out, err = run_cli(capsys, "stability-map", "--grid-n", "4", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = read_error_line(err)
+    assert payload["kind"] == "config" and payload["exit_code"] == 2
+    assert "does not fit in memory" in payload["message"] and "65.5 TiB" in payload["message"]
 
 
 # --- rho curves -----------------------------------------------------------------------

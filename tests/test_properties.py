@@ -14,7 +14,7 @@ from galpha import stability
 from galpha.amplification import amplification_matrix, char_poly
 from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.schemes import Variant, make_scheme
-from galpha.stability import GridSpec, default_t_samples, scan_region, worst_case_radius
+from galpha.stability import default_t_samples, scan_region, worst_case_radius
 
 from conftest import cubic_roots, one_step_matrices
 
@@ -96,10 +96,9 @@ def test_rescale_round_trip(p, tau, ratio, data):
     n_t=st.integers(min_value=2, max_value=6),
 )
 def test_scan_equals_per_cell_radius(variant, n_am, n_af, lo, width, n_t):
-    grid = GridSpec(lo, lo + width, n_am, lo, lo + width, n_af)
+    am_axis, af_axis = np.linspace(lo, lo + width, n_am), np.linspace(lo, lo + width, n_af)
     samples = default_t_samples(n_t, 1e-3, 1e6)
-    smap = scan_region(variant, grid, t_samples=samples)
-    am_axis, af_axis = grid.axes()
+    smap = scan_region(am_axis, af_axis, variant, t_samples=samples)
     for i, am in enumerate(am_axis):
         for j, af in enumerate(af_axis):
             report = worst_case_radius(make_scheme(3, float(am), float(af), variant), samples)

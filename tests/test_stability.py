@@ -24,11 +24,9 @@ from galpha.schemes import (
 )
 from galpha.stability import (
     RADIUS_TOL,
-    GridSpec,
     RadiusReport,
     StabilityMap,
     default_t_samples,
-    ray_t_samples,
     rho_curve,
     scan_region,
     verify_rho_control,
@@ -37,6 +35,16 @@ from galpha.stability import (
 )
 
 from conftest import assert_spectrum, cubic_roots
+
+
+def _axis(n):
+    """n points over [0, 1.5], the CLI's default map range."""
+    return np.linspace(0.0, 1.5, n)
+
+
+def _ray(angle, n=16):
+    """Log-spaced samples along the ray arg(T) = angle (off-axis diagnostics)."""
+    return default_t_samples(n) * complex(np.cos(angle), np.sin(angle))
 
 
 # --- sample sets ---------------------------------------------------------------
@@ -49,13 +57,6 @@ def test_default_t_samples():
     assert samples[-1] == pytest.approx(1e8)
     assert np.all(np.diff(samples) > 0)
     assert np.isrealobj(samples)
-
-
-def test_ray_t_samples_keep_their_angle():
-    samples = ray_t_samples(np.pi / 4, n=10)
-    assert samples.shape == (10,)
-    assert np.allclose(np.angle(samples), np.pi / 4)
-    assert np.all(np.abs(np.diff(np.abs(samples))) > 0)
 
 
 # --- worst-case radius ----------------------------------------------------------
@@ -92,7 +93,7 @@ def test_rays_near_imaginary_axis_destabilize():
     """Real-axis stability does not extend to rotated T rays (not A-stable)."""
     params = make_scheme(3, *params_from_rho(0.5))
     assert worst_case_radius(params).stable
-    report = worst_case_radius(params, ray_t_samples(1.5))
+    report = worst_case_radius(params, _ray(1.5))
     assert report.radius > 1.05
 
 
@@ -117,7 +118,7 @@ def test_third_order_designs_are_a0_stable_not_a_stable(design):
     amf, variant = A0_DESIGNS[design]
     params = make_scheme(3, *amf, variant)
     assert worst_case_radius(params).stable
-    report = worst_case_radius(params, ray_t_samples(0.999 * np.pi / 2, n=64))
+    report = worst_case_radius(params, _ray(0.999 * np.pi / 2, n=64))
     assert report.radius > 1.0 + 1e-3
 
 
@@ -177,7 +178,7 @@ def test_radius_rejects_empty_or_nonfinite_samples(p, samples):
 @pytest.mark.parametrize("samples", BAD_SAMPLES)
 def test_scan_rejects_empty_or_nonfinite_samples(samples):
     with pytest.raises(ValueError, match="T samples"):
-        scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=2, n_alpha_f=2), t_samples=samples)
+        scan_region(_axis(2), _axis(2), Variant.EQUAL_GAMMA, t_samples=samples)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
@@ -213,7 +214,7 @@ def test_alpha_m_zero_is_a_pole_of_the_t0_limit():
     assert worst_case_radius(params).radius == np.inf
 
 
-@pytest.mark.parametrize("samples", [ray_t_samples(1.3), ray_t_samples(0.999 * np.pi / 2, n=64)])
+@pytest.mark.parametrize("samples", [_ray(1.3), _ray(0.999 * np.pi / 2, n=64)])
 @pytest.mark.parametrize("design", sorted(A0_DESIGNS))
 def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
     """Complex T at p = 3 take eigvals of the one-step matrices; numkit on G(T)
@@ -305,7 +306,7 @@ def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
     assert_spectrum(sorted(roots, key=abs)[:2], small, tol=1e-12)
 
 
-@pytest.mark.parametrize("samples", [default_t_samples(15, 1e-3, 1e7), ray_t_samples(1.3, 6)])
+@pytest.mark.parametrize("samples", [default_t_samples(15, 1e-3, 1e7), _ray(1.3, 6)])
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("ncell", [7, 39, 40, 41, 95])
 def test_blocked_scan_equals_single_cell_calls(monkeypatch, p, ncell, samples):
@@ -345,7 +346,7 @@ def test_real_samples_take_the_real_eigensolver(monkeypatch):
         assert np.abs(radius[0] - radius[1]).max() <= 1e-13 * radius[1].max()
     assert dtypes == [np.float64, np.complex128] * 2
     dtypes.clear()
-    scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=3, n_alpha_f=3))
+    scan_region(_axis(3), _axis(3), Variant.EQUAL_GAMMA)
     assert dtypes == [np.float64]
 
 
@@ -353,10 +354,9 @@ def test_real_samples_take_the_real_eigensolver(monkeypatch):
 
 
 def test_scan_matches_single_cell_calls():
-    grid = GridSpec(n_alpha_m=12, n_alpha_f=12)
+    am_axis = af_axis = _axis(12)
     samples = default_t_samples(16, 1e-3, 1e6)
-    smap = scan_region(Variant.EQUAL_GAMMA, grid, t_samples=samples)
-    am_axis, af_axis = grid.axes()
+    smap = scan_region(am_axis, af_axis, Variant.EQUAL_GAMMA, t_samples=samples)
     rng = np.random.default_rng(2)
     for _ in range(8):
         i = int(rng.integers(0, 12))
@@ -369,9 +369,8 @@ def test_scan_matches_single_cell_calls():
 
 
 def test_scan_classification_tracks_closed_form():
-    grid = GridSpec(n_alpha_m=40, n_alpha_f=40)
-    smap = scan_region(Variant.EQUAL_GAMMA, grid)
-    am_axis, af_axis = grid.axes()
+    am_axis = af_axis = _axis(40)
+    smap = scan_region(am_axis, af_axis, Variant.EQUAL_GAMMA)
     closed = np.array(
         [[in_stability_region(am, af) for af in af_axis] for am in am_axis]
     )
@@ -380,21 +379,20 @@ def test_scan_classification_tracks_closed_form():
 
 
 def test_remark_one_scan_has_more_stable_cells():
-    grid = GridSpec(n_alpha_m=24, n_alpha_f=24)
+    axis = _axis(24)
     samples = default_t_samples(24, 1e-4, 1e6)
-    eq = scan_region(Variant.EQUAL_GAMMA, grid, t_samples=samples)
-    rm = scan_region(Variant.REMARK_ONE, grid, t_samples=samples)
+    eq = scan_region(axis, axis, Variant.EQUAL_GAMMA, t_samples=samples)
+    rm = scan_region(axis, axis, Variant.REMARK_ONE, t_samples=samples)
     assert rm.stable.sum() > eq.stable.sum()
 
 
 def test_scan_of_an_empty_grid():
-    smap = scan_region(Variant.EQUAL_GAMMA, GridSpec(n_alpha_m=0, n_alpha_f=3))
+    smap = scan_region(_axis(0), _axis(3), Variant.EQUAL_GAMMA)
     assert smap.radius.shape == smap.repeated_root.shape == (0, 3)
 
 
 def test_scan_axes_and_shapes():
-    grid = GridSpec(n_alpha_m=5, n_alpha_f=7)
-    smap = scan_region(Variant.EQUAL_GAMMA, grid, t_samples=default_t_samples(4))
+    smap = scan_region(_axis(5), _axis(7), Variant.EQUAL_GAMMA, t_samples=default_t_samples(4))
     assert smap.alpha_m.shape == (5,)
     assert smap.alpha_f.shape == (7,)
     assert smap.radius.shape == (5, 7)
@@ -409,10 +407,7 @@ def test_scan_axes_and_shapes():
 def test_report_and_map_share_the_stable_rule(radius, repeated):
     """One rule for one cell and for a map; a report's verdict is a Python bool."""
     report = RadiusReport(float(radius), repeated)
-    smap = StabilityMap(
-        np.zeros(1), np.zeros(1), np.array([[radius]]), np.array([[repeated]]),
-        Variant.EQUAL_GAMMA, np.ones(1),
-    )
+    smap = StabilityMap(np.zeros(1), np.zeros(1), np.array([[radius]]), np.array([[repeated]]))
     assert type(report.stable) is bool
     assert report.stable == smap.stable[0, 0] == (radius <= 1.0 + RADIUS_TOL and not repeated)
 
@@ -485,8 +480,7 @@ def test_rho_curve_needs_two_points():
 
 
 def test_write_stability_csv(tmp_path):
-    grid = GridSpec(n_alpha_m=3, n_alpha_f=4)
-    smap = scan_region(Variant.EQUAL_GAMMA, grid, t_samples=default_t_samples(4))
+    smap = scan_region(_axis(3), _axis(4), Variant.EQUAL_GAMMA, t_samples=default_t_samples(4))
     path = tmp_path / "stability.csv"
     write_stability_csv(smap, path)
     lines = path.read_text().splitlines()
@@ -510,8 +504,6 @@ def test_write_stability_csv_bytes(tmp_path):
         alpha_f=np.array([0.0, 0.5, 1e-20]),
         radius=np.array([[0.5, np.inf, 1.0 + 1e-10], [1.0, 0.1 + 0.2, 1e8 / 3.0]]),
         repeated_root=np.array([[False, False, False], [True, False, False]]),
-        variant=Variant.EQUAL_GAMMA,
-        t_samples=np.array([1.0]),
     )
     path = tmp_path / "stability.csv"
     write_stability_csv(smap, path)
