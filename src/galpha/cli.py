@@ -176,8 +176,8 @@ def _warn_if_unstable(params: SchemeParams) -> bool:
 
 def cmd_integrate(args, out: Path) -> dict:
     params, rho, branch = _resolve_scheme(args)
-    if args.tau <= 0:
-        raise ConfigError(f"--tau must be positive, got {args.tau}")
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
     if args.t_end < args.tau:
         raise ConfigError("--t-end must cover at least one step")
     if args.heat_n is not None and args.heat_n < 2:
@@ -308,8 +308,8 @@ def cmd_rho_curve(args, out: Path) -> dict:
 
 def cmd_order_check(args, out: Path) -> dict:
     params, rho, branch = _resolve_scheme(args)
-    if args.tau_start <= 0:
-        raise ConfigError(f"--tau-start must be positive, got {args.tau_start}")
+    if not (math.isfinite(args.tau_start) and args.tau_start > 0):
+        raise ConfigError(f"--tau-start must be positive and finite, got {args.tau_start}")
     if args.n_halvings < 1:
         raise ConfigError("--n-halvings must be at least 1")
     _warn_if_unstable(params)

@@ -41,10 +41,15 @@ is therefore the three roots of a real cubic, whose coefficients
 by back-substitution.  The roots are found in real arithmetic (Cardano
 or the trigonometric form, then deflation), and on every sample of both
 default maps each root lies within 7.0e-12 max(1, radius) of
-``eigvals(G)``.  Complex T at p = 3 (off-axis diagnostics on such rays)
-and every other order take ``eigvals(solve(L, R))`` of the stacked
-one-step matrices: at p = 10 and 11 companion roots of rho + T sigma drift
-from eig(G) by more than 1e-12 relative.  Both take the T samples in blocks
+``eigvals(G)``.  The scan keeps their moduli only: Cardano runs only on
+the cells with one real root and the trigonometric form only on the
+others, and the roots themselves, with the pairwise repeated-root test, are
+finished only on the cells where two moduli lie within the window of 1.
+The radius and flag are bit for bit those of the three roots.  Complex T
+at p = 3 (off-axis diagnostics on such rays) and every other order take
+``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
+companion roots of rho + T sigma drift from eig(G) by more than 1e-12
+relative.  Both take the T samples in blocks
 of at most 2**15 (sample, cell) pairs: a single cell takes all samples in
 one call, the default 40 000-cell map one sample at a time.  The p = 3
 limits are points of the same tableau.  T = 0 is one more sample, ahead of
@@ -135,6 +140,36 @@ class RadiusReport:
         return bool(_stable(self.radius, self.repeated_unit_root))
 
 
+def _fold(r, flag, radius, repeated, valid):
+    """Fold one block's largest moduli ``r`` and flags into the per-cell results, in place.
+
+    ``r``, ``flag`` and ``valid`` hold any sample axes, then the cells.  The
+    radius takes the maximum over the samples, inf where a sample is not
+    valid; the repeated flag takes any valid sample's flag.
+    """
+    lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
+    np.maximum(radius, np.where(valid, r, np.inf).max(axis=lead), out=radius)
+    repeated |= (flag & valid).any(axis=lead)
+
+
+def _unit_pairs(re, im):
+    """The moduli of the roots and the repeated-unit-root flag of each spectrum.
+
+    ``re`` and ``im`` hold the real and imaginary parts of the d roots along
+    their first axis.  A spectrum is flagged when two of its roots, real or
+    complex, lie within ``REPEAT_WINDOW`` of each other and their moduli
+    within ``REPEAT_WINDOW`` of 1.
+    """
+    mods = np.hypot(re, im)
+    near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
+    flag = np.zeros(mods.shape[1:], dtype=bool)
+    for i in range(1, len(mods)):
+        for j in range(i):
+            dre, dim = re[i] - re[j], im[i] - im[j]
+            flag |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
+    return mods, flag
+
+
 def _accumulate(re, im, radius, repeated, valid):
     """Fold a spectrum into the per-cell radius and repeated-root flags, in place.
 
@@ -142,18 +177,72 @@ def _accumulate(re, im, radius, repeated, valid):
     their first axis, then any sample axes, then the cells.  The
     repeated-unit-root window applies to every root pair, real or complex.
     """
-    mods = np.hypot(re, im)
-    near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
-    r = mods[0]
-    flag = np.zeros(r.shape, dtype=bool)
-    for i in range(1, len(mods)):
-        r = np.maximum(r, mods[i])
-        for j in range(i):
-            dre, dim = re[i] - re[j], im[i] - im[j]
-            flag |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
-    lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
-    np.maximum(radius, np.where(valid, r, np.inf).max(axis=lead), out=radius)
-    repeated |= (flag & valid).any(axis=lead)
+    mods, flag = _unit_pairs(re, im)
+    _fold(mods.max(axis=0), flag, radius, repeated, valid)
+
+
+def _cubic_prefix(c0, c1, c2, c3):
+    """The arithmetic that :func:`_cubic_roots` and :func:`_cubic_radius` share.
+
+    Returns ``scale, x1, s, q, h, root, x2`` of the scaled cubic: its
+    largest-modulus real root x1, the deflated quadratic x^2 - s x + q with
+    discriminant h = s^2 - 4q, root = sqrt(|h|) and the larger root x2 of a
+    real pair.  Cardano runs only on the cells with one real root and the
+    trigonometric form only on the others; x1 is scattered from both.
+    """
+    a, b, d = c2 / c3, c1 / c3, c0 / c3
+    bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
+    scale = np.ldexp(1.0, np.frexp(bound)[1])
+    a = a / scale
+    b = b / scale / scale
+    d = d / scale / scale / scale
+
+    a3 = a / 3.0
+    pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
+    qq = d - a3 * b + 2.0 * a3 * a3 * a3
+    disc = qq * qq / 4.0 + pp * pp * pp / 27.0
+    one = disc > 0.0
+    three = ~one
+    x1 = np.empty_like(disc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Cardano: x = u + v with u^3 = w, u v = -pp/3; for pp > 0 u and v
+        # differ in sign, and x = -qq/(u^2 + v^2 + pp/3) sums positive terms
+        p1, q1 = pp[one], qq[one]
+        u = np.cbrt(-q1 / 2.0 - np.copysign(np.sqrt(disc[one]), q1))
+        v = -p1 / (3.0 * u)
+        x1[one] = np.where(p1 > 0.0, -q1 / (u * u + v * v + p1 / 3.0), u + v) - a3[one]
+        # three real roots 2 r cos((theta + 2 pi k)/3) - a/3: the largest
+        # (k = 0) or the smallest (k = 1) has the largest modulus
+        p3, q3, shift = pp[three], qq[three], a3[three]
+        r = np.sqrt(-p3 / 3.0)
+        theta = np.arccos(np.clip(-q3 / (2.0 * r * r * r), -1.0, 1.0)) / 3.0
+        hi = 2.0 * r * np.cos(theta) - shift
+        lo = 2.0 * r * np.cos(theta + 2.0 * np.pi / 3.0) - shift
+        x1[three] = np.where(r > 0.0, np.where(np.abs(hi) >= np.abs(lo), hi, lo), -shift)
+
+        s = -a - x1
+        q = b - x1 * s
+        small = x1 * x1 <= np.abs(q)
+        q = np.where(small, q, -d / x1)
+        s = np.where(small, s, (b - q) / x1)
+        h = s * s - 4.0 * q
+        root = np.sqrt(np.abs(h))
+        x2 = (s + np.copysign(root, s)) / 2.0
+    return scale, x1, s, q, h, root, x2
+
+
+def _finish_roots(scale, x1, s, q, h, root, x2):
+    """The three roots from :func:`_cubic_prefix`: real and imaginary parts, roots first."""
+    real = h >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
+    re2 = np.where(real, x2, s / 2.0)
+    im2 = np.where(real, 0.0, root / 2.0)
+    re = np.stack([x1, re2, re3])
+    im = np.stack([np.zeros_like(im2), im2, -im2])
+    re *= scale
+    im *= scale
+    return re, im
 
 
 def _cubic_roots(c0, c1, c2, c3):
@@ -170,49 +259,33 @@ def _cubic_roots(c0, c1, c2, c3):
     formula: s = -a - mu1 and q = b - mu1 s when mu1 may be the smaller
     root (mu1^2 <= |q|), q = -d/mu1 and s = (b - q)/mu1 otherwise.
     """
-    a, b, d = c2 / c3, c1 / c3, c0 / c3
-    bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
-    scale = np.ldexp(1.0, np.frexp(bound)[1])
-    a = a / scale
-    b = b / scale / scale
-    d = d / scale / scale / scale
+    return _finish_roots(*_cubic_prefix(c0, c1, c2, c3))
 
-    a3 = a / 3.0
-    pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
-    qq = d - a3 * b + 2.0 * a3 * a3 * a3
-    disc = qq * qq / 4.0 + pp * pp * pp / 27.0
+
+def _cubic_radius(c0, c1, c2, c3):
+    """Largest root modulus of the real cubic and its repeated-unit-root flag.
+
+    Bit for bit what :func:`_accumulate` makes of :func:`_cubic_roots`, from
+    the moduli alone: |x1|, then |x2| and |q/x2| for a real pair or the
+    common modulus of a complex pair, each times ``scale``.  The roots
+    themselves, and the pairwise test of :func:`_unit_pairs`, are finished
+    only on the cells where at least two moduli lie within ``REPEAT_WINDOW``
+    of 1.
+    """
+    prefix = _cubic_prefix(c0, c1, c2, c3)
+    scale, x1, s, q, h, root, x2 = prefix
+    real = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Cardano: x = u + v with u^3 = w, u v = -pp/3; for pp > 0 u and v
-        # differ in sign, and x = -qq/(u^2 + v^2 + pp/3) sums positive terms
-        u = np.cbrt(-qq / 2.0 - np.copysign(np.sqrt(disc), qq))
-        v = -pp / (3.0 * u)
-        cardano = np.where(pp > 0.0, -qq / (u * u + v * v + pp / 3.0), u + v) - a3
-        # three real roots 2 r cos((theta + 2 pi k)/3) - a/3: the largest
-        # (k = 0) or the smallest (k = 1) has the largest modulus
-        r = np.sqrt(-pp / 3.0)
-        theta = np.arccos(np.clip(-qq / (2.0 * r * r * r), -1.0, 1.0)) / 3.0
-        hi = 2.0 * r * np.cos(theta) - a3
-        lo = 2.0 * r * np.cos(theta + 2.0 * np.pi / 3.0) - a3
-        trig = np.where(r > 0.0, np.where(np.abs(hi) >= np.abs(lo), hi, lo), -a3)
-        x1 = np.where(disc > 0.0, cardano, trig)
-
-        s = -a - x1
-        q = b - x1 * s
-        small = x1 * x1 <= np.abs(q)
-        q = np.where(small, q, -d / x1)
-        s = np.where(small, s, (b - q) / x1)
-        h = s * s - 4.0 * q
-        root = np.sqrt(np.abs(h))
-        x2 = (s + np.copysign(root, s)) / 2.0
-        real = h >= 0.0
-        re2 = np.where(real, x2, s / 2.0)
-        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
-        im2 = np.where(real, 0.0, root / 2.0)
-    re = np.stack([x1, re2, re3])
-    im = np.stack([np.zeros_like(im2), im2, -im2])
-    re *= scale
-    im *= scale
-    return re, im
+        pair = np.hypot(s / 2.0, root / 2.0)
+        m2 = np.where(real, np.abs(x2), pair)
+        m3 = np.where(real, np.abs(np.where(x2 != 0.0, q / x2, 0.0)), pair)
+    mods = np.stack([np.abs(x1), m2, m3])
+    mods *= scale
+    near = (np.abs(mods - 1.0) <= REPEAT_WINDOW).sum(axis=0) >= 2
+    flag = np.zeros(near.shape, dtype=bool)
+    if near.any():
+        flag[near] = _unit_pairs(*_finish_roots(*(v[near] for v in prefix)))[1]
+    return mods.max(axis=0), flag
 
 
 def _one_step_spectra(p, tab_l, tab_r, t, valid):
@@ -243,7 +316,9 @@ def _scan_cells(p, am, af, gammas, t_samples):
     than one sample.  For p = 3 and real samples each sample's spectrum is
     the three roots of the real cubic rho + T sigma
     (:func:`~galpha.amplification.char_poly`, coefficients built once per
-    scan; :func:`_cubic_roots`); complex samples at p = 3 and every other
+    scan), of which :func:`_cubic_radius` keeps the moduli: each cubic branch
+    runs on its own cells, and the pairwise repeated-root test only on cells
+    with two moduli near 1.  Complex samples at p = 3 and every other
     order take ``eigvals(solve(L, R))`` of the stacked one-step matrices, one
     LAPACK call per matrix.  A sample on the pole, where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
@@ -275,10 +350,9 @@ def _scan_cells(p, am, af, gammas, t_samples):
         if cubic:
             # the mu^3 coefficient of rho + T sigma is -det exactly
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
-            roots = _cubic_roots(c0, c1, c2, np.where(valid, -det, 1.0))
+            _fold(*_cubic_radius(c0, c1, c2, np.where(valid, -det, 1.0)), radius, repeated, valid)
         else:
-            roots = _one_step_spectra(p, tab_l, tab_r, t, valid)
-        _accumulate(*roots, radius, repeated, valid)
+            _accumulate(*_one_step_spectra(p, tab_l, tab_r, t, valid), radius, repeated, valid)
 
     if p == 3:
         # the last rows divided by T tend to their T-coefficients

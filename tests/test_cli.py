@@ -257,6 +257,20 @@ def test_bad_tau_is_config_error(tmp_path, capsys):
     assert read_error_line(err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,option", [("integrate", "--tau"), ("order-check", "--tau-start")])
+def test_nonfinite_step_size_is_config_error(tmp_path, capsys, command, option, value):
+    # nan reached the T-sample check and inf the step count, each with a
+    # message that names neither option
+    code, out, err = run_cli(capsys, command, option, value, "--out", str(tmp_path))
+    assert code == 2
+    payload = read_error_line(err)
+    assert payload["kind"] == "config"
+    assert payload["message"] == f"{option} must be positive and finite, got {value}"
+    assert len(err.splitlines()) == 1 and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scheme_error_is_reported_before_option_errors(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--alpha-m", "0.9", "--tau", "-1", "--out", str(tmp_path)

@@ -193,6 +193,17 @@ def test_real_cubic_kernel_matches_extended_precision(cubic):
         assert abs(got.pop(k) - x) <= tol * big
 
 
+def _repeat_flag_kernels(c0, c1, c2, c3):
+    """(radius, repeated) of one cubic, from ``_accumulate`` of its roots and from ``_cubic_radius``."""
+    valid = np.ones(1, dtype=bool)
+    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
+    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, valid)
+    yield radius, repeated
+    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
+    stability._fold(*stability._cubic_radius(c0, c1, c2, c3), radius, repeated, valid)
+    yield radius, repeated
+
+
 @PROPERTY
 @given(
     unit=st.sampled_from([-1.0, 1.0]),
@@ -200,13 +211,14 @@ def test_real_cubic_kernel_matches_extended_precision(cubic):
     apart=st.booleans(),
 )
 def test_cubic_repeat_flag_separates_a_double_unit_root_from_a_close_pair(unit, third, apart):
-    """A double root at +-1 is flagged; a conjugate pair on the unit circle 1e-6 apart is not."""
+    """A double root at +-1 is flagged; a conjugate pair on the unit circle 1e-6 apart is not.
+
+    Both the roots folded by ``_accumulate`` and the scan's radius-only kernel."""
     pair = unit * np.exp([5e-7j, -5e-7j]) if apart else [unit, unit]
     c3, c2, c1, c0 = (np.array([c]) for c in np.poly([*pair, third]).real)
-    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
-    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, np.ones(1, dtype=bool))
-    assert radius[0] == pytest.approx(1.0, abs=1e-7)
-    assert repeated[0] == (not apart)
+    for radius, repeated in _repeat_flag_kernels(c0, c1, c2, c3):
+        assert radius[0] == pytest.approx(1.0, abs=1e-7)
+        assert repeated[0] == (not apart)
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
@@ -225,7 +237,6 @@ def test_cubic_repeat_flag_window_is_one_repeat_window(windows, conjugate, unit,
     else:
         pair = unit * np.array([1.0 + half, 1.0 - half])
     c3, c2, c1, c0 = (np.array([c]) for c in np.poly([*pair, unit * (1.0 - distance)]).real)
-    radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
-    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, np.ones(1, dtype=bool))
-    assert radius[0] == pytest.approx(np.abs(pair).max(), abs=1e-8)
-    assert repeated[0] == (windows < 1.0)
+    for radius, repeated in _repeat_flag_kernels(c0, c1, c2, c3):
+        assert radius[0] == pytest.approx(np.abs(pair).max(), abs=1e-8)
+        assert repeated[0] == (windows < 1.0)

@@ -12,6 +12,7 @@ from galpha.amplification import (
     limit_matrix_inf,
     limit_matrix_zero,
     one_step_tableau,
+    pole_factor,
 )
 from galpha.errors import PoleAtRho, SingularAtT
 from galpha.schemes import (
@@ -228,25 +229,72 @@ def test_p3_complex_samples_match_per_sample_eigenvalues(design, samples):
     assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "roots",
-    [
-        (3.0, 1.0, 1e-12),  # the remaining quadratic needs the cancellation-free form
-        (-2e150, 0.5, 0.25),  # unscaled, Cardano's (Q/2)^2 overflows
-        (1e-100, -3e-101, 2e-102),
-        (0.9 + 0.3j, 0.9 - 0.3j, -0.2),
-        (1e-12, 1j, -1j),  # the one real root is the small one: deflate by -a - mu1
-        (2.0, -1e-9, 1e-9),
-        (0.5, 0.5, 0.5),  # triple root: pp = qq = 0
-        (0.0, 0.0, 0.0),
-    ],
-)
+KNOWN_CUBIC_ROOTS = [
+    (3.0, 1.0, 1e-12),  # the remaining quadratic needs the cancellation-free form
+    (-2e150, 0.5, 0.25),  # unscaled, Cardano's (Q/2)^2 overflows
+    (1e-100, -3e-101, 2e-102),
+    (0.9 + 0.3j, 0.9 - 0.3j, -0.2),
+    (1e-12, 1j, -1j),  # the one real root is the small one: deflate by -a - mu1
+    (2.0, -1e-9, 1e-9),
+    (0.5, 0.5, 0.5),  # triple root: pp = qq = 0
+    (0.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("roots", KNOWN_CUBIC_ROOTS)
 def test_cubic_roots_of_known_polynomials(roots):
     c3, c2, c1, c0 = -1.7 * np.poly(roots).real
     got = list(cubic_roots(*(np.array(c) for c in (c0, c1, c2, c3))))
     for want in roots:
         k = min(range(len(got)), key=lambda i: abs(got[i] - want))
         assert abs(got.pop(k) - want) <= 1e-14 * abs(want)
+
+
+def _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3):
+    """``_cubic_radius`` gives bit for bit the (radius, repeated) of ``_accumulate(*_cubic_roots)``."""
+    ones = np.ones(np.shape(c3), dtype=bool)
+    radius, repeated = stability._cubic_radius(c0, c1, c2, c3)
+    expected_radius, expected_repeated = np.zeros(np.shape(c3)), np.zeros(np.shape(c3), dtype=bool)
+    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), expected_radius, expected_repeated, ones)
+    np.testing.assert_array_equal(radius, expected_radius)
+    np.testing.assert_array_equal(repeated, expected_repeated)
+
+
+@pytest.mark.parametrize("roots", KNOWN_CUBIC_ROOTS)
+def test_cubic_radius_of_known_polynomials_is_the_roots_folded(roots):
+    c3, c2, c1, c0 = -1.7 * np.poly(roots).real
+    _assert_radius_kernel_is_the_roots_folded(*(np.array([c]) for c in (c0, c1, c2, c3)))
+
+
+def _one_real_root(c0, c1, c2, c3):
+    """Where the depressed monic cubic's discriminant qq^2/4 + pp^3/27 is positive.
+
+    The kernel takes Cardano on these cells and the trigonometric form on the
+    others.  It scales the cubic by a power of two first, which leaves the
+    sign of each operation's result as it is here."""
+    a, b, d = c2 / c3, c1 / c3, c0 / c3
+    a3 = a / 3.0
+    pp = b - a * a3
+    qq = d - a3 * b + 2.0 * a3 * a3 * a3
+    return qq * qq / 4.0 + pp * pp * pp / 27.0 > 0.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cubic_radius_on_the_default_map_is_the_roots_folded(variant):
+    """Every sample of the default 200 x 200 map, T = 0 included, with both branches taken."""
+    am, af = (x.ravel() for x in np.meshgrid(_axis(200), _axis(200), indexing="ij"))
+    gammas = closure_gammas(3, am, af, variant)
+    rho, sigma = char_poly(3, am, af, gammas)
+    one_real = three_real = 0
+    for t in np.concatenate(([0.0], default_t_samples())):
+        c0, c1, c2 = rho[:3] + t * sigma[:3]
+        det, valid = pole_factor(am, gammas[0] * af * t)
+        c3 = np.where(valid, -det, 1.0)
+        _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3)
+        one = _one_real_root(c0, c1, c2, c3)
+        one_real += int(one.sum())
+        three_real += int((~one).sum())
+    assert one_real > 0 and three_real > 0
 
 
 def _p3_cells():
