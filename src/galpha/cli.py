@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import GalphaError, PoleAtRho
+from .errors import GalphaError
 from .integrator import heat_problem, integrate, scalar_problem, write_trajectory_csv
 from .orderlab import measure_order, recover_C, write_convergence_csv
 from .schemes import (
@@ -51,10 +51,6 @@ from .stability import (
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    """Invalid or inconsistent command-line configuration (exit code 2)."""
-
-
 def _parse_lambda(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
@@ -69,12 +65,6 @@ def _parse_lambda(text: str) -> complex:
 
 def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, default=3, help="scheme order (default 3)")
-    sub.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.EQUAL_GAMMA.value,
-        help="gamma closure rule",
-    )
     sub.add_argument("--alpha-m", type=float, default=None)
     sub.add_argument("--alpha-f", type=float, default=None)
     sub.add_argument(
@@ -86,7 +76,14 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
         default=RhoBranch.MAIN.value,
         help="design branch used with --rho-inf",
     )
-    sub.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
+    sub.add_argument(
+        "--lambda",
+        dest="lam",
+        type=_parse_lambda,
+        default=None,
+        help="lambda of the scalar problem u' = -lambda u, as RE[,IM] (default 1); "
+        "a negative RE with a comma or an exponent needs '=', as in --lambda=-1,2",
+    )
 
 
 def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
@@ -95,33 +92,27 @@ def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
     has_alpha = args.alpha_m is not None or args.alpha_f is not None
     has_rho = args.rho_inf is not None
     if has_alpha and has_rho:
-        raise ConfigError("give --alpha-m/--alpha-f or --rho-inf/--branch, not both")
+        raise ValueError("give --alpha-m/--alpha-f or --rho-inf/--branch, not both")
     if has_alpha and (args.alpha_m is None or args.alpha_f is None):
-        raise ConfigError("--alpha-m and --alpha-f must be given together")
+        raise ValueError("--alpha-m and --alpha-f must be given together")
     if has_rho and args.p != 3:
-        raise ConfigError(
+        raise ValueError(
             f"--rho-inf designs are third order; give --alpha-m/--alpha-f for --p {args.p}"
         )
 
     rho: float | None = None
     if has_alpha:
         am, af = args.alpha_m, args.alpha_f
-    elif has_rho:
-        rho = args.rho_inf
-        try:
-            am, af = params_from_rho(rho, branch)
-        except (PoleAtRho, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    elif args.p == 3:
-        rho = 0.5
-        am, af = params_from_rho(rho, branch)
+    elif has_rho or args.p == 3:
+        rho = args.rho_inf if has_rho else 0.5
     else:
         am, af = 1.0, 0.75
-
-    try:
+    try:  # PoleAtRho from the design formulas, any GalphaError from make_scheme
+        if rho is not None:
+            am, af = params_from_rho(rho, branch)
         params = make_scheme(args.p, am, af, Variant(args.variant))
     except GalphaError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     return params, rho, branch
 
 
@@ -130,7 +121,7 @@ def _prepare_out(path_text: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -177,13 +168,13 @@ def _warn_if_unstable(params: SchemeParams) -> bool:
 def cmd_integrate(args, out: Path) -> dict:
     params, rho, branch = _resolve_scheme(args)
     if not (math.isfinite(args.tau) and args.tau > 0):
-        raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
+        raise ValueError(f"--tau must be positive and finite, got {args.tau}")
     if args.t_end < args.tau:
-        raise ConfigError("--t-end must cover at least one step")
+        raise ValueError("--t-end must cover at least one step")
     if args.heat_n is not None and args.heat_n < 2:
-        raise ConfigError("--heat-n must be at least 2")
+        raise ValueError("--heat-n must be at least 2")
     if args.heat_n is not None and args.lam is not None:
-        raise ConfigError("--lambda sets the scalar problem; it cannot go with --heat-n")
+        raise ValueError("--lambda sets the scalar problem; it cannot go with --heat-n")
 
     stable = _warn_if_unstable(params)
 
@@ -229,8 +220,8 @@ set terminal pngcairo size 900,900
 set output "stability.png"
 set xlabel "alpha_f"
 set ylabel "alpha_m"
-set xrange [{af_min}:{af_max}]
-set yrange [{am_min}:{am_max}]
+set xrange [{lo}:{hi}]
+set yrange [{lo}:{hi}]
 set cbrange [0:1]
 set palette defined (0 "#f4f4f4", 1 "#3b6ea5")
 unset colorbox
@@ -241,27 +232,21 @@ plot "stability.csv" skip 1 using 2:1:4 with image notitle
 
 def cmd_stability_map(args, out: Path) -> dict:
     if args.grid_n < 2:
-        raise ConfigError("--grid-n must be at least 2")
+        raise ValueError("--grid-n must be at least 2")
     for option in ("alpha_min", "alpha_max", "t_min", "t_max"):
         value = getattr(args, option)
         if not math.isfinite(value):
-            raise ConfigError(f"--{option.replace('_', '-')} must be finite, got {value}")
+            raise ValueError(f"--{option.replace('_', '-')} must be finite, got {value}")
     if not 0 < args.t_min < args.t_max:
-        raise ConfigError("need 0 < --t-min < --t-max")
+        raise ValueError("need 0 < --t-min < --t-max")
     if args.t_samples < 2:
-        raise ConfigError("--t-samples must be at least 2")
+        raise ValueError("--t-samples must be at least 2")
     variant = Variant(args.variant)
     axis = np.linspace(args.alpha_min, args.alpha_max, args.grid_n)
     samples = default_t_samples(args.t_samples, args.t_min, args.t_max)
     smap = scan_region(axis, axis, variant, t_samples=samples)
     write_stability_csv(smap, out / "stability.csv")
-    script = _PLOT_TEMPLATE.format(
-        af_min=args.alpha_min,
-        af_max=args.alpha_max,
-        am_min=args.alpha_min,
-        am_max=args.alpha_max,
-        variant=variant.value,
-    )
+    script = _PLOT_TEMPLATE.format(lo=args.alpha_min, hi=args.alpha_max, variant=variant.value)
     (out / "stability.plot").write_text(script, encoding="utf-8")
     stable = int(smap.stable.sum())
     total = smap.stable.size
@@ -283,7 +268,7 @@ def cmd_stability_map(args, out: Path) -> dict:
 
 def cmd_rho_curve(args, out: Path) -> dict:
     if args.n_rho < 2:
-        raise ConfigError("--n-rho must be at least 2")
+        raise ValueError("--n-rho must be at least 2")
     path = out / "rho_curves.csv"
     worst_main = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -309,9 +294,9 @@ def cmd_rho_curve(args, out: Path) -> dict:
 def cmd_order_check(args, out: Path) -> dict:
     params, rho, branch = _resolve_scheme(args)
     if not (math.isfinite(args.tau_start) and args.tau_start > 0):
-        raise ConfigError(f"--tau-start must be positive and finite, got {args.tau_start}")
+        raise ValueError(f"--tau-start must be positive and finite, got {args.tau_start}")
     if args.n_halvings < 1:
-        raise ConfigError("--n-halvings must be at least 1")
+        raise ValueError("--n-halvings must be at least 1")
     _warn_if_unstable(params)
 
     lam = complex(1.0) if args.lam is None else args.lam
@@ -355,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_integrate)
 
     sub = subs.add_parser("stability-map", help="scan the (alpha_m, alpha_f) plane")
-    sub.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.EQUAL_GAMMA.value,
-    )
     sub.add_argument("--grid-n", type=int, default=200, help="cells per axis")
     sub.add_argument("--alpha-min", type=float, default=0.0)
     sub.add_argument("--alpha-max", type=float, default=1.5)
@@ -382,7 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-halvings", type=int, default=5)
     sub.add_argument("--recover-c", action="store_true", help="re-derive the closure constant")
     sub.set_defaults(handler=cmd_order_check)
-    for sub in subs.choices.values():
+    for name, sub in subs.choices.items():
+        if name != "rho-curve":
+            sub.add_argument(
+                "--variant",
+                choices=[v.value for v in Variant],
+                default=Variant.EQUAL_GAMMA.value,
+                help="gamma closure rule",
+            )
         sub.add_argument("--out", default=".")
     return parser
 
@@ -400,7 +387,7 @@ def main(argv=None) -> int:
         out = _prepare_out(args.out)
         _write_manifest(out, args.subcommand, args.handler(args, out))
         return 0
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         _emit_error(2, "config", str(exc))
         return 2
     except GalphaError as exc:

@@ -143,17 +143,18 @@ class RadiusReport:
 def _fold(r, flag, radius, repeated, valid):
     """Fold one block's largest moduli ``r`` and flags into the per-cell results, in place.
 
-    ``r``, ``flag`` and ``valid`` hold any sample axes, then the cells.  The
-    radius takes the maximum over the samples, inf where a sample is not
-    valid; the repeated flag takes any valid sample's flag.
+    ``r`` and ``flag`` come from :func:`_roots_radius` or :func:`_cubic_radius`;
+    they and ``valid`` hold any sample axes, then the cells.  The radius
+    takes the maximum over the samples, inf where a sample is not valid; the
+    repeated flag takes any valid sample's flag.
     """
     lead = tuple(range(r.ndim - 1))  # sample axes of a blocked spectrum
     np.maximum(radius, np.where(valid, r, np.inf).max(axis=lead), out=radius)
     repeated |= (flag & valid).any(axis=lead)
 
 
-def _unit_pairs(re, im):
-    """The moduli of the roots and the repeated-unit-root flag of each spectrum.
+def _roots_radius(re, im):
+    """The largest root modulus and the repeated-unit-root flag of each spectrum.
 
     ``re`` and ``im`` hold the real and imaginary parts of the d roots along
     their first axis.  A spectrum is flagged when two of its roots, real or
@@ -167,18 +168,7 @@ def _unit_pairs(re, im):
         for j in range(i):
             dre, dim = re[i] - re[j], im[i] - im[j]
             flag |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
-    return mods, flag
-
-
-def _accumulate(re, im, radius, repeated, valid):
-    """Fold a spectrum into the per-cell radius and repeated-root flags, in place.
-
-    ``re`` and ``im`` hold the real and imaginary parts of the d roots along
-    their first axis, then any sample axes, then the cells.  The
-    repeated-unit-root window applies to every root pair, real or complex.
-    """
-    mods, flag = _unit_pairs(re, im)
-    _fold(mods.max(axis=0), flag, radius, repeated, valid)
+    return mods.max(axis=0), flag
 
 
 def _cubic_prefix(c0, c1, c2, c3):
@@ -231,20 +221,6 @@ def _cubic_prefix(c0, c1, c2, c3):
     return scale, x1, s, q, h, root, x2
 
 
-def _finish_roots(scale, x1, s, q, h, root, x2):
-    """The three roots from :func:`_cubic_prefix`: real and imaginary parts, roots first."""
-    real = h >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
-    re2 = np.where(real, x2, s / 2.0)
-    im2 = np.where(real, 0.0, root / 2.0)
-    re = np.stack([x1, re2, re3])
-    im = np.stack([np.zeros_like(im2), im2, -im2])
-    re *= scale
-    im *= scale
-    return re, im
-
-
 def _cubic_roots(c0, c1, c2, c3):
     """Roots of the real cubic c3 mu^3 + c2 mu^2 + c1 mu + c0 (c3 != 0).
 
@@ -259,21 +235,30 @@ def _cubic_roots(c0, c1, c2, c3):
     formula: s = -a - mu1 and q = b - mu1 s when mu1 may be the smaller
     root (mu1^2 <= |q|), q = -d/mu1 and s = (b - q)/mu1 otherwise.
     """
-    return _finish_roots(*_cubic_prefix(c0, c1, c2, c3))
+    scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
+    real = h >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
+    re2 = np.where(real, x2, s / 2.0)
+    im2 = np.where(real, 0.0, root / 2.0)
+    re = np.stack([x1, re2, re3])
+    im = np.stack([np.zeros_like(im2), im2, -im2])
+    re *= scale
+    im *= scale
+    return re, im
 
 
 def _cubic_radius(c0, c1, c2, c3):
     """Largest root modulus of the real cubic and its repeated-unit-root flag.
 
-    Bit for bit what :func:`_accumulate` makes of :func:`_cubic_roots`, from
-    the moduli alone: |x1|, then |x2| and |q/x2| for a real pair or the
+    Bit for bit what :func:`_roots_radius` makes of :func:`_cubic_roots`,
+    from the moduli alone: |x1|, then |x2| and |q/x2| for a real pair or the
     common modulus of a complex pair, each times ``scale``.  The roots
-    themselves, and the pairwise test of :func:`_unit_pairs`, are finished
+    themselves, and the pairwise test of :func:`_roots_radius`, are taken
     only on the cells where at least two moduli lie within ``REPEAT_WINDOW``
-    of 1.
+    of 1, by :func:`_cubic_roots` of those cells' coefficients.
     """
-    prefix = _cubic_prefix(c0, c1, c2, c3)
-    scale, x1, s, q, h, root, x2 = prefix
+    scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
     real = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         pair = np.hypot(s / 2.0, root / 2.0)
@@ -284,7 +269,7 @@ def _cubic_radius(c0, c1, c2, c3):
     near = (np.abs(mods - 1.0) <= REPEAT_WINDOW).sum(axis=0) >= 2
     flag = np.zeros(near.shape, dtype=bool)
     if near.any():
-        flag[near] = _unit_pairs(*_finish_roots(*(v[near] for v in prefix)))[1]
+        flag[near] = _roots_radius(*_cubic_roots(*(c[near] for c in (c0, c1, c2, c3))))[1]
     return mods.max(axis=0), flag
 
 
@@ -327,11 +312,13 @@ def _scan_cells(p, am, af, gammas, t_samples):
     limit is the sample T = 0, placed before the others (alpha_m = 0 is its
     pole), and the T->inf limit follows them: the last rows of L and R
     divided by T keep their T-coefficients alone, whatever the gammas, and
-    the pole of that pair is gamma_1 alpha_f = 0.  ``t_samples`` must be a
-    non-empty 1-D set of finite numbers.
+    the pole of that pair is gamma_1 alpha_f = 0.  ``t_samples`` is
+    :func:`default_t_samples` when None, else a non-empty 1-D set of finite
+    numbers.  A real p = 3 set whose largest |T| overflows a coefficient of
+    the cubic of a cell off the pole is refused with ``ValueError``.
     """
     ncell = am.shape[0]
-    samples = np.asarray(t_samples)
+    samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
         raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
     if p == 3:
@@ -342,6 +329,12 @@ def _scan_cells(p, am, af, gammas, t_samples):
     cubic = p == 3 and np.isrealobj(samples)
     if cubic:
         rho, sigma = char_poly(p, am, af, gammas)
+        # |T sigma_k| grows with |T|, so the largest |T| is the one to check
+        top = samples[np.abs(samples).argmax()]
+        with np.errstate(over="ignore"):
+            coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
@@ -352,7 +345,7 @@ def _scan_cells(p, am, af, gammas, t_samples):
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, -det, 1.0)), radius, repeated, valid)
         else:
-            _accumulate(*_one_step_spectra(p, tab_l, tab_r, t, valid), radius, repeated, valid)
+            _fold(*_roots_radius(*_one_step_spectra(p, tab_l, tab_r, t, valid)), radius, repeated, valid)
 
     if p == 3:
         # the last rows divided by T tend to their T-coefficients
@@ -362,7 +355,7 @@ def _scan_cells(p, am, af, gammas, t_samples):
         )
         valid = pole_factor(0.0, gammas[0] * af)[1][None]
         roots = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
-        _accumulate(*roots, radius, repeated, valid)
+        _fold(*_roots_radius(*roots), radius, repeated, valid)
 
     return radius, repeated
 
@@ -377,9 +370,8 @@ def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     system marks the parameters unstable (radius = inf) instead of aborting
     the scan.
     """
-    samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
-    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], samples)
+    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], t_samples)
     return RadiusReport(float(radius[0]), bool(repeated[0]))
 
 
@@ -404,11 +396,10 @@ def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samp
     array per T sample, which is deterministic by construction.  The gamma
     weights per cell follow the requested closure.
     """
-    samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     alpha_m, alpha_f = np.asarray(alpha_m), np.asarray(alpha_f)
     AM, AF = np.meshgrid(alpha_m, alpha_f, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
-    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), samples)
+    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), t_samples)
     return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
 
 

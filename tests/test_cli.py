@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import cmath
 import json
 import math
 import os
@@ -182,17 +183,18 @@ def test_integrate_heat_imaginary_columns_are_exact_zeros(tmp_path, capsys):
     assert {line.split(",")[k] for line in lines[1:] for k in imaginary} == {"0"}
 
 
-def test_integrate_complex_lambda(tmp_path, capsys):
+@pytest.mark.parametrize("argv,lam", [(("--lambda", "1,2"), 1 + 2j), (("--lambda=-1,2",), -1 + 2j)])
+def test_integrate_complex_lambda(tmp_path, capsys, argv, lam):
+    """A negative real part needs the '=' form (see the configuration errors)."""
     code, _, _ = run_cli(
         capsys,
-        "integrate", "--lambda", "1,2", "--tau", "0.1", "--t-end", "0.5",
+        "integrate", *argv, "--tau", "0.1", "--t-end", "0.5",
         "--out", str(tmp_path),
     )
     assert code == 0
     last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
     _, re_u, im_u = last.split(",")
-    exact = complex(math.e ** -0.5 * math.cos(1.0), -math.e ** -0.5 * math.sin(1.0))
-    assert abs(complex(float(re_u), float(im_u)) - exact) < 5e-3
+    assert abs(complex(float(re_u), float(im_u)) - cmath.exp(-0.5 * lam)) < 5e-3
 
 
 # --- configuration errors -----------------------------------------------------------
@@ -327,6 +329,9 @@ def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, mes
     [
         (("integrate", "--lambda", "1,2,3"), "expected RE or RE,IM, got '1,2,3'"),
         (("integrate", "--lambda", "abc"), "expected RE or RE,IM, got 'abc'"),
+        # a negative number with a comma or an exponent after a space reads as an option
+        (("integrate", "--lambda", "-1,2"), "expected one argument"),
+        (("integrate", "--lambda", "-1e3"), "expected one argument"),
         (("integrate", "--p", "12"), "no tabulated constant for order p=12"),
         (("integrate", "--out", "{file}"), "cannot create output directory"),
         (("integrate", "--out", "{blocked}"), "i/o failure"),
@@ -348,7 +353,7 @@ def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
     argv = [str(paths.get(arg, arg)) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
-    if message.startswith("expected RE"):  # argparse rejects the value: usage text, no JSON line
+    if message.startswith("expected "):  # argparse rejects the value: usage text, no JSON line
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -366,6 +371,27 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--no-such-flag", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate",),
+        ("order-check", "--n-halvings", "1"),
+        ("stability-map", "--grid-n", "2", "--t-samples", "2"),
+    ],
+)
+def test_variant_reaches_every_subcommand_that_takes_it(tmp_path, capsys, argv):
+    code, _, _ = run_cli(capsys, *argv, "--variant", "remark-one", "--out", str(tmp_path))
+    assert code == 0
+    assert "variant = remark-one" in manifest_keys(tmp_path)[1]
+
+
+def test_rho_curve_takes_no_variant(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rho-curve", "--variant", "remark-one", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant remark-one" in capsys.readouterr().err
 
 
 # --- numeric failures ----------------------------------------------------------------
@@ -449,6 +475,23 @@ def test_stability_map_validates_grid(tmp_path, capsys):
     )
     assert code == 2
     assert read_error_line(err)["kind"] == "config"
+
+
+def test_stability_map_t_max_that_overflows_the_cubic_is_config_error(tmp_path, capsys):
+    """At --t-max 1e308 the cubic's coefficients overflow: exit 2 and one JSON line,
+    no numpy warning and no nan radius written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308",
+            "--out", str(tmp_path),
+        )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = read_error_line(err)
+    assert payload["kind"] == "config"
+    assert payload["message"].startswith("T = 1e+308 overflows")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, capsys, monkeypatch):

@@ -194,10 +194,11 @@ def test_real_cubic_kernel_matches_extended_precision(cubic):
 
 
 def _repeat_flag_kernels(c0, c1, c2, c3):
-    """(radius, repeated) of one cubic, from ``_accumulate`` of its roots and from ``_cubic_radius``."""
+    """(radius, repeated) of one cubic, folded from ``_roots_radius(*_cubic_roots)`` and ``_cubic_radius``."""
     valid = np.ones(1, dtype=bool)
     radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
-    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), radius, repeated, valid)
+    roots = stability._cubic_roots(c0, c1, c2, c3)
+    stability._fold(*stability._roots_radius(*roots), radius, repeated, valid)
     yield radius, repeated
     radius, repeated = np.zeros(1), np.zeros(1, dtype=bool)
     stability._fold(*stability._cubic_radius(c0, c1, c2, c3), radius, repeated, valid)
@@ -213,7 +214,7 @@ def _repeat_flag_kernels(c0, c1, c2, c3):
 def test_cubic_repeat_flag_separates_a_double_unit_root_from_a_close_pair(unit, third, apart):
     """A double root at +-1 is flagged; a conjugate pair on the unit circle 1e-6 apart is not.
 
-    Both the roots folded by ``_accumulate`` and the scan's radius-only kernel."""
+    Both the roots folded through ``_roots_radius`` and the scan's radius-only kernel."""
     pair = unit * np.exp([5e-7j, -5e-7j]) if apart else [unit, unit]
     c3, c2, c1, c0 = (np.array([c]) for c in np.poly([*pair, third]).real)
     for radius, repeated in _repeat_flag_kernels(c0, c1, c2, c3):

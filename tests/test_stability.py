@@ -204,6 +204,17 @@ def test_radius_matches_per_sample_eigenvalues(p):
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_t_that_overflows_the_cubic_is_refused():
+    """At |T| = 1e308 rho + T sigma is not finite, and the radius would be nan."""
+    params = make_scheme(3, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"T = 1e\+308 overflows"):
+        worst_case_radius(params, [1.0, 1e308])
+    with pytest.raises(ValueError, match=r"T = -1e\+308 overflows"):
+        scan_region(np.array([1.0]), np.array([0.0, 0.6]), t_samples=[-1e308, 1.0])
+    # alpha_f = 0: the radius grows like T, and T -> inf is the pole
+    assert worst_case_radius(params, [1e300]).radius == np.inf
+
+
 def test_alpha_m_zero_is_a_pole_of_the_t0_limit():
     # det L(T) = gamma_1 alpha_f T: every positive sample is finite, T = 0 is the pole
     params = make_scheme(3, 0.0, 0.6)
@@ -251,11 +262,9 @@ def test_cubic_roots_of_known_polynomials(roots):
 
 
 def _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3):
-    """``_cubic_radius`` gives bit for bit the (radius, repeated) of ``_accumulate(*_cubic_roots)``."""
-    ones = np.ones(np.shape(c3), dtype=bool)
+    """``_cubic_radius`` gives bit for bit the (radius, repeated) of ``_roots_radius(*_cubic_roots)``."""
     radius, repeated = stability._cubic_radius(c0, c1, c2, c3)
-    expected_radius, expected_repeated = np.zeros(np.shape(c3)), np.zeros(np.shape(c3), dtype=bool)
-    stability._accumulate(*stability._cubic_roots(c0, c1, c2, c3), expected_radius, expected_repeated, ones)
+    expected_radius, expected_repeated = stability._roots_radius(*stability._cubic_roots(c0, c1, c2, c3))
     np.testing.assert_array_equal(radius, expected_radius)
     np.testing.assert_array_equal(repeated, expected_repeated)
 
@@ -264,6 +273,28 @@ def _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3):
 def test_cubic_radius_of_known_polynomials_is_the_roots_folded(roots):
     c3, c2, c1, c0 = -1.7 * np.poly(roots).real
     _assert_radius_kernel_is_the_roots_folded(*(np.array([c]) for c in (c0, c1, c2, c3)))
+
+
+def test_cubic_radius_of_a_mixed_block_is_each_cubic_alone():
+    """Near-unit cubics, whose roots the kernel takes from their own
+    coefficients, and far ones in one (samples, cells) block: each cell is
+    bit for bit its single-cubic call and the roots folded."""
+    half = [w * stability.REPEAT_WINDOW / 2.0 for w in (0.9, 1.1)]
+    cubics = [(1.0, 1.0, -0.5)]  # a double unit root
+    cubics += [(1.0 + h, 1.0 - h, -0.5) for h in half]  # a real pair astride the circle
+    cubics += [(np.exp(1j * np.arcsin(h)), np.exp(-1j * np.arcsin(h)), -0.5) for h in half]
+    cubics += KNOWN_CUBIC_ROOTS
+    coeffs = np.array([np.poly(roots).real for roots in cubics]).T  # (4, cells)
+    block = np.stack([-1.7 * coeffs, 0.3 * coeffs], axis=1)[::-1]  # c0 .. c3, (samples, cells)
+    _assert_radius_kernel_is_the_roots_folded(*block)
+    radius, repeated = stability._cubic_radius(*block)
+    assert repeated[:, :5].tolist() == [[True, True, False, True, False]] * 2
+    for k in np.ndindex(radius.shape):
+        single = [np.array([c[k]]) for c in block]
+        assert (radius[k], repeated[k]) == tuple(x[0] for x in stability._cubic_radius(*single))
+        assert (radius[k], repeated[k]) == tuple(
+            x[0] for x in stability._roots_radius(*stability._cubic_roots(*single))
+        )
 
 
 def _one_real_root(c0, c1, c2, c3):

@@ -44,6 +44,14 @@ CASES = [
     ("integrate-remark-one", ["integrate", "--variant", "remark-one", "--alpha-m", "0.5", "--alpha-f", "0.3"]),
     ("integrate-remark-one-alpha-f-zero",
      ["integrate", "--variant", "remark-one", "--alpha-m", "0.5", "--alpha-f", "0"]),
+    # configuration errors: exit 2 and one JSON line on stderr
+    ("integrate-alpha-m-alone", ["integrate", "--alpha-m", "0.9"]),
+    ("order-check-rho-inf-at-p2", ["order-check", "--p", "2", "--rho-inf", "0.5"]),
+    ("integrate-p12", ["integrate", "--p", "12"]),
+    ("stability-map-grid-n-1", ["stability-map", "--grid-n", "1"]),
+    ("rho-curve-n-rho-1", ["rho-curve", "--n-rho", "1"]),
+    ("stability-map-t-max-1e308",
+     ["stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308"]),
 ]
 
 
