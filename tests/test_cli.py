@@ -183,18 +183,27 @@ def test_integrate_heat_imaginary_columns_are_exact_zeros(tmp_path, capsys):
     assert {line.split(",")[k] for line in lines[1:] for k in imaginary} == {"0"}
 
 
-@pytest.mark.parametrize("argv,lam", [(("--lambda", "1,2"), 1 + 2j), (("--lambda=-1,2",), -1 + 2j)])
-def test_integrate_complex_lambda(tmp_path, capsys, argv, lam):
-    """A negative real part needs the '=' form (see the configuration errors)."""
+def test_integrate_complex_lambda(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
-        "integrate", *argv, "--tau", "0.1", "--t-end", "0.5",
+        "integrate", "--lambda", "1,2", "--tau", "0.1", "--t-end", "0.5",
         "--out", str(tmp_path),
     )
     assert code == 0
     last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
     _, re_u, im_u = last.split(",")
-    assert abs(complex(float(re_u), float(im_u)) - cmath.exp(-0.5 * lam)) < 5e-3
+    exact = complex(math.e ** -0.5 * math.cos(1.0), -math.e ** -0.5 * math.sin(1.0))
+    assert abs(complex(float(re_u), float(im_u)) - exact) < 5e-3
+
+
+def test_integrate_negative_real_lambda_takes_the_equals_form(tmp_path, capsys):
+    """``--lambda -1,2`` is an argparse error (see the configuration errors); ``--lambda=-1,2`` runs."""
+    code, _, _ = run_cli(capsys, "integrate", "--lambda=-1,2", "--tau", "0.1", "--t-end", "0.5",
+                         "--out", str(tmp_path))
+    assert code == 0
+    last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
+    _, re_u, im_u = last.split(",")
+    assert abs(complex(float(re_u), float(im_u)) - cmath.exp(0.5 - 1j)) < 5e-3
 
 
 # --- configuration errors -----------------------------------------------------------
