@@ -79,6 +79,15 @@ class StateVector:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "tau", float(self.tau))
 
+    @classmethod
+    def _trusted(cls, stack: np.ndarray, tau: float) -> "StateVector":
+        """A state from a C-ordered 2-d float64 or complex128 stack and a valid
+        float tau, taken as they are, without the checks of ``__post_init__``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "stack", stack)
+        object.__setattr__(state, "tau", tau)
+        return state
+
     @property
     def order(self) -> int:
         return self.stack.shape[0]
@@ -295,6 +304,14 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     step makes one ``problem.apply`` at every order.  Exceptions from the
     solve are re-raised as :class:`SolveFailed` unless they already carry a
     package error type.
+
+    The new stack is written into the first p rows of the one (p+1, m)
+    array that the step's ladder product allocates, and the returned state
+    is not re-validated: its stack has the input's dtype, C order and shape,
+    and its tau is the input's.  A solve that returns another dtype (a
+    complex lambda on a real stack) or shape takes the general route: the
+    stack is stacked anew, in the result type, and checked like a
+    user-built :class:`StateVector`.  The input state is never modified.
     """
     p = params.p
     if state.order != p:
@@ -313,7 +330,14 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
         raise
     except Exception as exc:
         raise SolveFailed(f"shifted solve raised {type(exc).__name__}: {exc}") from exc
-    return StateVector(np.vstack([ladder - c[:, None] * x, x]), tau)
+    if getattr(x, "dtype", None) != rows.dtype or x.shape != r0u.shape:
+        # a solve that widens the dtype (a complex lambda on a real stack)
+        # or returns another shape: the stack is built and checked as given
+        return StateVector(np.vstack([ladder - c[:, None] * x, x]), tau)
+    # rows p-1 and p are spent, so rows[:p], C-contiguous, takes the new stack
+    np.subtract(ladder, c[:, None] * x, out=ladder)
+    rows[p - 1] = x
+    return StateVector._trusted(rows[:p], tau)
 
 
 @lru_cache(maxsize=32)

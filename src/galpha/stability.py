@@ -82,7 +82,7 @@ from .amplification import (
 )
 # Not called here: perfbench/tracing.py patches these names in this module.
 from .amplification import amplification_matrix, limit_matrix_zero  # noqa: F401
-from .errors import PoleAtRho
+from .errors import DegenerateParams, PoleAtRho, SingularAtT
 from .schemes import (
     RhoBranch,
     SchemeParams,
@@ -159,42 +159,53 @@ def _roots_radius(re, im):
     ``re`` and ``im`` hold the real and imaginary parts of the d roots along
     their first axis.  A spectrum is flagged when two of its roots, real or
     complex, lie within ``REPEAT_WINDOW`` of each other and their moduli
-    within ``REPEAT_WINDOW`` of 1.
+    within ``REPEAT_WINDOW`` of 1.  The O(d^2) pairwise test runs only on
+    the spectra with at least two moduli within ``REPEAT_WINDOW`` of 1 (no
+    other spectrum can be flagged), as in :func:`_cubic_radius`.
     """
     mods = np.hypot(re, im)
     near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
     flag = np.zeros(mods.shape[1:], dtype=bool)
-    for i in range(1, len(mods)):
-        for j in range(i):
-            dre, dim = re[i] - re[j], im[i] - im[j]
-            flag |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
+    near = near_one.sum(axis=0) >= 2
+    if near.any():
+        re, im, near_one = re[:, near], im[:, near], near_one[:, near]
+        pairs = np.zeros(near_one.shape[1:], dtype=bool)
+        # a root far beyond 1 may square to inf here; its pairs are not near one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, len(mods)):
+                for j in range(i):
+                    dre, dim = re[i] - re[j], im[i] - im[j]
+                    pairs |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
+        flag[near] = pairs
     return mods.max(axis=0), flag
 
 
 def _cubic_prefix(c0, c1, c2, c3):
     """The arithmetic that :func:`_cubic_roots` and :func:`_cubic_radius` share.
 
-    Returns ``scale, x1, s, q, h, root, x2`` of the scaled cubic: its
+    Returns ``bound, scale, x1, s, q, h, root, x2`` of the scaled cubic: its
     largest-modulus real root x1, the deflated quadratic x^2 - s x + q with
     discriminant h = s^2 - 4q, root = sqrt(|h|) and the larger root x2 of a
     real pair.  Cardano runs only on the cells with one real root and the
     trigonometric form only on the others; x1 is scattered from both.
     """
-    a, b, d = c2 / c3, c1 / c3, c0 / c3
-    bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
-    scale = np.ldexp(1.0, np.frexp(bound)[1])
-    a = a / scale
-    b = b / scale / scale
-    d = d / scale / scale / scale
+    # a cell whose bound is not below 2**1023 has no finite scale; its
+    # arithmetic runs on inf and nan, which _cubic_radius replaces
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b, d = c2 / c3, c1 / c3, c0 / c3
+        bound = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), np.cbrt(np.abs(d)))
+        scale = np.ldexp(1.0, np.frexp(bound)[1])
+        a = a / scale
+        b = b / scale / scale
+        d = d / scale / scale / scale
 
-    a3 = a / 3.0
-    pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
-    qq = d - a3 * b + 2.0 * a3 * a3 * a3
-    disc = qq * qq / 4.0 + pp * pp * pp / 27.0
-    one = disc > 0.0
-    three = ~one
-    x1 = np.empty_like(disc)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        a3 = a / 3.0
+        pp = b - a * a3  # depressed cubic x^3 + pp x + qq, mu = x - a/3
+        qq = d - a3 * b + 2.0 * a3 * a3 * a3
+        disc = qq * qq / 4.0 + pp * pp * pp / 27.0
+        one = disc > 0.0
+        three = ~one
+        x1 = np.empty_like(disc)
         # Cardano: x = u + v with u^3 = w, u v = -pp/3; for pp > 0 u and v
         # differ in sign, and x = -qq/(u^2 + v^2 + pp/3) sums positive terms
         p1, q1 = pp[one], qq[one]
@@ -218,7 +229,7 @@ def _cubic_prefix(c0, c1, c2, c3):
         h = s * s - 4.0 * q
         root = np.sqrt(np.abs(h))
         x2 = (s + np.copysign(root, s)) / 2.0
-    return scale, x1, s, q, h, root, x2
+    return bound, scale, x1, s, q, h, root, x2
 
 
 def _cubic_roots(c0, c1, c2, c3):
@@ -235,7 +246,7 @@ def _cubic_roots(c0, c1, c2, c3):
     formula: s = -a - mu1 and q = b - mu1 s when mu1 may be the smaller
     root (mu1^2 <= |q|), q = -d/mu1 and s = (b - q)/mu1 otherwise.
     """
-    scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
+    _, scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
     real = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
@@ -257,20 +268,31 @@ def _cubic_radius(c0, c1, c2, c3):
     themselves, and the pairwise test of :func:`_roots_radius`, are taken
     only on the cells where at least two moduli lie within ``REPEAT_WINDOW``
     of 1, by :func:`_cubic_roots` of those cells' coefficients.
+
+    A cell whose monic coefficients are not finite, or whose bound
+    max(|a|, |b|^(1/2), |d|^(1/3)) reaches 2**1023 so that no power-of-two
+    scale is finite, reads radius inf without a numpy warning: its largest
+    root has modulus at least bound / 3, beyond what the scaled arithmetic
+    holds (such as the alpha_f = 0 cells of small alpha_m at T = 1e307,
+    whose mu^3 coefficient is -alpha_m).
     """
-    scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
+    bound, scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
     real = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         pair = np.hypot(s / 2.0, root / 2.0)
         m2 = np.where(real, np.abs(x2), pair)
         m3 = np.where(real, np.abs(np.where(x2 != 0.0, q / x2, 0.0)), pair)
-    mods = np.stack([np.abs(x1), m2, m3])
-    mods *= scale
+        mods = np.stack([np.abs(x1), m2, m3])
+        mods *= scale
     near = (np.abs(mods - 1.0) <= REPEAT_WINDOW).sum(axis=0) >= 2
     flag = np.zeros(near.shape, dtype=bool)
     if near.any():
         flag[near] = _roots_radius(*_cubic_roots(*(c[near] for c in (c0, c1, c2, c3))))[1]
-    return mods.max(axis=0), flag
+    radius = mods.max(axis=0)
+    inside = bound < 2.0**1023
+    if not inside.all():
+        radius = np.where(inside, radius, np.inf)
+    return radius, flag
 
 
 def _one_step_spectra(p, tab_l, tab_r, t, valid):
@@ -345,7 +367,14 @@ def _scan_cells(p, am, af, gammas, t_samples):
             c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, -det, 1.0)), radius, repeated, valid)
         else:
-            _fold(*_roots_radius(*_one_step_spectra(p, tab_l, tab_r, t, valid)), radius, repeated, valid)
+            try:
+                spectra = _one_step_spectra(p, tab_l, tab_r, t, valid)
+            except np.linalg.LinAlgError as exc:
+                raise SingularAtT(
+                    f"the one-step matrices G(T) at T = {t[0, 0]:g} .. {t[-1, 0]:g} are singular "
+                    "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
+                ) from exc
+            _fold(*_roots_radius(*spectra), radius, repeated, valid)
 
     if p == 3:
         # the last rows divided by T tend to their T-coefficients
@@ -354,7 +383,13 @@ def _scan_cells(p, am, af, gammas, t_samples):
             for tab in (tab_l, tab_r)
         )
         valid = pole_factor(0.0, gammas[0] * af)[1][None]
-        roots = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
+        try:
+            roots = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateParams(
+                "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
+                "in double precision (|gamma_1 alpha_f| is too close to 0)"
+            ) from exc
         _fold(*_roots_radius(*roots), radius, repeated, valid)
 
     return radius, repeated

@@ -503,6 +503,43 @@ def test_stability_map_t_max_that_overflows_the_cubic_is_config_error(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_stability_map_t_max_1e307_reads_inf_where_the_roots_leave_the_double_range(tmp_path, capsys):
+    """At --t-max 1e307 the monic cubic of an alpha_f = 0 cell with small alpha_m
+    (mu^3 coefficient -alpha_m) is not finite: the cell reads radius inf,
+    with no numpy warning and no nan in the map."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(
+            capsys, "stability-map", "--grid-n", "3", "--alpha-min", "0", "--alpha-max", "0.08",
+            "--t-max", "1e307", "--out", str(tmp_path),
+        )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
+    assert not any(row[2] == "nan" for row in rows)
+    assert [row[2] for row in rows if float(row[0]) > 0.0 and float(row[1]) == 0.0] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"),
+         "DegenerateParams: the T -> inf limit"),
+        (("integrate", "--p", "4", "--alpha-m", "1e-320", "--alpha-f", "1e-320"),
+         "SingularAtT: the one-step matrices G(T)"),
+    ],
+    ids=["stability-map", "integrate"],
+)
+def test_lapack_refusal_is_a_numeric_error(tmp_path, capsys, argv, error):
+    """One-step matrices LAPACK refuses (subnormal alpha_m, alpha_f) exit 3,
+    kind numeric, with galpha's message, not exit 2 with numpy's text."""
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = read_error_line(err)
+    assert payload["kind"] == "numeric" and payload["exit_code"] == 3
+    assert payload["message"].startswith(error)
+
+
 def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, capsys, monkeypatch):
     """An allocation that cannot succeed exits 2 with one JSON line, not a traceback."""
 

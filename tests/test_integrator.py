@@ -218,6 +218,58 @@ def test_step_rejects_mismatched_state():
         step(params, scalar_problem(1.0), state)
 
 
+def _vstack_step(params, problem, state):
+    """The new stack of one step, stacked by ``np.vstack`` from the step's plan."""
+    p, tau = params.p, state.tau
+    M, c, d, k, s = integrator._plan(p, params.alpha_m, params.alpha_f, params.gammas)
+    rows = np.einsum("ij,jm->im", M, state.stack.view(float)).view(state.stack.dtype)
+    ladder, (r0u, r1u) = rows[:p - 1], rows[p - 1:]
+    x = problem.shifted_solve(d, s * tau, r0u + tau * problem.apply(r1u - k * ladder[-1]))
+    return np.vstack([ladder - c[:, None] * x, x])
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_real_stack_stepped_with_complex_lambda_is_the_vstack(p):
+    """A solve that widens the dtype gets the complex stack of ``np.vstack``,
+    bit for bit, and no ComplexWarning: the imaginary part is not dropped."""
+    params = make_scheme(p, 1.0, 0.75)
+    problem = scalar_problem(1 + 2j)
+    state = StateVector(np.random.default_rng(p).standard_normal((p, 1)), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepped = step(params, problem, state)
+        expected = _vstack_step(params, problem, state)
+    assert stepped.stack.dtype == expected.dtype == np.complex128
+    assert stepped.stack.tobytes() == expected.tobytes()
+    assert np.any(stepped.stack.imag != 0.0)
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+@pytest.mark.parametrize(
+    "problem, u0",
+    [
+        (scalar_problem(1 + 2j), 1.0),
+        (dense_problem([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]), [1.0, 0.5, -0.25]),
+        (heat_problem(5), np.linspace(0.1, 0.5, 5)),
+    ],
+    ids=["scalar", "dense", "heat"],
+)
+def test_step_returns_a_fresh_c_ordered_stack_and_keeps_its_input(p, problem, u0):
+    """The new stack is the vstack of the step bit for bit, C-ordered with shape
+    (p, m) in the input's dtype; the input state's stack is left as it was."""
+    params = make_scheme(p, 1.0, 0.75)
+    state = init_state(problem, u0, p, 0.05)
+    before = state.stack.copy()
+    stepped = step(params, problem, state)
+    assert state.stack.tobytes() == before.tobytes()
+    assert stepped.stack.flags.c_contiguous
+    assert stepped.stack.shape == (p, problem.dim)
+    assert stepped.stack.dtype == state.stack.dtype
+    assert stepped.tau == state.tau
+    assert not np.shares_memory(stepped.stack, state.stack)
+    assert stepped.stack.tobytes() == _vstack_step(params, problem, state).tobytes()
+
+
 def test_one_implicit_solve_per_step():
     calls = {"solve": 0}
     inner = scalar_problem(2.0)

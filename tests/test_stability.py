@@ -1,5 +1,7 @@
 """Tests for worst-case radius evaluation and parameter-plane scanning."""
 
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -14,7 +16,7 @@ from galpha.amplification import (
     one_step_tableau,
     pole_factor,
 )
-from galpha.errors import PoleAtRho, SingularAtT
+from galpha.errors import DegenerateParams, PoleAtRho, SingularAtT
 from galpha.schemes import (
     RhoBranch,
     Variant,
@@ -295,6 +297,86 @@ def test_cubic_radius_of_a_mixed_block_is_each_cubic_alone():
         assert (radius[k], repeated[k]) == tuple(
             x[0] for x in stability._roots_radius(*stability._cubic_roots(*single))
         )
+
+
+def _pairwise_flag(re, im):
+    """The repeated-unit-root flag by the pairwise test over every spectrum."""
+    mods = np.hypot(re, im)
+    near_one = np.abs(mods - 1.0) <= stability.REPEAT_WINDOW
+    flag = np.zeros(mods.shape[1:], dtype=bool)
+    for i in range(1, len(mods)):
+        for j in range(i):
+            dre, dim = re[i] - re[j], im[i] - im[j]
+            flag |= (dre * dre + dim * dim <= stability.REPEAT_WINDOW**2) & near_one[i] & near_one[j]
+    return flag
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_roots_radius_is_the_pairwise_test_over_every_spectrum(d):
+    """The pair test, run only where two moduli lie near 1, flags exactly the
+    spectra that the test over all of them flags; the radius is the largest modulus."""
+    rng = np.random.default_rng(d)
+    angles = rng.uniform(-np.pi, np.pi, (d, 6, 50))
+    mods = rng.uniform(0.5, 1.5, (d, 6, 50))
+    near = rng.random((d, 6, 50)) < 0.3  # about a third of the roots on the circle
+    mods[near] = 1.0 + rng.uniform(-1.0, 1.0, near.sum()) * stability.REPEAT_WINDOW
+    re, im = mods * np.cos(angles), mods * np.sin(angles)
+    # the second root of some spectra within a window of the first, both on the circle
+    close = rng.random((6, 50)) < 0.2
+    re[1, close] = re[0, close] * (1.0 + 3e-8)
+    im[1, close] = im[0, close]
+    radius, repeated = stability._roots_radius(re, im)
+    np.testing.assert_array_equal(repeated, _pairwise_flag(re, im))
+    np.testing.assert_array_equal(radius, np.hypot(re, im).max(axis=0))
+    assert repeated.any() and not repeated.all()
+
+
+def test_roots_radius_of_a_double_unit_root_beside_a_huge_one_warns_nothing():
+    """The pair distance to a root of modulus 1e300 overflows to inf: no flag
+    and no numpy warning for that pair, the double unit root flagged."""
+    re, im = np.array([[1.0], [1.0], [1e300]]), np.zeros((3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius, repeated = stability._roots_radius(re, im)
+    assert radius.tolist() == [1e300] and repeated.tolist() == [True]
+
+
+def test_cubic_radius_beyond_the_double_range_is_inf_without_warnings():
+    """A cubic whose monic coefficients overflow (c2 / c3 = 1e310), and one whose
+    bound 1.5e308 has no finite power-of-two scale, read radius inf, not nan;
+    the finite cubic beside them keeps its radius."""
+    c0, c1, c2, c3 = (np.array(c) for c in zip((0.0, 0.0, 1e10, 1e-300), (0.0, 0.0, -1.5e308, 1.0),
+                                               (-1.0, 1.0, 1.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius, repeated = stability._cubic_radius(c0, c1, c2, c3)
+    assert radius[:2].tolist() == [np.inf, np.inf]
+    assert radius[2] == stability._roots_radius(*stability._cubic_roots(c0[2:], c1[2:], c2[2:], c3[2:]))[0][0]
+    assert repeated.tolist() == [False, False, False]
+
+
+@pytest.mark.parametrize(
+    "p, alpha_m, alpha_f",
+    [(2, 1e-300, 1e-300), (3, 1e-300, 1e-300), (4, 1e-300, 1e-300), (7, 1e-300, 1e-300), (3, 1.0, 1e-200)],
+)
+def test_tiny_parameters_give_a_finite_radius_without_overflow_warnings(p, alpha_m, alpha_f):
+    """Spectra with roots near 1e300 take no pair test, so nothing squares them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = worst_case_radius(make_scheme(p, alpha_m, alpha_f))
+    assert 1e199 < report.radius < np.inf
+    assert not report.stable
+
+
+def test_subnormal_parameters_raise_galpha_errors_not_lapack_ones():
+    """Where LAPACK refuses the one-step matrices (not finite or singular in
+    double precision) the scan raises SingularAtT for the samples and
+    DegenerateParams for the T -> inf limit, with messages of its own."""
+    with pytest.raises(SingularAtT, match=r"G\(T\) at T = 0.0001 .. 1e\+08"):
+        worst_case_radius(make_scheme(4, 1e-320, 1e-320))
+    axis = np.linspace(1e-320, 1e-300, 4)
+    with pytest.raises(DegenerateParams, match=r"T -> inf limit"):
+        scan_region(axis, axis)
 
 
 def _one_real_root(c0, c1, c2, c3):

@@ -52,6 +52,12 @@ CASES = [
     ("rho-curve-n-rho-1", ["rho-curve", "--n-rho", "1"]),
     ("stability-map-t-max-1e308",
      ["stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308"]),
+    # alpha_f = 0 cells with alpha_m <= 0.083, whose monic cubic leaves the double range
+    ("stability-map-t-max-1e307",
+     ["stability-map", "--grid-n", "3", "--alpha-min", "0", "--alpha-max", "0.08", "--t-max", "1e307"]),
+    # numerical failure: exit 3, the T -> inf limit refused by LAPACK
+    ("stability-map-subnormal-axis",
+     ["stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"]),
 ]
 
 
