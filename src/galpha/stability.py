@@ -172,7 +172,7 @@ def _roots_radius(re, im):
         pairs = np.zeros(near_one.shape[1:], dtype=bool)
         # a root far beyond 1 may square to inf here; its pairs are not near one
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, len(mods)):
+            for i in range(1, len(re)):
                 for j in range(i):
                     dre, dim = re[i] - re[j], im[i] - im[j]
                     pairs |= (dre * dre + dim * dim <= REPEAT_WINDOW**2) & near_one[i] & near_one[j]
@@ -338,6 +338,9 @@ def _scan_cells(p, am, af, gammas, t_samples):
     :func:`default_t_samples` when None, else a non-empty 1-D set of finite
     numbers.  A real p = 3 set whose largest |T| overflows a coefficient of
     the cubic of a cell off the pole is refused with ``ValueError``.
+    One-step matrices that LAPACK refuses (singular or not finite in double
+    precision, as at subnormal parameters) raise ``SingularAtT`` for the
+    samples and ``DegenerateParams`` for the T->inf limit.
     """
     ncell = am.shape[0]
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
@@ -403,7 +406,8 @@ def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     T->inf limit of the tableau are added, for either closure; other orders
     use the samples alone.  A sample or limit on the pole of the one-step
     system marks the parameters unstable (radius = inf) instead of aborting
-    the scan.
+    the scan; one-step matrices that LAPACK refuses raise ``SingularAtT`` or
+    ``DegenerateParams`` (:func:`_scan_cells`).
     """
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
     radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], t_samples)
