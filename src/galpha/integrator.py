@@ -22,10 +22,12 @@ v -> A v and a ``shifted_solve`` callback for (c1 * I + sigma * A) x = b.
 Factories are provided for scalar equations, dense matrices, and the standard
 second-difference discretization of the heat equation on the unit interval.
 The shift is the same on every step of a march, so the factories pay for the
-shifted operator once: the dense problem keeps LAPACK's inverse of its
-last shifted operator, and the heat problem solves in its sine eigenbasis (a
-real DST-I through ``numpy.fft.rfft``), whose eigenvalues it computes once.
-Both refuse a shifted operator by the one rule of :mod:`galpha.numkit`.
+shifted operator once: the scalar problem keeps the pole-checked
+denominator c1 + sigma * lambda of its last shift, the dense problem keeps
+LAPACK's inverse of its last shifted operator, and the heat problem solves
+in its sine eigenbasis (a real DST-I through ``numpy.fft.rfft``), whose
+eigenvalues it computes once.  The dense and heat problems refuse a shifted
+operator by the one rule of :mod:`galpha.numkit`.
 ``step`` reads the plan of its scheme from a cache, built on the scheme's
 first step.
 """
@@ -131,8 +133,10 @@ class LinearProblem:
     arrays for real input keeps the march of a real u0 in float64.
 
     A march calls ``shifted_solve`` with one (c1, sigma) on every step, so
-    :func:`dense_problem` and :func:`heat_problem` keep the inverse or the
-    divisors of the last shift in a ``functools.lru_cache(maxsize=1)``.
+    :func:`scalar_problem`, :func:`dense_problem` and :func:`heat_problem`
+    keep the denominator, the inverse or the divisors of the last shift in a
+    ``functools.lru_cache(maxsize=1)``.  A refused shift raises on every
+    call, since the cache keeps no exception.
     """
 
     dim: int
@@ -148,7 +152,8 @@ def scalar_problem(lam) -> LinearProblem:
     (p-2)!, so c1 + sigma lambda is the pole factor of the one-step system at
     T = lambda tau over (p-2)!.  The solve raises :class:`StepSingular` where
     :func:`~galpha.amplification.pole_factor` finds it vanished, the rule by
-    which the stability scan reports a pole (radius inf).
+    which the stability scan reports a pole (radius inf).  The checked
+    denominator of the last (c1, sigma) is kept, so a march pays for it once.
     """
     lam = complex(lam)
     if not np.isfinite(lam):
@@ -157,11 +162,15 @@ def scalar_problem(lam) -> LinearProblem:
     def apply(v):
         return lam * v
 
-    def shifted_solve(c1, sigma, b):
+    @lru_cache(maxsize=1)
+    def denominator(c1, sigma):
         den, nonzero = pole_factor(c1, sigma * lam)
         if not nonzero:
             raise StepSingular(f"stage denominator vanishes: c1 + sigma*lambda = {den!r}")
-        return b / den
+        return den
+
+    def shifted_solve(c1, sigma, b):
+        return b / denominator(c1, sigma)
 
     return LinearProblem(1, apply, shifted_solve, f"scalar lambda={lam}")
 
@@ -314,16 +323,17 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     user-built :class:`StateVector`.  The input state is never modified.
     """
     p = params.p
-    if state.order != p:
-        raise ValueError(f"state carries {state.order} blocks, scheme needs {p}")
+    stack = state.stack
+    if stack.shape[0] != p:
+        raise ValueError(f"state carries {stack.shape[0]} blocks, scheme needs {p}")
     tau = state.tau
     M, c, d, k, s = _plan(p, params.alpha_m, params.alpha_f, params.gammas)
     # einsum on the real and imaginary parts, not BLAS: each column of the
     # stack is combined on its own (a diagonal system steps bit for bit like
     # its scalar components), and the real kernel is up to 6x faster
-    rows = np.einsum("ij,jm->im", M, state.stack.view(float)).view(state.stack.dtype)
-    ladder, (r0u, r1u) = rows[:p - 1], rows[p - 1:]
-    b = r0u + tau * problem.apply(r1u - k * ladder[-1])
+    rows = np.einsum("ij,jm->im", M, stack.view(float)).view(stack.dtype)
+    ladder, r0u = rows[:p - 1], rows[p - 1]
+    b = r0u + tau * problem.apply(rows[p] - k * rows[p - 2])
     try:
         x = problem.shifted_solve(d, s * tau, b)
     except GalphaError:

@@ -7,11 +7,11 @@ unless its condition estimate kappa satisfies kappa * ``PIVOT_RTOL`` < 1
 and the diagonalised shift of the heat rod.  For a dense matrix M the
 estimate is max|M| max|M^-1|, read from LAPACK's inverse (:func:`inverse`);
 ``solve`` checks its matrix by that rule and returns LAPACK's solve.
-``eigenvalues`` defers to LAPACK as well.  The scalar pole rule of the scan
-and of the scalar march is ``amplification.pole_factor``, kept apart from
-this one.  Characteristic polynomials are not built here:
-``amplification.char_poly`` reads rho + T*sigma from the one-step tableau,
-exactly for Fraction input.
+``eigenvalues`` defers to LAPACK as well, for one matrix or a stack.  The
+scalar pole rule of the scan and of the scalar march is
+``amplification.pole_factor``, kept apart from this one.  Characteristic
+polynomials are not built here: ``amplification.char_poly`` reads
+rho + T*sigma from the one-step tableau, exactly for Fraction input.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ PIVOT_RTOL = 1e-14
 MAX_DIM = 12
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
+    """``a`` as a complex array: one finite (n, n) matrix, n >= 1, or with
+    ``stacked`` a stack (..., n, n) of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError("expected a non-empty matrix, got shape (0, 0)")
-    if not np.all(np.isfinite(a.view(float))):
+    if a.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -76,11 +78,14 @@ def eigenvalues(a) -> np.ndarray:
 
     Backed by LAPACK's QR iteration (``numpy.linalg.eigvals``); the iteration
     cap is LAPACK's own (roughly 30 sweeps per eigenvalue), surfaced here as
-    ``NoConvergence``.  Dimension is capped at ``MAX_DIM``.
+    ``NoConvergence``.  Dimension is capped at ``MAX_DIM``.  A stack
+    (..., n, n) of matrices gives a (..., n) stack of spectra in one call;
+    LAPACK still runs once per matrix, so each spectrum is bit for bit that
+    of its matrix alone.
     """
-    a = _as_square(a)
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds cap {MAX_DIM}")
+    a = _as_square(a, stacked=True)
+    if a.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[-1]} exceeds cap {MAX_DIM}")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

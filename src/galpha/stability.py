@@ -466,13 +466,21 @@ def verify_rho_control(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> fl
     This is the measured behaviour of the closed-form limit matrix itself;
     see the stability notes in README.
     """
-    return _max_eig_inf(*params_from_rho(rho_inf, branch)) - rho_inf
+    return float(_max_eig_inf([_limit_inf(*params_from_rho(rho_inf, branch))])[0]) - rho_inf
 
 
-def _max_eig_inf(alpha_m, alpha_f) -> float:
-    """max |eig(Ainf)| of the equal-gamma third-order scheme, by ``numkit.eigenvalues``."""
-    params = make_scheme(3, alpha_m, alpha_f, Variant.EQUAL_GAMMA)
-    return float(np.abs(numkit.eigenvalues(limit_matrix_inf(params))).max())
+def _limit_inf(alpha_m, alpha_f) -> np.ndarray:
+    """Ainf of the equal-gamma third-order scheme at (alpha_m, alpha_f)."""
+    return limit_matrix_inf(make_scheme(3, alpha_m, alpha_f, Variant.EQUAL_GAMMA))
+
+
+def _max_eig_inf(limits) -> np.ndarray:
+    """max |eig(Ainf)| of each matrix of ``limits``, by one ``numkit.eigenvalues`` call.
+
+    ``limits`` is a sequence of 3x3 matrices, possibly empty.
+    """
+    stack = np.reshape(limits, (-1, 3, 3))
+    return np.abs(numkit.eigenvalues(stack)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -498,16 +506,19 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
     """Uniform samples of one branch over rho_inf in [0, 1], poles marked."""
     if n_points < 2:
         raise ValueError("need at least two samples")
-    points = []
+    rows, limits = [], []
     for k in range(n_points):
         rho = k / (n_points - 1)
         try:
             am, af = params_from_rho(rho, branch)
         except PoleAtRho:
-            points.append(RhoPoint(rho, None, None, None, None))
+            rows.append((rho, None, None, None))
             continue
-        points.append(RhoPoint(rho, am, af, in_stability_region(am, af), _max_eig_inf(am, af)))
-    return points
+        rows.append((rho, am, af, in_stability_region(am, af)))
+        limits.append(_limit_inf(am, af))
+    # the stiff-limit radii of the whole branch come from one LAPACK call
+    radii = iter(_max_eig_inf(limits).tolist())
+    return [RhoPoint(*row, None if row[1] is None else next(radii)) for row in rows]
 
 
 def write_stability_csv(smap: StabilityMap, path) -> None:

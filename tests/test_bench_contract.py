@@ -13,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from galpha import amplification, cli, integrator, numkit, orderlab, stability
 from galpha.schemes import make_scheme, params_from_rho
@@ -122,3 +123,17 @@ def test_traced_dense_march_counts_one_apply_per_step():
     names = [span[0] for span in tracer.spans]
     assert names.count("integrator.dense.step") == 10
     assert names.count("integrator.dense.apply") == 12
+
+
+@pytest.mark.parametrize("n_rho", ["2", "11", "101"])
+def test_traced_rho_curve_takes_one_eig_call_per_branch(tmp_path, capsys, n_rho):
+    # each branch's stiff-limit radii come from one stacked numkit.eigenvalues
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main(["rho-curve", "--n-rho", n_rho, "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert [span[0] for span in tracer.spans].count("numkit.eig") == 4

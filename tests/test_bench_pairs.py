@@ -14,7 +14,8 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 # stands in for perfbench/run.py: logs its checkout and arguments, then plays
 # the run that runs.json of its checkout gives for the workload and seed: an
-# exit with a message on stderr, or a result line of the given metrics
+# exit with a message on stderr, or its printed lines and a result line of
+# the given metrics
 FAKE_RUN = """\
 import json, pathlib, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -22,6 +23,7 @@ with open("../log.txt", "a") as fh:
     fh.write(pathlib.Path.cwd().name + " " + " ".join(sys.argv[1:]) + "\\n")
 run = json.loads(pathlib.Path("runs.json").read_text())[args["--workload"]][int(args["--seed"]) - 1]
 print("noise")
+print("\\n".join(run.get("printed", [])))
 if "exit" in run:
     sys.exit(run["exit"])
 metrics = {name: {"value": value, "unit": "s"} for name, value in run["metrics"].items()}
@@ -181,6 +183,39 @@ def test_a_faster_change_passes_every_bound(tmp_path, tool, capsys):
     assert lines[("plane-scan", "norm_wall_s")] == ["1.5", "(0)", "->", "0.75", "(0)", "s", "-50.0%",
                                                     "wins", "1", "of", "1"]
     assert lines[("march", "norm_items_per_s")][-5:] == ["+100.0%", "wins", "1", "of", "1"]
+
+
+def _printed(wall_s, speed):
+    """The lines of an untraced perfbench/run.py around its as-measured wall_s and speed."""
+    return {"printed": [
+        f"  {'norm_wall_s':<40} {2.0 * wall_s:>16.6g} s",
+        "as measured (each call at its median time):",
+        f"  {'setup_s':<40} {0.2:>16.6g} s",
+        f"  {'wall_s':<40} {wall_s:>16.6g} s",
+        f"  {'items_per_s':<40} {50.0:>16.6g} 1/s",
+        f"  {'speed / reference speed':<40} {speed:>16.6g} (kernel parts eig, solve)",
+        f"  {'kernel part eig':<40} {0.01:>16.6g} s",
+    ]}
+
+
+def test_as_measured_wall_and_speed_are_kept_and_shown_without_bounds(tmp_path, tool, capsys):
+    # a normalized gain that is only a lower speed reading: the as-measured
+    # wall time barely moves while the speed falls, and neither row is bounded
+    parent = _checkout(tmp_path, "parent", {"plane-scan": [{**_e2e(), **_printed(0.488, 0.94)}] * 2})
+    change = _checkout(tmp_path, "change", {"plane-scan": [{**_e2e(0.76), **_printed(0.457, 0.5)}] * 2})
+    code, out, record = _run(tool, capsys, parent, change, "--workload", "plane-scan", "--pairs", "2")
+    assert code == 0
+    pairs = record["workloads"]["plane-scan"]["pairs"]
+    assert [p[side]["as_measured"] for p in pairs for side in ("parent", "change")] == [
+        {"wall_s": 0.488, "speed": 0.94}, {"wall_s": 0.457, "speed": 0.5}] * 2
+    medians = record["workloads"]["plane-scan"]["median"]
+    assert (medians["parent"]["as_measured.speed"], medians["change"]["as_measured.speed"]) == (0.94, 0.5)
+    lines = _metric_lines(out)
+    assert list(lines)[-2:] == [("plane-scan", "as_measured.wall_s"), ("plane-scan", "as_measured.speed")]
+    assert lines[("plane-scan", "as_measured.wall_s")][-5:] == ["-6.4%", "wins", "2", "of", "2"]
+    assert lines[("plane-scan", "as_measured.speed")] == ["0.94", "(0)", "->", "0.5", "(0)", "ratio", "-46.8%",
+                                                          "wins", "0", "of", "2"]
+    assert "WORSE" not in "\n".join(out)
 
 
 def test_a_metric_past_its_bound_is_worse_in_its_own_direction(tmp_path, tool, capsys):

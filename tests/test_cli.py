@@ -376,6 +376,21 @@ def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
     assert message in payload["message"]
 
 
+@pytest.mark.parametrize("bounds", [("1", "0"), ("0.5", "0.5"), ("2", None)])
+def test_stability_map_refuses_an_empty_or_reversed_alpha_range(tmp_path, capsys, bounds):
+    """Reversed axes would reverse the gnuplot ranges, and equal bounds would
+    count one cell grid_n**2 times; both exit 2 before anything is written."""
+    lo, hi = bounds
+    argv = ["stability-map", "--grid-n", "2", "--alpha-min", lo, "--out", str(tmp_path)]
+    argv += [] if hi is None else ["--alpha-max", hi]  # else the default 1.5
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = read_error_line(err)
+    assert (payload["kind"], payload["exit_code"]) == ("config", 2)
+    assert payload["message"] == "need --alpha-min < --alpha-max"
+    assert not (tmp_path / "stability.csv").exists() and not (tmp_path / "manifest.txt").exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--no-such-flag", "--out", str(tmp_path)])

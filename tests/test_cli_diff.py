@@ -84,6 +84,17 @@ def test_moves_between_inf_and_finite_are_counted(tmp_path):
     assert "cells" not in tool.csv_changes(_MAP.encode(), _MAP.replace("2.5", "3").encode())
 
 
+def test_moves_to_and_from_nan_are_counted(tmp_path):
+    tool = _load_tool()
+    header = "branch,rho,max_eig_inf\n"
+    summary = tool.csv_changes((header + "main,0,nan\n").encode(), (header + "main,0,inf\n").encode())
+    assert summary.endswith("largest |value| in those columns 0; 1 cell nan -> inf")
+    old = header + "main,nan,1\nmain,2,inf\nmain,nan,nan\n"
+    new = header + "main,0.5,nan\nmain,nan,nan\nmain,nan,nan\n"
+    assert tool.csv_changes(old.encode(), new.encode()).endswith(
+        "; 1 cell nan -> finite; 2 cells finite -> nan; 1 cell inf -> nan")
+
+
 def test_runs_differ_in_output_and_exit_code():
     tool = _load_tool()
     old = {"stdout": b"wrote 3 rows\n", "stderr": b"", "exit code": 0}

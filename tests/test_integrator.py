@@ -327,6 +327,35 @@ def test_scalar_march_is_singular_where_the_scan_finds_the_pole(p, alpha_m, alph
         integrate(params, scalar_problem(t), 1.0, 1.0, 1.0)
 
 
+def test_scalar_march_at_the_pole_raises_after_another_shift_was_kept():
+    """The scalar problem keeps the denominator of its last shift only, and
+    no refused shift: a march at the pole raises on its first step however
+    often it is tried, between marches of another shift."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    c1, sigma = _march_shift(params, 0.1)
+    problem = scalar_problem(-c1 / sigma)
+    fresh = integrate(params, scalar_problem(-c1 / sigma), 1.0, 0.05, 0.5)
+    for _ in range(2):
+        kept = integrate(params, problem, 1.0, 0.05, 0.5)
+        assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(kept, fresh))
+        with pytest.raises(StepSingular, match="step 1 of 5"):
+            integrate(params, problem, 1.0, 0.1, 0.5)
+
+
+def test_one_scalar_problem_marches_every_order_like_a_fresh_one():
+    """The kept denominator is keyed on the whole shift (c1, sigma): one
+    problem marched across p = 2..11 and two step sizes, one march after
+    the other, gives each march bit for bit."""
+    shared = scalar_problem(1 + 2j)
+    for p in range(2, 12):
+        params = make_scheme(p, 1.0, 0.75)
+        for tau in (0.1, 0.05):
+            expected = integrate(params, scalar_problem(1 + 2j), 1.0, tau, 0.5)
+            got = integrate(params, shared, 1.0, tau, 0.5)
+            assert [t for t, _ in got] == [t for t, _ in expected]
+            assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(got, expected)), (p, tau)
+
+
 def test_dense_problem_singular_shift():
     problem = dense_problem([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(StepSingular):

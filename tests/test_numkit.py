@@ -115,6 +115,48 @@ def test_eigenvalues_dimension_cap():
     assert_spectrum(numkit.eigenvalues(np.eye(numkit.MAX_DIM)), np.ones(numkit.MAX_DIM))
 
 
+@pytest.mark.parametrize("n", range(1, numkit.MAX_DIM + 1))
+def test_eigenvalues_of_a_stack_are_those_of_each_matrix_alone(n):
+    """LAPACK runs once per matrix of a stack, so each spectrum keeps its bits."""
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    stack[0] = stack[0].real  # a real matrix, as Ainf is
+    stack[1] = np.eye(n)
+    spectra = numkit.eigenvalues(stack)
+    assert spectra.shape == (6, n)
+    for matrix, spectrum in zip(stack, spectra):
+        assert spectrum.tobytes() == numkit.eigenvalues(matrix).tobytes()
+    deep = numkit.eigenvalues(stack.reshape(2, 3, n, n))
+    assert deep.tobytes() == spectra.tobytes()
+
+
+def test_eigenvalues_of_a_stack_keep_every_check(monkeypatch):
+    assert numkit.eigenvalues(np.zeros((0, 3, 3))).shape == (0, 3)
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        numkit.eigenvalues(stack)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        numkit.eigenvalues(stack)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        numkit.eigenvalues(np.stack([np.eye(numkit.MAX_DIM + 1)] * 2))
+    with pytest.raises(ValueError, match="square"):
+        numkit.eigenvalues(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="non-empty"):
+        numkit.eigenvalues(np.zeros((2, 0, 0)))
+    # the other helpers still take one matrix only
+    with pytest.raises(ValueError, match="square"):
+        numkit.solve(np.stack([np.eye(2)] * 2), np.ones(2))
+
+    def failing_eigvals(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        numkit.eigenvalues(np.stack([np.eye(3)] * 2))
+
+
 def test_eigenvalues_reports_no_convergence(monkeypatch):
     def failing_eigvals(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -17,8 +17,10 @@ the result line, says ``"correct": true``.
 to.  It holds the git revision of each checkout (``+dirty`` if tracked files
 have uncommitted changes), the date, the Python and numpy versions of the
 interpreter that ran the benchmark, the CPU count, every run (its exit code
-and result line, or the last line of its stderr) and, per workload, each
-side's median of every metric over its passed runs.
+and result line, or the last line of its stderr, and the ``wall_s`` and
+``speed / reference speed`` that an untraced run prints as measured above
+its result line) and, per workload, each side's median of every metric over
+its passed runs.
 
 For every metric the runs report this prints each side's median and
 interquartile range over its passed runs, the relative change of the medians
@@ -26,9 +28,11 @@ and how many pairs the change wins among those where both runs passed (in the
 direction the change's ``BENCHMARK.json`` calls better; a tie is no win).  An
 end-to-end metric is marked WORSE when the change is worse than the parent by
 more than the metric's bound (a share of the parent's median) and MISSING when
-a side has no median of it; a per-layer metric has no bound.  Every run that
-did not pass is listed as FAILED.  The exit code is 1 if any run failed or any
-metric is WORSE or MISSING.
+a side has no median of it; a per-layer metric has no bound, and neither have
+the as-measured rows ``as_measured.wall_s`` and ``as_measured.speed``, which
+show how much of a normalized change came from the speed reading.  Every run
+that did not pass is listed as FAILED.  The exit code is 1 if any run failed
+or any metric is WORSE or MISSING.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ from statistics import median, quantiles
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: Lines that an untraced ``perfbench/run.py`` prints above its result line,
+#: as measured before the normalization to the reference speed: by their
+#: label there, their key in a run's ``as_measured``, their unit and the
+#: better direction of their summary row ``as_measured.<key>``, which has no
+#: bound.
+AS_MEASURED = {"wall_s": ("wall_s", "s", "lower"), "speed / reference speed": ("speed", "ratio", "higher")}
 
 
 def git_revision(root: Path) -> str:
@@ -77,9 +87,23 @@ def run_workload(root: Path, command: list[str], workload: str, seed: int, secon
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return {"exit_code": proc.returncode, "result": json.loads(lines[-1])}
+        run = {"exit_code": proc.returncode, "result": json.loads(lines[-1])}
     except (IndexError, json.JSONDecodeError):
         return {"exit_code": proc.returncode, "error": (proc.stderr.strip().splitlines() or [""])[-1]}
+    measured = as_measured(lines[:-1])
+    if measured:
+        run["as_measured"] = measured
+    return run
+
+
+def as_measured(lines: list[str]) -> dict[str, float]:
+    """The ``AS_MEASURED`` values among a run's output lines, by their key."""
+    out = {}
+    for line in lines:
+        label, _, rest = line.strip().partition("  ")
+        if label in AS_MEASURED and rest.split():
+            out[AS_MEASURED[label][0]] = float(rest.split()[0])
+    return out
 
 
 def passed(run: dict) -> bool:
@@ -87,7 +111,9 @@ def passed(run: dict) -> bool:
 
 
 def values(run: dict) -> dict:
-    return {name: metric["value"] for name, metric in run["result"]["metrics"].items()}
+    """The metrics of a run's result line, then its as-measured values."""
+    measured = {f"as_measured.{key}": value for key, value in run.get("as_measured", {}).items()}
+    return {**{name: metric["value"] for name, metric in run["result"]["metrics"].items()}, **measured}
 
 
 def collect(runs: list[dict]) -> dict[str, list[float]]:
@@ -121,6 +147,8 @@ def summary(workload: str, pairs: list[dict], spec: dict, trace: int) -> tuple[l
     lines.append(f"{workload}: parent median (IQR) -> change median (IQR), change, pairs won by the change")
     bounded = {} if trace else {m["name"]: m for m in spec["end_to_end"]}
     known = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    known.update({f"as_measured.{key}": {"unit": unit, "better": better}
+                  for key, unit, better in AS_MEASURED.values()})
     sides = {side: collect([p[side] for p in pairs]) for side in SIDES}
     for name in {**bounded, **sides["parent"], **sides["change"]}:
         label = f"  {name:<34}"

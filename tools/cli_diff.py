@@ -11,9 +11,9 @@ output directory byte for byte.  For a CSV file that differs in its numbers
 only, it prints how many rows changed, in which columns, the largest
 relative and absolute change, the largest finite |value| of the parent's
 changed columns (the scale of that absolute change), and how many cells
-moved between inf and a finite value, when any did.  For a ``manifest.txt``
-of ``key = value`` lines it prints each key that changed, with its old and
-new value.  The exit code is 1 on any difference.
+moved between inf and a finite value, or to or from nan, when any did.  For
+a ``manifest.txt`` of ``key = value`` lines it prints each key that changed,
+with its old and new value.  The exit code is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ CASES = [
     ("order-check-rho-inf-at-p2", ["order-check", "--p", "2", "--rho-inf", "0.5"]),
     ("integrate-p12", ["integrate", "--p", "12"]),
     ("stability-map-grid-n-1", ["stability-map", "--grid-n", "1"]),
+    ("stability-map-alpha-range-reversed",
+     ["stability-map", "--grid-n", "2", "--alpha-min", "1", "--alpha-max", "0"]),
     ("rho-curve-n-rho-1", ["rho-curve", "--n-rho", "1"]),
     ("stability-map-t-max-1e308",
      ["stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308"]),
@@ -79,6 +81,14 @@ def _number(cell: str) -> float | None:
         return None
 
 
+#: Moves of a cell between kinds of value that ``csv_changes`` counts.
+MOVES = ("inf -> finite", "finite -> inf", "nan -> inf", "nan -> finite", "finite -> nan", "inf -> nan")
+
+
+def _kind(x: float) -> str:
+    return "nan" if math.isnan(x) else "inf" if math.isinf(x) else "finite"
+
+
 def _relative(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -103,7 +113,7 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
     header = rows_a[0]
     rows, columns, largest = 0, set(), dict.fromkeys(header, 0.0)
     rel, rel_col, diff, diff_col = 0.0, "", 0.0, ""
-    moved = {"inf -> finite": 0, "finite -> inf": 0}
+    moved = dict.fromkeys(MOVES, 0)
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         if len(row_a) != len(header) or len(row_b) != len(header):
             return None
@@ -126,10 +136,9 @@ def csv_changes(old: bytes, new: bytes) -> str | None:
             d = abs(b - a) if math.isfinite(a) and math.isfinite(b) else math.inf
             if d > diff:
                 diff, diff_col = d, name
-            if math.isinf(a) and math.isfinite(b):
-                moved["inf -> finite"] += 1
-            elif math.isfinite(a) and math.isinf(b):
-                moved["finite -> inf"] += 1
+            move = f"{_kind(a)} -> {_kind(b)}"
+            if move in moved:
+                moved[move] += 1
         rows += changed
     names = [name for name in header if name in columns]
     shown = ", ".join(names[:4]) + (f" and {len(names) - 4} more" if len(names) > 4 else "")
