@@ -157,6 +157,16 @@ def test_eigenvalues_of_a_stack_keep_every_check(monkeypatch):
         numkit.eigenvalues(np.stack([np.eye(3)] * 2))
 
 
+def test_a_complex_matrix_whose_rows_are_not_contiguous_is_accepted():
+    """The finite check reads the complex entries, not a float view, so a
+    transposed complex matrix is taken like its copy."""
+    a = np.array([[1.0, 2j], [3.0, 4.0]]).T
+    assert numkit.eigenvalues(a).tobytes() == numkit.eigenvalues(a.copy()).tobytes()
+    assert numkit.solve(a, [1.0, 2.0]).tobytes() == numkit.solve(a.copy(), [1.0, 2.0]).tobytes()
+    stack = np.stack([a.T, 2.0 * a.T]).transpose(0, 2, 1)
+    assert numkit.eigenvalues(stack).tobytes() == numkit.eigenvalues(stack.copy()).tobytes()
+
+
 def test_eigenvalues_reports_no_convergence(monkeypatch):
     def failing_eigvals(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
