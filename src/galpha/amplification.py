@@ -60,19 +60,21 @@ __all__ = [
 ]
 
 
-def one_step_tableau(p, alpha_m, alpha_f, gammas, one=1.0):
+def one_step_tableau(p, alpha_m, alpha_f, gammas):
     """Nonzero entries of L(T) and R(T) as ``{(i, j): (c0, c1)}`` dicts.
 
     Entry (i, j) of the matrix is c0 + c1*T; the row rules are the ones in
     the module docstring.  ``alpha_m``, ``alpha_f`` and the p - 1 ``gammas``
-    (gamma_1 first) may be floats, per-cell arrays or mpmath numbers; ``one``
-    sets the number type of the factorial weights (``mp.mpf(1)`` for
-    extended precision).  Returns ``(L, R)``.
+    (gamma_1 first) may be floats, per-cell arrays, Fractions or mpmath
+    numbers.  The factorial weights take the number type of ``alpha_m``:
+    ``1.0`` for a float or an array, ``alpha_m ** 0`` otherwise, so exact
+    input stays exact.  Returns ``(L, R)``.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
     if len(gammas) != p - 1:
         raise ValueError(f"expected {p - 1} gammas, got {len(gammas)}")
+    one = 1.0 if isinstance(alpha_m, (float, np.ndarray)) else alpha_m**0
     zero = 0 * one
     k = one * factorial(p - 2)
     L, R = {}, {}
@@ -121,7 +123,7 @@ def _poly_sum(products):
     return total
 
 
-def char_poly(p, alpha_m, alpha_f, gammas, one=1.0):
+def char_poly(p, alpha_m, alpha_f, gammas):
     """Coefficients of (rho, sigma) with det(R(T) - mu L(T)) = rho(mu) + T sigma(mu).
 
     T enters the last row only: rho is det(R0 - mu L0), sigma the same with
@@ -130,16 +132,18 @@ def char_poly(p, alpha_m, alpha_f, gammas, one=1.0):
     without division, w_i = c_i (1-mu)^(p-2-i) - sum_{j>i} U_ij w_j (1-mu)^(j-i-1),
     gives det = (1-mu)^(p-1) d - sum_j r_j w_j (1-mu)^j for the last row r and
     corner d, in + and * only.  Arguments are floats, per-cell arrays,
-    Fractions or mpmath numbers (``one`` as in :func:`one_step_tableau`).
-    Returns two arrays of shape (p + 1,) + cell shape, lowest power first:
-    float64 for float input, exact Fractions (or mpmath numbers) otherwise.
-    The mu^p terms are set from the pole factor (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!.
+    Fractions or mpmath numbers, in the number type that
+    :func:`one_step_tableau` takes from ``alpha_m``.  Returns two arrays of
+    shape (p + 1,) + cell shape, lowest power first: float64 for float
+    input, exact Fractions (or mpmath numbers) otherwise.  The mu^p terms
+    are set exactly from the pole factor (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!;
+    this is the one statement of that leading coefficient.
     """
-    tab_l, tab_r = one_step_tableau(p, alpha_m, alpha_f, gammas, one)
-    last, none = p - 1, (0 * one, 0 * one)
+    tab_l, tab_r = one_step_tableau(p, alpha_m, alpha_f, gammas)
+    (one, zero), last = tab_l[0, 0], p - 1  # L[0, 0] is (one, zero) in the input's number type
 
     def entry(i, j, poly=0):  # R - mu L at (i, j) from the c0 (rho) or c1 (sigma) terms
-        return [tab_r.get((i, j), none)[poly], -tab_l.get((i, j), none)[poly]]
+        return [tab_r.get((i, j), (zero, zero))[poly], -tab_l.get((i, j), (zero, zero))[poly]]
     powers = [_poly_sum([[[one]] + [entry(0, 0)] * m]) for m in range(p)]  # (1 - mu)^m
     w = {}  # back-substitution through rows p-2 .. 0
     for i in reversed(range(last)):
@@ -265,8 +269,9 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
         sum_{k=0}^{p} c_k u_{n-p+k} = 0,
 
     where c_k are the coefficients of rho + T sigma (:func:`char_poly`)
-    divided by the mu^p one, (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!:
-    the monic characteristic polynomial det(mu I - G(T)).  Returns
+    divided by the mu^p one, (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!
+    as char_poly sets it: the monic characteristic polynomial
+    det(mu I - G(T)).  Returns
     max_n |residual| over all windows.  For u_n = exp(-T n) it is
     |sum_q C_q T^q| / |lead| (:func:`order_condition`), which tends to
     (p-2)! |C_(p+1)| T^(p+1) / alpha_m for a scheme of order p.
@@ -287,11 +292,9 @@ def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> flo
     if u.size < p + 1:
         raise TooShort(f"need at least {p + 1} sequence values, got {u.size}")
     t = complex(t)
-    factor, nonzero = pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)
-    if not nonzero:
+    if not pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)[1]:
         raise SingularAtT(f"one-step system has a pole at T={t!r}")
-    lead = (-1) ** p * factor / factorial(p - 2)
     rho, sigma = char_poly(p, params.alpha_m, params.alpha_f, params.gammas)
-    monic = (rho + t * sigma) / lead
-    return float(np.abs(np.convolve(u, monic[::-1], "valid")).max())
+    poly = rho + t * sigma
+    return float(np.abs(np.convolve(u, (poly / poly[p])[::-1], "valid")).max())
 

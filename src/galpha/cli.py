@@ -345,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-n", type=int, default=200, help="cells per axis")
     sub.add_argument("--alpha-min", type=float, default=0.0)
     sub.add_argument("--alpha-max", type=float, default=1.5)
-    sub.add_argument("--t-samples", type=int, default=48, help="real T samples per cell")
-    sub.add_argument("--t-min", type=float, default=1e-4)
-    sub.add_argument("--t-max", type=float, default=1e8)
+    n, lo, hi = default_t_samples.__defaults__  # the library's sample set
+    sub.add_argument("--t-samples", type=int, default=n, help="real T samples per cell")
+    sub.add_argument("--t-min", type=float, default=lo)
+    sub.add_argument("--t-max", type=float, default=hi)
     sub.set_defaults(handler=cmd_stability_map)
 
     sub = subs.add_parser("rho-curve", help="tabulate the stiff-limit design branches")

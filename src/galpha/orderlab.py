@@ -125,7 +125,7 @@ def error_functional(p: int, c: float) -> float:
         am, af = one, mp.mpf(0.75)
         L, R = (
             fill_tableau(entries, t, mp.zeros(p, p))
-            for entries in one_step_tableau(p, am, af, [mp.mpf(c) + am - af] * (p - 1), one)
+            for entries in one_step_tableau(p, am, af, [mp.mpf(c) + am - af] * (p - 1))
         )
         eigs = mp.eig(L**-1 * R, left=False, right=False)
         target = mp.exp(-t)
@@ -142,12 +142,10 @@ def recover_C(p: int) -> float:
     (C_p(0) - C_p(1)), exact in Fractions, and C = g* - alpha_m + alpha_f.
     The root does not depend on (alpha_m, alpha_f); this takes (1, 3/4).
 
-    Raises ``ValueError`` for p < 2.
+    Raises ``ValueError`` for p < 2 (from :func:`~galpha.amplification.one_step_tableau`).
     """
-    if p < 2:
-        raise ValueError(f"order p must be >= 2, got {p}")
     am, af = Fraction(1), Fraction(3, 4)
-    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1), Fraction(1)), p) for g in (0, 1))
+    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1)), p) for g in (0, 1))
     return float(c0 / (c0 - c1) - am + af)
 
 

@@ -140,8 +140,10 @@ def remark_one_gammas(alpha_m: float, alpha_f: float) -> tuple[float, float]:
     if isinstance(alpha_f, float) and 2.0 + 3.0 * alpha_f == 0.0:
         raise ValueError("remark-one closure has a pole at 2 + 3*alpha_f = 0")
     g1 = 3.0 * alpha_m / (2.0 + 3.0 * alpha_f)
+    # alpha_f * alpha_f, not alpha_f**2: a float's ** 2 raises OverflowError
+    # past 1.34e154, and x * x is what np.square gives per-cell arrays
     g2 = (
-        10.0 - 9.0 * alpha_f - 36.0 * alpha_f**2 + 6.0 * alpha_m
+        10.0 - 9.0 * alpha_f - 36.0 * (alpha_f * alpha_f) + 6.0 * alpha_m
         + 36.0 * alpha_m * alpha_f
     ) / (12.0 + 18.0 * alpha_f)
     return g1, g2

@@ -36,9 +36,10 @@ cell is on the pole (unless alpha_m = 0).
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
 each scheme is a linear multistep method.  At p = 3 a real sample's spectrum
-is therefore the three roots of a real cubic, whose coefficients
-:func:`~galpha.amplification.char_poly` reads off the tableau once per scan
-by back-substitution.  The roots are found in real arithmetic (Cardano
+is therefore the three roots of a real cubic, whose four coefficients, the
+leading -(alpha_m + gamma_1 alpha_f T) included, are those of rho + T sigma:
+:func:`~galpha.amplification.char_poly` reads them off the tableau once per
+scan by back-substitution and is their only statement.  The roots are found in real arithmetic (Cardano
 or the trigonometric form, then deflation), and on every sample of both
 default maps each root lies within 7.0e-12 max(1, radius) of
 ``eigvals(G)``.  The scan keeps their moduli only: Cardano runs only on
@@ -64,6 +65,12 @@ like T without bound.  A defective double root of G(inf) is split by either
 route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
 (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8, and ``eigvals`` splits the
 -rho_inf of MAIN by up to 6.8e-8 relative.
+
+Huge parameters or T overflow the scan's arithmetic.  numpy's floating-point
+warnings are off for the whole scan, the closure of its cells included: the
+pole rule, the refusal of a T set that overflows the cubic's coefficients,
+the 2**1023 bound of the cubic kernel and the fold's mask decide every value
+that is not finite, so no warning and no nan leaves the scan.
 """
 
 from __future__ import annotations
@@ -314,13 +321,27 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     return eigs.real, eigs.imag
 
 
+def _lapack_spectra(refusal, p, tab_l, tab_r, t, valid):
+    """:func:`_one_step_spectra`, raising the galpha error ``refusal`` where LAPACK refuses.
+
+    LAPACK refuses matrices that are singular or not finite in double
+    precision; ``refusal`` is raised from its ``LinAlgError``.
+    """
+    try:
+        return _one_step_spectra(p, tab_l, tab_r, t, valid)
+    except np.linalg.LinAlgError as exc:
+        raise refusal from exc
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _scan_cells(p, am, af, gammas, t_samples):
     """Vectorized worst-radius kernel for cells of any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
-    length.  Returns (radius, repeated) arrays.  T samples are taken in
-    blocks of at most ``_BLOCK_PAIRS`` (sample, cell) pairs, but never fewer
-    than one sample.  For p = 3 and real samples each sample's spectrum is
+    length; ``gammas`` may also be the :class:`~galpha.schemes.Variant`
+    whose closure gives them.  Returns (radius, repeated) arrays.  T samples
+    are taken in blocks of at most ``_BLOCK_PAIRS`` (sample, cell) pairs,
+    but never fewer than one sample.  For p = 3 and real samples each sample's spectrum is
     the three roots of the real cubic rho + T sigma
     (:func:`~galpha.amplification.char_poly`, coefficients built once per
     scan), of which :func:`_cubic_radius` keeps the moduli: each cubic branch
@@ -330,7 +351,8 @@ def _scan_cells(p, am, af, gammas, t_samples):
     LAPACK call per matrix.  A sample on the pole, where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
     :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
-    factor itself is the cubic's leading coefficient.  For p = 3 the T->0
+    cubic's four coefficients, the leading one -(alpha_m + gamma_1 alpha_f T)
+    included, are those of ``rho + T sigma``.  For p = 3 the T->0
     limit is the sample T = 0, placed before the others (alpha_m = 0 is its
     pole), and the T->inf limit follows them: the last rows of L and R
     divided by T keep their T-coefficients alone, whatever the gammas, and
@@ -340,9 +362,11 @@ def _scan_cells(p, am, af, gammas, t_samples):
     the cubic of a cell off the pole is refused with ``ValueError``.
     One-step matrices that LAPACK refuses (singular or not finite in double
     precision, as at subnormal parameters) raise ``SingularAtT`` for the
-    samples and ``DegenerateParams`` for the T->inf limit.
+    samples and ``DegenerateParams`` for the T->inf limit.  numpy's
+    floating-point warnings are off throughout (see the module docstring).
     """
     ncell = am.shape[0]
+    gammas = closure_gammas(p, am, af, gammas) if isinstance(gammas, Variant) else gammas
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
         raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
@@ -356,28 +380,23 @@ def _scan_cells(p, am, af, gammas, t_samples):
         rho, sigma = char_poly(p, am, af, gammas)
         # |T sigma_k| grows with |T|, so the largest |T| is the one to check
         top = samples[np.abs(samples).argmax()]
-        with np.errstate(over="ignore"):
-            coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
+        coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
         if not np.isfinite(coeffs).all():
             raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
         t = samples[start:start + per_block, None]
-        det, valid = pole_factor(am, gammas[0] * af * t)
+        valid = pole_factor(am, gammas[0] * af * t)[1]
         if cubic:
-            # the mu^3 coefficient of rho + T sigma is -det exactly
-            c0, c1, c2 = rho[:3, None] + t * sigma[:3, None]
-            _fold(*_cubic_radius(c0, c1, c2, np.where(valid, -det, 1.0)), radius, repeated, valid)
+            c0, c1, c2, c3 = rho[:, None] + t * sigma[:, None]
+            _fold(*_cubic_radius(c0, c1, c2, np.where(valid, c3, 1.0)), radius, repeated, valid)
         else:
-            try:
-                spectra = _one_step_spectra(p, tab_l, tab_r, t, valid)
-            except np.linalg.LinAlgError as exc:
-                raise SingularAtT(
-                    f"the one-step matrices G(T) at T = {t[0, 0]:g} .. {t[-1, 0]:g} are singular "
-                    "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
-                ) from exc
-            _fold(*_roots_radius(*spectra), radius, repeated, valid)
+            refusal = SingularAtT(
+                f"the one-step matrices G(T) at T = {t[0, 0]:g} .. {t[-1, 0]:g} are singular "
+                "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
+            )
+            _fold(*_roots_radius(*_lapack_spectra(refusal, p, tab_l, tab_r, t, valid)), radius, repeated, valid)
 
     if p == 3:
         # the last rows divided by T tend to their T-coefficients
@@ -386,13 +405,11 @@ def _scan_cells(p, am, af, gammas, t_samples):
             for tab in (tab_l, tab_r)
         )
         valid = pole_factor(0.0, gammas[0] * af)[1][None]
-        try:
-            roots = _one_step_spectra(p, tab_l, tab_r, np.zeros((1, 1)), valid)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateParams(
-                "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
-                "in double precision (|gamma_1 alpha_f| is too close to 0)"
-            ) from exc
+        refusal = DegenerateParams(
+            "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
+            "in double precision (|gamma_1 alpha_f| is too close to 0)"
+        )
+        roots = _lapack_spectra(refusal, p, tab_l, tab_r, np.zeros((1, 1)), valid)
         _fold(*_roots_radius(*roots), radius, repeated, valid)
 
     return radius, repeated
@@ -438,7 +455,7 @@ def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samp
     alpha_m, alpha_f = np.asarray(alpha_m), np.asarray(alpha_f)
     AM, AF = np.meshgrid(alpha_m, alpha_f, indexing="ij")
     am, af = AM.ravel(), AF.ravel()
-    radius, repeated = _scan_cells(3, am, af, closure_gammas(3, am, af, variant), t_samples)
+    radius, repeated = _scan_cells(3, am, af, variant, t_samples)
     return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
 
 

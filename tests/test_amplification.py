@@ -154,10 +154,25 @@ def test_char_poly_exact_order_of_equal_gamma_schemes(p):
     one = Fraction(1)
     for am, af in [(Fraction(3, 4), Fraction(1, 2)), (one, Fraction(3, 5)), (Fraction(7, 5), Fraction(2, 3))]:
         gammas = [c_of_p(p) + am - af] * (p - 1)
-        rho, sigma = char_poly(p, am, af, gammas, one)
+        rho, sigma = char_poly(p, am, af, gammas)
         assert all(type(c) is Fraction for c in [*rho, *sigma])
         assert [order_condition(rho, sigma, q) for q in range(p + 1)] == [0] * (p + 1)
         assert order_condition(rho, sigma, p + 1) != 0
+
+
+def test_char_poly_takes_its_number_type_from_its_inputs():
+    """With no knob, MAIN at rho_inf = 1/2, (29/36, 5/9) with gamma = 2/3, gives
+    Fraction coefficients with C_0 .. C_3 exactly 0 (float weights would leave
+    C_1 = 2.2e-16 and C_2 = 4.4e-16), and mpmath input gives mpf coefficients."""
+    am, af, g = Fraction(29, 36), Fraction(5, 9), Fraction(2, 3)
+    rho, sigma = char_poly(3, am, af, [g, g])
+    assert all(type(c) is Fraction for c in [*rho, *sigma])
+    assert [order_condition(rho, sigma, q) for q in range(4)] == [0, 0, 0, 0]
+    with mp.workdps(30):
+        am, af, g = (mp.mpf(x.numerator) / x.denominator for x in (am, af, g))
+        rho, sigma = char_poly(3, am, af, [g, g])
+        assert all(type(c) is mp.mpf for c in [*rho, *sigma])
+        assert all(abs(order_condition(rho, sigma, q)) <= mp.mpf(10) ** -28 for q in range(4))
 
 
 @pytest.mark.parametrize(
@@ -171,7 +186,7 @@ def test_char_poly_exact_order_of_equal_gamma_schemes(p):
 )
 def test_char_poly_exact_error_constant(p, am, af, constant):
     """C_{p+1}/sigma(1) in exact arithmetic (0.0833, 0.0367, -0.00832, 0.00147 in floats)."""
-    rho, sigma = char_poly(p, am, af, [c_of_p(p) + am - af] * (p - 1), Fraction(1))
+    rho, sigma = char_poly(p, am, af, [c_of_p(p) + am - af] * (p - 1))
     assert order_condition(rho, sigma, p + 1) / sum(sigma) == constant
 
 
@@ -180,10 +195,9 @@ def test_char_poly_in_extended_precision_is_the_determinant(p):
     """With mpmath input, rho(mu) + T sigma(mu) is mp.det(R - mu L) to 50 digits."""
     rng = np.random.default_rng(200 + p)
     with mp.workdps(50):
-        one = mp.mpf(1)
         am, af, *gammas = (mp.mpf(x) for x in rng.uniform(-0.5, 1.5, p + 1))
-        rho, sigma = char_poly(p, am, af, gammas, one)
-        tab_l, tab_r = one_step_tableau(p, am, af, gammas, one)
+        rho, sigma = char_poly(p, am, af, gammas)
+        tab_l, tab_r = one_step_tableau(p, am, af, gammas)
         for _ in range(4):
             mu, t = (mp.mpc(*rng.normal(size=2)) for _ in range(2))
             t *= 10 ** rng.uniform(-2, 3)
@@ -359,8 +373,7 @@ def test_limit_inf_is_the_remark_one_large_t_limit(am, af):
     params = make_scheme(3, am, af, Variant.REMARK_ONE)
     Ainf = limit_matrix_inf(params)
     with mp.workdps(50):
-        one = mp.mpf(1)
-        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas], one)
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas])
         t = mp.mpf(10) ** 40
         G = fill_tableau(tab_l, t, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, t, mp.zeros(3, 3))
         for i in range(3):
@@ -441,7 +454,7 @@ def test_order_condition_is_the_taylor_coefficient(p):
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(300 + p)
     am, af, *gammas = (Fraction(int(n), 16) for n in rng.integers(1, 33, p + 1))
-    rho, sigma = char_poly(p, am, af, gammas, Fraction(1))
+    rho, sigma = char_poly(p, am, af, gammas)
     t = sympy.Symbol("T")
     series = sum(
         (sympy.Rational(r) + t * sympy.Rational(s)) * sympy.exp(-j * t) for j, (r, s) in enumerate(zip(rho, sigma))
@@ -465,5 +478,5 @@ def test_recurrence_residual_of_the_exact_solution_tends_to_c4_over_alpha_m():
     g1 = 3 * am / (2 + 3 * af)
     g2 = (10 - 9 * af - 36 * af**2 + 6 * am + 36 * am * af) / (12 + 18 * af)
     assert remark.gammas == pytest.approx((float(g1), float(g2)), rel=1e-15)
-    assert order_condition(*char_poly(3, am, af, [g1, g2], Fraction(1)), 4) == Fraction(37, 456)
+    assert order_condition(*char_poly(3, am, af, [g1, g2]), 4) == Fraction(37, 456)
     assert characteristic_recurrence_residual(remark, t, u) / t**4 == pytest.approx(37 / 456, rel=1e-2)

@@ -17,6 +17,7 @@ from galpha import __version__, cli, numkit
 from galpha.amplification import limit_matrix_inf
 from galpha.cli import main
 from galpha.schemes import make_scheme
+from galpha.stability import default_t_samples
 
 
 def run_cli(capsys, *argv):
@@ -568,6 +569,43 @@ def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, cap
     payload = read_error_line(err)
     assert payload["kind"] == "config" and payload["exit_code"] == 2
     assert "does not fit in memory" in payload["message"] and "65.5 TiB" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # remark-one's alpha_f^2 overflowed Python's float power with a traceback
+        (("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "1e200"),
+         2, "scheme parameters must be finite"),
+        (("order-check", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "2e154", "--n-halvings", "1"),
+         2, "scheme parameters must be finite"),
+        # the scan's arithmetic overflows; the pole rule and the refusals decide
+        (("stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"), 0, None),
+        (("integrate", "--alpha-m=1e308", "--alpha-f=-1"), 0, None),
+        (("integrate", "--alpha-m", "1e308", "--alpha-f", "1e308"), 2, "T = 1e+08 overflows the coefficients"),
+    ],
+    ids=["integrate-remark-one", "order-check-remark-one", "stability-map", "integrate", "integrate-config"],
+)
+def test_huge_parameters_leave_only_galphas_own_lines_on_stderr(tmp_path, capsys, argv, code, message):
+    """Parameters whose arithmetic overflows exit 0 or 2 with no traceback and no
+    numpy warning: stderr holds one JSON error line or the instability warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert [str(w.message) for w in caught] == []
+    assert got == code
+    if message is None:
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+    else:
+        assert len(err.splitlines()) == 1
+        payload = read_error_line(err)
+        assert payload["kind"] == "config" and payload["message"].startswith(message)
+
+
+def test_stability_map_sample_defaults_are_the_librarys():
+    """--t-samples, --t-min and --t-max default to default_t_samples()'s own defaults."""
+    args = cli.build_parser().parse_args(["stability-map"])
+    assert (args.t_samples, args.t_min, args.t_max) == default_t_samples.__defaults__ == (48, 1e-4, 1e8)
 
 
 # --- rho curves -----------------------------------------------------------------------

@@ -166,9 +166,8 @@ def test_stiff_scalar_march_follows_extended_precision(t):
     lam = t / tau
     got = np.array([u[0] for _, u in integrate(params, scalar_problem(lam), 1.0, tau, 1.0)])
     with mp.workdps(60):
-        one = mp.mpf(1)
         gammas = [mp.mpf(g) for g in params.gammas]
-        tab_l, tab_r = one_step_tableau(3, mp.mpf(params.alpha_m), mp.mpf(params.alpha_f), gammas, one)
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(params.alpha_m), mp.mpf(params.alpha_f), gammas)
         big_t = mp.mpf(lam) * mp.mpf(tau)
         G = fill_tableau(tab_l, big_t, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, big_t, mp.zeros(3, 3))
         state = mp.matrix([(-big_t) ** j for j in range(3)])

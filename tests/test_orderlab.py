@@ -107,7 +107,7 @@ def test_order_condition_root_is_the_constant_at_every_cell(p, alpha_m, alpha_f)
     any (alpha_m, alpha_f), not only its fixed cell (1, 3/4): in Fractions,
     without sympy."""
     am, af = Fraction(alpha_m), Fraction(alpha_f)
-    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1), Fraction(1)), p) for g in (0, 1))
+    c0, c1 = (order_condition(*char_poly(p, am, af, [g] * (p - 1)), p) for g in (0, 1))
     assert c0 / (c0 - c1) - am + af == c_of_p(p)
 
 
@@ -118,7 +118,7 @@ def test_order_conditions_of_the_equal_gamma_pencil(p):
     C(p) at every (alpha_m, alpha_f), and its slope never vanishes."""
     sympy = pytest.importorskip("sympy")
     am, af, g = sympy.symbols("alpha_m alpha_f g")
-    rho, sigma = char_poly(p, am, af, [g] * (p - 1), sympy.Integer(1))
+    rho, sigma = char_poly(p, am, af, [g] * (p - 1))
     for k in range(p):
         assert sympy.expand(order_condition(rho, sigma, k)) == 0
     c = sympy.Rational(c_of_p(p).numerator, c_of_p(p).denominator)

@@ -1,6 +1,7 @@
 """Property tests over random orders, parameters and T (hypothesis)."""
 
 import cmath
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -12,6 +13,7 @@ from mpmath import mp
 
 from galpha import stability
 from galpha.amplification import amplification_matrix, char_poly
+from galpha.errors import GalphaError
 from galpha.integrator import StateVector, init_state, scalar_problem, step
 from galpha.schemes import Variant, make_scheme
 from galpha.stability import default_t_samples, scan_region, worst_case_radius
@@ -114,7 +116,7 @@ def test_char_poly_is_affine_in_the_common_gamma(p, am, af):
     from them: recover_C's root."""
     am, af = Fraction(am), Fraction(af)
     (rho0, sigma0), (rho_half, sigma_half), (rho1, sigma1) = (
-        char_poly(p, am, af, [g] * (p - 1), Fraction(1)) for g in (Fraction(0), Fraction(1, 2), Fraction(1))
+        char_poly(p, am, af, [g] * (p - 1)) for g in (Fraction(0), Fraction(1, 2), Fraction(1))
     )
     assert (2 * rho_half == rho0 + rho1).all()
     assert (2 * sigma_half == sigma0 + sigma1).all()
@@ -241,3 +243,38 @@ def test_cubic_repeat_flag_window_is_one_repeat_window(windows, conjugate, unit,
     for radius, repeated in _repeat_flag_kernels(c0, c1, c2, c3):
         assert radius[0] == pytest.approx(np.abs(pair).max(), abs=1e-8)
         assert repeated[0] == (windows < 1.0)
+
+
+# |x| log-uniform in [1e-300, 1e300], of either sign
+signed_magnitudes = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-300.0, max_value=300.0),
+)
+# every order with equal gammas, and both closures at p = 3
+orders_and_closures = st.one_of(
+    st.tuples(orders, st.just(Variant.EQUAL_GAMMA)),
+    st.tuples(st.just(3), st.sampled_from(list(Variant))),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    scheme=orders_and_closures,
+    am=signed_magnitudes,
+    af=signed_magnitudes,
+    ts=st.lists(st.floats(min_value=-4.0, max_value=308.0).map(lambda e: 10.0**e), min_size=1, max_size=5),
+)
+def test_radius_is_a_galpha_error_or_not_nan_without_warnings(scheme, am, af, ts):
+    """From any parameters and T set, worst_case_radius either raises galpha's
+    own ValueError (not numpy's LinAlgError) or a GalphaError, or returns a
+    radius that is not nan; no warning escapes."""
+    p, variant = scheme
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = worst_case_radius(make_scheme(p, am, af, variant), ts)
+        except (ValueError, GalphaError) as exc:
+            assert not isinstance(exc, np.linalg.LinAlgError)
+            return
+    assert not np.isnan(report.radius)

@@ -152,7 +152,7 @@ def test_equal_gamma_meets_the_third_order_conditions_exactly():
     am, af = Fraction(29, 36), Fraction(5, 9)
     assert params_from_rho(0.5) == pytest.approx((float(am), float(af)), abs=1e-15)
     g = c_of_p(3) + am - af
-    rho, sigma = char_poly(3, am, af, [g, g], Fraction(1))
+    rho, sigma = char_poly(3, am, af, [g, g])
     assert [order_condition(rho, sigma, q) for q in range(5)] == [0, 0, 0, 0, Fraction(7, 108)]
     assert g * (2 + 3 * af) - 3 * am == Fraction(1, 36)
 

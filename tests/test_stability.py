@@ -454,7 +454,7 @@ def test_p3_largest_root_at_alpha_f_zero_matches_extended_precision():
     params = make_scheme(3, am, af, Variant.REMARK_ONE)
     with mp.workdps(50):
         one = mp.mpf(1)
-        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas], one)
+        tab_l, tab_r = one_step_tableau(3, mp.mpf(am), mp.mpf(af), [mp.mpf(g) for g in params.gammas])
         G = fill_tableau(tab_l, t * one, mp.zeros(3, 3)) ** -1 * fill_tableau(tab_r, t * one, mp.zeros(3, 3))
         exact = [complex(e) for e in mp.eig(G)[0]]
     exact_radius = max(abs(e) for e in exact)

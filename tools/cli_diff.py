@@ -60,6 +60,12 @@ CASES = [
     # numerical failure: exit 3, the T -> inf limit refused by LAPACK
     ("stability-map-subnormal-axis",
      ["stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"]),
+    # remark-one weights that overflow: exit 2, refused as not finite
+    ("integrate-remark-one-alpha-f-1e200",
+     ["integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "1e200"]),
+    # huge parameters whose scan arithmetic overflows: exit 0, no numpy warning
+    ("stability-map-alpha-1e150-1e160",
+     ["stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"]),
 ]
 
 
