@@ -152,7 +152,8 @@ def scalar_problem(lam) -> LinearProblem:
     (p-2)!, so c1 + sigma lambda is the pole factor of the one-step system at
     T = lambda tau over (p-2)!.  The solve raises :class:`StepSingular` where
     :func:`~galpha.amplification.pole_factor` finds it vanished, the rule by
-    which the stability scan reports a pole (radius inf).  The checked
+    which the stability scan reports a pole (radius inf), and a denominator
+    that overflowed is refused as not finite before that test.  The checked
     denominator of the last (c1, sigma) is kept, so a march pays for it once.
     """
     lam = complex(lam)
@@ -165,6 +166,8 @@ def scalar_problem(lam) -> LinearProblem:
     @lru_cache(maxsize=1)
     def denominator(c1, sigma):
         den, nonzero = pole_factor(c1, sigma * lam)
+        if not np.isfinite(den):
+            raise StepSingular(f"stage shift is not finite: c1 + sigma*lambda = {den!r}")
         if not nonzero:
             raise StepSingular(f"stage denominator vanishes: c1 + sigma*lambda = {den!r}")
         return den

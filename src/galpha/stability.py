@@ -45,7 +45,8 @@ default maps each root lies within 7.0e-12 max(1, radius) of
 ``eigvals(G)``.  The scan keeps their moduli only: Cardano runs only on
 the cells with one real root and the trigonometric form only on the
 others, and the roots themselves, with the pairwise repeated-root test, are
-finished only on the cells where two moduli lie within the window of 1.
+finished only on the cells where two moduli lie within the window of 1, a
+rule that :func:`_two_near_one` states once for both routes.
 The radius and flag are bit for bit those of the three roots.  Complex T
 at p = 3 (off-axis diagnostics on such rays) and every other order take
 ``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
@@ -160,6 +161,23 @@ def _fold(r, flag, radius, repeated, valid):
     repeated |= (flag & valid).any(axis=lead)
 
 
+def _two_near_one(near_one):
+    """Where at least two of the boolean rows ``near_one`` hold: ``near_one.sum(axis=0) >= 2``.
+
+    The one statement of the rule by which :func:`_roots_radius` and
+    :func:`_cubic_radius` choose the spectra that take the pairwise
+    repeated-root test.  Running masks over the d rows (``seen``: some row
+    so far holds, ``two``: two rows so far hold) cost a few boolean passes
+    where the integer sum over the first axis costs a reduction.
+    """
+    seen, *rest = near_one
+    two = np.zeros_like(seen)
+    for row in rest:
+        two = two | (seen & row)
+        seen = seen | row
+    return two
+
+
 def _roots_radius(re, im):
     """The largest root modulus and the repeated-unit-root flag of each spectrum.
 
@@ -173,7 +191,7 @@ def _roots_radius(re, im):
     mods = np.hypot(re, im)
     near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
     flag = np.zeros(mods.shape[1:], dtype=bool)
-    near = near_one.sum(axis=0) >= 2
+    near = _two_near_one(near_one)
     if near.any():
         re, im, near_one = re[:, near], im[:, near], near_one[:, near]
         pairs = np.zeros(near_one.shape[1:], dtype=bool)
@@ -287,15 +305,14 @@ def _cubic_radius(c0, c1, c2, c3):
     real = h >= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         pair = np.hypot(s / 2.0, root / 2.0)
-        m2 = np.where(real, np.abs(x2), pair)
-        m3 = np.where(real, np.abs(np.where(x2 != 0.0, q / x2, 0.0)), pair)
-        mods = np.stack([np.abs(x1), m2, m3])
-        mods *= scale
-    near = (np.abs(mods - 1.0) <= REPEAT_WINDOW).sum(axis=0) >= 2
+        m1 = np.abs(x1) * scale
+        m2 = np.where(real, np.abs(x2), pair) * scale
+        m3 = np.where(real, np.abs(np.where(x2 != 0.0, q / x2, 0.0)), pair) * scale
+    near = _two_near_one([np.abs(m - 1.0) <= REPEAT_WINDOW for m in (m1, m2, m3)])
     flag = np.zeros(near.shape, dtype=bool)
     if near.any():
         flag[near] = _roots_radius(*_cubic_roots(*(c[near] for c in (c0, c1, c2, c3))))[1]
-    radius = mods.max(axis=0)
+    radius = np.maximum(np.maximum(m1, m2), m3)
     inside = bound < 2.0**1023
     if not inside.all():
         radius = np.where(inside, radius, np.inf)
@@ -305,7 +322,10 @@ def _cubic_radius(c0, c1, c2, c3):
 def _one_step_spectra(p, tab_l, tab_r, t, valid):
     """``eigvals(solve(L, R))`` over a (samples, cells) block of one-step matrices.
 
-    ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I.
+    ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I
+    and R = 0, so that weights that are not finite there (as on the pole of
+    the remark-one closure) reach LAPACK as zeros; :func:`_fold` reads their
+    radius as inf.
     The stacks take the dtype of ``t``, so real T goes to LAPACK's real
     eigensolver.  LAPACK runs once per matrix, so the result does not depend
     on the block.  Returns the real and imaginary parts, eigenvalues first.
@@ -317,6 +337,7 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
     fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
     L[~valid] = np.eye(p)
+    R[~valid] = 0.0
     eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
     return eigs.real, eigs.imag
 
@@ -375,19 +396,20 @@ def _scan_cells(p, am, af, gammas, t_samples):
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
     tab_l, tab_r = one_step_tableau(p, am, af, gammas)
+    gamma_af = gammas[0] * af  # T multiplies it: gamma_1 alpha_f T
     cubic = p == 3 and np.isrealobj(samples)
     if cubic:
         rho, sigma = char_poly(p, am, af, gammas)
         # |T sigma_k| grows with |T|, so the largest |T| is the one to check
         top = samples[np.abs(samples).argmax()]
-        coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
+        coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gamma_af * top)[1]]
         if not np.isfinite(coeffs).all():
             raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
         t = samples[start:start + per_block, None]
-        valid = pole_factor(am, gammas[0] * af * t)[1]
+        valid = pole_factor(am, gamma_af * t)[1]
         if cubic:
             c0, c1, c2, c3 = rho[:, None] + t * sigma[:, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, c3, 1.0)), radius, repeated, valid)
@@ -404,7 +426,7 @@ def _scan_cells(p, am, af, gammas, t_samples):
             {(i, j): (c1 if i == p - 1 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
             for tab in (tab_l, tab_r)
         )
-        valid = pole_factor(0.0, gammas[0] * af)[1][None]
+        valid = pole_factor(0.0, gamma_af)[1][None]
         refusal = DegenerateParams(
             "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
             "in double precision (|gamma_1 alpha_f| is too close to 0)"
@@ -539,11 +561,19 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
 
 
 def write_stability_csv(smap: StabilityMap, path) -> None:
-    """Write the map row-major as ``alpha_m,alpha_f,radius,stable`` (17 digits)."""
-    am_text = ["%.17g," % am for am in smap.alpha_m.tolist()]  # each axis value formatted once
-    af_text = ["%.17g," % af for af in smap.alpha_f.tolist()]
+    """Write the map row-major as ``alpha_m,alpha_f,radius,stable`` (17 digits).
+
+    Each axis value is formatted once: the alpha_f values into one row
+    template, which takes a row's alpha_m text as ``%s`` and its radii and
+    flags, so that a row is written by a single ``%``.
+    """
+    n = smap.alpha_f.size
+    template = "".join("%%s,%.17g,%%.17g,%%d\n" % af for af in smap.alpha_f.tolist())
+    args = [None] * (3 * n)  # alpha_m, radius, stable of each cell of a row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha_m,alpha_f,radius,stable\n")
-        for head, radius, stable in zip(am_text, smap.radius.tolist(), smap.stable.tolist()):
-            cells = zip(af_text, radius, stable)
-            fh.write("".join([head + af + "%.17g,%d\n" % (r, s) for af, r, s in cells]))
+        for am, radius, stable in zip(smap.alpha_m.tolist(), smap.radius.tolist(), smap.stable.tolist()):
+            args[0::3] = ["%.17g" % am] * n
+            args[1::3] = radius
+            args[2::3] = stable
+            fh.write(template % tuple(args))

@@ -434,6 +434,18 @@ def test_order_check_at_roundoff_exits_3(tmp_path, capsys):
     assert "AllAtRoundoff" in payload["message"]
 
 
+def test_order_check_whose_shift_overflows_says_it_is_not_finite(tmp_path, capsys):
+    """c1 + sigma*lambda overflows at alpha_m = -1e300, alpha_f = 1e300: exit 3,
+    and the message names the overflow, not a vanishing denominator."""
+    code, out, err = run_cli(
+        capsys, "order-check", "--p", "7", "--alpha-m=-1e300", "--alpha-f", "1e300", "--out", str(tmp_path),
+    )
+    assert code == 3 and out == ""
+    payload = read_error_line(err)
+    assert payload["kind"] == "numeric" and payload["exit_code"] == 3
+    assert payload["message"].startswith("StepSingular: step 1 of 16: stage shift is not finite: ")
+
+
 def test_integrate_overflowing_initial_state_exits_3(tmp_path, capsys):
     # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
     with warnings.catch_warnings():
@@ -533,6 +545,22 @@ def test_stability_map_t_max_1e307_reads_inf_where_the_roots_leave_the_double_ra
     rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
     assert not any(row[2] == "nan" for row in rows)
     assert [row[2] for row in rows if float(row[0]) > 0.0 and float(row[1]) == 0.0] == ["inf", "inf"]
+
+
+def test_stability_map_remark_one_pole_column_reads_inf(tmp_path, capsys):
+    """The axis -2, -4/3, -2/3, 0 holds the remark-one closure's pole
+    2 + 3 alpha_f = 0, where the weights are not finite: that column reads
+    radius inf like any pole, and the map exits 0 without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(
+            capsys, "stability-map", "--variant", "remark-one", "--grid-n", "4", "--alpha-min=-2",
+            "--alpha-max", "0", "--out", str(tmp_path),
+        )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
+    assert [row[2:] for row in rows if float(row[1]) == -0.66666666666666674] == [["inf", "0"]] * 4
+    assert all(float(row[2]) < np.inf for row in rows if float(row[0]) < 0.0 and float(row[1]) < -1.0)
 
 
 @pytest.mark.parametrize(

@@ -355,6 +355,18 @@ def test_one_scalar_problem_marches_every_order_like_a_fresh_one():
             assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(got, expected)), (p, tau)
 
 
+def test_scalar_shift_that_overflows_is_refused_as_not_finite():
+    """c1 + sigma*lambda = inf did not vanish: the refusal says it is not
+    finite, and like a pole it is not kept, so every call raises again."""
+    problem = scalar_problem(1.0)
+    for _ in range(2):
+        with pytest.raises(StepSingular, match=r"stage shift is not finite: c1 \+ sigma\*lambda = \(inf\+0j\)"):
+            problem.shifted_solve(1e308, 1e308, np.array([1.0]))
+        assert problem.shifted_solve(2.0, 0.0, np.array([4.0])).tolist() == [2.0]
+    with pytest.raises(StepSingular, match="vanishes"):
+        problem.shifted_solve(1.0, -1.0, np.array([1.0]))
+
+
 def test_dense_problem_singular_shift():
     problem = dense_problem([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(StepSingular):

@@ -263,6 +263,44 @@ def test_cubic_roots_of_known_polynomials(roots):
         assert abs(got.pop(k) - want) <= 1e-14 * abs(want)
 
 
+W = stability.REPEAT_WINDOW
+
+#: Cubics with exactly two root moduli within REPEAT_WINDOW of 1, in each
+#: pairing of the kernel's slots (|x1|, |x2|, |q/x2|) that can hold them, with
+#: those slots and the repeated flag, then controls with moduli 1 +- 2 W.
+NEAR_UNIT_CUBICS = [
+    ((-2.0, 1.0 + 0.3 * W, 1.0 - 0.3 * W), (1, 2), True),  # the real pair (x2, x3)
+    ((-2.0, 1.0 + 0.9 * W, -1.0 + 0.9 * W), (1, 2), False),
+    ((1.0 + 0.3 * W, 1.0 - 0.3 * W, 0.3), (0, 1), True),  # the pair (x1, x2)
+    ((1.0 + 0.5 * W, -1.0 + 0.5 * W, 0.3), (0, 1), False),
+    ((np.exp(1j), np.exp(-1j), 0.5), (1, 2), False),  # a complex pair beside a real root
+    ((1.0 + 2.0 * W, 1.0 - 2.0 * W, 0.3), (), False),
+    ((-2.0, 1.0 + 2.0 * W, 1.0 - 2.0 * W), (), False),
+    ((np.exp(1j) * (1.0 + 2.0 * W), np.exp(-1j) * (1.0 + 2.0 * W), 0.5), (), False),
+]
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_two_near_one_is_the_count_rule_on_every_pattern(d):
+    """The running masks flag exactly the columns where at least two of the d
+    rows hold, on all 2**d patterns, from an array or a list of rows."""
+    mask = ((np.arange(2**d)[None, :] >> np.arange(d)[:, None]) & 1) == 1
+    before = mask.copy()
+    expected = mask.sum(axis=0) >= 2
+    np.testing.assert_array_equal(stability._two_near_one(mask), expected)
+    np.testing.assert_array_equal(stability._two_near_one(list(mask)), expected)
+    np.testing.assert_array_equal(mask, before)
+
+
+@pytest.mark.parametrize("roots, slots, repeated", NEAR_UNIT_CUBICS)
+def test_cubic_radius_with_two_moduli_near_one_is_the_roots_folded(roots, slots, repeated):
+    c3, c2, c1, c0 = (np.array([c]) for c in -1.7 * np.poly(roots).real)
+    re, im = stability._cubic_roots(c0, c1, c2, c3)
+    assert tuple(np.flatnonzero(np.abs(np.hypot(re, im)[:, 0] - 1.0) <= W)) == slots
+    _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3)
+    assert stability._cubic_radius(c0, c1, c2, c3)[1].tolist() == [repeated]
+
+
 def _assert_radius_kernel_is_the_roots_folded(c0, c1, c2, c3):
     """``_cubic_radius`` gives bit for bit the (radius, repeated) of ``_roots_radius(*_cubic_roots)``."""
     radius, repeated = stability._cubic_radius(c0, c1, c2, c3)
@@ -285,7 +323,7 @@ def test_cubic_radius_of_a_mixed_block_is_each_cubic_alone():
     cubics = [(1.0, 1.0, -0.5)]  # a double unit root
     cubics += [(1.0 + h, 1.0 - h, -0.5) for h in half]  # a real pair astride the circle
     cubics += [(np.exp(1j * np.arcsin(h)), np.exp(-1j * np.arcsin(h)), -0.5) for h in half]
-    cubics += KNOWN_CUBIC_ROOTS
+    cubics += KNOWN_CUBIC_ROOTS + [roots for roots, _, _ in NEAR_UNIT_CUBICS]
     coeffs = np.array([np.poly(roots).real for roots in cubics]).T  # (4, cells)
     block = np.stack([-1.7 * coeffs, 0.3 * coeffs], axis=1)[::-1]  # c0 .. c3, (samples, cells)
     _assert_radius_kernel_is_the_roots_folded(*block)
@@ -366,6 +404,18 @@ def test_tiny_parameters_give_a_finite_radius_without_overflow_warnings(p, alpha
         report = worst_case_radius(make_scheme(p, alpha_m, alpha_f))
     assert 1e199 < report.radius < np.inf
     assert not report.stable
+
+
+def test_remark_one_pole_column_reads_inf_like_any_pole():
+    """On the remark-one closure's pole 2 + 3 alpha_f = 0 the weights are not
+    finite; those cells fail the pole rule and read radius inf without a
+    numpy warning, and LAPACK, which would refuse them, gets zeros there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smap = scan_region(np.array([0.5, 1.0]), np.array([-2.0 / 3.0, 0.6]), Variant.REMARK_ONE)
+    assert smap.radius[:, 0].tolist() == [np.inf, np.inf]
+    assert np.isfinite(smap.radius[:, 1]).all()
+    assert not smap.stable[:, 0].any()
 
 
 def test_subnormal_parameters_raise_galpha_errors_not_lapack_ones():

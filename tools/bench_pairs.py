@@ -27,10 +27,15 @@ interquartile range over its passed runs, the relative change of the medians
 and how many pairs the change wins among those where both runs passed (in the
 direction the change's ``BENCHMARK.json`` calls better; a tie is no win).  An
 end-to-end metric is marked WORSE when the change is worse than the parent by
-more than the metric's bound (a share of the parent's median) and MISSING when
-a side has no median of it; a per-layer metric has no bound, and neither have
-the as-measured rows ``as_measured.wall_s`` and ``as_measured.speed``, which
-show how much of a normalized change came from the speed reading.  Every run
+more than the metric's bound (a share of the parent's median), MISSING when a
+side has no median of it, and GAIN when it meets the rule for claiming a
+gain: at least ``GAIN_PAIRS`` pairs where both runs passed, the change wins
+at least nine tenths of them, and the medians differ in the better direction
+by more than the parent's interquartile range.  The record lists the GAIN
+metrics of each workload under ``gain``.  A per-layer metric has no bound,
+and neither have the as-measured rows ``as_measured.wall_s`` and
+``as_measured.speed``, which show how much of a normalized change came from
+the speed reading.  Every run
 that did not pass is listed as FAILED.  The exit code is 1 if any run failed
 or any metric is WORSE or MISSING.
 """
@@ -55,6 +60,8 @@ SIDES = ("parent", "change")
 #: better direction of their summary row ``as_measured.<key>``, which has no
 #: bound.
 AS_MEASURED = {"wall_s": ("wall_s", "s", "lower"), "speed / reference speed": ("speed", "ratio", "higher")}
+#: Fewest pairs where both runs passed on which an end-to-end metric can be a GAIN.
+GAIN_PAIRS = 10
 
 
 def git_revision(root: Path) -> str:
@@ -132,9 +139,10 @@ def iqr(vals: list[float]) -> float:
     return q3 - q1
 
 
-def summary(workload: str, pairs: list[dict], spec: dict, trace: int) -> tuple[list[str], bool]:
-    """Report lines for one workload's pairs, and whether any run failed or metric is WORSE or MISSING."""
-    lines, failed = [], False
+def summary(workload: str, pairs: list[dict], spec: dict, trace: int) -> tuple[list[str], bool, list[str]]:
+    """Report lines for one workload's pairs, whether any run failed or metric is WORSE or MISSING,
+    and the metrics marked GAIN."""
+    lines, failed, gains = [], False, []
     for pair in pairs:
         for side in SIDES:
             run = pair[side]
@@ -169,8 +177,11 @@ def summary(workload: str, pairs: list[dict], spec: dict, trace: int) -> tuple[l
             worse = sign * rel > bound
             line += f"  WORSE (bound {bound:.1%})" if worse else ""
             failed |= worse
+            if len(both) >= GAIN_PAIRS and 10 * wins >= 9 * len(both) and sign * (old - new) > iqr(before):
+                line += "  GAIN"
+                gains.append(name)
         lines.append(line)
-    return lines, failed
+    return lines, failed, gains
 
 
 def main(argv=None) -> int:
@@ -216,12 +227,13 @@ def main(argv=None) -> int:
             order = SIDES if seed % 2 else SIDES[::-1]
             pairs.append({"seed": seed, **{side: run_workload(roots[side], command, workload, seed, seconds,
                                                               args.trace) for side in order}})
+        lines, bad, gains = summary(workload, pairs, spec, args.trace)
         record["workloads"][workload] = {
             "pairs": pairs,
             "median": {side: {name: median(vals) for name, vals in collect([p[side] for p in pairs]).items()}
                        for side in SIDES},
+            "gain": gains,
         }
-        lines, bad = summary(workload, pairs, spec, args.trace)
         print("\n".join(lines), flush=True)
         failed |= bad
 

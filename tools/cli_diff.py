@@ -60,6 +60,11 @@ CASES = [
     # numerical failure: exit 3, the T -> inf limit refused by LAPACK
     ("stability-map-subnormal-axis",
      ["stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"]),
+    # the remark-one closure's pole 2 + 3 alpha_f = 0 on the alpha_f axis: that column reads inf
+    ("stability-map-remark-one-pole",
+     ["stability-map", "--variant", "remark-one", "--grid-n", "4", "--alpha-min=-2", "--alpha-max", "0"]),
+    # a stage shift c1 + sigma*lambda that overflows: exit 3, refused as not finite
+    ("order-check-shift-overflow", ["order-check", "--p", "7", "--alpha-m=-1e300", "--alpha-f", "1e300"]),
     # remark-one weights that overflow: exit 2, refused as not finite
     ("integrate-remark-one-alpha-f-1e200",
      ["integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "1e200"]),
