@@ -265,36 +265,46 @@ def test_checkouts_benchmarked_differently_exit_2_before_any_run(tmp_path, tool,
     assert not (tmp_path / "log.txt").exists() and not (tmp_path / "BENCH_t.json").exists()
 
 
-def _gains(tool, capsys, tmp_path, before, after):
-    """The metrics marked GAIN on plane-scan, from the printed lines and from the record,
-    for pairs whose norm_wall_s read ``before`` and ``after`` (norm_items_per_s is its inverse)."""
-    runs = {side: {"plane-scan": [_e2e(norm_wall_s=v, norm_items_per_s=600.0 / v) for v in vals]}
-            for side, vals in (("parent", before), ("change", after))}
-    parent, change = (_checkout(tmp_path, side, runs[side]) for side in ("parent", "change"))
-    code, out, record = _run(tool, capsys, parent, change, "--workload", "plane-scan", "--pairs", str(len(before)))
-    assert code == 0
-    marked = [metric for (_, metric), line in _metric_lines(out).items() if line[-1] == "GAIN"]
-    assert record["workloads"]["plane-scan"]["gain"] == marked
-    return marked
+
+def _gains(tool, before, after):
+    """The plane-scan metrics that ``summary`` marks GAIN, for pairs whose norm_wall_s read
+    ``before`` and ``after`` (norm_items_per_s is its inverse; the other metrics tie)."""
+    def run(v):
+        metrics = _e2e(norm_wall_s=v, norm_items_per_s=600.0 / v)["metrics"]
+        return {"exit_code": 0, "result": {"correct": True, "metrics": {k: {"value": x} for k, x in metrics.items()}}}
+
+    pairs = [{"seed": seed, "parent": run(b), "change": run(a)} for seed, (b, a) in enumerate(zip(before, after), 1)]
+    lines, failed, gains = tool.summary("plane-scan", pairs, SPEC, 0)
+    assert not failed
+    assert [metric for (_, metric), line in _metric_lines(lines).items() if line[-1] == "GAIN"] == gains
+    return gains
 
 
 @pytest.mark.parametrize("n, gain", [(9, False), (10, True)])
-def test_a_gain_needs_ten_pairs(tmp_path, tool, capsys, n, gain):
+def test_a_gain_needs_ten_pairs(tool, n, gain):
     before = [1.0 + 0.01 * i for i in range(n)]
-    marked = _gains(tool, capsys, tmp_path, before, [v - 0.2 for v in before])
-    assert marked == (["norm_wall_s", "norm_items_per_s"] if gain else [])
+    assert _gains(tool, before, [v - 0.2 for v in before]) == (["norm_wall_s", "norm_items_per_s"] if gain else [])
 
 
 @pytest.mark.parametrize("lost, gain", [(1, True), (2, False)])
-def test_a_gain_needs_nine_tenths_of_the_pairs_won(tmp_path, tool, capsys, lost, gain):
+def test_a_gain_needs_nine_tenths_of_the_pairs_won(tool, lost, gain):
     before = [1.0 + 0.01 * i for i in range(10)]
     after = [v + 0.01 if i < lost else v - 0.2 for i, v in enumerate(before)]
-    assert _gains(tool, capsys, tmp_path, before, after) == (["norm_wall_s", "norm_items_per_s"] if gain else [])
+    assert _gains(tool, before, after) == (["norm_wall_s", "norm_items_per_s"] if gain else [])
 
 
 @pytest.mark.parametrize("spread, gain", [(1.0, False), (0.02, True)])
-def test_a_gain_needs_the_medians_apart_by_more_than_the_parents_iqr(tmp_path, tool, capsys, spread, gain):
+def test_a_gain_needs_the_medians_apart_by_more_than_the_parents_iqr(tool, spread, gain):
     # every pair is won, by 0.1 s; the parent's IQR is the spread of its two values
     before = [1.0, 1.0 + spread] * 5
-    marked = _gains(tool, capsys, tmp_path, before, [v - 0.1 for v in before])
-    assert ("norm_wall_s" in marked) == gain
+    assert ("norm_wall_s" in _gains(tool, before, [v - 0.1 for v in before])) == gain
+
+
+def test_the_record_lists_the_gains_of_each_workload(tmp_path, tool, capsys):
+    before = [1.0 + 0.01 * i for i in range(10)]
+    parent = _checkout(tmp_path, "parent", {"plane-scan": [_e2e(norm_wall_s=v) for v in before]})
+    change = _checkout(tmp_path, "change", {"plane-scan": [_e2e(norm_wall_s=v - 0.2) for v in before]})
+    code, out, record = _run(tool, capsys, parent, change, "--workload", "plane-scan", "--pairs", "10")
+    assert code == 0
+    assert _metric_lines(out)[("plane-scan", "norm_wall_s")][-5:] == ["wins", "10", "of", "10", "GAIN"]
+    assert record["workloads"]["plane-scan"]["gain"] == ["norm_wall_s"]
