@@ -239,6 +239,8 @@ def cmd_stability_map(args, out: Path) -> dict:
             raise ValueError(f"--{option.replace('_', '-')} must be finite, got {value}")
     if not args.alpha_min < args.alpha_max:
         raise ValueError("need --alpha-min < --alpha-max")
+    if not math.isfinite(args.alpha_max - args.alpha_min):
+        raise ValueError(f"the alpha range {args.alpha_min} .. {args.alpha_max} is wider than a double holds")
     if not 0 < args.t_min < args.t_max:
         raise ValueError("need 0 < --t-min < --t-max")
     if args.t_samples < 2:

@@ -200,23 +200,18 @@ def params_from_rho(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> tuple
     if branch is not RhoBranch.MAIN and rho == 1.0:
         raise PoleAtRho(f"branch {branch.value} has a pole at rho_inf = 1")
 
-    one_plus_sq = (rho + 1.0) ** 2
-    if branch is RhoBranch.MAIN:
-        am = (13.0 + 20.0 * rho - 5.0 * rho**2) / (12.0 * one_plus_sq)
-        af = (1.0 + 3.0 * rho) / (2.0 * one_plus_sq)
-    elif branch is RhoBranch.ALT1:
-        am = (-13.0 - 31.0 * rho + rho**2 - 5.0 * rho**3) / (
-            12.0 * one_plus_sq * (rho - 1.0)
-        )
-        af = (1.0 + 3.0 * rho) / (2.0 * one_plus_sq)
-    elif branch is RhoBranch.ALT2:
-        root = math.sqrt(7.0 + 18.0 * rho**2)
-        am = (22.0 - 12.0 * rho + 5.0 * rho**2 + 3.0 * root) / (12.0 * (1.0 - rho**2))
-        af = (5.0 + root) / (4.0 * (1.0 - rho**2))
-    else:  # ALT3
-        root = math.sqrt(7.0 + 18.0 * rho**2)
-        am = (22.0 + 12.0 * rho + 5.0 * rho**2 - 3.0 * root) / (12.0 * (1.0 - rho**2))
-        af = (5.0 - root) / (4.0 * (1.0 - rho**2))
+    if branch in (RhoBranch.MAIN, RhoBranch.ALT1):
+        one_plus_sq = (rho + 1.0) ** 2
+        if branch is RhoBranch.MAIN:
+            am = (13.0 + 20.0 * rho - 5.0 * rho**2) / (12.0 * one_plus_sq)
+        else:
+            am = (-13.0 - 31.0 * rho + rho**2 - 5.0 * rho**3) / (12.0 * one_plus_sq * (rho - 1.0))
+        return am, (1.0 + 3.0 * rho) / (2.0 * one_plus_sq)
+    # ALT2 and ALT3 differ only in the sign s of the 12 rho term and of the root
+    s = 1.0 if branch is RhoBranch.ALT2 else -1.0
+    root = s * math.sqrt(7.0 + 18.0 * rho**2)
+    am = (22.0 - s * 12.0 * rho + 5.0 * rho**2 + 3.0 * root) / (12.0 * (1.0 - rho**2))
+    af = (5.0 + root) / (4.0 * (1.0 - rho**2))
     return am, af
 
 

@@ -65,7 +65,11 @@ no pole at any sample but reads radius inf: there the largest root grows
 like T without bound.  A defective double root of G(inf) is split by either
 route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
 (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8, and ``eigvals`` splits the
--rho_inf of MAIN by up to 6.8e-8 relative.
+-rho_inf of MAIN by up to 6.8e-8 relative.  One helper,
+:func:`_one_step_spectra`, is the whole LAPACK route, for the sample blocks
+and the T -> inf limit alike: it builds the stacks, folds their spectra into
+radius and flag, and builds the caller's galpha error only when LAPACK
+refuses.
 
 Huge parameters or T overflow the scan's arithmetic.  numpy's floating-point
 warnings are off for the whole scan, the closure of its cells included: the
@@ -208,11 +212,12 @@ def _roots_radius(re, im):
 def _cubic_prefix(c0, c1, c2, c3):
     """The arithmetic that :func:`_cubic_roots` and :func:`_cubic_radius` share.
 
-    Returns ``bound, scale, x1, s, q, h, root, x2`` of the scaled cubic: its
+    Returns ``bound, scale, x1, s, h, root, x2, x3`` of the scaled cubic: its
     largest-modulus real root x1, the deflated quadratic x^2 - s x + q with
-    discriminant h = s^2 - 4q, root = sqrt(|h|) and the larger root x2 of a
-    real pair.  Cardano runs only on the cells with one real root and the
-    trigonometric form only on the others; x1 is scattered from both.
+    discriminant h = s^2 - 4q, root = sqrt(|h|) and the larger and smaller
+    roots x2 and x3 = q / x2 of a real pair (0 where x2 = 0).  Cardano runs
+    only on the cells with one real root and the trigonometric form only on
+    the others; x1 is scattered from both.
     """
     # a cell whose bound is not below 2**1023 has no finite scale; its
     # arithmetic runs on inf and nan, which _cubic_radius replaces
@@ -254,7 +259,8 @@ def _cubic_prefix(c0, c1, c2, c3):
         h = s * s - 4.0 * q
         root = np.sqrt(np.abs(h))
         x2 = (s + np.copysign(root, s)) / 2.0
-    return bound, scale, x1, s, q, h, root, x2
+        x3 = np.where(x2 != 0.0, q / x2, 0.0)
+    return bound, scale, x1, s, h, root, x2, x3
 
 
 def _cubic_roots(c0, c1, c2, c3):
@@ -271,10 +277,9 @@ def _cubic_roots(c0, c1, c2, c3):
     formula: s = -a - mu1 and q = b - mu1 s when mu1 may be the smaller
     root (mu1^2 <= |q|), q = -d/mu1 and s = (b - q)/mu1 otherwise.
     """
-    _, scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
+    _, scale, x1, s, h, root, x2, x3 = _cubic_prefix(c0, c1, c2, c3)
     real = h >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        re3 = np.where(real, np.where(x2 != 0.0, q / x2, 0.0), s / 2.0)
+    re3 = np.where(real, x3, s / 2.0)
     re2 = np.where(real, x2, s / 2.0)
     im2 = np.where(real, 0.0, root / 2.0)
     re = np.stack([x1, re2, re3])
@@ -301,13 +306,13 @@ def _cubic_radius(c0, c1, c2, c3):
     holds (such as the alpha_f = 0 cells of small alpha_m at T = 1e307,
     whose mu^3 coefficient is -alpha_m).
     """
-    bound, scale, x1, s, q, h, root, x2 = _cubic_prefix(c0, c1, c2, c3)
+    bound, scale, x1, s, h, root, x2, x3 = _cubic_prefix(c0, c1, c2, c3)
     real = h >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # 0 * inf beyond the double range
         pair = np.hypot(s / 2.0, root / 2.0)
         m1 = np.abs(x1) * scale
         m2 = np.where(real, np.abs(x2), pair) * scale
-        m3 = np.where(real, np.abs(np.where(x2 != 0.0, q / x2, 0.0)), pair) * scale
+        m3 = np.where(real, np.abs(x3), pair) * scale
     near = _two_near_one([np.abs(m - 1.0) <= REPEAT_WINDOW for m in (m1, m2, m3)])
     flag = np.zeros(near.shape, dtype=bool)
     if near.any():
@@ -319,8 +324,8 @@ def _cubic_radius(c0, c1, c2, c3):
     return radius, flag
 
 
-def _one_step_spectra(p, tab_l, tab_r, t, valid):
-    """``eigvals(solve(L, R))`` over a (samples, cells) block of one-step matrices.
+def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
+    """:func:`_roots_radius` of ``eigvals(solve(L, R))`` over a (samples, cells) block.
 
     ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I
     and R = 0, so that weights that are not finite there (as on the pole of
@@ -328,7 +333,10 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     radius as inf.
     The stacks take the dtype of ``t``, so real T goes to LAPACK's real
     eigensolver.  LAPACK runs once per matrix, so the result does not depend
-    on the block.  Returns the real and imaginary parts, eigenvalues first.
+    on the block.  LAPACK refuses matrices that are singular or not finite in
+    double precision; ``refusal()`` then builds the galpha error that is
+    raised from its ``LinAlgError``, so the error and its message are made
+    only on failure.
     """
     # the transposed views index the stacks as [i, j] -> [:, :, i, j]
     dtype = np.result_type(t, float)
@@ -338,20 +346,11 @@ def _one_step_spectra(p, tab_l, tab_r, t, valid):
     fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
     L[~valid] = np.eye(p)
     R[~valid] = 0.0
-    eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
-    return eigs.real, eigs.imag
-
-
-def _lapack_spectra(refusal, p, tab_l, tab_r, t, valid):
-    """:func:`_one_step_spectra`, raising the galpha error ``refusal`` where LAPACK refuses.
-
-    LAPACK refuses matrices that are singular or not finite in double
-    precision; ``refusal`` is raised from its ``LinAlgError``.
-    """
     try:
-        return _one_step_spectra(p, tab_l, tab_r, t, valid)
+        eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
     except np.linalg.LinAlgError as exc:
-        raise refusal from exc
+        raise refusal() from exc
+    return _roots_radius(eigs.real, eigs.imag)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -369,7 +368,8 @@ def _scan_cells(p, am, af, gammas, t_samples):
     runs on its own cells, and the pairwise repeated-root test only on cells
     with two moduli near 1.  Complex samples at p = 3 and every other
     order take ``eigvals(solve(L, R))`` of the stacked one-step matrices, one
-    LAPACK call per matrix.  A sample on the pole, where
+    LAPACK call per matrix, through :func:`_one_step_spectra`, as does the
+    T->inf limit.  A sample on the pole, where
     (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
     :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
     cubic's four coefficients, the leading one -(alpha_m + gamma_1 alpha_f T)
@@ -383,7 +383,8 @@ def _scan_cells(p, am, af, gammas, t_samples):
     the cubic of a cell off the pole is refused with ``ValueError``.
     One-step matrices that LAPACK refuses (singular or not finite in double
     precision, as at subnormal parameters) raise ``SingularAtT`` for the
-    samples and ``DegenerateParams`` for the T->inf limit.  numpy's
+    samples and ``DegenerateParams`` for the T->inf limit; each block passes
+    its refusal as a callable, so the error is built only on failure.  numpy's
     floating-point warnings are off throughout (see the module docstring).
     """
     ncell = am.shape[0]
@@ -414,11 +415,11 @@ def _scan_cells(p, am, af, gammas, t_samples):
             c0, c1, c2, c3 = rho[:, None] + t * sigma[:, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, c3, 1.0)), radius, repeated, valid)
         else:
-            refusal = SingularAtT(
+            refusal = lambda: SingularAtT(
                 f"the one-step matrices G(T) at T = {t[0, 0]:g} .. {t[-1, 0]:g} are singular "
                 "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
             )
-            _fold(*_roots_radius(*_lapack_spectra(refusal, p, tab_l, tab_r, t, valid)), radius, repeated, valid)
+            _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, t, valid), radius, repeated, valid)
 
     if p == 3:
         # the last rows divided by T tend to their T-coefficients
@@ -427,12 +428,11 @@ def _scan_cells(p, am, af, gammas, t_samples):
             for tab in (tab_l, tab_r)
         )
         valid = pole_factor(0.0, gamma_af)[1][None]
-        refusal = DegenerateParams(
+        refusal = lambda: DegenerateParams(
             "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
             "in double precision (|gamma_1 alpha_f| is too close to 0)"
         )
-        roots = _lapack_spectra(refusal, p, tab_l, tab_r, np.zeros((1, 1)), valid)
-        _fold(*_roots_radius(*roots), radius, repeated, valid)
+        _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
 
     return radius, repeated
 

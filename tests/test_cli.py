@@ -611,8 +611,11 @@ def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, cap
         (("stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"), 0, None),
         (("integrate", "--alpha-m=1e308", "--alpha-f=-1"), 0, None),
         (("integrate", "--alpha-m", "1e308", "--alpha-f", "1e308"), 2, "T = 1e+08 overflows the coefficients"),
+        # alpha_max - alpha_min overflows: np.linspace warned and built nan and inf axis values
+        (("stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"), 2, "the alpha range"),
     ],
-    ids=["integrate-remark-one", "order-check-remark-one", "stability-map", "integrate", "integrate-config"],
+    ids=["integrate-remark-one", "order-check-remark-one", "stability-map", "integrate", "integrate-config",
+         "stability-map-alpha-span"],
 )
 def test_huge_parameters_leave_only_galphas_own_lines_on_stderr(tmp_path, capsys, argv, code, message):
     """Parameters whose arithmetic overflows exit 0 or 2 with no traceback and no

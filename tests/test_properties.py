@@ -1,21 +1,27 @@
 """Property tests over random orders, parameters and T (hypothesis)."""
 
 import cmath
+import io
+import json
+import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from galpha import stability
+from galpha import cli, stability
 from galpha.amplification import amplification_matrix, char_poly
 from galpha.errors import GalphaError
 from galpha.integrator import StateVector, init_state, scalar_problem, step
-from galpha.schemes import Variant, make_scheme
+from galpha.schemes import RhoBranch, Variant, make_scheme
 from galpha.stability import default_t_samples, scan_region, worst_case_radius
 
 from conftest import cubic_roots, one_step_matrices
@@ -278,3 +284,67 @@ def test_radius_is_a_galpha_error_or_not_nan_without_warnings(scheme, am, af, ts
             assert not isinstance(exc, np.linalg.LinAlgError)
             return
     assert not np.isnan(report.radius)
+
+
+# --- the CLI from any numbers -------------------------------------------------------
+
+NUMBERS = st.sampled_from([
+    0.0, 1.0, -1.0, 0.5, 0.75, -2 / 3, 1e-320, -1e-320, 1e-300, -1e-300, 1e300, 1e308, -1e308,
+    math.nan, math.inf, -math.inf,
+])
+# each step size over each end time is at most 1e4 or not finite, so no march runs long
+TAUS = st.sampled_from([0.0, -1.0, 0.25, 0.5, 1.0, 1e300, 1e308, 1e-320, math.nan, math.inf, -math.inf])
+T_ENDS = st.sampled_from([0.0, -1.0, 0.5, 1.0, 2.0, 1e-320, math.nan, math.inf, -math.inf])
+SCHEME_OPTIONS = {
+    "p": st.integers(1, 12),
+    "alpha-m": NUMBERS,
+    "alpha-f": NUMBERS,
+    "rho-inf": NUMBERS,
+    "branch": st.sampled_from([b.value for b in RhoBranch]),
+    "lambda": st.one_of(NUMBERS, st.tuples(NUMBERS, NUMBERS).map(lambda z: f"{z[0]},{z[1]}")),
+    "variant": st.sampled_from([v.value for v in Variant]),
+}
+SUBCOMMANDS = {
+    "integrate": dict(SCHEME_OPTIONS, **{"heat-n": st.integers(1, 4), "kappa": NUMBERS, "tau": TAUS,
+                                         "t-end": T_ENDS}),
+    "stability-map": {"grid-n": st.integers(1, 4), "alpha-min": NUMBERS, "alpha-max": NUMBERS,
+                      "t-samples": st.integers(1, 3), "t-min": NUMBERS, "t-max": NUMBERS,
+                      "variant": SCHEME_OPTIONS["variant"]},
+    "rho-curve": {"n-rho": st.integers(1, 5)},
+    "order-check": dict(SCHEME_OPTIONS, **{"t-end": T_ENDS, "tau-start": TAUS, "n-halvings": st.integers(0, 2),
+                                           "recover-c": st.just(None)}),
+}
+
+
+def _argv(subcommand, options):
+    """``subcommand`` and its drawn options, each as ``--opt=value`` (a bare flag for None)."""
+    return [subcommand, *(f"--{k}" if v is None else f"--{k}={v}" for k, v in options.items())]
+
+
+cli_argvs = st.one_of(*(
+    st.fixed_dictionaries({}, optional=options).map(lambda o, sub=sub: _argv(sub, o))
+    for sub, options in SUBCOMMANDS.items()
+))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argvs)
+# alpha_max - alpha_min overflows; random draws do not reach it
+@example(argv=["stability-map", "--grid-n=4", "--alpha-min=-1e308", "--alpha-max=1e308"])
+def test_cli_exits_cleanly_from_any_numbers(argv):
+    """Every subcommand, from any numbers, exits 0, 2 or 3 with no numpy warning.
+    Stderr holds ``warning: `` lines and, when the exit is not 0, one JSON line
+    that names that exit code; no written CSV holds nan."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([*argv, f"--out={tmp}"])
+        csv_texts = [path.read_text() for path in Path(tmp).glob("*.csv")]
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
+    assert len(lines) == (code != 0)
+    if code:
+        assert json.loads(lines[0])["exit_code"] == code
+    assert not any("nan" in text for text in csv_texts)

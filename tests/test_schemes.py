@@ -175,6 +175,36 @@ def test_alt2_at_rho_zero():
     assert am == pytest.approx((22.0 + 3.0 * math.sqrt(7.0)) / 12.0, abs=1e-15)
 
 
+def _branch_formulas(rho, branch):
+    """The four branch formulas of the paper, each written out alone."""
+    one_plus_sq = (rho + 1.0) ** 2
+    if branch is RhoBranch.MAIN:
+        am = (13.0 + 20.0 * rho - 5.0 * rho**2) / (12.0 * one_plus_sq)
+        af = (1.0 + 3.0 * rho) / (2.0 * one_plus_sq)
+    elif branch is RhoBranch.ALT1:
+        am = (-13.0 - 31.0 * rho + rho**2 - 5.0 * rho**3) / (12.0 * one_plus_sq * (rho - 1.0))
+        af = (1.0 + 3.0 * rho) / (2.0 * one_plus_sq)
+    elif branch is RhoBranch.ALT2:
+        root = math.sqrt(7.0 + 18.0 * rho**2)
+        am = (22.0 - 12.0 * rho + 5.0 * rho**2 + 3.0 * root) / (12.0 * (1.0 - rho**2))
+        af = (5.0 + root) / (4.0 * (1.0 - rho**2))
+    else:
+        root = math.sqrt(7.0 + 18.0 * rho**2)
+        am = (22.0 + 12.0 * rho + 5.0 * rho**2 - 3.0 * root) / (12.0 * (1.0 - rho**2))
+        af = (5.0 - root) / (4.0 * (1.0 - rho**2))
+    return am, af
+
+
+def test_branches_are_their_formulas_bit_for_bit():
+    """MAIN and ALT1 share one alpha_f, ALT2 and ALT3 one signed formula: both
+    give bit for bit the four formulas written out, at 10 001 rho in [0, 1]."""
+    for k in range(10_001):
+        rho = k / 10_000
+        for branch in RhoBranch:
+            if branch is RhoBranch.MAIN or rho < 1.0:
+                assert params_from_rho(rho, branch) == _branch_formulas(rho, branch), (rho, branch)
+
+
 @pytest.mark.parametrize("branch", [RhoBranch.ALT1, RhoBranch.ALT2, RhoBranch.ALT3])
 def test_alt_branches_pole_at_one(branch):
     with pytest.raises(PoleAtRho):

@@ -71,6 +71,9 @@ CASES = [
     # huge parameters whose scan arithmetic overflows: exit 0, no numpy warning
     ("stability-map-alpha-1e150-1e160",
      ["stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"]),
+    # an alpha range wider than a double holds: exit 2, refused before the axis is built
+    ("stability-map-alpha-span-overflow",
+     ["stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"]),
 ]
 
 
