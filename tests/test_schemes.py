@@ -176,7 +176,7 @@ def test_alt2_at_rho_zero():
 
 
 def _branch_formulas(rho, branch):
-    """The four branch formulas of the paper, each written out alone."""
+    """(alpha_m, alpha_f) of each branch, its formulas written out alone."""
     one_plus_sq = (rho + 1.0) ** 2
     if branch is RhoBranch.MAIN:
         am = (13.0 + 20.0 * rho - 5.0 * rho**2) / (12.0 * one_plus_sq)
