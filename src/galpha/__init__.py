@@ -5,9 +5,8 @@ closures, stiff-damping design via rho_inf), the amplification-matrix algebra
 that underpins its analysis, stability-region scanning, convergence and
 closure-constant verification tools, and a small CLI for producing CSV/plot
 artifacts.  References that only check other code (``build_lr``,
-``amplification_matrix``, the limit matrices, the recurrence residual,
-``verify_rho_control`` and ``error_functional``) are imported from their
-modules.
+``amplification_matrix`` and the limit matrices) are imported from their
+modules; the tests' own oracles live with the tests.
 """
 
 __version__ = "0.1.0"

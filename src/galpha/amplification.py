@@ -43,7 +43,7 @@ from math import factorial
 import numpy as np
 
 from . import numkit
-from .errors import DegenerateParams, SingularAtT, SingularMatrix, TooShort, VariantUnsupported
+from .errors import DegenerateParams, SingularAtT, SingularMatrix, VariantUnsupported
 from .schemes import SchemeParams
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "limit_matrix_zero",
     "limit_matrix_inf",
     "pole_factor",
-    "characteristic_recurrence_residual",
 ]
 
 
@@ -259,42 +258,3 @@ def pole_factor(a, b):
     """
     factor = a + b
     return factor, abs(factor) > 1e-12 * (abs(a) + abs(b))
-
-
-def characteristic_recurrence_residual(params: SchemeParams, t, sequence) -> float:
-    """Largest defect of the solution sequence in the scalar p+1-term recurrence.
-
-    Any trajectory produced by the one-step map satisfies
-
-        sum_{k=0}^{p} c_k u_{n-p+k} = 0,
-
-    where c_k are the coefficients of rho + T sigma (:func:`char_poly`)
-    divided by the mu^p one, (-1)^p (alpha_m + gamma_1 alpha_f T)/(p-2)!
-    as char_poly sets it: the monic characteristic polynomial
-    det(mu I - G(T)).  Returns
-    max_n |residual| over all windows.  For u_n = exp(-T n) it is
-    |sum_q C_q T^q| / |lead| (:func:`order_condition`), which tends to
-    (p-2)! |C_(p+1)| T^(p+1) / alpha_m for a scheme of order p.
-
-    Raises
-    ------
-    ValueError
-        If the sequence is not 1-D.
-    TooShort
-        If fewer than p + 1 values are supplied.
-    SingularAtT
-        On the pole of the one-step system (:func:`pole_factor`).
-    """
-    u = np.asarray(sequence, dtype=complex)
-    p = params.p
-    if u.ndim != 1:
-        raise ValueError(f"sequence must be 1-D, got shape {u.shape}")
-    if u.size < p + 1:
-        raise TooShort(f"need at least {p + 1} sequence values, got {u.size}")
-    t = complex(t)
-    if not pole_factor(params.alpha_m, params.gamma1 * params.alpha_f * t)[1]:
-        raise SingularAtT(f"one-step system has a pole at T={t!r}")
-    rho, sigma = char_poly(p, params.alpha_m, params.alpha_f, params.gammas)
-    poly = rho + t * sigma
-    return float(np.abs(np.convolve(u, (poly / poly[p])[::-1], "valid")).max())
-

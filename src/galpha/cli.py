@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import GalphaError
 from .integrator import heat_problem, integrate, scalar_problem, write_trajectory_csv
-from .orderlab import measure_order, recover_C, write_convergence_csv
+from .orderlab import _exact_decay, measure_order, recover_C, write_convergence_csv
 from .schemes import (
     RhoBranch,
     SchemeParams,
@@ -185,6 +185,7 @@ def cmd_integrate(args, out: Path) -> dict:
     else:
         lam = complex(1.0) if args.lam is None else args.lam
         problem = scalar_problem(lam)
+        exact = _exact_decay(lam, args.t_end)
         u0 = 1.0
         # check the T = lambda*tau the march steps with, where u does not grow
         if stable and lam.real >= 0.0:
@@ -201,7 +202,6 @@ def cmd_integrate(args, out: Path) -> dict:
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     print(f"wrote trajectory.csv ({len(trajectory)} rows)")
     if args.heat_n is None:
-        exact = np.exp(-lam * args.t_end)
         final_error = abs(trajectory[-1][1][0] - exact)
         print(f"final error vs exact exponential: {final_error:.6e}")
 

@@ -33,10 +33,6 @@ class DegenerateParams(GalphaError):
     """A limit matrix is undefined for these scheme parameters."""
 
 
-class TooShort(GalphaError):
-    """A sequence has too few entries for the requested check."""
-
-
 class SolveFailed(GalphaError):
     """The implicit stage solve failed during time stepping."""
 

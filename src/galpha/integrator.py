@@ -35,6 +35,7 @@ first step.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -388,12 +389,13 @@ def integrate(
     t_end must be a whole number of steps: with n = round(t_end / tau), a
     mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
     rather than ending the march short of (or past) t_end, and so does a
-    t_end / tau that is not finite.  Step failures are re-raised with the
-    failing step index attached, and so is :class:`StateOverflow` when the
-    march leaves the double range.  A non-finite state stays non-finite on
-    every later step (inf and nan pass through the solve), so one test of the
-    last state decides, and the first step whose u is not finite is searched
-    for only then.
+    t_end / tau that is not finite or a step count whose trajectory no list
+    can hold (n + 1 > ``sys.maxsize``), before the march starts.  Step
+    failures are re-raised with the failing step index attached, and so is
+    :class:`StateOverflow` when the march leaves the double range.  A
+    non-finite state stays non-finite on every later step (inf and nan pass
+    through the solve), so one test of the last state decides, and the first
+    step whose u is not finite is searched for only then.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -407,6 +409,8 @@ def integrate(
             f"t_end={t_end} is not a whole number of steps of tau={tau} "
             f"(t_end/tau = {t_end / tau:.12g})"
         )
+    if n_steps + 1 > sys.maxsize:
+        raise ValueError(f"t_end={t_end} over tau={tau} is {t_end / tau:.12g} steps, more than a list can hold")
     state = init_state(problem, u0, params.p, tau)
     trajectory = [(0.0, state.value.copy())]
     with np.errstate(over="ignore", invalid="ignore"):

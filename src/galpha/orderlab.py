@@ -15,13 +15,8 @@ Two independent instruments live here:
   so C is its exact root, read from the Fraction coefficients of
   :func:`~galpha.amplification.char_poly`.
 
-:func:`error_functional`, the scaled defect [principal eig - exp(-T)] /
-T^(p+1) from ``mp.eig`` of G at the probe T = 1e-10, crosses zero at the
-same C by another solver (eigenvalues of the matrices, not coefficients of
-the polynomial) and is the tests' oracle for recover_C.  The probe carries a
-bias linear in T (from the next error order) of ~1e-11, and the eigenvalues
-run in extended precision (mpmath) because the signal sits T^(p+1) below
-the matrix entries.
+The tests check recover_C against an independent oracle, the ``mp.eig``
+defect of the principal eigenvalue (``tests/oracles.py``).
 
 recover_C never calls the integrator.  The two instruments share only the
 one-step layout (``amplification.one_step_tableau``), which the tests pin
@@ -33,11 +28,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import nan
+from math import isfinite, nan
 
 import numpy as np
 
-from .amplification import char_poly, fill_tableau, one_step_tableau, order_condition
+from .amplification import char_poly, order_condition
 from .errors import AllAtRoundoff
 from .integrator import integrate, scalar_problem
 from .schemes import SchemeParams
@@ -46,13 +41,15 @@ __all__ = [
     "ROUNDOFF_FLOOR",
     "ConvergenceReport",
     "measure_order",
-    "error_functional",
     "recover_C",
     "write_convergence_csv",
 ]
 
 #: Final-time errors at or below this are treated as round-off noise.
 ROUNDOFF_FLOOR = 1e-13
+
+# The largest x whose exp(x) is a finite double.
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -74,16 +71,18 @@ class ConvergenceReport:
 def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceReport:
     """Fit the global-error order for u' + lam*u = 0, u(0) = 1.
 
-    ``taus`` must be strictly decreasing.  Raises :class:`AllAtRoundoff`
-    when fewer than two ladder points rise above the round-off floor.
+    ``taus`` must be strictly decreasing.  Raises ``ValueError`` before any
+    march where the exact solution exp(-lam t_end) overflows, and
+    :class:`AllAtRoundoff` when fewer than two ladder points rise above the
+    round-off floor.
     """
     taus = tuple(float(t) for t in taus)
     if len(taus) < 2:
         raise ValueError("need at least two step sizes")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    exact = cmath.exp(-complex(lam) * t_end)
     problem = scalar_problem(lam)
+    exact = _exact_decay(complex(lam), t_end)
     errors = []
     for tau in taus:
         trajectory = integrate(params, problem, 1.0, tau, t_end)
@@ -110,27 +109,22 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
-def error_functional(p: int, c: float) -> float:
-    """Scaled principal-eigenvalue defect E(C); zero at the tabulated constant.
+def _exact_decay(lam: complex, t_end: float) -> complex:
+    """exp(-lam t_end), the exact u(t_end) of u' + lam u = 0, u(0) = 1, for a finite lam.
 
-    E(C) = Re(mu_1 - exp(-T)) / T^(p+1) for the eigenvalue mu_1 of G(T)
-    nearest exp(-T), at T = 1e-10 and (alpha_m, alpha_f) = (1, 3/4).
+    The one overflow rule of the exact solution, for :func:`measure_order`
+    and the ``integrate`` command alike: where a finite t_end takes it out of
+    the double range (or makes its phase -Im(lam) t_end infinite), this
+    raises ``ValueError`` naming lam and t_end, before any march starts.  A
+    t_end that is not finite gives nan; ``integrate`` refuses it by its own
+    rule.
     """
-    from mpmath import mp  # galpha's only mpmath user; imported on first call
-
-    # The signal sits ~T^(p+1) below the O(1) matrix entries: 10 (p + 1)
-    # digits at T = 1e-10, plus ~40 guard digits for the arithmetic.
-    with mp.workdps(40 + 10 * (p + 1)):
-        one, t = mp.mpf(1), mp.mpf(1e-10)
-        am, af = one, mp.mpf(0.75)
-        L, R = (
-            fill_tableau(entries, t, mp.zeros(p, p))
-            for entries in one_step_tableau(p, am, af, [mp.mpf(c) + am - af] * (p - 1))
-        )
-        eigs = mp.eig(L**-1 * R, left=False, right=False)
-        target = mp.exp(-t)
-        principal = min(eigs, key=lambda z: (abs(z - target), -mp.re(z)))
-        return float(mp.re(principal - target) / t ** (p + 1))
+    if not isfinite(t_end):
+        return complex(nan)
+    exponent = -lam * t_end
+    if exponent.real > _EXP_MAX or not isfinite(exponent.imag):
+        raise ValueError(f"the exact solution exp(-lambda t_end) overflows at lambda={lam}, t_end={t_end}")
+    return cmath.exp(exponent)
 
 
 def recover_C(p: int) -> float:

@@ -21,7 +21,7 @@ family: the unconditional stability region in the (alpha_m, alpha_f) plane and
 the four solution branches of the stiff-limit design system, parameterized by
 rho_inf.  Only MAIN and ALT1 make the stiff-limit spectral radius equal
 rho_inf, and only for rho_inf >= 1/3; no equal-gamma third-order pair gets
-that radius below 1/3 (see ``stability.verify_rho_control``).
+that radius below 1/3 (see ``stability.rho_curve``, which measures it).
 """
 
 from __future__ import annotations

@@ -28,10 +28,9 @@ eigenvalue pair, real or complex.
 The one-step system has one pole: (p-2)! det L(T) = alpha_m + gamma_1
 alpha_f T.  A sample where that sum is lost to cancellation, at most 1e-12
 (|alpha_m| + |gamma_1 alpha_f T|) (:func:`~galpha.amplification.pole_factor`,
-the rule by which the recurrence checks raise ``SingularAtT`` and a scalar
-march raises ``StepSingular``), marks its cell unstable with radius inf.
-With alpha_f = 0 the factor is alpha_m at every T, so no sample of such a
-cell is on the pole (unless alpha_m = 0).
+the rule by which a scalar march raises ``StepSingular``), marks its cell
+unstable with radius inf.  With alpha_f = 0 the factor is alpha_m at every
+T, so no sample of such a cell is on the pole (unless alpha_m = 0).
 
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
@@ -113,7 +112,6 @@ __all__ = [
     "worst_case_radius",
     "StabilityMap",
     "scan_region",
-    "verify_rho_control",
     "RhoPoint",
     "rho_curve",
     "write_stability_csv",
@@ -481,33 +479,6 @@ def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samp
     return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
 
 
-def verify_rho_control(rho_inf: float, branch: RhoBranch = RhoBranch.MAIN) -> float:
-    """max |eig(Ainf)| - rho_inf at the branch parameters (equal-gamma closure).
-
-    Ainf is block lower triangular: its trailing eigenvalue 1 - 1/gamma_1 is
-    set to -rho_inf on MAIN and ALT2 and to +rho_inf on ALT1 and ALT3, and its
-    leading 2x2 block depends on alpha_f alone, with trace 2 - 3/(2 af) and
-    determinant 1 - 1/(2 af).  That block's spectral radius is at least 1/3
-    for every alpha_f != 0 (equality only at af = 9/16, a double root -1/3),
-    so no branch gets the radius below 1/3.
-
-    * MAIN and ALT1 share alpha_f; the block roots are -rho_inf and
-      (rho-1)/(1+3*rho).  MAIN thus has a double eigenvalue -rho_inf, ALT1
-      the pair +-rho_inf.  The defect is zero exactly for rho_inf >= 1/3 and
-      equals (1-rho)/(1+3*rho) - rho below that.
-    * ALT2 and ALT3 fix only mu1^2 + mu2^2 = 2 rho^2 for the block roots, not
-      their modulus.  ALT2's pair is complex, with radius from 0.86 at
-      rho_inf = 0 towards 1.  ALT3's pair is complex for alpha_f > 9/16
-      (rho_inf < 1/3) and real otherwise, e.g. -0.177 and -0.537 at
-      rho_inf = 0.4; its radius touches the floor 1/3 at rho_inf = 1/3 and
-      exceeds 1 for rho_inf above about 0.71.
-
-    This is the measured behaviour of the closed-form limit matrix itself;
-    see the stability notes in README.
-    """
-    return float(_max_eig_inf([_limit_inf(*params_from_rho(rho_inf, branch))])[0]) - rho_inf
-
-
 def _limit_inf(alpha_m, alpha_f) -> np.ndarray:
     """Ainf of the equal-gamma third-order scheme at (alpha_m, alpha_f)."""
     return limit_matrix_inf(make_scheme(3, alpha_m, alpha_f, Variant.EQUAL_GAMMA))
@@ -527,7 +498,7 @@ class RhoPoint:
     """One sample of a rho-parameterized branch; ``pole`` marks undefined rows.
 
     ``max_eig_inf`` is the stiff-limit radius max |eig(Ainf)| of the
-    equal-gamma scheme, the value :func:`verify_rho_control` compares with rho.
+    equal-gamma scheme, which the branch aims to make equal to rho.
     """
 
     rho: float

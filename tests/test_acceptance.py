@@ -22,7 +22,6 @@ import pytest
 from galpha import numkit
 from galpha.amplification import (
     amplification_matrix,
-    characteristic_recurrence_residual,
     limit_matrix_inf,
     limit_matrix_zero,
 )
@@ -37,9 +36,10 @@ from galpha.schemes import (
     make_scheme,
     params_from_rho,
 )
-from galpha.stability import rho_curve, scan_region, verify_rho_control, worst_case_radius
+from galpha.stability import rho_curve, scan_region, worst_case_radius
 
 from conftest import closed_form_g3, record_acceptance, region_draws
+from oracles import characteristic_recurrence_residual, verify_rho_control
 
 TAUS = [2.0**-k for k in range(3, 9)]
 

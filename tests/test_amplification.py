@@ -12,17 +12,17 @@ from galpha.amplification import (
     amplification_matrix,
     build_lr,
     char_poly,
-    characteristic_recurrence_residual,
     fill_tableau,
     limit_matrix_inf,
     limit_matrix_zero,
     one_step_tableau,
     order_condition,
 )
-from galpha.errors import DegenerateParams, SingularAtT, TooShort, VariantUnsupported
+from galpha.errors import DegenerateParams, SingularAtT, VariantUnsupported
 from galpha.schemes import Variant, c_of_p, closure_gammas, make_scheme, params_from_rho
 
 from conftest import assert_spectrum, closed_form_g3, one_step_matrices
+from oracles import TooShort, characteristic_recurrence_residual
 
 
 # --- matrix layout -----------------------------------------------------------

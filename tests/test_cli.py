@@ -313,6 +313,10 @@ def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys, argv):
         (("integrate", "--t-end", "inf"), "not a finite number of steps"),
         (("integrate", "--t-end", "1e300", "--tau", "1e-300"), "not a finite number of steps"),
         (("order-check", "--t-end", "inf"), "not a finite number of steps"),
+        (("integrate", "--tau", "1e-300", "--t-end", "1"), "more than a list can hold"),
+        (("integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"), "exp(-lambda t_end) overflows"),
+        (("order-check", "--lambda=-400"), "exp(-lambda t_end) overflows"),
+        (("order-check", "--lambda=0,1e308"), "exp(-lambda t_end) overflows"),
         (
             ("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "-0.6666666666666666"),
             "remark-one closure has a pole",
@@ -825,22 +829,39 @@ def test_module_entry_point():
     assert "galpha" in proc.stdout
 
 
+_WITHOUT_MPMATH = """\
+import sys, tempfile
+
+class BlockMpmath:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ModuleNotFoundError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockMpmath())
+import galpha
+from galpha import cli
+
+runs = [["integrate"], ["stability-map", "--grid-n", "10"], ["rho-curve", "--n-rho", "5"],
+        ["order-check", "--recover-c"]]
+with tempfile.TemporaryDirectory() as tmp:
+    codes = [cli.main([*argv, "--out", tmp]) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.startswith(("scipy", "mpmath"))))
+"""
+
+
 def test_import_leaves_scipy_unloaded():
-    """Importing the package and its CLI loads no scipy or mpmath module.
+    """The package and one small run of each subcommand load no scipy or
+    mpmath module, and run with mpmath's import blocked.
 
     scipy is installed but not a dependency.  Importing ``scipy.linalg`` or
     ``scipy.fft`` after galpha measured 0.28-0.36 s and 25-27 MB on top of a
     33 MB process (2-core x86-64 VM, Python 3.11, numpy 2.4.6, scipy 1.17.1),
     more than the benchmark's bounds on setup time and peak RSS allow.
-    mpmath is a dependency, but only ``orderlab.error_functional`` uses it,
-    so it is imported there, on the first call.
+    mpmath is a test dependency only: the extended-precision oracle of
+    ``recover_C`` lives in ``tests/oracles.py``.
     """
-    code = (
-        "import sys, galpha, galpha.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
+        [sys.executable, "-c", _WITHOUT_MPMATH], capture_output=True, text=True, timeout=120, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"

@@ -138,3 +138,20 @@ def test_main_runs_both_checkouts(tmp_path, monkeypatch, capsys):
         "  trajectory.csv: 1 of 2 rows differ in 1 columns (re_u_1); largest relative change 0.33 "
         "(re_u_1), largest absolute change 0.25 (re_u_1), largest |value| in those columns 1",
     ]
+
+
+def test_a_run_that_times_out_reads_as_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    """A side that never ends is killed after ``TIMEOUT_S``; the case then differs."""
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "CASES", [("integrate-defaults", ["integrate"])])
+    monkeypatch.setattr(tool, "TIMEOUT_S", 2.0)
+    endless = _tree(tmp_path / "a", {"src/galpha/__init__.py": "",
+                                     "src/galpha/__main__.py": "import time\ntime.sleep(60)\n"})
+    ends = _checkout(tmp_path / "b", 0.5, 0)
+    assert tool.main([str(endless), str(ends)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "integrate-defaults: DIFFERS  (galpha integrate)",
+        "  stdout differs (change ends: 'wrote trajectory.csv')",
+        "  exit code timed out -> 0",
+        "  trajectory.csv: only in the change",
+    ]

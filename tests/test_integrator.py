@@ -12,7 +12,6 @@ from mpmath import mp
 from galpha import integrator, numkit
 from galpha.amplification import (
     amplification_matrix,
-    characteristic_recurrence_residual,
     fill_tableau,
     one_step_tableau,
 )
@@ -32,6 +31,7 @@ from galpha.schemes import Variant, make_scheme, params_from_rho
 from galpha.stability import worst_case_radius
 
 from conftest import region_draws
+from oracles import characteristic_recurrence_residual
 
 
 # --- state vector ---------------------------------------------------------------
@@ -767,6 +767,9 @@ def test_integrate_validation():
     for tau, t_end in [(0.1, np.inf), (1e-300, 1e300), (0.1, np.nan)]:
         with pytest.raises(ValueError, match="finite number of steps"):
             integrate(params, scalar_problem(1.0), 1.0, tau, t_end)
+    # 1e300 steps: refused before the march, which would run until killed
+    with pytest.raises(ValueError, match=r"1e\+300 steps, more than a list can hold"):
+        integrate(params, scalar_problem(1.0), 1.0, 1e-300, 1.0)
 
 
 def test_integrate_rejects_t_end_off_the_step_grid():

@@ -11,12 +11,13 @@ from galpha.errors import AllAtRoundoff
 from galpha.orderlab import (
     ROUNDOFF_FLOOR,
     ConvergenceReport,
-    error_functional,
     measure_order,
     recover_C,
     write_convergence_csv,
 )
 from galpha.schemes import Variant, c_of_p, make_scheme, params_from_rho
+
+from oracles import error_functional
 
 TAUS = [2.0**-k for k in range(3, 9)]
 
@@ -84,6 +85,9 @@ def test_measure_order_validation():
     # 1.3 is 10.4 steps of 0.125: the errors would be taken at the wrong time
     with pytest.raises(ValueError, match="whole number of steps"):
         measure_order(params, 1.0, 1.3, [0.125, 0.0625])
+    # exp(800) is past the double range: refused before any march
+    with pytest.raises(ValueError, match=r"overflows at lambda=\(-400\+0j\), t_end=2.0"):
+        measure_order(params, -400.0, 2.0, TAUS)
 
 
 # --- closure-constant recovery ------------------------------------------------------

@@ -32,12 +32,12 @@ from galpha.stability import (
     default_t_samples,
     rho_curve,
     scan_region,
-    verify_rho_control,
     worst_case_radius,
     write_stability_csv,
 )
 
 from conftest import assert_spectrum, cubic_roots
+from oracles import verify_rho_control
 
 
 def _axis(n):

@@ -5,9 +5,11 @@
 Each invocation of ``CASES`` runs as ``python3 -m galpha ...`` once per
 checkout, with ``PYTHONPATH=<root>/src``, in a fresh working directory and
 with ``--out out``, so that both runs see the same relative paths.
-CHANGE_ROOT defaults to the repository this script belongs to.  For each
-case this compares stdout, stderr, the exit code and every file under the
-output directory byte for byte.  For a CSV file that differs in its numbers
+CHANGE_ROOT defaults to the repository this script belongs to.  A run that
+takes longer than ``TIMEOUT_S`` is killed and reads as the exit code
+``timed out``, so an endless run shows as a difference rather than hanging
+the tool.  For each case this compares stdout, stderr, the exit code and
+every file under the output directory byte for byte.  For a CSV file that differs in its numbers
 only, it prints how many rows changed, in which columns, the largest
 relative and absolute change, the largest finite |value| of the parent's
 changed columns (the scale of that absolute change), and how many cells
@@ -29,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: Seconds one run may take; the slowest case, a default stability map, takes a few.
+TIMEOUT_S = 120.0
 
 CASES = [
     ("integrate-defaults", ["integrate"]),
@@ -74,17 +79,28 @@ CASES = [
     # an alpha range wider than a double holds: exit 2, refused before the axis is built
     ("stability-map-alpha-span-overflow",
      ["stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"]),
+    # an exact solution exp(-lambda t_end) that overflows: exit 2, refused before the march
+    ("integrate-exact-overflow", ["integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"]),
+    ("order-check-exact-overflow", ["order-check", "--lambda=-400"]),
+    # 1e300 steps, more than a trajectory list can hold: exit 2, refused before the march
+    ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
 ]
 
 
 def run_case(root: Path, argv: list[str], workdir: Path) -> dict:
-    """Run ``galpha ARGV --out out`` from ``root``'s sources inside ``workdir``."""
+    """Run ``galpha ARGV --out out`` from ``root``'s sources inside ``workdir``.
+
+    A run killed after ``TIMEOUT_S`` seconds has the exit code ``"timed out"``.
+    """
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "galpha", *argv, "--out", "out"],
-        cwd=workdir, env=env, capture_output=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "galpha", *argv, "--out", "out"],
+            cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired as exc:
+        return {"stdout": exc.stdout or b"", "stderr": exc.stderr or b"", "exit code": "timed out"}
     return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode}
 
 
