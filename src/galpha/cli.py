@@ -87,7 +87,11 @@ def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
-    """Apply the either/or rule for (alpha_m, alpha_f) vs (rho_inf, branch)."""
+    """Apply the either/or rule for (alpha_m, alpha_f) vs (rho_inf, branch).
+
+    Every refusal is a ``ValueError``, the ``PoleAtRho``, ``OutOfTable`` and
+    ``VariantUnsupported`` of the design formulas and the closure included.
+    """
     branch = RhoBranch(args.branch)
     has_alpha = args.alpha_m is not None or args.alpha_f is not None
     has_rho = args.rho_inf is not None
@@ -107,13 +111,9 @@ def _resolve_scheme(args) -> tuple[SchemeParams, float | None, RhoBranch]:
         rho = args.rho_inf if has_rho else 0.5
     else:
         am, af = 1.0, 0.75
-    try:  # PoleAtRho from the design formulas, any GalphaError from make_scheme
-        if rho is not None:
-            am, af = params_from_rho(rho, branch)
-        params = make_scheme(args.p, am, af, Variant(args.variant))
-    except GalphaError as exc:
-        raise ValueError(str(exc)) from exc
-    return params, rho, branch
+    if rho is not None:
+        am, af = params_from_rho(rho, branch)
+    return make_scheme(args.p, am, af, Variant(args.variant)), rho, branch
 
 
 def _prepare_out(path_text: str) -> Path:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a :class:`GalphaError`.  The three that reject a
+configuration, :class:`OutOfTable`, :class:`VariantUnsupported` and
+:class:`PoleAtRho`, are also ``ValueError``: a caller that treats bad input
+as ``ValueError`` (the CLI, exit 2) needs no case of its own for them.
+"""
 
 
 class GalphaError(Exception):
@@ -13,15 +19,15 @@ class NoConvergence(GalphaError):
     """An iterative eigenvalue computation did not converge."""
 
 
-class OutOfTable(GalphaError):
+class OutOfTable(GalphaError, ValueError):
     """Requested order has no tabulated scheme constant."""
 
 
-class VariantUnsupported(GalphaError):
+class VariantUnsupported(GalphaError, ValueError):
     """The requested operation is not defined for this scheme variant/order."""
 
 
-class PoleAtRho(GalphaError):
+class PoleAtRho(GalphaError, ValueError):
     """The parameter formulas for this branch have a pole at the requested rho."""
 
 

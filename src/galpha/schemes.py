@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import OutOfTable, PoleAtRho, VariantUnsupported
 
 __all__ = [
@@ -134,10 +136,11 @@ def remark_one_gammas(alpha_m: float, alpha_f: float) -> tuple[float, float]:
     gamma_2 = (10 - 9*alpha_f - 36*alpha_f^2 + 6*alpha_m + 36*alpha_m*alpha_f)
               / (12 + 18*alpha_f)
 
-    A float ``alpha_f`` on the pole 2 + 3*alpha_f = 0 raises ``ValueError``;
-    per-cell arrays get non-finite weights there.
+    A scalar ``alpha_f`` (float, numpy scalar or ``Fraction``) on the pole
+    2 + 3*alpha_f = 0 raises ``ValueError``; per-cell arrays get non-finite
+    weights there.
     """
-    if isinstance(alpha_f, float) and 2.0 + 3.0 * alpha_f == 0.0:
+    if not isinstance(alpha_f, np.ndarray) and 2 + 3 * alpha_f == 0:
         raise ValueError("remark-one closure has a pole at 2 + 3*alpha_f = 0")
     g1 = 3.0 * alpha_m / (2.0 + 3.0 * alpha_f)
     # alpha_f * alpha_f, not alpha_f**2: a float's ** 2 raises OverflowError

@@ -8,7 +8,7 @@ analysis of the third-order family is a real-axis statement: the region
 
 guarantees radius <= 1 for every real T >= 0 including both limits.  The
 default sample set used for the scan therefore walks the real axis (log-spaced
-over twelve decades), and at p = 3 the scan adds both limits.
+over twelve decades).
 
 Off-axis behaviour is genuinely different and can be probed with the rays
 ``default_t_samples() * exp(1j * angle)``: measured radii exceed 1 along rays
@@ -29,46 +29,24 @@ The one-step system has one pole: (p-2)! det L(T) = alpha_m + gamma_1
 alpha_f T.  A sample where that sum is lost to cancellation, at most 1e-12
 (|alpha_m| + |gamma_1 alpha_f T|) (:func:`~galpha.amplification.pole_factor`,
 the rule by which a scalar march raises ``StepSingular``), marks its cell
-unstable with radius inf.  With alpha_f = 0 the factor is alpha_m at every
-T, so no sample of such a cell is on the pole (unless alpha_m = 0).
+unstable with radius inf; so does a limit on its pole.  With alpha_f = 0 no
+sample is on the pole (unless alpha_m = 0), but the T -> inf limit is: such
+a cell reads radius inf, as its largest root grows like T without bound.
 
 Every T-coefficient of the one-step tableau sits in its last row, so
 det(R(T) - mu L(T)) = rho(mu) + T sigma(mu): on the scalar test equation
 each scheme is a linear multistep method.  At p = 3 a real sample's spectrum
 is therefore the three roots of a real cubic, whose four coefficients, the
-leading -(alpha_m + gamma_1 alpha_f T) included, are those of rho + T sigma:
-:func:`~galpha.amplification.char_poly` reads them off the tableau once per
-scan by back-substitution and is their only statement.  The roots are found in real arithmetic (Cardano
-or the trigonometric form, then deflation), and on every sample of both
-default maps each root lies within 7.0e-12 max(1, radius) of
-``eigvals(G)``.  The scan keeps their moduli only: Cardano runs only on
-the cells with one real root and the trigonometric form only on the
-others, and the roots themselves, with the pairwise repeated-root test, are
-finished only on the cells where two moduli lie within the window of 1, a
-rule that :func:`_two_near_one` states once for both routes.
-The radius and flag are bit for bit those of the three roots.  Complex T
-at p = 3 (off-axis diagnostics on such rays) and every other order take
-``eigvals(solve(L, R))`` of the stacked one-step matrices: at p = 10 and 11
-companion roots of rho + T sigma drift from eig(G) by more than 1e-12
-relative.  Both take the T samples in blocks
-of at most 2**15 (sample, cell) pairs: a single cell takes all samples in
-one call, the default 40 000-cell map one sample at a time.  The p = 3
-limits are points of the same tableau.  T = 0 is one more sample, ahead of
-the others, so the real cubic takes it too, and its pole is alpha_m = 0 by
-the same :func:`~galpha.amplification.pole_factor`.  Dividing the last
-rows of L(T) and R(T) by T and letting T -> inf leaves their
-T-coefficients alone, for either closure; that pair goes through
-``eigvals(solve(L, R))``, with its pole gamma_1 alpha_f = 0 again by
-:func:`~galpha.amplification.pole_factor`.  So a cell with alpha_f = 0 has
-no pole at any sample but reads radius inf: there the largest root grows
-like T without bound.  A defective double root of G(inf) is split by either
+leading -(alpha_m + gamma_1 alpha_f T) included, are those of rho + T sigma
+(:func:`~galpha.amplification.char_poly`).  Its roots are found in real
+arithmetic, and on every sample of both default maps each root lies within
+7.0e-12 max(1, radius) of ``eigvals(G)``.  Complex T at p = 3 (off-axis
+diagnostics) and every other order take ``eigvals(solve(L, R))`` instead: at
+p = 10 and 11 companion roots of rho + T sigma drift from eig(G) by more
+than 1e-12 relative.  A defective double root of G(inf) is split by either
 route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
 (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8, and ``eigvals`` splits the
--rho_inf of MAIN by up to 6.8e-8 relative.  One helper,
-:func:`_one_step_spectra`, is the whole LAPACK route, for the sample blocks
-and the T -> inf limit alike: it builds the stacks, folds their spectra into
-radius and flag, and builds the caller's galpha error only when LAPACK
-refuses.
+-rho_inf of MAIN by up to 6.8e-8 relative.
 
 Huge parameters or T overflow the scan's arithmetic.  numpy's floating-point
 warnings are off for the whole scan, the closure of its cells included: the
@@ -353,37 +331,29 @@ def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _scan_cells(p, am, af, gammas, t_samples):
-    """Vectorized worst-radius kernel for cells of any order p.
+    """Worst radius and repeated-unit-root flag of each cell, at any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
     length; ``gammas`` may also be the :class:`~galpha.schemes.Variant`
-    whose closure gives them.  Returns (radius, repeated) arrays.  T samples
-    are taken in blocks of at most ``_BLOCK_PAIRS`` (sample, cell) pairs,
-    but never fewer than one sample.  For p = 3 and real samples each sample's spectrum is
-    the three roots of the real cubic rho + T sigma
-    (:func:`~galpha.amplification.char_poly`, coefficients built once per
-    scan), of which :func:`_cubic_radius` keeps the moduli: each cubic branch
-    runs on its own cells, and the pairwise repeated-root test only on cells
-    with two moduli near 1.  Complex samples at p = 3 and every other
-    order take ``eigvals(solve(L, R))`` of the stacked one-step matrices, one
-    LAPACK call per matrix, through :func:`_one_step_spectra`, as does the
-    T->inf limit.  A sample on the pole, where
-    (p-2)! det L(T) = alpha_m + gamma_1 alpha_f T fails
-    :func:`~galpha.amplification.pole_factor`, marks its cell unstable; the
-    cubic's four coefficients, the leading one -(alpha_m + gamma_1 alpha_f T)
-    included, are those of ``rho + T sigma``.  For p = 3 the T->0
-    limit is the sample T = 0, placed before the others (alpha_m = 0 is its
-    pole), and the T->inf limit follows them: the last rows of L and R
-    divided by T keep their T-coefficients alone, whatever the gammas, and
-    the pole of that pair is gamma_1 alpha_f = 0.  ``t_samples`` is
-    :func:`default_t_samples` when None, else a non-empty 1-D set of finite
-    numbers.  A real p = 3 set whose largest |T| overflows a coefficient of
-    the cubic of a cell off the pole is refused with ``ValueError``.
-    One-step matrices that LAPACK refuses (singular or not finite in double
-    precision, as at subnormal parameters) raise ``SingularAtT`` for the
-    samples and ``DegenerateParams`` for the T->inf limit; each block passes
-    its refusal as a callable, so the error is built only on failure.  numpy's
-    floating-point warnings are off throughout (see the module docstring).
+    whose closure gives them, so that the closure runs under this function's
+    ``np.errstate``.  ``t_samples`` is :func:`default_t_samples` when None,
+    else a non-empty 1-D set of finite numbers.
+
+    The samples go in blocks of at most ``_BLOCK_PAIRS`` (sample, cell)
+    pairs, but never fewer than one sample: a single cell takes all samples
+    in one block, the default 40 000-cell map one sample at a time.  Real
+    samples at p = 3 take :func:`_cubic_radius`, all others
+    :func:`_one_step_spectra`.  At p = 3 both limits are added, for either
+    closure.  T = 0 is one more sample, ahead of the others, with the pole
+    alpha_m = 0.  As T -> inf the last rows of L and R divided by T keep
+    their T-coefficients alone; that pair goes through
+    :func:`_one_step_spectra`, with the pole gamma_1 alpha_f = 0.
+
+    A real p = 3 set whose largest |T| overflows a coefficient of the cubic
+    of a cell off the pole is refused with ``ValueError``.  One-step
+    matrices that LAPACK refuses (as at subnormal parameters) raise
+    ``SingularAtT`` for the samples and ``DegenerateParams`` for the T -> inf
+    limit.
     """
     ncell = am.shape[0]
     gammas = closure_gammas(p, am, af, gammas) if isinstance(gammas, Variant) else gammas
@@ -436,15 +406,9 @@ def _scan_cells(p, am, af, gammas, t_samples):
 
 
 def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
-    """Worst spectral radius of G over the sample set, plus limits at p = 3.
+    """Worst spectral radius of G over ``t_samples``, as one cell of :func:`_scan_cells`.
 
-    Every order runs through the plane-scan kernel as a single cell, so up
-    to 2**15 samples go in one block.  For p = 3 the sample T = 0 and the
-    T->inf limit of the tableau are added, for either closure; other orders
-    use the samples alone.  A sample or limit on the pole of the one-step
-    system marks the parameters unstable (radius = inf) instead of aborting
-    the scan; one-step matrices that LAPACK refuses raise ``SingularAtT`` or
-    ``DegenerateParams`` (:func:`_scan_cells`).
+    That function states the samples, the p = 3 limits and the errors.
     """
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
     radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], t_samples)
@@ -479,20 +443,6 @@ def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samp
     return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
 
 
-def _limit_inf(alpha_m, alpha_f) -> np.ndarray:
-    """Ainf of the equal-gamma third-order scheme at (alpha_m, alpha_f)."""
-    return limit_matrix_inf(make_scheme(3, alpha_m, alpha_f, Variant.EQUAL_GAMMA))
-
-
-def _max_eig_inf(limits) -> np.ndarray:
-    """max |eig(Ainf)| of each matrix of ``limits``, by one ``numkit.eigenvalues`` call.
-
-    ``limits`` is a sequence of 3x3 matrices, possibly empty.
-    """
-    stack = np.reshape(limits, (-1, 3, 3))
-    return np.abs(numkit.eigenvalues(stack)).max(axis=-1)
-
-
 @dataclass(frozen=True)
 class RhoPoint:
     """One sample of a rho-parameterized branch; ``pole`` marks undefined rows.
@@ -525,9 +475,9 @@ def rho_curve(branch: RhoBranch, n_points: int = 101) -> list[RhoPoint]:
             rows.append((rho, None, None, None))
             continue
         rows.append((rho, am, af, in_stability_region(am, af)))
-        limits.append(_limit_inf(am, af))
+        limits.append(limit_matrix_inf(make_scheme(3, am, af)))
     # the stiff-limit radii of the whole branch come from one LAPACK call
-    radii = iter(_max_eig_inf(limits).tolist())
+    radii = iter(np.abs(numkit.eigenvalues(np.reshape(limits, (-1, 3, 3)))).max(axis=-1).tolist())
     return [RhoPoint(*row, None if row[1] is None else next(radii)) for row in rows]
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the galpha test suite."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def load_script(path, name):
+    """Import the script at ``path`` (one of ``tools/`` or ``perfbench/``) as module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_spectrum(got, expected, tol=1e-8):

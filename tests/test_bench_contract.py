@@ -9,7 +9,6 @@ installed recorder also checks the call shapes it relies on:
 ``step(params, problem, state)``, and ``cli.*`` names looked up at call time.
 """
 
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +17,14 @@ import pytest
 from galpha import amplification, cli, integrator, numkit, orderlab, stability
 from galpha.schemes import make_scheme, params_from_rho
 
+from conftest import load_script
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (amplification, cli, integrator, numkit, orderlab, stability)
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script(TRACING, "perfbench_tracing")
 
 
 def _patched(before):

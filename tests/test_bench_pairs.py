@@ -1,12 +1,13 @@
 """``tools/bench_pairs.py`` alternates the sides of each pair, records every run and compares every metric."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -33,9 +34,7 @@ print(json.dumps({"correct": run.get("correct", True), "metrics": metrics}))
 
 @pytest.fixture
 def tool(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(ROOT / "tools" / "bench_pairs.py", "bench_pairs")
     monkeypatch.setattr(module, "REPO", tmp_path)  # BENCH_<tag>.json goes here
     return module
 

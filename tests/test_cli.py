@@ -347,6 +347,8 @@ def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, mes
         (("integrate", "--lambda", "-1,2"), "expected one argument"),
         (("integrate", "--lambda", "-1e3"), "expected one argument"),
         (("integrate", "--p", "12"), "no tabulated constant for order p=12"),
+        (("integrate", "--rho-inf", "1", "--branch", "alt2"), "has a pole at rho_inf = 1"),
+        (("integrate", "--p", "4", "--variant", "remark-one"), "third order only"),
         (("integrate", "--out", "{file}"), "cannot create output directory"),
         (("integrate", "--out", "{blocked}"), "i/o failure"),
         (("integrate", "--tau", "0.5", "--t-end", "0.25"), "--t-end must cover at least one step"),

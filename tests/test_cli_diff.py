@@ -1,16 +1,14 @@
 """``tools/cli_diff.py`` reports every difference between two checkouts' CLI runs."""
 
-import importlib.util
 from pathlib import Path
+
+from conftest import load_script
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py"
 
 
 def _load_tool():
-    spec = importlib.util.spec_from_file_location("cli_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script(TOOL, "cli_diff")
 
 
 def _tree(root, files):

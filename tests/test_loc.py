@@ -1,7 +1,8 @@
 """``tools/loc.py`` counts total and code lines per module of ``src/galpha/``."""
 
-import importlib.util
 from pathlib import Path
+
+from conftest import load_script
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
 
@@ -23,10 +24,7 @@ but code"""
 
 
 def _load_tool():
-    spec = importlib.util.spec_from_file_location("loc", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script(TOOL, "loc")
 
 
 def test_counts_of_a_known_module():

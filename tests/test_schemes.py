@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from galpha.amplification import char_poly, order_condition
-from galpha.errors import OutOfTable, PoleAtRho, VariantUnsupported
+from galpha.errors import GalphaError, OutOfTable, PoleAtRho, VariantUnsupported
 from galpha.schemes import (
     RhoBranch,
     SchemeParams,
@@ -113,12 +113,22 @@ def test_remark_one_pole_is_a_clean_error():
     # 2 + 3 * alpha_f is exactly 0.0 here
     with pytest.raises(ValueError, match="pole"):
         make_scheme(3, 1.0, -0.6666666666666666, Variant.REMARK_ONE)
-    with pytest.raises(ValueError, match="pole"):
-        make_scheme(3, 1.0, np.float64(-2.0 / 3.0), Variant.REMARK_ONE)
+    # any scalar, not only a Python float: no bare ZeroDivisionError
+    for alpha_f in (np.float64(-2.0 / 3.0), Fraction(-2, 3)):
+        with pytest.raises(ValueError, match="pole"):
+            make_scheme(3, 1, alpha_f, Variant.REMARK_ONE)
+        with pytest.raises(ValueError, match="pole"):
+            remark_one_gammas(1.0, alpha_f)
     # per-cell arrays keep the plain floating-point result
     with np.errstate(divide="ignore", invalid="ignore"):
         g1, g2 = remark_one_gammas(np.ones(2), np.array([-2.0 / 3.0, 0.6]))
     assert not np.isfinite(g1[0]) and np.isfinite(g1[1])
+
+
+@pytest.mark.parametrize("error", [OutOfTable, VariantUnsupported, PoleAtRho])
+def test_configuration_errors_are_value_errors(error):
+    """A caller that treats bad input as ValueError needs no case for them."""
+    assert issubclass(error, ValueError) and issubclass(error, GalphaError)
 
 
 def test_remark_one_only_defined_for_p3():

@@ -53,6 +53,8 @@ CASES = [
     ("integrate-alpha-m-alone", ["integrate", "--alpha-m", "0.9"]),
     ("order-check-rho-inf-at-p2", ["order-check", "--p", "2", "--rho-inf", "0.5"]),
     ("integrate-p12", ["integrate", "--p", "12"]),
+    ("integrate-rho-inf-1-alt2", ["integrate", "--rho-inf", "1", "--branch", "alt2"]),
+    ("integrate-p4-remark-one", ["integrate", "--p", "4", "--variant", "remark-one"]),
     ("stability-map-grid-n-1", ["stability-map", "--grid-n", "1"]),
     ("stability-map-alpha-range-reversed",
      ["stability-map", "--grid-n", "2", "--alpha-min", "1", "--alpha-max", "0"]),
