@@ -286,8 +286,8 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (tau > 0.0 and np.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     u0 = np.atleast_1d(np.asarray(u0))
     u0 = u0.astype(np.result_type(u0, float), copy=False)
     if u0.shape != (problem.dim,):

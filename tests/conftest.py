@@ -1,6 +1,11 @@
 """Shared helpers for the galpha test suite."""
 
 import importlib.util
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,58 @@ def load_script(path, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _paths_under(root):
+    return sorted(root.rglob("*")) if root.is_dir() else []
+
+
+def check_exit_contract(argv, out):
+    """Run ``galpha ARGV --out=OUT`` in process and assert the CLI's exit contract.
+
+    The exit code is 0, 2 or 3, and no Python warning (numpy's included) is
+    recorded.  Argparse's own refusals are the exception: ``SystemExit(2)``
+    with its usage text and no JSON line.  On any other non-zero exit, stdout
+    is empty, nothing is written under OUT, and stderr holds, besides
+    ``warning: `` lines, exactly one JSON line with the keys ``status``,
+    ``kind``, ``exit_code`` and ``message``, whose ``exit_code`` is the exit
+    code and whose ``kind`` is ``config`` for 2 and ``numeric`` for 3.  No
+    CSV written under OUT holds nan.
+
+    Returns the exit code, stderr's lines with the refusal's line replaced by
+    its message (argparse's ``error:`` line in place of its usage text), and
+    the JSON payload, or None when there is none.
+    """
+    from galpha import cli
+
+    out = Path(out)
+    before, usage = _paths_under(out), False
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main([*argv, f"--out={out}"])
+        except SystemExit as exc:  # argparse's own refusal
+            code, usage = exc.code, True
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3)
+    if code:
+        assert stdout.getvalue() == "" and _paths_under(out) == before
+    else:
+        assert not any("nan" in path.read_text() for path in out.glob("*.csv"))
+    lines = stderr.getvalue().splitlines()
+    if usage:
+        assert code == 2 and lines[0].startswith("usage: ") and ": error: " in lines[-1], lines
+        assert not any(line.startswith("{") for line in lines)
+        return code, lines[-1:], None
+    refusals = [line for line in lines if not line.startswith("warning: ")]
+    assert len(refusals) == (code != 0), lines
+    if not refusals:
+        return code, lines, None
+    payload = json.loads(refusals[0])
+    kind = {2: "config", 3: "numeric"}[code]
+    assert payload == {"status": "error", "kind": kind, "exit_code": code, "message": payload.get("message")}
+    return code, [payload["message"] if line == refusals[0] else line for line in lines], payload
 
 
 def assert_spectrum(got, expected, tol=1e-8):

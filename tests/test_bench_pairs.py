@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py`` alternates the sides of each pair, records every run and compares every metric."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,24 @@ def test_checkouts_benchmarked_differently_exit_2_before_any_run(tmp_path, tool,
     assert len(err) == 1 and err[0].startswith(f"the checkouts are benchmarked differently: {field} ")
     assert not (tmp_path / "log.txt").exists() and not (tmp_path / "BENCH_t.json").exists()
 
+
+@pytest.mark.parametrize("inside", [False, True], ids=["beside", "inside-a-work-tree"])
+def test_a_checkout_that_is_not_a_git_work_tree_has_a_null_revision(tmp_path, tool, capsys, inside):
+    change = _checkout(tmp_path, "change", {"march": [_e2e()]})
+    archive = (change if inside else tmp_path) / "archive"  # as ``git archive`` leaves it
+    shutil.copytree(change, archive, ignore=shutil.ignore_patterns(".git", "archive"))
+    code, _, record = _run(tool, capsys, archive, change, "--workload", "march", "--pairs", "1")
+    assert code == 0
+    assert record["revision"] == {"parent": None, "change": tool.git_revision(change)}
+    assert len(record["revision"]["change"]) == 40
+
+
+def test_a_checkout_without_benchmark_json_exits_2_before_any_run(tmp_path, tool, capsys):
+    parent = _checkout(tmp_path, "parent", {"march": [_e2e()]})
+    (tmp_path / "empty").mkdir()
+    assert tool.main([str(parent), str(tmp_path / "empty"), "t"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{tmp_path / 'empty' / 'BENCHMARK.json'} does not exist"]
+    assert not (tmp_path / "log.txt").exists() and not (tmp_path / "BENCH_t.json").exists()
 
 
 def _gains(tool, before, after):

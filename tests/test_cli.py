@@ -1,12 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import cmath
-import json
 import math
 import os
+import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +18,13 @@ from galpha.cli import main
 from galpha.schemes import make_scheme
 from galpha.stability import default_t_samples
 
+from conftest import check_exit_contract
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def read_error_line(err):
-    payload = json.loads(err.strip().splitlines()[-1])
-    assert payload["status"] == "error"
-    assert set(payload) == {"status", "kind", "exit_code", "message"}
-    return payload
 
 
 def manifest_keys(path):
@@ -198,7 +192,7 @@ def test_integrate_complex_lambda(tmp_path, capsys):
 
 
 def test_integrate_negative_real_lambda_takes_the_equals_form(tmp_path, capsys):
-    """``--lambda -1,2`` is an argparse error (see the configuration errors); ``--lambda=-1,2`` runs."""
+    """``--lambda -1,2`` is an argparse error (a row of OUTCOMES); ``--lambda=-1,2`` runs."""
     code, _, _ = run_cli(capsys, "integrate", "--lambda=-1,2", "--tau", "0.1", "--t-end", "0.5",
                          "--out", str(tmp_path))
     assert code == 0
@@ -207,201 +201,140 @@ def test_integrate_negative_real_lambda_takes_the_equals_form(tmp_path, capsys):
     assert abs(complex(float(re_u), float(im_u)) - cmath.exp(0.5 - 1j)) < 5e-3
 
 
-# --- configuration errors -----------------------------------------------------------
+# --- the exit contract ------------------------------------------------------------------
 
-
-def test_alpha_and_rho_conflict(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "integrate", "--alpha-m", "0.9", "--alpha-f", "0.6", "--rho-inf", "0.5",
-        "--out", str(tmp_path),
-    )
-    assert code == 2
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert payload["exit_code"] == 2
-
-
-def test_alpha_flags_must_come_in_pairs(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "integrate", "--alpha-m", "0.9", "--out", str(tmp_path))
-    assert code == 2
-    assert read_error_line(err)["kind"] == "config"
-
-
-def test_rho_out_of_range_is_config_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "integrate", "--rho-inf", "1.5", "--out", str(tmp_path))
-    assert code == 2
-    assert read_error_line(err)["kind"] == "config"
-
-
-def test_alt_branch_pole_is_config_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "integrate", "--rho-inf", "1", "--branch", "alt2", "--out", str(tmp_path),
-    )
-    assert code == 2
-    assert "pole" in read_error_line(err)["message"]
-
-
-@pytest.mark.parametrize("command", ["integrate", "order-check"])
-@pytest.mark.parametrize("p", ["2", "4"])
-def test_rho_inf_is_third_order_only(tmp_path, capsys, command, p):
+# argv, exit code, and stderr as check_exit_contract returns it, where each
+# "..." is any text within one line: the error's message (after any warning
+# lines), argparse's error line, or the warning lines of an exit 0.
+OUTCOMES = [
+    # configuration errors: exit 2
+    (("integrate", "--alpha-m", "0.9", "--alpha-f", "0.6", "--rho-inf", "0.5"), 2,
+     "give --alpha-m/--alpha-f or --rho-inf/--branch, not both"),
+    (("integrate", "--alpha-m", "0.9"), 2, "--alpha-m and --alpha-f must be given together"),
+    # the scheme is resolved before the options are checked
+    (("integrate", "--alpha-m", "0.9", "--tau", "-1"), 2, "--alpha-m and --alpha-f must be given together"),
+    (("integrate", "--rho-inf", "1.5"), 2, "rho_inf must be in [0, 1], got 1.5"),
+    (("integrate", "--rho-inf", "1", "--branch", "alt2"), 2, "...has a pole at rho_inf = 1..."),
+    (("integrate", "--p", "12"), 2, "...no tabulated constant for order p=12..."),
+    (("integrate", "--p", "4", "--variant", "remark-one"), 2, "...third order only..."),
     # params_from_rho is the p=3 design: at p=2 it gives radius 0.80 for
     # rho_inf = 0.5, at p=4 an unstable scheme
-    code, out, err = run_cli(
-        capsys, command, "--p", p, "--rho-inf", "0.5", "--out", str(tmp_path)
-    )
-    assert code == 2
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert payload["message"] == (
-        f"--rho-inf designs are third order; give --alpha-m/--alpha-f for --p {p}"
-    )
-    assert len(err.splitlines()) == 1 and out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_bad_tau_is_config_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "integrate", "--tau", "-0.1", "--out", str(tmp_path)
-    )
-    assert code == 2
-    assert read_error_line(err)["kind"] == "config"
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command,option", [("integrate", "--tau"), ("order-check", "--tau-start")])
-def test_nonfinite_step_size_is_config_error(tmp_path, capsys, command, option, value):
+    *(((command, "--p", p, "--rho-inf", "0.5"), 2,
+       f"--rho-inf designs are third order; give --alpha-m/--alpha-f for --p {p}")
+      for command in ("integrate", "order-check") for p in ("2", "4")),
+    (("integrate", "--tau", "-0.1"), 2, "--tau must be positive and finite, got -0.1"),
     # nan reached the T-sample check and inf the step count, each with a
-    # message that names neither option
-    code, out, err = run_cli(capsys, command, option, value, "--out", str(tmp_path))
-    assert code == 2
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert payload["message"] == f"{option} must be positive and finite, got {value}"
-    assert len(err.splitlines()) == 1 and out == ""
-    assert list(tmp_path.iterdir()) == []
+    # message that named neither option
+    *(((command, option, value), 2, f"{option} must be positive and finite, got {value}")
+      for command, option in (("integrate", "--tau"), ("order-check", "--tau-start")) for value in ("nan", "inf")),
+    (("integrate", "--out", "{file}"), 2, "...cannot create output directory..."),
+    (("integrate", "--out", "{blocked}"), 2, "...i/o failure..."),
+    (("integrate", "--tau", "0.5", "--t-end", "0.25"), 2, "...--t-end must cover at least one step..."),
+    (("integrate", "--rho-inf", "0.5", "--lambda", "1", "--tau", "0.3", "--t-end", "1"), 2,
+     "t_end=1.0 is not a whole number of steps of tau=0.3 (t_end/tau = 3.33333333333)"),
+    (("order-check", "--t-end", "1.3"), 2,
+     "t_end=1.3 is not a whole number of steps of tau=0.125 (t_end/tau = 10.4)"),
+    (("integrate", "--t-end", "inf"), 2, "t_end=inf over tau=0.1 is not a finite number of steps"),
+    (("integrate", "--t-end", "1e300", "--tau", "1e-300"), 2,
+     "t_end=1e+300 over tau=1e-300 is not a finite number of steps"),
+    (("order-check", "--t-end", "inf"), 2, "t_end=inf over tau=0.125 is not a finite number of steps"),
+    # 1e300 steps, more than a trajectory list holds
+    (("integrate", "--tau", "1e-300", "--t-end", "1"), 2,
+     "t_end=1.0 over tau=1e-300 is 1e+300 steps, more than a list can hold"),
+    # the exact solution exp(-lambda t_end) overflows
+    (("integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"), 2,
+     "the exact solution exp(-lambda t_end) overflows at lambda=(-710+0j), t_end=1.0"),
+    (("order-check", "--lambda=-400"), 2,
+     "the exact solution exp(-lambda t_end) overflows at lambda=(-400+0j), t_end=2.0"),
+    (("order-check", "--lambda=-1e308", "--t-end=1"), 2,
+     "the exact solution exp(-lambda t_end) overflows at lambda=(-1e+308+0j), t_end=1.0"),
+    (("order-check", "--lambda=0,1e308"), 2,
+     "the exact solution exp(-lambda t_end) overflows at lambda=1e+308j, t_end=2.0"),
+    (("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "-0.6666666666666666"), 2,
+     "remark-one closure has a pole at 2 + 3*alpha_f = 0"),
+    (("integrate", "--lambda", "nan"), 2, "lambda must be finite, got (nan+0j)"),
+    (("integrate", "--lambda", "1,nan"), 2, "lambda must be finite, got (1+nanj)"),
+    (("integrate", "--heat-n", "1"), 2, "...--heat-n must be at least 2..."),
+    (("integrate", "--heat-n", "5", "--lambda", "3"), 2, "...cannot go with --heat-n..."),
+    (("integrate", "--heat-n", "3", "--kappa", "inf"), 2, "diffusivity must be positive and finite, got inf"),
+    # remark-one's alpha_f^2 overflowed Python's float power with a traceback
+    (("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "1e200"), 2,
+     "scheme parameters must be finite"),
+    (("order-check", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "2e154", "--n-halvings", "1"), 2,
+     "scheme parameters must be finite"),
+    (("integrate", "--alpha-m", "1e308", "--alpha-f", "1e308"), 2,
+     "T = 1e+08 overflows the coefficients of the cubic rho + T sigma"),
+    (("stability-map", "--grid-n", "1"), 2, "--grid-n must be at least 2"),
+    (("stability-map", "--alpha-max", "inf"), 2, "--alpha-max must be finite, got inf"),
+    (("stability-map", "--alpha-min", "nan"), 2, "--alpha-min must be finite, got nan"),
+    (("stability-map", "--t-max", "inf"), 2, "--t-max must be finite, got inf"),
+    # reversed axes would reverse the gnuplot ranges, and equal bounds would
+    # count one cell grid_n**2 times (the default --alpha-max is 1.5)
+    *((("stability-map", "--grid-n", "2", "--alpha-min", *bounds), 2, "need --alpha-min < --alpha-max")
+      for bounds in (("1", "--alpha-max", "0"), ("0.5", "--alpha-max", "0.5"), ("2",))),
+    # alpha_max - alpha_min overflows: np.linspace warned and built nan and inf axis values
+    (("stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"), 2,
+     "the alpha range -1e+308 .. 1e+308 is wider than a double holds"),
+    # the cubic's coefficients overflow: no nan radius is written
+    (("stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308"), 2,
+     "T = 1e+308 overflows the coefficients of the cubic rho + T sigma"),
+    (("stability-map", "--t-min", "5", "--t-max", "1"), 2, "...need 0 < --t-min < --t-max..."),
+    (("stability-map", "--t-samples", "1"), 2, "...--t-samples must be at least 2..."),
+    (("rho-curve", "--n-rho", "1"), 2, "...--n-rho must be at least 2..."),
+    (("order-check", "--tau-start", "0"), 2, "...--tau-start must be positive..."),
+    (("order-check", "--n-halvings", "0"), 2, "...--n-halvings must be at least 1..."),
+    # argparse's own refusals: exit 2 with its usage text
+    (("integrate", "--lambda", "1,2,3"), 2,
+     "galpha integrate: error: argument --lambda: expected RE or RE,IM, got '1,2,3'"),
+    (("integrate", "--lambda", "abc"), 2,
+     "galpha integrate: error: argument --lambda: expected RE or RE,IM, got 'abc'"),
+    # a negative number with a comma or an exponent after a space reads as an option
+    (("integrate", "--lambda", "-1,2"), 2, "galpha integrate: error: argument --lambda: expected one argument"),
+    (("integrate", "--lambda", "-1e3"), 2, "galpha integrate: error: argument --lambda: expected one argument"),
+    (("integrate", "--no-such-flag"), 2, "galpha: error: unrecognized arguments: --no-such-flag"),
+    (("rho-curve", "--variant", "remark-one"), 2, "galpha: error: unrecognized arguments: --variant remark-one"),
+    # numerical failures: exit 3
+    (("order-check", "--lambda", "0"), 3, "AllAtRoundoff: 0 of 6 errors above floor 1e-13"),
+    # c1 + sigma*lambda overflows: the message names the overflow, not a vanishing denominator
+    (("order-check", "--p", "7", "--alpha-m=-1e300", "--alpha-f", "1e300"), 3,
+     "warning: ...\nStepSingular: step 1 of 16: stage shift is not finite: ..."),
+    # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
+    (("integrate", "--lambda", "1e200", "--tau", "0.1"), 3,
+     "StateOverflow: block 2 of the initial state, tau^2 (-A)^2 u0, is not finite at tau=0.1"),
+    # the initial stack is finite, (lambda*tau)^2 = 1e298, but step 1 overflows
+    (("integrate", "--lambda", "1e150", "--tau", "0.1"), 3,
+     "StateOverflow: step 1 of 10: the state is not finite at tau=0.1"),
+    # one-step matrices LAPACK refuses (subnormal alpha_m, alpha_f): galpha's message, not numpy's
+    (("stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"), 3,
+     "DegenerateParams: the T -> inf limit..."),
+    (("integrate", "--p", "4", "--alpha-m", "1e-320", "--alpha-f", "1e-320"), 3,
+     "SingularAtT: the one-step matrices G(T)..."),
+    # the scan's arithmetic overflows; the pole rule and the refusals decide
+    (("stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"), 0, ""),
+    (("integrate", "--alpha-m=1e308", "--alpha-f=-1"), 0,
+     "warning: (alpha_m=1e+308, alpha_f=-1) lies outside the unconditional-stability region "
+     "(spectral radius inf); proceeding anyway"),
+]
 
 
-def test_scheme_error_is_reported_before_option_errors(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "integrate", "--alpha-m", "0.9", "--tau", "-1", "--out", str(tmp_path)
-    )
-    assert code == 2
-    assert read_error_line(err)["message"] == "--alpha-m and --alpha-f must be given together"
+def matches(pattern, lines):
+    """Whether ``lines`` joined by newlines are ``pattern``, each ``...`` of which
+    stands for any text within one line."""
+    regex = ".*".join(map(re.escape, pattern.split("...")))
+    return re.fullmatch(regex, "\n".join(lines)) is not None
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("integrate", "--rho-inf", "0.5", "--lambda", "1", "--tau", "0.3", "--t-end", "1"),
-        ("order-check", "--t-end", "1.3"),
-    ],
-)
-def test_t_end_off_the_step_grid_is_config_error(tmp_path, capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert code == 2
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert "whole number of steps" in payload["message"]
-    assert "error" not in out and "slope" not in out
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (("integrate", "--t-end", "inf"), "not a finite number of steps"),
-        (("integrate", "--t-end", "1e300", "--tau", "1e-300"), "not a finite number of steps"),
-        (("order-check", "--t-end", "inf"), "not a finite number of steps"),
-        (("integrate", "--tau", "1e-300", "--t-end", "1"), "more than a list can hold"),
-        (("integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"), "exp(-lambda t_end) overflows"),
-        (("order-check", "--lambda=-400"), "exp(-lambda t_end) overflows"),
-        (("order-check", "--lambda=0,1e308"), "exp(-lambda t_end) overflows"),
-        (
-            ("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "-0.6666666666666666"),
-            "remark-one closure has a pole",
-        ),
-        (("integrate", "--lambda", "nan"), "lambda must be finite"),
-        (("integrate", "--lambda", "1,nan"), "lambda must be finite"),
-        (("integrate", "--heat-n", "3", "--kappa", "inf"), "diffusivity must be positive and finite"),
-        (("stability-map", "--alpha-max", "inf"), "--alpha-max must be finite"),
-        (("stability-map", "--alpha-min", "nan"), "--alpha-min must be finite"),
-        (("stability-map", "--t-max", "inf"), "--t-max must be finite"),
-    ],
-)
-def test_nonfinite_and_pole_inputs_are_config_errors(tmp_path, capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert code == 2
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert message in payload["message"]
-    assert len(err.splitlines()) == 1 and out == ""
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("integrate", "--lambda", "1,2,3"), "expected RE or RE,IM, got '1,2,3'"),
-        (("integrate", "--lambda", "abc"), "expected RE or RE,IM, got 'abc'"),
-        # a negative number with a comma or an exponent after a space reads as an option
-        (("integrate", "--lambda", "-1,2"), "expected one argument"),
-        (("integrate", "--lambda", "-1e3"), "expected one argument"),
-        (("integrate", "--p", "12"), "no tabulated constant for order p=12"),
-        (("integrate", "--rho-inf", "1", "--branch", "alt2"), "has a pole at rho_inf = 1"),
-        (("integrate", "--p", "4", "--variant", "remark-one"), "third order only"),
-        (("integrate", "--out", "{file}"), "cannot create output directory"),
-        (("integrate", "--out", "{blocked}"), "i/o failure"),
-        (("integrate", "--tau", "0.5", "--t-end", "0.25"), "--t-end must cover at least one step"),
-        (("integrate", "--heat-n", "1"), "--heat-n must be at least 2"),
-        (("integrate", "--heat-n", "5", "--lambda", "3"), "cannot go with --heat-n"),
-        (("stability-map", "--t-min", "5", "--t-max", "1"), "need 0 < --t-min < --t-max"),
-        (("stability-map", "--t-samples", "1"), "--t-samples must be at least 2"),
-        (("rho-curve", "--n-rho", "1"), "--n-rho must be at least 2"),
-        (("order-check", "--tau-start", "0"), "--tau-start must be positive"),
-        (("order-check", "--n-halvings", "0"), "--n-halvings must be at least 1"),
-    ],
-)
-def test_configuration_errors_exit_2(tmp_path, capsys, argv, message):
-    """Each rejected configuration exits 2; all but argparse's own errors print one JSON line."""
+@pytest.mark.parametrize("argv, code, message", OUTCOMES, ids=[" ".join(argv) for argv, _, _ in OUTCOMES])
+def test_cli_outcomes(tmp_path, argv, code, message):
+    """Each argv exits with its row's code and stderr, and meets the CLI's exit contract."""
     (tmp_path / "file").write_text("")
     (tmp_path / "blocked" / "trajectory.csv").mkdir(parents=True)  # the CSV cannot be opened
     paths = {"{file}": tmp_path / "file", "{blocked}": tmp_path / "blocked"}
     argv = [str(paths.get(arg, arg)) for arg in argv]
-    if "--out" not in argv:
-        argv += ["--out", str(tmp_path / "out")]
-    if message.startswith("expected "):  # argparse rejects the value: usage text, no JSON line
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
-        return
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = read_error_line(err)
-    assert (payload["kind"], payload["exit_code"]) == ("config", 2)
-    assert message in payload["message"]
-
-
-@pytest.mark.parametrize("bounds", [("1", "0"), ("0.5", "0.5"), ("2", None)])
-def test_stability_map_refuses_an_empty_or_reversed_alpha_range(tmp_path, capsys, bounds):
-    """Reversed axes would reverse the gnuplot ranges, and equal bounds would
-    count one cell grid_n**2 times; both exit 2 before anything is written."""
-    lo, hi = bounds
-    argv = ["stability-map", "--grid-n", "2", "--alpha-min", lo, "--out", str(tmp_path)]
-    argv += [] if hi is None else ["--alpha-max", hi]  # else the default 1.5
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    payload = read_error_line(err)
-    assert (payload["kind"], payload["exit_code"]) == ("config", 2)
-    assert payload["message"] == "need --alpha-min < --alpha-max"
-    assert not (tmp_path / "stability.csv").exists() and not (tmp_path / "manifest.txt").exists()
-
-
-def test_unknown_flag_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["integrate", "--no-such-flag", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    out = argv[argv.index("--out") + 1] if "--out" in argv else tmp_path / "out"
+    got, lines, _ = check_exit_contract(argv, out)
+    assert got == code
+    assert matches(message, lines), lines
 
 
 @pytest.mark.parametrize(
@@ -416,74 +349,6 @@ def test_variant_reaches_every_subcommand_that_takes_it(tmp_path, capsys, argv):
     code, _, _ = run_cli(capsys, *argv, "--variant", "remark-one", "--out", str(tmp_path))
     assert code == 0
     assert "variant = remark-one" in manifest_keys(tmp_path)[1]
-
-
-def test_rho_curve_takes_no_variant(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["rho-curve", "--variant", "remark-one", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --variant remark-one" in capsys.readouterr().err
-
-
-# --- numeric failures ----------------------------------------------------------------
-
-
-def test_order_check_at_roundoff_exits_3(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "order-check", "--lambda", "0", "--out", str(tmp_path),
-    )
-    assert code == 3
-    payload = read_error_line(err)
-    assert payload["kind"] == "numeric"
-    assert payload["exit_code"] == 3
-    assert "AllAtRoundoff" in payload["message"]
-
-
-def test_order_check_whose_shift_overflows_says_it_is_not_finite(tmp_path, capsys):
-    """c1 + sigma*lambda overflows at alpha_m = -1e300, alpha_f = 1e300: exit 3,
-    and the message names the overflow, not a vanishing denominator."""
-    code, out, err = run_cli(
-        capsys, "order-check", "--p", "7", "--alpha-m=-1e300", "--alpha-f", "1e300", "--out", str(tmp_path),
-    )
-    assert code == 3 and out == ""
-    payload = read_error_line(err)
-    assert payload["kind"] == "numeric" and payload["exit_code"] == 3
-    assert payload["message"].startswith("StepSingular: step 1 of 16: stage shift is not finite: ")
-
-
-def test_integrate_overflowing_initial_state_exits_3(tmp_path, capsys):
-    # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(
-            capsys,
-            "integrate", "--lambda", "1e200", "--tau", "0.1", "--out", str(tmp_path),
-        )
-    assert code == 3
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    payload = read_error_line(err)
-    assert payload["kind"] == "numeric"
-    assert "StateOverflow" in payload["message"]
-    assert not (tmp_path / "trajectory.csv").exists()
-
-
-def test_integrate_overflowing_march_exits_3(tmp_path, capsys):
-    # the initial stack is finite, (lambda*tau)^2 = 1e298, but step 1 overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(
-            capsys,
-            "integrate", "--lambda", "1e150", "--tau", "0.1", "--out", str(tmp_path),
-        )
-    assert code == 3
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    payload = read_error_line(err)
-    assert payload["kind"] == "numeric"
-    assert payload["message"].startswith("StateOverflow: step 1 of 10:")
-    assert not (tmp_path / "trajectory.csv").exists()
 
 
 # --- stability map --------------------------------------------------------------------
@@ -512,131 +377,37 @@ def test_stability_map_reruns_are_byte_identical(tmp_path, capsys):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_stability_map_validates_grid(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "stability-map", "--grid-n", "1", "--out", str(tmp_path)
-    )
-    assert code == 2
-    assert read_error_line(err)["kind"] == "config"
-
-
-def test_stability_map_t_max_that_overflows_the_cubic_is_config_error(tmp_path, capsys):
-    """At --t-max 1e308 the cubic's coefficients overflow: exit 2 and one JSON line,
-    no numpy warning and no nan radius written."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(
-            capsys, "stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308",
-            "--out", str(tmp_path),
-        )
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = read_error_line(err)
-    assert payload["kind"] == "config"
-    assert payload["message"].startswith("T = 1e+308 overflows")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_stability_map_t_max_1e307_reads_inf_where_the_roots_leave_the_double_range(tmp_path, capsys):
+def test_stability_map_t_max_1e307_reads_inf_where_the_roots_leave_the_double_range(tmp_path):
     """At --t-max 1e307 the monic cubic of an alpha_f = 0 cell with small alpha_m
     (mu^3 coefficient -alpha_m) is not finite: the cell reads radius inf,
     with no numpy warning and no nan in the map."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, _, err = run_cli(
-            capsys, "stability-map", "--grid-n", "3", "--alpha-min", "0", "--alpha-max", "0.08",
-            "--t-max", "1e307", "--out", str(tmp_path),
-        )
-    assert code == 0 and err == ""
+    argv = ["stability-map", "--grid-n", "3", "--alpha-min", "0", "--alpha-max", "0.08", "--t-max", "1e307"]
+    assert check_exit_contract(argv, tmp_path)[:2] == (0, [])
     rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
-    assert not any(row[2] == "nan" for row in rows)
     assert [row[2] for row in rows if float(row[0]) > 0.0 and float(row[1]) == 0.0] == ["inf", "inf"]
 
 
-def test_stability_map_remark_one_pole_column_reads_inf(tmp_path, capsys):
+def test_stability_map_remark_one_pole_column_reads_inf(tmp_path):
     """The axis -2, -4/3, -2/3, 0 holds the remark-one closure's pole
     2 + 3 alpha_f = 0, where the weights are not finite: that column reads
     radius inf like any pole, and the map exits 0 without a numpy warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, _, err = run_cli(
-            capsys, "stability-map", "--variant", "remark-one", "--grid-n", "4", "--alpha-min=-2",
-            "--alpha-max", "0", "--out", str(tmp_path),
-        )
-    assert code == 0 and err == ""
+    argv = ["stability-map", "--variant", "remark-one", "--grid-n", "4", "--alpha-min=-2", "--alpha-max", "0"]
+    assert check_exit_contract(argv, tmp_path)[:2] == (0, [])
     rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
     assert [row[2:] for row in rows if float(row[1]) == -0.66666666666666674] == [["inf", "0"]] * 4
     assert all(float(row[2]) < np.inf for row in rows if float(row[0]) < 0.0 and float(row[1]) < -1.0)
 
 
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        (("stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"),
-         "DegenerateParams: the T -> inf limit"),
-        (("integrate", "--p", "4", "--alpha-m", "1e-320", "--alpha-f", "1e-320"),
-         "SingularAtT: the one-step matrices G(T)"),
-    ],
-    ids=["stability-map", "integrate"],
-)
-def test_lapack_refusal_is_a_numeric_error(tmp_path, capsys, argv, error):
-    """One-step matrices LAPACK refuses (subnormal alpha_m, alpha_f) exit 3,
-    kind numeric, with galpha's message, not exit 2 with numpy's text."""
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = read_error_line(err)
-    assert payload["kind"] == "numeric" and payload["exit_code"] == 3
-    assert payload["message"].startswith(error)
-
-
-def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, capsys, monkeypatch):
+def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, monkeypatch):
     """An allocation that cannot succeed exits 2 with one JSON line, not a traceback."""
 
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 65.5 TiB for an array with shape (3000000, 3000000)")
 
     monkeypatch.setattr(cli, "scan_region", no_memory)
-    code, out, err = run_cli(capsys, "stability-map", "--grid-n", "4", "--out", str(tmp_path))
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = read_error_line(err)
-    assert payload["kind"] == "config" and payload["exit_code"] == 2
-    assert "does not fit in memory" in payload["message"] and "65.5 TiB" in payload["message"]
-
-
-@pytest.mark.parametrize(
-    "argv, code, message",
-    [
-        # remark-one's alpha_f^2 overflowed Python's float power with a traceback
-        (("integrate", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "1e200"),
-         2, "scheme parameters must be finite"),
-        (("order-check", "--variant", "remark-one", "--alpha-m", "1", "--alpha-f", "2e154", "--n-halvings", "1"),
-         2, "scheme parameters must be finite"),
-        # the scan's arithmetic overflows; the pole rule and the refusals decide
-        (("stability-map", "--grid-n", "2", "--alpha-min", "1e150", "--alpha-max", "1e160"), 0, None),
-        (("integrate", "--alpha-m=1e308", "--alpha-f=-1"), 0, None),
-        (("integrate", "--alpha-m", "1e308", "--alpha-f", "1e308"), 2, "T = 1e+08 overflows the coefficients"),
-        # alpha_max - alpha_min overflows: np.linspace warned and built nan and inf axis values
-        (("stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"), 2, "the alpha range"),
-    ],
-    ids=["integrate-remark-one", "order-check-remark-one", "stability-map", "integrate", "integrate-config",
-         "stability-map-alpha-span"],
-)
-def test_huge_parameters_leave_only_galphas_own_lines_on_stderr(tmp_path, capsys, argv, code, message):
-    """Parameters whose arithmetic overflows exit 0 or 2 with no traceback and no
-    numpy warning: stderr holds one JSON error line or the instability warning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert [str(w.message) for w in caught] == []
-    assert got == code
-    if message is None:
-        assert all(line.startswith("warning: ") for line in err.splitlines())
-    else:
-        assert len(err.splitlines()) == 1
-        payload = read_error_line(err)
-        assert payload["kind"] == "config" and payload["message"].startswith(message)
+    code, lines, _ = check_exit_contract(["stability-map", "--grid-n", "4"], tmp_path)
+    assert code == 2 and len(lines) == 1
+    assert "does not fit in memory" in lines[0] and "65.5 TiB" in lines[0]
 
 
 def test_stability_map_sample_defaults_are_the_librarys():

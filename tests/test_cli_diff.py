@@ -153,3 +153,16 @@ def test_a_run_that_times_out_reads_as_its_own_exit_code(tmp_path, monkeypatch, 
         "  exit code timed out -> 0",
         "  trajectory.csv: only in the change",
     ]
+
+
+def test_a_root_without_the_package_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+
+    def run_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(tool, "run_case", run_case)
+    ends, typo = _checkout(tmp_path / "b", 0.5, 0), tmp_path / "typo"
+    for roots in ([typo, ends], [ends, typo]):
+        assert tool.main([str(root) for root in roots]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{typo / 'src' / 'galpha' / '__init__.py'} does not exist"]

@@ -97,6 +97,10 @@ def test_init_state_validation():
         init_state(scalar_problem(1.0), 1.0, 1, 0.1)
     with pytest.raises(ValueError):
         init_state(scalar_problem(1.0), 1.0, 3, 0.0)
+    # an infinite tau is bad input, as StateVector says, not an overflow of the state
+    for problem, u0 in [(scalar_problem(1.0), 1.0), (heat_problem(3), np.ones(3))]:
+        with pytest.raises(ValueError, match=r"^tau must be positive and finite, got inf$"):
+            init_state(problem, u0, 3, np.inf)
 
 
 @pytest.mark.parametrize(

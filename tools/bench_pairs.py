@@ -2,22 +2,25 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE TAG [--workload W] [--pairs N] [--trace 0|1]
 
-Both checkouts must be benchmarked alike: if their ``BENCHMARK.json`` differ
-in ``command``, ``run_seconds`` or the workload names, this prints the field
-and exits 2 before any run.  For every workload (or only W) and each seed
-1..N (default 3) it runs ``perfbench/run.py --workload W --seed S --seconds R
---trace K`` once in each checkout, with the benchmark's command and
-``run_seconds`` R and the ``--trace`` K given here (0, the default, for the
-end-to-end metrics; 1 for the per-layer ones).  The parent runs first for odd
-seeds and the change for even ones, so that drift of the machine weighs on
-both sides alike.  A run passes when it exits 0 and its last line of output,
-the result line, says ``"correct": true``.
+Both checkouts must be benchmarked alike: if a checkout has no
+``BENCHMARK.json``, this prints its path, and if their ``BENCHMARK.json``
+differ in ``command``, ``run_seconds`` or the workload names, this prints
+the field; either way it exits 2 before any run.  For every workload (or
+only W) and each seed 1..N (default 3) it runs ``perfbench/run.py
+--workload W --seed S --seconds R --trace K`` once in each checkout, with
+the benchmark's command and ``run_seconds`` R and the ``--trace`` K given
+here (0, the default, for the end-to-end metrics; 1 for the per-layer
+ones).  The parent runs first for odd seeds and the change for even ones,
+so that drift of the machine weighs on both sides alike.  A run passes when
+it exits 0 and its last line of output, the result line, says ``"correct":
+true``.
 
 ``BENCH_<TAG>.json`` goes to the root of the repository this script belongs
 to.  It holds the git revision of each checkout (``+dirty`` if tracked files
-have uncommitted changes), the date, the Python and numpy versions of the
-interpreter that ran the benchmark, the CPU count, every run (its exit code
-and result line, or the last line of its stderr, and the ``wall_s`` and
+have uncommitted changes, null for a checkout that is not a git work tree,
+such as a ``git archive`` copy), the date, the Python and numpy versions of
+the interpreter that ran the benchmark, the CPU count, every run (its exit
+code and result line, or the last line of its stderr, and the ``wall_s`` and
 ``speed / reference speed`` that an untraced run prints as measured above
 its result line) and, per workload, each side's median of every metric over
 its passed runs.
@@ -64,13 +67,19 @@ AS_MEASURED = {"wall_s": ("wall_s", "s", "lower"), "speed / reference speed": ("
 GAIN_PAIRS = 10
 
 
-def git_revision(root: Path) -> str:
+def git_revision(root: Path) -> str | None:
+    """HEAD of the work tree at ``root``, or None when ``root`` is not the top of one (a ``git archive`` copy)."""
     def git(*args):
+        # the ceiling keeps git from taking the revision of a work tree that holds ``root``
+        env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
         return subprocess.run(
-            ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
+            ["git", "-C", str(root), *args], capture_output=True, text=True, check=True, env=env
         ).stdout.strip()
 
-    revision = git("rev-parse", "HEAD")
+    try:
+        revision = git("rev-parse", "HEAD")
+    except subprocess.CalledProcessError:
+        return None
     return revision + "+dirty" if git("status", "--porcelain", "--untracked-files=no") else revision
 
 
@@ -195,7 +204,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     roots = {side: getattr(args, side).resolve() for side in SIDES}
-    specs = {side: json.loads((roots[side] / "BENCHMARK.json").read_text(encoding="utf-8")) for side in SIDES}
+    specs = {}
+    for side in SIDES:
+        path = roots[side] / "BENCHMARK.json"
+        if not path.is_file():
+            print(f"{path} does not exist", file=sys.stderr)
+            return 2
+        specs[side] = json.loads(path.read_text(encoding="utf-8"))
     parent_as, change_as = (benchmarked_as(specs[side]) for side in SIDES)
     for field, value in parent_as.items():
         if change_as[field] != value:

@@ -15,7 +15,8 @@ relative and absolute change, the largest finite |value| of the parent's
 changed columns (the scale of that absolute change), and how many cells
 moved between inf and a finite value, or to or from nan, when any did.  For
 a ``manifest.txt`` of ``key = value`` lines it prints each key that changed,
-with its old and new value.  The exit code is 1 on any difference.
+with its old and new value.  The exit code is 1 on any difference, and 2,
+before any run, when a root has no ``src/galpha/__init__.py``.
 """
 
 from __future__ import annotations
@@ -248,6 +249,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, nargs="?", default=REPO, help="checkout of the change")
     args = parser.parse_args(argv)
+    for root in (args.parent, args.change):
+        package = root / "src" / "galpha" / "__init__.py"
+        if not package.is_file():
+            print(f"{package} does not exist", file=sys.stderr)
+            return 2
 
     differs = False
     with tempfile.TemporaryDirectory(prefix="cli_diff-") as tmp:
