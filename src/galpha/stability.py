@@ -101,9 +101,10 @@ RADIUS_TOL = 1e-9
 #: Window for flagging repeated roots on the unit circle.
 REPEAT_WINDOW = 1e-7
 
-# Largest number of (T sample, cell) pairs evaluated together; a scan with
-# more cells than this still takes one sample at a time.
-_BLOCK_PAIRS = 1 << 15
+# Largest number of (T sample, cell) pairs evaluated together, and of cells
+# in a band of scan_region; a band of one grid row longer than this still
+# takes one sample at a time.
+_BLOCK_PAIRS = 1 << 14
 
 
 def default_t_samples(n: int = 48, lo: float = 1e-4, hi: float = 1e8) -> np.ndarray:
@@ -330,8 +331,8 @@ def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _scan_cells(p, am, af, gammas, t_samples):
-    """Worst radius and repeated-unit-root flag of each cell, at any order p.
+def _scan_samples(p, am, af, gammas, t_samples):
+    """Worst radius and repeated-unit-root flag of each cell over its T samples, at any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
     length; ``gammas`` may also be the :class:`~galpha.schemes.Variant`
@@ -341,19 +342,15 @@ def _scan_cells(p, am, af, gammas, t_samples):
 
     The samples go in blocks of at most ``_BLOCK_PAIRS`` (sample, cell)
     pairs, but never fewer than one sample: a single cell takes all samples
-    in one block, the default 40 000-cell map one sample at a time.  Real
+    in one block, a band of :func:`scan_region` one sample at a time.  Real
     samples at p = 3 take :func:`_cubic_radius`, all others
-    :func:`_one_step_spectra`.  At p = 3 both limits are added, for either
-    closure.  T = 0 is one more sample, ahead of the others, with the pole
-    alpha_m = 0.  As T -> inf the last rows of L and R divided by T keep
-    their T-coefficients alone; that pair goes through
-    :func:`_one_step_spectra`, with the pole gamma_1 alpha_f = 0.
+    :func:`_one_step_spectra`.  At p = 3 T = 0 is one more sample, ahead of
+    the others, with the pole alpha_m = 0.
 
     A real p = 3 set whose largest |T| overflows a coefficient of the cubic
     of a cell off the pole is refused with ``ValueError``.  One-step
     matrices that LAPACK refuses (as at subnormal parameters) raise
-    ``SingularAtT`` for the samples and ``DegenerateParams`` for the T -> inf
-    limit.
+    ``SingularAtT``.
     """
     ncell = am.shape[0]
     gammas = closure_gammas(p, am, af, gammas) if isinstance(gammas, Variant) else gammas
@@ -364,7 +361,6 @@ def _scan_cells(p, am, af, gammas, t_samples):
         samples = np.concatenate(([0.0], samples))
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
-    tab_l, tab_r = one_step_tableau(p, am, af, gammas)
     gamma_af = gammas[0] * af  # T multiplies it: gamma_1 alpha_f T
     cubic = p == 3 and np.isrealobj(samples)
     if cubic:
@@ -374,6 +370,8 @@ def _scan_cells(p, am, af, gammas, t_samples):
         coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gamma_af * top)[1]]
         if not np.isfinite(coeffs).all():
             raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
+    else:
+        tab_l, tab_r = one_step_tableau(p, am, af, gammas)
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
@@ -388,27 +386,46 @@ def _scan_cells(p, am, af, gammas, t_samples):
                 "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
             )
             _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, t, valid), radius, repeated, valid)
+    return radius, repeated
 
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _fold_limit_inf(am, af, gammas, radius, repeated):
+    """Fold the T -> inf limit of each p = 3 cell into ``radius`` and ``repeated``, in place.
+
+    The cells and ``gammas`` are as for :func:`_scan_samples`.  As T -> inf
+    the last rows of L and R divided by T keep their T-coefficients alone;
+    that pair goes through :func:`_one_step_spectra`, with the pole
+    gamma_1 alpha_f = 0, for either closure.  Matrices that LAPACK refuses
+    raise ``DegenerateParams``.
+    """
+    gammas = closure_gammas(3, am, af, gammas) if isinstance(gammas, Variant) else gammas
+    # the last rows divided by T tend to their T-coefficients
+    tab_l, tab_r = (
+        {(i, j): (c1 if i == 2 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
+        for tab in one_step_tableau(3, am, af, gammas)
+    )
+    valid = pole_factor(0.0, gammas[0] * af)[1][None]
+    refusal = lambda: DegenerateParams(
+        "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
+        "in double precision (|gamma_1 alpha_f| is too close to 0)"
+    )
+    _fold(*_one_step_spectra(refusal, 3, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
+
+
+def _scan_cells(p, am, af, gammas, t_samples):
+    """:func:`_scan_samples` of the cells, with the T -> inf limit folded in at p = 3."""
+    radius, repeated = _scan_samples(p, am, af, gammas, t_samples)
     if p == 3:
-        # the last rows divided by T tend to their T-coefficients
-        tab_l, tab_r = (
-            {(i, j): (c1 if i == p - 1 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
-            for tab in (tab_l, tab_r)
-        )
-        valid = pole_factor(0.0, gamma_af)[1][None]
-        refusal = lambda: DegenerateParams(
-            "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
-            "in double precision (|gamma_1 alpha_f| is too close to 0)"
-        )
-        _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
-
+        _fold_limit_inf(am, af, gammas, radius, repeated)
     return radius, repeated
 
 
 def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     """Worst spectral radius of G over ``t_samples``, as one cell of :func:`_scan_cells`.
 
-    That function states the samples, the p = 3 limits and the errors.
+    :func:`_scan_samples` and :func:`_fold_limit_inf` state the samples, the
+    p = 3 limits and the errors.
     """
     cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
     radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], t_samples)
@@ -432,15 +449,37 @@ class StabilityMap:
 def scan_region(alpha_m, alpha_f, variant: Variant = Variant.EQUAL_GAMMA, t_samples=None) -> StabilityMap:
     """Scan the grid of the 1-D axes ``alpha_m`` x ``alpha_f``, identically to per-cell calls.
 
-    Cells are independent; this implementation evaluates them as one stacked
-    array per T sample, which is deterministic by construction.  The gamma
+    Cells are independent; this implementation evaluates them in bands of
+    whole grid rows, at most ``_BLOCK_PAIRS`` cells (but at least one row)
+    each, as one stacked array per T sample, which is deterministic by
+    construction.  Only ``radius`` and ``repeated_root`` span the grid; every
+    other per-cell array lives for one band.  Every band takes its samples
+    before any band takes its T -> inf limit, so that a refused T set or
+    overflowing cubic anywhere on the grid is reported ahead of a G(inf) that
+    LAPACK refuses.  An empty grid still checks its T samples.  The gamma
     weights per cell follow the requested closure.
     """
     alpha_m, alpha_f = np.asarray(alpha_m), np.asarray(alpha_f)
-    AM, AF = np.meshgrid(alpha_m, alpha_f, indexing="ij")
-    am, af = AM.ravel(), AF.ravel()
-    radius, repeated = _scan_cells(3, am, af, variant, t_samples)
-    return StabilityMap(alpha_m, alpha_f, radius.reshape(AM.shape), repeated.reshape(AM.shape))
+    if alpha_m.ndim != 1 or alpha_f.ndim != 1:
+        raise ValueError(f"the axes must be 1-D, got shapes {alpha_m.shape} and {alpha_f.shape}")
+    m, n = alpha_m.size, alpha_f.size
+    radius = np.zeros(m * n)
+    repeated = np.zeros(m * n, dtype=bool)
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    starts = range(0, max(m, 1), rows)  # an empty grid is one empty band
+
+    def band(i):
+        """The flat slice of rows i .. i + rows - 1 and the alpha_m, alpha_f of its cells."""
+        am = alpha_m[i:i + rows]
+        return slice(i * n, (i + am.size) * n), np.repeat(am, n), np.tile(alpha_f, am.size)
+
+    for i in starts:
+        cells, am, af = band(i)
+        radius[cells], repeated[cells] = _scan_samples(3, am, af, variant, t_samples)
+    for i in starts:
+        cells, am, af = band(i)
+        _fold_limit_inf(am, af, variant, radius[cells], repeated[cells])  # the slices are views
+    return StabilityMap(alpha_m, alpha_f, radius.reshape(m, n), repeated.reshape(m, n))
 
 
 @dataclass(frozen=True)
@@ -486,15 +525,16 @@ def write_stability_csv(smap: StabilityMap, path) -> None:
 
     Each axis value is formatted once: the alpha_f values into one row
     template, which takes a row's alpha_m text as ``%s`` and its radii and
-    flags, so that a row is written by a single ``%``.
+    flags, so that a row is written by a single ``%``.  The radii and flags
+    become Python numbers one row at a time, so no per-cell list spans the map.
     """
     n = smap.alpha_f.size
     template = "".join("%%s,%.17g,%%.17g,%%d\n" % af for af in smap.alpha_f.tolist())
     args = [None] * (3 * n)  # alpha_m, radius, stable of each cell of a row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha_m,alpha_f,radius,stable\n")
-        for am, radius, stable in zip(smap.alpha_m.tolist(), smap.radius.tolist(), smap.stable.tolist()):
+        for am, radius, repeated in zip(smap.alpha_m.tolist(), smap.radius, smap.repeated_root):
             args[0::3] = ["%.17g" % am] * n
-            args[1::3] = radius
-            args[2::3] = stable
+            args[1::3] = radius.tolist()
+            args[2::3] = _stable(radius, repeated).tolist()
             fh.write(template % tuple(args))

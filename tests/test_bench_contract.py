@@ -85,8 +85,8 @@ def test_tracing_records_spans_of_a_smoke_run(tmp_path, capsys):
 def test_traced_plane_scan_makes_one_eigvals_call_and_one_solve(tmp_path, capsys):
     # p = 3 samples, T = 0 among them, are cubic roots of rho + T sigma; only
     # the stacked T -> inf limit reaches LAPACK through stability.np.linalg,
-    # by one solve and one eigvals.  run.py's per-call figures divide by both
-    # counts.
+    # by one solve and one eigvals per band; this 25-cell map is one band.
+    # run.py's per-call figures divide by both counts.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)

@@ -278,6 +278,10 @@ OUTCOMES = [
     # the cubic's coefficients overflow: no nan radius is written
     (("stability-map", "--grid-n", "2", "--t-samples", "2", "--t-max", "1e308"), 2,
      "T = 1e+308 overflows the coefficients of the cubic rho + T sigma"),
+    # the first band of the map holds no overflowing cubic but a G(inf) that LAPACK
+    # refuses: every band's samples run before any band's T -> inf limit
+    (("stability-map", "--alpha-min", "1e-320", "--alpha-max", "1e300"), 2,
+     "T = 1e+08 overflows the coefficients of the cubic rho + T sigma"),
     (("stability-map", "--t-min", "5", "--t-max", "1"), 2, "...need 0 < --t-min < --t-max..."),
     (("stability-map", "--t-samples", "1"), 2, "...--t-samples must be at least 2..."),
     (("rho-curve", "--n-rho", "1"), 2, "...--n-rho must be at least 2..."),

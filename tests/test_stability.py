@@ -1,5 +1,6 @@
 """Tests for worst-case radius evaluation and parameter-plane scanning."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,9 +180,11 @@ def test_radius_rejects_empty_or_nonfinite_samples(p, samples):
 
 
 @pytest.mark.parametrize("samples", BAD_SAMPLES)
-def test_scan_rejects_empty_or_nonfinite_samples(samples):
+@pytest.mark.parametrize("n_m", [2, 0])
+def test_scan_rejects_empty_or_nonfinite_samples(n_m, samples):
+    # an empty grid still checks its samples
     with pytest.raises(ValueError, match="T samples"):
-        scan_region(_axis(2), _axis(2), Variant.EQUAL_GAMMA, t_samples=samples)
+        scan_region(_axis(n_m), _axis(2), Variant.EQUAL_GAMMA, t_samples=samples)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
@@ -607,6 +610,79 @@ def test_scan_axes_and_shapes():
     assert smap.radius.shape == (5, 7)
     assert smap.repeated_root.shape == (5, 7)
     assert smap.stable.dtype == bool
+
+
+@pytest.mark.parametrize("alpha_m, alpha_f", [
+    (1.0, 0.5),
+    (_axis(3), 0.5),
+    (_axis(6).reshape(2, 3), _axis(4)),
+    (_axis(3), _axis(4)[None]),
+])
+def test_scan_takes_1d_axes_only(alpha_m, alpha_f):
+    """A scalar or 2-D axis would give a map whose axes disagree with its radius."""
+    with pytest.raises(ValueError, match=r"the axes must be 1-D, got shapes \("):
+        scan_region(alpha_m, alpha_f)
+
+
+def _one_cell(am, af, variant, samples):
+    """(radius, repeated) of one cell by worst_case_radius; on the remark-one
+    pole, which make_scheme refuses, by the one-cell scan that it runs."""
+    if variant is Variant.REMARK_ONE and 2.0 + 3.0 * af == 0.0:
+        radius, repeated = stability._scan_cells(3, np.array([am]), np.array([af]), variant, samples)
+        return radius[0], repeated[0]
+    report = worst_case_radius(make_scheme(3, am, af, variant), samples)
+    return report.radius, report.repeated_unit_root
+
+
+@pytest.mark.parametrize("samples", [default_t_samples(7, 1e-3, 1e7), _ray(1.3, 5)])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("block, n_m, n_f", [
+    (12, 7, 4),  # bands of 3, 3 and 1 rows: the last band is partial
+    (3, 3, 4),  # a row of 4 cells is longer than a band; each row is its own band
+])
+def test_banded_scan_equals_single_cell_calls(monkeypatch, block, n_m, n_f, variant, samples):
+    """Bands of grid rows change no bit, on either closure: the alpha_f axis
+    -2, -4/3, -2/3, 0 holds the remark-one pole 2 + 3 alpha_f = 0, whose
+    column reads inf."""
+    monkeypatch.setattr(stability, "_BLOCK_PAIRS", block)
+    am_axis, af_axis = np.linspace(0.2, 1.4, n_m), np.linspace(-2.0, 0.0, n_f)
+    assert 2.0 + 3.0 * af_axis[2] == 0.0
+    smap = scan_region(am_axis, af_axis, variant, t_samples=samples)
+    for i, am in enumerate(am_axis.tolist()):
+        for j, af in enumerate(af_axis.tolist()):
+            assert (smap.radius[i, j], smap.repeated_root[i, j]) == _one_cell(am, af, variant, samples)
+    if variant is Variant.REMARK_ONE:
+        assert smap.radius[:, 2].tolist() == [np.inf] * n_m
+
+
+def test_overflowing_cubic_on_a_later_band_is_refused_before_g_inf(monkeypatch):
+    """Every band takes its samples before any band takes G(inf).  With 16
+    cells a band, only the last of the four bands holds a cubic that
+    overflows at T = 1e8, and LAPACK refuses G(inf) on every band (its
+    alpha_f = 1e-320 column); the overflow is still the error raised."""
+    monkeypatch.setattr(stability, "_BLOCK_PAIRS", 16)
+    axis = np.linspace(1e-320, 1e300, 8)
+    with pytest.raises(ValueError, match=r"^T = 1e\+08 overflows the coefficients of the cubic rho \+ T sigma$"):
+        scan_region(axis, axis)
+
+
+def test_scan_memory_is_set_by_the_band_not_the_grid(tmp_path, monkeypatch):
+    """With 512-cell bands, tracemalloc's peak over scan_region and
+    write_stability_csv grows by less than 2x from a 32 x 64 to a 128 x 64
+    grid: only the radius and repeated-root maps span the grid."""
+    monkeypatch.setattr(stability, "_BLOCK_PAIRS", 512)
+    samples = default_t_samples(4)
+
+    def peak(n_m):
+        tracemalloc.start()
+        try:
+            write_stability_csv(scan_region(_axis(n_m), _axis(64), t_samples=samples), tmp_path / "map.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first calls allocate lazily; keep that out of both peaks
+    assert peak(128) / peak(32) < 2.0
 
 
 @pytest.mark.parametrize("repeated", [False, True])

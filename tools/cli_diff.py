@@ -82,6 +82,9 @@ CASES = [
     # an alpha range wider than a double holds: exit 2, refused before the axis is built
     ("stability-map-alpha-span-overflow",
      ["stability-map", "--grid-n", "4", "--alpha-min=-1e308", "--alpha-max", "1e308"]),
+    # an overflowing cubic on a later band of the map: exit 2, ahead of band 1's refused G(inf)
+    ("stability-map-overflow-after-degenerate-band",
+     ["stability-map", "--alpha-min", "1e-320", "--alpha-max", "1e300"]),
     # an exact solution exp(-lambda t_end) that overflows: exit 2, refused before the march
     ("integrate-exact-overflow", ["integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"]),
     ("order-check-exact-overflow", ["order-check", "--lambda=-400"]),
