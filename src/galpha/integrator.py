@@ -65,8 +65,7 @@ class StateVector:
     """Stacked scheme state: row j holds tau^j * u^(j), a C-ordered (p, m) array.
 
     A real stack is kept as float64, any other as complex128.  The scaling
-    ties the stack to the step size it was built with; use :meth:`rescale`
-    before stepping with a different tau.
+    ties the stack to the step size it was built with.
     """
 
     stack: np.ndarray
@@ -103,21 +102,6 @@ class StateVector:
     def value(self) -> np.ndarray:
         """The physical solution u (block 0)."""
         return self.stack[0]
-
-    def derivative(self, j: int) -> np.ndarray:
-        """The unscaled j-th derivative u^(j) = stack[j] / tau^j."""
-        return self.stack[j] / self.tau**j
-
-    def rescale(self, new_tau: float) -> "StateVector":
-        """Same state expressed for a different step size."""
-        ratio = new_tau / self.tau
-        factors = ratio ** np.arange(self.order)
-        return StateVector(self.stack * factors[:, None], new_tau)
-
-    @property
-    def norm(self) -> float:
-        """Infinity norm over all blocks."""
-        return float(np.abs(self.stack).max())
 
 
 @dataclass(frozen=True)

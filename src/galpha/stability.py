@@ -311,9 +311,10 @@ def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
     The stacks take the dtype of ``t``, so real T goes to LAPACK's real
     eigensolver.  LAPACK runs once per matrix, so the result does not depend
     on the block.  LAPACK refuses matrices that are singular or not finite in
-    double precision; ``refusal()`` then builds the galpha error that is
-    raised from its ``LinAlgError``, so the error and its message are made
-    only on failure.
+    double precision; ``refusal(T)`` then builds the galpha error that is
+    raised from its ``LinAlgError``, for the first sample T whose own
+    matrices LAPACK refuses, so the error, its message and the search for
+    that sample are made only on failure.
     """
     # the transposed views index the stacks as [i, j] -> [:, :, i, j]
     dtype = np.result_type(t, float)
@@ -326,7 +327,12 @@ def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
     try:
         eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
     except np.linalg.LinAlgError as exc:
-        raise refusal() from exc
+        for k in range(len(t)):
+            try:
+                np.linalg.eigvals(np.linalg.solve(L[k], R[k]))
+            except np.linalg.LinAlgError:
+                raise refusal(t[k, 0]) from exc
+        raise
     return _roots_radius(eigs.real, eigs.imag)
 
 
@@ -372,6 +378,10 @@ def _scan_samples(p, am, af, gammas, t_samples):
             raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
     else:
         tab_l, tab_r = one_step_tableau(p, am, af, gammas)
+        refusal = lambda t: SingularAtT(
+            f"the one-step matrices G(T) at T = {t:g} are singular or not finite in double "
+            "precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
+        )
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
@@ -381,10 +391,6 @@ def _scan_samples(p, am, af, gammas, t_samples):
             c0, c1, c2, c3 = rho[:, None] + t * sigma[:, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, c3, 1.0)), radius, repeated, valid)
         else:
-            refusal = lambda: SingularAtT(
-                f"the one-step matrices G(T) at T = {t[0, 0]:g} .. {t[-1, 0]:g} are singular "
-                "or not finite in double precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
-            )
             _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, t, valid), radius, repeated, valid)
     return radius, repeated
 
@@ -406,7 +412,7 @@ def _fold_limit_inf(am, af, gammas, radius, repeated):
         for tab in one_step_tableau(3, am, af, gammas)
     )
     valid = pole_factor(0.0, gammas[0] * af)[1][None]
-    refusal = lambda: DegenerateParams(
+    refusal = lambda _: DegenerateParams(
         "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
         "in double precision (|gamma_1 alpha_f| is too close to 0)"
     )

@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -36,6 +37,37 @@ def load_script(path, name):
 
 def _paths_under(root):
     return sorted(root.rglob("*")) if root.is_dir() else []
+
+
+def matches(pattern, lines):
+    """Whether ``lines`` joined by newlines are ``pattern``, each ``...`` of which
+    stands for any text within one line."""
+    regex = ".*".join(map(re.escape, pattern.split("...")))
+    return re.fullmatch(regex, "\n".join(lines)) is not None
+
+
+def check_refusal(call, error, message):
+    """Call ``call()`` and assert the library's refusal contract.
+
+    ``error`` is a ``ValueError``, ``TypeError`` or ``GalphaError``, the
+    families the CLI maps to exit 2 and 3; the call raises exactly ``error``,
+    not a subclass of it, with a message that :func:`matches` ``message``,
+    and records no Python warning (numpy's included) on the way.
+    """
+    from galpha.errors import GalphaError
+
+    assert issubclass(error, (ValueError, TypeError, GalphaError)), error
+    raised = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except Exception as exc:  # any type: the assertions below judge it
+            raised = exc
+    assert [str(w.message) for w in caught] == []
+    assert raised is not None, f"returned instead of raising {error.__name__}"
+    assert type(raised) is error, repr(raised)
+    assert matches(message, [str(raised)]), str(raised)
 
 
 def check_exit_contract(argv, out):

@@ -294,11 +294,11 @@ def test_criterion_11_stiff_limit_boundedness():
     params = make_scheme(3, *params_from_rho(0.5))
     problem = scalar_problem(1.0e6)
     state = init_state(problem, 1.0, 3, 1.0)  # lambda * tau = 1e6
-    bound = state.norm + 1e-9
+    bound = np.abs(state.stack).max() + 1e-9
     worst_ratio = 0.0
     for _ in range(1000):
         state = step(params, problem, state)
-        worst_ratio = max(worst_ratio, state.norm / bound)
+        worst_ratio = max(worst_ratio, np.abs(state.stack).max() / bound)
     bounded = worst_ratio <= 1.0
     unstable = worst_case_radius(make_scheme(3, 0.5, 0.5))
     ok = bounded and unstable.radius > 1.0

@@ -18,7 +18,7 @@ from galpha.amplification import (
     one_step_tableau,
     order_condition,
 )
-from galpha.errors import DegenerateParams, SingularAtT, VariantUnsupported
+from galpha.errors import SingularAtT
 from galpha.schemes import Variant, c_of_p, closure_gammas, make_scheme, params_from_rho
 
 from conftest import assert_spectrum, closed_form_g3, one_step_matrices
@@ -62,15 +62,6 @@ def test_p3_matches_hand_written_entries(t, variant):
     G = amplification_matrix(params, t)
     expected = closed_form_g3(0.85, 0.58, g1, g2, t)
     assert np.allclose(G, expected, rtol=1e-13, atol=1e-13)
-
-
-@pytest.mark.parametrize(
-    "p, gammas, message",
-    [(1, (), "order p must be >= 2"), (3, (0.5,), "expected 2 gammas"), (3, (0.5,) * 3, "expected 2 gammas")],
-)
-def test_one_step_tableau_validates_layout(p, gammas, message):
-    with pytest.raises(ValueError, match=message):
-        one_step_tableau(p, 0.9, 0.6, gammas)
 
 
 def test_build_lr_uses_scheme_gammas():
@@ -379,27 +370,6 @@ def test_limit_inf_is_the_remark_one_large_t_limit(am, af):
         for i in range(3):
             for j in range(3):
                 assert abs(Ainf[i, j] - G[i, j]) <= 1e-15 * max(1, abs(G[i, j]))
-
-
-def test_limit_matrices_p3_only():
-    params = make_scheme(4, 0.9, 0.6)
-    with pytest.raises(VariantUnsupported):
-        limit_matrix_zero(params)
-    with pytest.raises(VariantUnsupported):
-        limit_matrix_inf(params)
-
-
-def test_limit_matrices_degenerate_params():
-    with pytest.raises(DegenerateParams):
-        limit_matrix_zero(make_scheme(3, 0.0, 0.6))
-    with pytest.raises(DegenerateParams):
-        limit_matrix_inf(make_scheme(3, 0.5, 0.0))
-    # gamma_1 = 0 exactly: alpha_f = C(3) + alpha_m
-    from galpha.schemes import c_of_p
-
-    af = float(c_of_p(3)) + 0.5
-    with pytest.raises(DegenerateParams):
-        limit_matrix_inf(make_scheme(3, 0.5, af))
 
 
 # --- characteristic recurrence ------------------------------------------------

@@ -3,7 +3,6 @@
 import cmath
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from galpha.cli import main
 from galpha.schemes import make_scheme
 from galpha.stability import default_t_samples
 
-from conftest import check_exit_contract
+from conftest import check_exit_contract, matches
 
 
 def run_cli(capsys, *argv):
@@ -319,13 +318,6 @@ OUTCOMES = [
      "warning: (alpha_m=1e+308, alpha_f=-1) lies outside the unconditional-stability region "
      "(spectral radius inf); proceeding anyway"),
 ]
-
-
-def matches(pattern, lines):
-    """Whether ``lines`` joined by newlines are ``pattern``, each ``...`` of which
-    stands for any text within one line."""
-    regex = ".*".join(map(re.escape, pattern.split("...")))
-    return re.fullmatch(regex, "\n".join(lines)) is not None
 
 
 @pytest.mark.parametrize("argv, code, message", OUTCOMES, ids=[" ".join(argv) for argv, _, _ in OUTCOMES])

@@ -15,7 +15,7 @@ from galpha.amplification import (
     fill_tableau,
     one_step_tableau,
 )
-from galpha.errors import SolveFailed, StateOverflow, StepSingular
+from galpha.errors import SolveFailed, StepSingular
 from galpha.integrator import (
     LinearProblem,
     StateVector,
@@ -37,33 +37,11 @@ from oracles import characteristic_recurrence_residual
 # --- state vector ---------------------------------------------------------------
 
 
-def test_state_vector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.ones(3), 0.1)  # 1-d stack
-    with pytest.raises(ValueError):
-        StateVector(np.ones((3, 1)), -0.1)
-    with pytest.raises(ValueError):
-        StateVector(np.ones((3, 1)), np.inf)
-
-
 def test_state_vector_accessors():
     state = StateVector([[1.0, 2.0], [0.3, 0.4], [0.05, 0.06]], 0.5)
     assert state.order == 3
     assert state.dim == 2
     assert np.array_equal(state.value, [1.0, 2.0])
-    assert np.allclose(state.derivative(1), [0.6, 0.8])
-    assert np.allclose(state.derivative(2), [0.2, 0.24])
-    assert state.norm == 2.0
-
-
-def test_state_rescale():
-    state = StateVector([[1.0], [0.4], [0.08]], 0.2)
-    doubled = state.rescale(0.4)
-    assert doubled.tau == 0.4
-    assert np.allclose(doubled.stack[:, 0], [1.0, 0.8, 0.32])
-    # derivatives are invariant under rescaling
-    for j in range(3):
-        assert np.allclose(doubled.derivative(j), state.derivative(j))
 
 
 # --- initial state ----------------------------------------------------------------
@@ -82,41 +60,6 @@ def test_init_state_zero_lambda():
 def test_init_state_diagonal_matrix():
     state = init_state(dense_problem(np.diag([1.0, 2.0])), [1.0, 1.0], 2, 1.0)
     assert np.allclose(state.stack, [[1.0, 1.0], [-1.0, -2.0]], atol=0)
-
-
-def test_init_state_overflow_raises():
-    # block j is (-lambda*tau)^j u0: finite up to j = 1, inf from j = 2 on
-    with pytest.raises(StateOverflow, match="block 2"):
-        init_state(scalar_problem(1e200), 1.0, 3, 0.1)
-    with pytest.raises(StateOverflow, match="block 1"):
-        init_state(dense_problem(np.diag([1.0, 1e308])), [1.0, 1.0], 2, 10.0)
-
-
-def test_init_state_validation():
-    with pytest.raises(ValueError):
-        init_state(scalar_problem(1.0), 1.0, 1, 0.1)
-    with pytest.raises(ValueError):
-        init_state(scalar_problem(1.0), 1.0, 3, 0.0)
-    # an infinite tau is bad input, as StateVector says, not an overflow of the state
-    for problem, u0 in [(scalar_problem(1.0), 1.0), (heat_problem(3), np.ones(3))]:
-        with pytest.raises(ValueError, match=r"^tau must be positive and finite, got inf$"):
-            init_state(problem, u0, 3, np.inf)
-
-
-@pytest.mark.parametrize(
-    "problem, u0",
-    [
-        (heat_problem(5), [1.0]),
-        (heat_problem(5), np.ones(4)),
-        (dense_problem(np.eye(3)), np.ones(2)),
-        (dense_problem(np.eye(3)), np.ones((3, 1))),
-        (scalar_problem(1.0), [1.0, 2.0]),
-    ],
-)
-def test_u0_must_match_problem_dim(problem, u0):
-    """A u0 of the wrong shape is rejected before the first step, not marched."""
-    with pytest.raises(ValueError, match=f"does not fit a problem of dim {problem.dim}$"):
-        integrate(make_scheme(3, 0.9, 0.6), problem, u0, 0.01, 0.03)
 
 
 # --- the implicit step --------------------------------------------------------------
@@ -214,13 +157,6 @@ def test_single_step_accuracy():
     assert abs(stepped.value[0] - np.exp(-0.1)) < 1e-4
 
 
-def test_step_rejects_mismatched_state():
-    params = make_scheme(3, 0.9, 0.6)
-    state = init_state(scalar_problem(1.0), 1.0, 4, 0.1)
-    with pytest.raises(ValueError):
-        step(params, scalar_problem(1.0), state)
-
-
 def _vstack_step(params, problem, state):
     """The new stack of one step, stacked by ``np.vstack`` from the step's plan."""
     p, tau = params.p, state.tau
@@ -301,12 +237,6 @@ def test_failed_solve_reports_step_index():
     params = make_scheme(3, 0.9, 0.6)
     with pytest.raises(SolveFailed, match="step 4 of 10"):
         integrate(params, problem, 1.0, 0.1, 1.0)
-
-
-def test_scalar_problem_singular_shift():
-    problem = scalar_problem(-2.0)
-    with pytest.raises(StepSingular):
-        problem.shifted_solve(1.0, 0.5, np.array([1.0]))
 
 
 POLE_CELLS = [(2, 0.5, 1.2), (3, 0.5, 1.2), (4, 0.4, 1.3), (6, 0.3, 1.0), (11, 0.2, 0.9)]
@@ -540,23 +470,6 @@ def test_diagonal_system_decouples_exactly():
             assert u_c[j] == u_s[0]
 
 
-def test_dense_problem_rejects_an_empty_matrix():
-    with pytest.raises(ValueError, match="non-empty"):
-        dense_problem(np.zeros((0, 0)))
-
-
-def test_dense_problem_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        dense_problem(np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_dense_problem_rejects_nonfinite_entries(bad):
-    """A non-finite entry fails at construction, not as SolveFailed at step 1."""
-    with pytest.raises(ValueError, match="finite"):
-        dense_problem([[1.0, bad], [0.0, 1.0]])
-
-
 def test_trajectory_satisfies_characteristic_recurrence():
     params = make_scheme(3, 0.9, 0.6)
     tau, lam = 0.3, 1.0
@@ -669,7 +582,7 @@ def test_heat_march_is_g_power_on_each_sine_mode(n):
     for u0 in (smooth, rough):
         start = init_state(problem, u0, 3, tau)
         # the rough stack reaches (lambda_n tau)^2 |u0|: round-off scales with it
-        scale = np.abs(u0).max() if u0 is smooth else start.norm
+        scale = np.abs(u0 if u0 is smooth else start.stack).max()
         weights = (start.stack @ modes * (2.0 / (n + 1))).T  # row k: mode k of each block
         trajectory = integrate(params, problem, u0, tau, 1.0)  # 200 steps
         for count, (_, u) in enumerate(trajectory):
@@ -688,26 +601,8 @@ def test_heat_solution_max_norm_decays():
     assert norms[-1] < 0.01 * norms[0]
 
 
-def test_heat_problem_validation():
-    with pytest.raises(ValueError):
-        heat_problem(1)
-    with pytest.raises(ValueError):
-        heat_problem(5, diffusivity=0.0)
-    for kappa in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite"):
-            heat_problem(5, diffusivity=kappa)
-
-
-def test_heat_problem_needs_an_integer_node_count():
-    with pytest.raises(TypeError):
-        heat_problem(2.9)  # int() would truncate it to a 2-node rod
+def test_heat_problem_takes_a_numpy_integer_node_count():
     assert heat_problem(np.int64(3)).dim == 3
-
-
-@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)])
-def test_scalar_problem_rejects_nonfinite_lambda(lam):
-    with pytest.raises(ValueError, match="finite"):
-        scalar_problem(lam)
 
 
 # --- march dtype --------------------------------------------------------------------------
@@ -745,7 +640,6 @@ def test_state_vector_keeps_a_real_stack_real():
     assert StateVector(np.ones((3, 2), dtype=np.float32), 0.1).stack.dtype == np.float64
     assert StateVector(np.ones((3, 2), dtype=int), 0.1).stack.dtype == np.float64
     assert StateVector(np.ones((3, 2), dtype=np.complex64), 0.1).stack.dtype == np.complex128
-    assert StateVector(np.ones((3, 2), dtype=complex), 0.1).rescale(0.2).stack.dtype == np.complex128
 
 
 # --- driver and output ---------------------------------------------------------------------
@@ -761,43 +655,10 @@ def test_integrate_returns_inclusive_mesh():
     assert trajectory[0][1][0] == 1.0
 
 
-def test_integrate_validation():
-    params = make_scheme(3, 0.9, 0.6)
-    with pytest.raises(ValueError):
-        integrate(params, scalar_problem(1.0), 1.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        integrate(params, scalar_problem(1.0), 1.0, 0.5, 0.2)
-    # t_end / tau is not a finite number of steps
-    for tau, t_end in [(0.1, np.inf), (1e-300, 1e300), (0.1, np.nan)]:
-        with pytest.raises(ValueError, match="finite number of steps"):
-            integrate(params, scalar_problem(1.0), 1.0, tau, t_end)
-    # 1e300 steps: refused before the march, which would run until killed
-    with pytest.raises(ValueError, match=r"1e\+300 steps, more than a list can hold"):
-        integrate(params, scalar_problem(1.0), 1.0, 1e-300, 1.0)
-
-
-def test_integrate_rejects_t_end_off_the_step_grid():
-    # 1 / 0.3 is 3.33 steps: marching 3 would stop at t = 0.9, not t_end
-    params = make_scheme(3, *params_from_rho(0.5))
-    with pytest.raises(ValueError, match="whole number of steps"):
-        integrate(params, scalar_problem(1.0), 1.0, 0.3, 1.0)
+def test_t_end_within_the_step_window_is_a_whole_number_of_steps():
     # 0.3 / 0.1 = 2.9999999999999996 is a whole number within the 1e-9 window
-    trajectory = integrate(params, scalar_problem(1.0), 1.0, 0.1, 0.3)
+    trajectory = integrate(make_scheme(3, *params_from_rho(0.5)), scalar_problem(1.0), 1.0, 0.1, 0.3)
     assert len(trajectory) == 4
-
-
-@pytest.mark.parametrize(
-    "problem, u0",
-    [(scalar_problem(1e150), 1.0), (dense_problem(np.diag([1e150, 2e150])), [1.0, 1.0])],
-    ids=["scalar", "dense"],
-)
-def test_state_leaving_the_double_range_mid_march_raises(problem, u0):
-    """A finite initial stack whose march overflows raises with the first non-finite step."""
-    params = make_scheme(3, *params_from_rho(0.5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(StateOverflow, match="^step 1 of 10: the state is not finite"):
-            integrate(params, problem, u0, 0.1, 1.0)
 
 
 def test_stiff_state_norm_never_grows():
@@ -805,10 +666,10 @@ def test_stiff_state_norm_never_grows():
     params = make_scheme(3, *params_from_rho(0.5))
     problem = scalar_problem(1e6)
     state = init_state(problem, 1.0, 3, 1.0)
-    bound = state.norm * (1.0 + 1e-9)
+    bound = np.abs(state.stack).max() * (1.0 + 1e-9)
     for _ in range(100):
         state = step(params, problem, state)
-        assert state.norm <= bound
+        assert np.abs(state.stack).max() <= bound
 
 
 def test_write_trajectory_csv_roundtrips(tmp_path):

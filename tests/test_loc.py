@@ -1,4 +1,4 @@
-"""``tools/loc.py`` counts total and code lines per module of ``src/galpha/``."""
+"""``tools/loc.py`` counts total and code lines per module of ``src/galpha/`` and ``tests/``."""
 
 from pathlib import Path
 
@@ -39,10 +39,20 @@ def test_report_of_a_small_tree(tmp_path, capsys):
     (package / "a.py").write_text("\n\nx = 1\n")
     (package / "notes.txt").write_text("not a module\n")
     assert tool.main([str(tmp_path)]) == 0
+    package_rows = [["module", "lines", "code"], ["a.py", "3", "1"], ["b.py", "13", "6"], ["total", "16", "7"]]
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == str(package)
-    assert [row.split() for row in rows[1:]] == [
-        ["module", "lines", "code"], ["a.py", "3", "1"], ["b.py", "13", "6"], ["total", "16", "7"],
+    assert [row.split() for row in rows[1:]] == package_rows
+    # with tests/ a second table follows, after one blank line
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_c.py").write_text("def test():\n    pass\n")
+    assert tool.main([str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split() for row in rows[1:5]] == package_rows and rows[5] == ""
+    assert rows[6] == str(tests)
+    assert [row.split() for row in rows[7:]] == [
+        ["module", "lines", "code"], ["test_c.py", "2", "2"], ["total", "2", "2"],
     ]
 
 

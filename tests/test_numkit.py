@@ -43,19 +43,6 @@ def test_solve_real_input_promotes_to_complex():
     assert np.allclose(x, [1.0, 2.0])
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        [[1.0, 2.0], [2.0, 4.0]],
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]],
-    ],
-)
-def test_solve_rejects_singular(matrix):
-    with pytest.raises(SingularMatrix):
-        numkit.solve(matrix, np.ones(len(matrix)))
-
-
 @pytest.mark.parametrize("scale", [1.0, 1e6])
 def test_pivot_threshold_is_relative_and_inclusive(scale):
     """diag(scale, scale * PIVOT_RTOL) has the condition estimate 1 / PIVOT_RTOL
@@ -75,27 +62,6 @@ def test_pivot_threshold_is_relative_and_inclusive(scale):
             dense_problem(a).shifted_solve(0.0, 1.0, np.ones(2))
 
 
-def test_solve_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        numkit.solve(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        numkit.solve(np.ones((2, 2)), np.ones(3))
-    with pytest.raises(ValueError):
-        numkit.solve(np.eye(2), np.ones(4))  # reshapes to (2, 2) but does not fit
-
-
-def test_empty_matrix_is_refused():
-    with pytest.raises(ValueError, match="non-empty"):
-        numkit.solve(np.zeros((0, 0)), np.zeros(0))
-    with pytest.raises(ValueError, match="non-empty"):
-        numkit.eigenvalues(np.zeros((0, 0)))
-
-
-def test_solve_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        numkit.solve([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0])
-
-
 def test_eigenvalues_of_triangular_matrix():
     a = np.array(
         [
@@ -107,11 +73,7 @@ def test_eigenvalues_of_triangular_matrix():
     assert_spectrum(numkit.eigenvalues(a), [3.0, -2.0 + 1j, 7.5], tol=1e-12)
 
 
-def test_eigenvalues_dimension_cap():
-    big = np.eye(numkit.MAX_DIM + 1)
-    with pytest.raises(ValueError):
-        numkit.eigenvalues(big)
-    # at the cap itself everything still works
+def test_eigenvalues_at_the_dimension_cap():
     assert_spectrum(numkit.eigenvalues(np.eye(numkit.MAX_DIM)), np.ones(numkit.MAX_DIM))
 
 

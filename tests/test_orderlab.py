@@ -3,11 +3,9 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from galpha.amplification import char_poly, order_condition
-from galpha.errors import AllAtRoundoff
 from galpha.orderlab import (
     ROUNDOFF_FLOOR,
     ConvergenceReport,
@@ -70,32 +68,7 @@ def test_pairwise_window_brackets_the_fit():
     assert min(report.slope_window) <= report.slope <= max(report.slope_window)
 
 
-def test_all_errors_at_roundoff():
-    params = make_scheme(3, *params_from_rho(0.5))
-    with pytest.raises(AllAtRoundoff):
-        measure_order(params, 0.0, 1.0, TAUS)  # exact solution is constant
-
-
-def test_measure_order_validation():
-    params = make_scheme(3, 0.9, 0.6)
-    with pytest.raises(ValueError):
-        measure_order(params, 1.0, 1.0, [0.1])
-    with pytest.raises(ValueError):
-        measure_order(params, 1.0, 1.0, [0.1, 0.2])
-    # 1.3 is 10.4 steps of 0.125: the errors would be taken at the wrong time
-    with pytest.raises(ValueError, match="whole number of steps"):
-        measure_order(params, 1.0, 1.3, [0.125, 0.0625])
-    # exp(800) is past the double range: refused before any march
-    with pytest.raises(ValueError, match=r"overflows at lambda=\(-400\+0j\), t_end=2.0"):
-        measure_order(params, -400.0, 2.0, TAUS)
-
-
 # --- closure-constant recovery ------------------------------------------------------
-
-
-def test_recover_rejects_low_order():
-    with pytest.raises(ValueError):
-        recover_C(1)
 
 
 @pytest.mark.parametrize("p", range(2, 12))

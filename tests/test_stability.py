@@ -17,7 +17,7 @@ from galpha.amplification import (
     one_step_tableau,
     pole_factor,
 )
-from galpha.errors import DegenerateParams, PoleAtRho, SingularAtT
+from galpha.errors import SingularAtT
 from galpha.schemes import (
     RhoBranch,
     Variant,
@@ -168,25 +168,6 @@ def test_alpha_f_zero_is_a_pole_of_the_tinf_limit(alpha_m, variant):
     assert worst_case_radius(params).radius == np.inf
 
 
-BAD_SAMPLES = [[], [np.inf], [np.nan], [1.0, -np.inf], [1.0, complex(1.0, np.nan)], 1.0, [[1.0, 2.0]]]
-
-
-@pytest.mark.parametrize("samples", BAD_SAMPLES)
-@pytest.mark.parametrize("p", [3, 4])
-def test_radius_rejects_empty_or_nonfinite_samples(p, samples):
-    # an empty set would read as radius 0, a stable verdict from no evidence
-    with pytest.raises(ValueError, match="T samples"):
-        worst_case_radius(make_scheme(p, 1.0, 0.75), samples)
-
-
-@pytest.mark.parametrize("samples", BAD_SAMPLES)
-@pytest.mark.parametrize("n_m", [2, 0])
-def test_scan_rejects_empty_or_nonfinite_samples(n_m, samples):
-    # an empty grid still checks its samples
-    with pytest.raises(ValueError, match="T samples"):
-        scan_region(_axis(n_m), _axis(2), Variant.EQUAL_GAMMA, t_samples=samples)
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_radius_matches_per_sample_eigenvalues(p):
     """Every order runs the scan kernel; numkit on G(T) sample by sample agrees,
@@ -209,15 +190,9 @@ def test_radius_matches_per_sample_eigenvalues(p):
         assert report.radius == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_t_that_overflows_the_cubic_is_refused():
-    """At |T| = 1e308 rho + T sigma is not finite, and the radius would be nan."""
-    params = make_scheme(3, 1.0, 0.0)
-    with pytest.raises(ValueError, match=r"T = 1e\+308 overflows"):
-        worst_case_radius(params, [1.0, 1e308])
-    with pytest.raises(ValueError, match=r"T = -1e\+308 overflows"):
-        scan_region(np.array([1.0]), np.array([0.0, 0.6]), t_samples=[-1e308, 1.0])
+def test_alpha_f_zero_reads_inf_below_the_overflow_of_the_cubic():
     # alpha_f = 0: the radius grows like T, and T -> inf is the pole
-    assert worst_case_radius(params, [1e300]).radius == np.inf
+    assert worst_case_radius(make_scheme(3, 1.0, 0.0), [1e300]).radius == np.inf
 
 
 def test_alpha_m_zero_is_a_pole_of_the_t0_limit():
@@ -421,17 +396,6 @@ def test_remark_one_pole_column_reads_inf_like_any_pole():
     assert not smap.stable[:, 0].any()
 
 
-def test_subnormal_parameters_raise_galpha_errors_not_lapack_ones():
-    """Where LAPACK refuses the one-step matrices (not finite or singular in
-    double precision) the scan raises SingularAtT for the samples and
-    DegenerateParams for the T -> inf limit, with messages of its own."""
-    with pytest.raises(SingularAtT, match=r"G\(T\) at T = 0.0001 .. 1e\+08"):
-        worst_case_radius(make_scheme(4, 1e-320, 1e-320))
-    axis = np.linspace(1e-320, 1e-300, 4)
-    with pytest.raises(DegenerateParams, match=r"T -> inf limit"):
-        scan_region(axis, axis)
-
-
 def _one_real_root(c0, c1, c2, c3):
     """Where the depressed monic cubic's discriminant qq^2/4 + pp^3/27 is positive.
 
@@ -612,18 +576,6 @@ def test_scan_axes_and_shapes():
     assert smap.stable.dtype == bool
 
 
-@pytest.mark.parametrize("alpha_m, alpha_f", [
-    (1.0, 0.5),
-    (_axis(3), 0.5),
-    (_axis(6).reshape(2, 3), _axis(4)),
-    (_axis(3), _axis(4)[None]),
-])
-def test_scan_takes_1d_axes_only(alpha_m, alpha_f):
-    """A scalar or 2-D axis would give a map whose axes disagree with its radius."""
-    with pytest.raises(ValueError, match=r"the axes must be 1-D, got shapes \("):
-        scan_region(alpha_m, alpha_f)
-
-
 def _one_cell(am, af, variant, samples):
     """(radius, repeated) of one cell by worst_case_radius; on the remark-one
     pole, which make_scheme refuses, by the one-cell scan that it runs."""
@@ -743,8 +695,6 @@ def test_rho_curve_alt_branches_flag_the_pole(branch):
     assert [p.pole for p in points] == [False, False, False, False, True]
     last = points[-1]
     assert last.alpha_m is None and last.alpha_f is None and last.inside_region is None
-    with pytest.raises(PoleAtRho):
-        params_from_rho(1.0, branch)
 
 
 @pytest.mark.parametrize("branch", list(RhoBranch))
@@ -754,11 +704,6 @@ def test_rho_curve_max_eig_inf_is_what_verify_rho_control_measures(branch):
             assert point.max_eig_inf is None
         else:
             assert point.max_eig_inf - point.rho == verify_rho_control(point.rho, branch)
-
-
-def test_rho_curve_needs_two_points():
-    with pytest.raises(ValueError):
-        rho_curve(RhoBranch.MAIN, 1)
 
 
 # --- CSV output -------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Count the lines of each module of ``src/galpha/``, in all and as code.
+"""Count the lines of each module of ``src/galpha/`` and ``tests/``, in all and as code.
 
     python3 tools/loc.py [ROOT ...]
 
 For each checkout ROOT (default: the repository this script belongs to) this
-prints one row per module of ``ROOT/src/galpha/``, sorted by name: its total
-lines and its code lines, then the totals.  Code lines leave out docstrings,
-comments and blank lines; a docstring is the string literal that opens a
-module, class or function body.  The exit code is 2 when a ROOT has no
-``src/galpha/``.
+prints one table for ``ROOT/src/galpha/`` and, when ``ROOT/tests/`` exists,
+one more for it: one row per module, sorted by name, with its total lines and
+its code lines, then the totals.  Code lines leave out docstrings, comments
+and blank lines; a docstring is the string literal that opens a module, class
+or function body.  The exit code is 2 when a ROOT has no ``src/galpha/``.
 """
 
 from __future__ import annotations
@@ -43,18 +43,23 @@ def count_lines(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
-def report(root: Path) -> list[str]:
-    """The table for one checkout: a header, one row per module, the totals."""
-    package = root / "src" / "galpha"
+def _table(directory: Path) -> list[str]:
+    """The table for one directory: its path, a header, one row per module, the totals."""
+    rows, total, code = [f"{directory}", f"{'module':<24} {'lines':>6} {'code':>6}"], 0, 0
+    for path in sorted(directory.glob("*.py")):
+        lines, code_lines = count_lines(path.read_text(encoding="utf-8"))
+        rows.append(f"{path.name:<24} {lines:>6} {code_lines:>6}")
+        total, code = total + lines, code + code_lines
+    rows.append(f"{'total':<24} {total:>6} {code:>6}")
+    return rows
+
+
+def report(root: Path) -> list[list[str]]:
+    """The tables for one checkout: ``src/galpha/``, then ``tests/`` when it exists."""
+    package, tests = root / "src" / "galpha", root / "tests"
     if not package.is_dir():
         raise FileNotFoundError(f"{package} is not a directory")
-    rows, total, code = [f"{package}", f"{'module':<20} {'lines':>6} {'code':>6}"], 0, 0
-    for path in sorted(package.glob("*.py")):
-        lines, code_lines = count_lines(path.read_text(encoding="utf-8"))
-        rows.append(f"{path.name:<20} {lines:>6} {code_lines:>6}")
-        total, code = total + lines, code + code_lines
-    rows.append(f"{'total':<20} {total:>6} {code:>6}")
-    return rows
+    return [_table(package)] + ([_table(tests)] if tests.is_dir() else [])
 
 
 def main(argv=None) -> int:
@@ -62,7 +67,7 @@ def main(argv=None) -> int:
     parser.add_argument("roots", nargs="*", type=Path, default=[REPO], help="checkouts to count")
     args = parser.parse_args(argv)
     try:
-        blocks = [report(root) for root in args.roots]
+        blocks = [rows for root in args.roots for rows in report(root)]
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
