@@ -301,6 +301,18 @@ OUTCOMES = [
     # c1 + sigma*lambda overflows: the message names the overflow, not a vanishing denominator
     (("order-check", "--p", "7", "--alpha-m=-1e300", "--alpha-f", "1e300"), 3,
      "warning: ...\nStepSingular: step 1 of 16: stage shift is not finite: ..."),
+    # an unstable scheme overflows at the finest tau only, then at tau_4 and
+    # tau_5 (steps 533 of 768 and 536 of 1536): the coarser one is named
+    (("order-check", "--p", "6", "--t-end", "3"), 3,
+     "warning: ...\nStateOverflow: step 536 of 768: the state is not finite at tau=0.00390625"),
+    (("order-check", "--p", "6", "--t-end", "6"), 3,
+     "warning: ...\nStateOverflow: step 533 of 768: the state is not finite at tau=0.0078125"),
+    # c1 + sigma*lambda vanishes at tau_1 only; at t_end = 200 tau_0 overflows first
+    *((("order-check", "--p", "2", "--alpha-m", "0.25", "--alpha-f", "2", "--lambda", "0.8",
+        "--tau-start", "0.25", "--n-halvings", "1", "--t-end", t_end), 3, f"warning: ...\n{message}")
+      for t_end, message in [
+          ("100", "StepSingular: step 1 of 800: stage denominator vanishes: c1 + sigma*lambda = 0j"),
+          ("200", "StateOverflow: step 407 of 800: the state is not finite at tau=0.25")]),
     # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
     (("integrate", "--lambda", "1e200", "--tau", "0.1"), 3,
      "StateOverflow: block 2 of the initial state, tau^2 (-A)^2 u0, is not finite at tau=0.1"),

@@ -188,6 +188,14 @@ REFUSALS = [
     # exp(800) is past the double range: refused before any march
     ("measure_order-exact-solution-overflows", lambda: measure_order(SCHEME, -400.0, 2.0, TAUS), ValueError,
      "the exact solution exp(-lambda t_end) overflows at lambda=(-400+0j), t_end=2.0"),
+    # c1 + sigma*lambda vanishes at tau_2 = 0.0625 only; tau_0 and tau_1 march finitely first
+    ("measure_order-singular-at-tau-2", lambda: measure_order(SCHEME, -0.9 / (0.43 * 0.0625), 0.25,
+                                                              [0.25, 0.125, 0.0625]), StepSingular,
+     "step 1 of 4: stage denominator vanishes: c1 + sigma*lambda = 0j"),
+    # ... and at tau_1 = 0.125 only, where tau_0's march overflows first
+    ("measure_order-overflow-ahead-of-singular-tau-1", lambda: measure_order(
+        make_scheme(2, 0.25, 2.0), 0.8, 200.0, [0.25, 0.125]), StateOverflow,
+     "step 407 of 800: the state is not finite at tau=0.25"),
     ("recover_C-p-1", lambda: recover_C(1), ValueError, P_1),
     # --- stability
     *((f"radius-p-{p}-samples-{samples}", lambda p=p, samples=samples: worst_case_radius(

@@ -88,6 +88,15 @@ CASES = [
     # an exact solution exp(-lambda t_end) that overflows: exit 2, refused before the march
     ("integrate-exact-overflow", ["integrate", "--lambda=-710", "--t-end", "1", "--tau", "1"]),
     ("order-check-exact-overflow", ["order-check", "--lambda=-400"]),
+    # an unstable scheme's ladder: only the finest tau overflows, then the
+    # two finest both do and the coarser of them is named
+    ("order-check-p6-overflow-at-finest-tau", ["order-check", "--p", "6", "--t-end", "3"]),
+    ("order-check-p6-overflow-at-two-taus", ["order-check", "--p", "6", "--t-end", "6"]),
+    # c1 + sigma*lambda vanishes at tau_1 only: after tau_0 marches finitely,
+    # and after tau_0 overflows, which is named
+    *((f"order-check-singular-tau-1-t-end-{t_end}",
+       ["order-check", "--p", "2", "--alpha-m", "0.25", "--alpha-f", "2", "--lambda", "0.8",
+        "--tau-start", "0.25", "--n-halvings", "1", "--t-end", t_end]) for t_end in ("100", "200")),
     # 1e300 steps, more than a trajectory list can hold: exit 2, refused before the march
     ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
 ]
