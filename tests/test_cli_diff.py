@@ -1,6 +1,11 @@
 """``tools/cli_diff.py`` reports every difference between two checkouts' CLI runs."""
 
+import hashlib
+import json
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from conftest import load_script
 
@@ -166,3 +171,27 @@ def test_a_root_without_the_package_exits_2_before_any_run(tmp_path, monkeypatch
     for roots in ([typo, ends], [ends, typo]):
         assert tool.main([str(root) for root in roots]) == 2
         assert capsys.readouterr().err.splitlines() == [f"{typo / 'src' / 'galpha' / '__init__.py'} does not exist"]
+
+
+def test_write_golden_records_each_case(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "CASES", [("integrate-defaults", ["integrate"])])
+    root = _checkout(tmp_path / "a", 0.5, 3)
+    tool.write_golden(tmp_path / "golden.json", root)
+    record = json.loads((tmp_path / "golden.json").read_text())
+    assert record == {"numpy": np.__version__, "cases": {"integrate-defaults": {
+        "argv": "integrate",
+        "stdout": hashlib.sha256(b"wrote trajectory.csv\n").hexdigest(),
+        "stderr": hashlib.sha256(b"").hexdigest(),
+        "exit code": 3,
+        "files": {"trajectory.csv": hashlib.sha256(b"t,re_u_1,im_u_1\n0,1,0\n0.5,0.5,0\n").hexdigest()},
+    }}}
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'golden.json'} (1 cases, numpy {np.__version__})\n"
+
+
+def test_write_golden_takes_no_checkout(tmp_path, capsys):
+    tool = _load_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--write-golden", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: --write-golden takes no checkout")

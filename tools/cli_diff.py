@@ -1,6 +1,7 @@
 """Run a fixed list of ``galpha`` invocations in two checkouts and diff what they print and write.
 
     python3 tools/cli_diff.py PARENT_ROOT [CHANGE_ROOT]
+    python3 tools/cli_diff.py --write-golden
 
 Each invocation of ``CASES`` runs as ``python3 -m galpha ...`` once per
 checkout, with ``PYTHONPATH=<root>/src``, in a fresh working directory and
@@ -17,13 +18,23 @@ moved between inf and a finite value, or to or from nan, when any did.  For
 a ``manifest.txt`` of ``key = value`` lines it prints each key that changed,
 with its old and new value.  The exit code is 1 on any difference, and 2,
 before any run, when a root has no ``src/galpha/__init__.py``.
+
+``--write-golden`` runs every case once, in the repository this script
+belongs to, and writes ``tests/golden.json``: the sha256 of stdout, of
+stderr and of every file written, and the exit code, per case, with the
+numpy version that made them.  ``tests/test_golden.py`` reruns the cases in
+process and compares.  The map and ``rho-curve`` bytes come from LAPACK
+through ``eigvals``, so under another numpy version the cases of
+``LAPACK_CASES`` are not compared; every other case is.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -32,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden.json"
 
 #: Seconds one run may take; the slowest case, a default stability map, takes a few.
 TIMEOUT_S = 120.0
@@ -100,6 +112,9 @@ CASES = [
     # 1e300 steps, more than a trajectory list can hold: exit 2, refused before the march
     ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
 ]
+
+#: Prefixes of the cases whose bytes depend on LAPACK's ``eigvals``.
+LAPACK_CASES = ("stability-map", "rho-curve")
 
 
 def run_case(root: Path, argv: list[str], workdir: Path) -> dict:
@@ -256,11 +271,49 @@ def compare_runs(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(run: dict, out: Path) -> dict:
+    """The sha256 of a run's stdout, stderr and every file under ``out``, and its exit code."""
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    return {
+        "stdout": _sha256(run["stdout"]),
+        "stderr": _sha256(run["stderr"]),
+        "exit code": run["exit code"],
+        "files": {p.relative_to(out).as_posix(): _sha256(p.read_bytes()) for p in files},
+    }
+
+
+def write_golden(path: Path = GOLDEN, root: Path = REPO) -> None:
+    """Run every case in ``root`` and write their digests to ``path``."""
+    import numpy
+
+    cases = {}
+    with tempfile.TemporaryDirectory(prefix="cli_diff-") as tmp:
+        for name, case in CASES:
+            run = run_case(root, case, Path(tmp) / name)
+            cases[name] = {"argv": " ".join(case), **digests(run, Path(tmp) / name / "out")}
+    record = {"numpy": numpy.__version__, "cases": cases}
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path} ({len(cases)} cases, numpy {numpy.__version__})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
     parser.add_argument("change", type=Path, nargs="?", default=REPO, help="checkout of the change")
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"write the digests of this repository's runs to {GOLDEN.relative_to(REPO)}")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        if args.parent is not None:
+            parser.error("--write-golden takes no checkout")
+        write_golden()
+        return 0
+    if args.parent is None:
+        parser.error("the parent checkout is required")
     for root in (args.parent, args.change):
         package = root / "src" / "galpha" / "__init__.py"
         if not package.is_file():
