@@ -204,7 +204,10 @@ def heat_problem(n_interior: int, diffusivity: float = 1.0) -> LinearProblem:
     it raises :class:`StepSingular` where :func:`galpha.numkit.check_condition`
     refuses the diagonal shift's estimate max|d| / min|d| (a zero d included).
     """
-    n = operator.index(n_interior)
+    try:
+        n = operator.index(n_interior)
+    except TypeError:
+        raise TypeError(f"n_interior must be an integer, got {n_interior!r}") from None
     if n < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n}")
     if not 0.0 < diffusivity < np.inf:

@@ -87,7 +87,7 @@ REFUSALS = [
     *((f"heat-diffusivity-{kappa}", lambda kappa=kappa: heat_problem(5, diffusivity=kappa), ValueError,
        f"diffusivity must be positive and finite, got {kappa}") for kappa in (0.0, np.inf, np.nan)),
     # int() would truncate it to a 2-node rod
-    ("heat-2.9-nodes", lambda: heat_problem(2.9), TypeError, "'float' object cannot be interpreted as an integer"),
+    ("heat-2.9-nodes", lambda: heat_problem(2.9), TypeError, "n_interior must be an integer, got 2.9"),
     *((f"scalar-lambda-{lam}", lambda lam=lam: scalar_problem(lam), ValueError,
        f"lambda must be finite, got {complex(lam)}")
       for lam in (np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0))),
