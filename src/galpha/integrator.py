@@ -55,6 +55,8 @@ __all__ = [
     "heat_problem",
     "init_state",
     "step",
+    "stage_shift",
+    "step_count",
     "integrate",
     "write_trajectory_csv",
 ]
@@ -133,34 +135,48 @@ class LinearProblem:
 def scalar_problem(lam) -> LinearProblem:
     """The test equation u' + lambda u = 0 (lambda may be complex and finite).
 
+    A 1-D array of lambdas gives the diagonal system u_k' + lambda_k u_k = 0,
+    whose march steps each column bit for bit like the scalar problem of its
+    lambda_k (see :func:`step`).
+
     A march shifts by c1 = alpha_m / (p-2)! and sigma = gamma_1 alpha_f tau /
     (p-2)!, so c1 + sigma lambda is the pole factor of the one-step system at
     T = lambda tau over (p-2)!.  The solve raises :class:`StepSingular` where
     :func:`~galpha.amplification.pole_factor` finds it vanished, the rule by
     which the stability scan reports a pole (radius inf), and a denominator
-    that overflowed is refused as not finite before that test.  The checked
+    that overflowed is refused as not finite before that test; a diagonal
+    system raises the error of its first column refused.  The checked
     denominator of the last (c1, sigma) is kept, so a march pays for it once.
     """
-    lam = complex(lam)
-    if not np.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    if np.ndim(lam) == 0:
+        lam = complex(lam)
+    else:
+        lam = np.array(lam, dtype=complex)
+        if lam.ndim != 1 or lam.size == 0:
+            raise ValueError(f"lambda must be a number or a non-empty 1-D array, got shape {lam.shape}")
+    for value in np.ravel(lam):
+        if not np.isfinite(value):
+            raise ValueError(f"lambda must be finite, got {complex(value)}")
 
     def apply(v):
         return lam * v
 
     @lru_cache(maxsize=1)
     def denominator(c1, sigma):
-        den, nonzero = pole_factor(c1, sigma * lam)
-        if not np.isfinite(den):
-            raise StepSingular(f"stage shift is not finite: c1 + sigma*lambda = {den!r}")
-        if not nonzero:
-            raise StepSingular(f"stage denominator vanishes: c1 + sigma*lambda = {den!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an array's overflow, as a Python complex's
+            den, nonzero = pole_factor(c1, sigma * lam)
+        for value, ok in zip(np.ravel(den), np.ravel(nonzero)):
+            if not np.isfinite(value):
+                raise StepSingular(f"stage shift is not finite: c1 + sigma*lambda = {complex(value)!r}")
+            if not ok:
+                raise StepSingular(f"stage denominator vanishes: c1 + sigma*lambda = {complex(value)!r}")
         return den
 
     def shifted_solve(c1, sigma, b):
         return b / denominator(c1, sigma)
 
-    return LinearProblem(1, apply, shifted_solve, f"scalar lambda={lam}")
+    described = f"lambda={lam}" if np.ndim(lam) == 0 else f"{lam.size} lambdas"
+    return LinearProblem(np.size(lam), apply, shifted_solve, f"scalar {described}")
 
 
 def dense_problem(a) -> LinearProblem:
@@ -341,6 +357,12 @@ def step(params: SchemeParams, problem: LinearProblem, state: StateVector) -> St
     return StateVector._trusted(rows[:p], tau)
 
 
+def stage_shift(params: SchemeParams, tau: float) -> tuple[float, float]:
+    """The (c1, sigma) with which :func:`step` of size tau calls ``problem.shifted_solve``."""
+    _, _, d, _, s = _plan(params.p, params.alpha_m, params.alpha_f, params.gammas)
+    return d, s * tau
+
+
 @lru_cache(maxsize=32)
 def _plan(p, alpha_m, alpha_f, gammas):
     """The step plan of one scheme, read once from ``one_step_tableau``.
@@ -364,25 +386,15 @@ def _plan(p, alpha_m, alpha_f, gammas):
     return M, c, L[p - 1, p - 1][0], k, -k * L[p - 2, p - 1][0]
 
 
-def integrate(
-    params: SchemeParams,
-    problem: LinearProblem,
-    u0,
-    tau: float,
-    t_end: float,
-) -> list[tuple[float, np.ndarray]]:
-    """Uniform march to t_end; returns [(t, u(t)), ...] including t = 0.
+def step_count(tau: float, t_end: float) -> int:
+    """The number n of steps of size tau that end a march at t_end.
 
     t_end must be a whole number of steps: with n = round(t_end / tau), a
     mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
-    rather than ending the march short of (or past) t_end, and so does a
-    t_end / tau that is not finite or a step count whose trajectory no list
-    can hold (n + 1 > ``sys.maxsize``), before the march starts.  Step
-    failures are re-raised with the failing step index attached, and so is
-    :class:`StateOverflow` when the march leaves the double range.  A
-    non-finite state stays non-finite on every later step (inf and nan pass
-    through the solve), so one test of the last state decides, and the first
-    step whose u is not finite is searched for only then.
+    rather than ending the march short of (or past) t_end, and so do a tau
+    that is not positive, a t_end below tau, a t_end / tau that is not
+    finite and a step count whose trajectory no list can hold (n + 1 >
+    ``sys.maxsize``).
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -398,6 +410,27 @@ def integrate(
         )
     if n_steps + 1 > sys.maxsize:
         raise ValueError(f"t_end={t_end} over tau={tau} is {t_end / tau:.12g} steps, more than a list can hold")
+    return n_steps
+
+
+def integrate(
+    params: SchemeParams,
+    problem: LinearProblem,
+    u0,
+    tau: float,
+    t_end: float,
+) -> list[tuple[float, np.ndarray]]:
+    """Uniform march to t_end; returns [(t, u(t)), ...] including t = 0.
+
+    The step count is :func:`step_count`'s, whose ``ValueError`` comes
+    before the march starts.  Step failures are re-raised with the failing
+    step index attached, and so is :class:`StateOverflow` when the march
+    leaves the double range.  A non-finite state stays non-finite on every
+    later step (inf and nan pass through the solve), so one test of the last
+    state decides, and the first step whose u is not finite is searched for
+    only then.
+    """
+    n_steps = step_count(tau, t_end)
     state = init_state(problem, u0, params.p, tau)
     trajectory = [(0.0, state.value.copy())]
     with np.errstate(over="ignore", invalid="ignore"):

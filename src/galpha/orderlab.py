@@ -4,7 +4,12 @@ Two independent instruments live here:
 
 * :func:`measure_order` integrates the scalar test equation over a ladder of
   step sizes and fits the global-error slope on a log-log plot.  It exercises
-  the actual stepping code.
+  the actual stepping code, in one march of the whole ladder: a diagonal
+  problem whose column k has rate lambda * tau_k / tau_0, marched with step
+  tau_0, has the T = lambda tau_k of the scalar march at tau_k.  Column k is
+  read at its own step count t_end / tau_k and then dropped.  Where every
+  tau_k / tau_0 is a power of two (every CLI ladder) the scaling is exact,
+  and each error is bit for bit the one a march at tau_k alone gives.
 * :func:`recover_C` treats the constant in the closure rule
   gamma_j = C(p) + alpha_m - alpha_f as an unknown and recovers it from the
   one-step matrices alone.  The principal root mu = exp(-T) of
@@ -32,9 +37,11 @@ from math import isfinite, nan
 
 import numpy as np
 
+from . import integrator
 from .amplification import char_poly, order_condition
-from .errors import AllAtRoundoff
-from .integrator import integrate, scalar_problem
+from .errors import AllAtRoundoff, StateOverflow, StepSingular
+# Not called here: perfbench/tracing.py patches this name in this module.
+from .integrator import integrate  # noqa: F401
 from .schemes import SchemeParams
 
 __all__ = [
@@ -72,22 +79,26 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     """Fit the global-error order for u' + lam*u = 0, u(0) = 1.
 
     ``taus`` must be strictly decreasing.  Raises ``ValueError`` before any
-    march where the exact solution exp(-lam t_end) overflows, and
-    :class:`AllAtRoundoff` when fewer than two ladder points rise above the
-    round-off floor.
+    march where lam is not finite, where the exact solution exp(-lam t_end)
+    overflows, or where some tau fails :func:`~galpha.integrator.step_count`
+    (checked in ladder order), and :class:`AllAtRoundoff` when fewer than
+    two ladder points rise above the round-off floor.
+
+    The ladder is marched once, as one diagonal problem (see the module
+    docstring), and no trajectory is kept.  A march refusal is the one that
+    ``integrate`` at the first failing tau raises, with its message.  On a
+    ladder whose ratios tau_k / tau_0 are not powers of two, lam * tau_k /
+    tau_0 is rounded, and the errors can move in their last digits.
     """
     taus = tuple(float(t) for t in taus)
     if len(taus) < 2:
         raise ValueError("need at least two step sizes")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    problem = scalar_problem(lam)
-    exact = _exact_decay(complex(lam), t_end)
-    errors = []
-    for tau in taus:
-        trajectory = integrate(params, problem, 1.0, tau, t_end)
-        errors.append(abs(trajectory[-1][1][0] - exact))
-    errors = tuple(errors)
+    lam = complex(lam)
+    exact = _exact_decay(lam, t_end)
+    counts = [integrator.step_count(tau, t_end) for tau in taus]
+    errors = tuple(abs(u - exact) for u in _ladder_values(params, lam, taus, counts))
 
     kept = [(t, e) for t, e in zip(taus, errors) if e > ROUNDOFF_FLOOR]
     if len(kept) < 2:
@@ -109,16 +120,78 @@ def measure_order(params: SchemeParams, lam, t_end: float, taus) -> ConvergenceR
     return ConvergenceReport(taus, errors, slope, tuple(window))
 
 
+def _ladder_values(params: SchemeParams, lam: complex, taus, counts) -> list:
+    """u at step counts[k] of the march at taus[k], for every k, from one march.
+
+    Column k of the diagonal problem has rate lam * (taus[k] / taus[0]) and
+    every step is taus[0]; the column is read at step counts[k] and dropped.
+    The error raised is the one of the first tau whose own march fails: an
+    initial state that overflows (column 0 holds the largest values, so it
+    names taus[0]), a refused stage shift (known before the march: the
+    columns ahead of it march to their ends first, and it reads as step 1),
+    or a state that is not finite when its column ends.
+    """
+    # scaled part by part, so that a power-of-two ratio scales lam exactly
+    ratios = np.array(taus) / taus[0]
+    rates = np.empty(len(taus), dtype=complex)
+    rates.real, rates.imag = lam.real * ratios, lam.imag * ratios
+    state = integrator.init_state(integrator.scalar_problem(rates), np.ones(len(rates)), params.p, taus[0])
+    c1, sigma = integrator.stage_shift(params, taus[0])
+    live, refused = len(rates), None
+    for k in range(len(rates)):
+        try:
+            integrator.scalar_problem(rates[k:k + 1]).shifted_solve(c1, sigma, 1.0)
+        except StepSingular as exc:
+            live, refused = k, exc
+            break
+    values, n = [], 0
+    state = integrator.StateVector(state.stack[:, :live], taus[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(live):
+            problem = integrator.scalar_problem(rates[k:live])
+            while n < counts[k]:
+                state = integrator.step(params, problem, state)
+                n += 1
+            if not np.isfinite(state.stack[:, 0]).all():
+                s = _first_nonfinite_step(params, rates[k:k + 1], taus[0], counts[k])
+                raise StateOverflow(f"step {s} of {counts[k]}: the state is not finite at tau={taus[k]}")
+            values.append(state.stack[0, 0])
+            state = integrator.StateVector(state.stack[:, 1:], taus[0])
+    if refused is not None:
+        raise type(refused)(f"step 1 of {counts[live]}: {refused}") from refused
+    return values
+
+
+def _first_nonfinite_step(params: SchemeParams, rate, tau: float, n: int) -> int:
+    """The first of n steps of size tau whose u is not finite, or n if none is.
+
+    One column marched alone steps bit for bit as it did in the ladder, so
+    this re-march finds the step that ``integrate`` names, without the
+    ladder keeping a trajectory.
+    """
+    problem = integrator.scalar_problem(rate)
+    state = integrator.init_state(problem, np.ones(1), params.p, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            state = integrator.step(params, problem, state)
+            if not np.isfinite(state.value).all():
+                return k
+    return n
+
+
 def _exact_decay(lam: complex, t_end: float) -> complex:
-    """exp(-lam t_end), the exact u(t_end) of u' + lam u = 0, u(0) = 1, for a finite lam.
+    """exp(-lam t_end), the exact u(t_end) of u' + lam u = 0, u(0) = 1.
 
     The one overflow rule of the exact solution, for :func:`measure_order`
     and the ``integrate`` command alike: where a finite t_end takes it out of
     the double range (or makes its phase -Im(lam) t_end infinite), this
     raises ``ValueError`` naming lam and t_end, before any march starts.  A
-    t_end that is not finite gives nan; ``integrate`` refuses it by its own
-    rule.
+    lam that is not finite is refused first, with the message of
+    :func:`~galpha.integrator.scalar_problem`.  A t_end that is not finite
+    gives nan; ``integrate`` refuses it by its own rule.
     """
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if not isfinite(t_end):
         return complex(nan)
     exponent = -lam * t_end

@@ -123,6 +123,21 @@ def test_traced_dense_march_counts_one_apply_per_step():
     assert names.count("integrator.dense.apply") == 12
 
 
+def test_traced_order_check_marches_its_ladder_once(tmp_path, capsys):
+    # the default ladder tau = 0.125 / 2**k, k = 0 .. 5, to t_end = 2 is
+    # marched once, as one diagonal problem: max n_k = 512 steps, where one
+    # march per tau took sum n_k = 1008
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main(["order-check", "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert [span[0] for span in tracer.spans].count("integrator.scalar.step") == 512
+
+
 @pytest.mark.parametrize("n_rho", ["2", "11", "101"])
 def test_traced_rho_curve_takes_one_eig_call_per_branch(tmp_path, capsys, n_rho):
     # each branch's stiff-limit radii come from one stacked numkit.eigenvalues

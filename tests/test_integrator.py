@@ -1,5 +1,6 @@
 """Tests for state handling, the implicit step, and the integration driver."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -24,6 +25,7 @@ from galpha.integrator import (
     init_state,
     integrate,
     scalar_problem,
+    stage_shift,
     step,
     write_trajectory_csv,
 )
@@ -468,6 +470,32 @@ def test_diagonal_system_decouples_exactly():
         for (t_c, u_c), (t_s, u_s) in zip(coupled, single):
             assert t_c == t_s
             assert u_c[j] == u_s[0]
+
+
+def test_scalar_problem_of_an_array_marches_each_column_bit_for_bit():
+    """A 1-D array of lambdas is the diagonal system: each column of its
+    march is the scalar march of its own lambda, bit for bit."""
+    lams = [0.7, complex(2.3, -1.0), complex(0.0, 3.5)]
+    params = make_scheme(4, 1.0, 0.75)
+    problem = scalar_problem(lams)
+    assert problem.dim == 3 and problem.description == "scalar 3 lambdas"
+    coupled = integrate(params, problem, np.ones(3), 0.125, 1.0)
+    for j, lam in enumerate(lams):
+        single = integrate(params, scalar_problem(lam), 1.0, 0.125, 1.0)
+        assert [u[j] for _, u in coupled] == [u[0] for _, u in single]
+
+
+def test_stage_shift_is_the_shift_of_each_solve():
+    params = make_scheme(5, 1.0, 0.75)
+    base, shifts = scalar_problem(1.0), []
+
+    def shifted_solve(c1, sigma, b):
+        shifts.append((c1, sigma))
+        return base.shifted_solve(c1, sigma, b)
+
+    problem = dataclasses.replace(base, shifted_solve=shifted_solve)
+    integrate(params, problem, 1.0, 0.1, 0.3)
+    assert shifts == [stage_shift(params, 0.1)] * 3
 
 
 def test_trajectory_satisfies_characteristic_recurrence():

@@ -9,14 +9,15 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from galpha import stability
 from galpha.amplification import amplification_matrix, char_poly
-from galpha.errors import GalphaError
-from galpha.integrator import init_state, scalar_problem, step
+from galpha.errors import AllAtRoundoff, GalphaError
+from galpha.integrator import init_state, integrate, scalar_problem, step
+from galpha.orderlab import ROUNDOFF_FLOOR, measure_order
 from galpha.schemes import RhoBranch, Variant, make_scheme
 from galpha.stability import default_t_samples, scan_region, worst_case_radius
 
@@ -70,6 +71,54 @@ def test_scalar_step_is_g_times_state(p, am, data, modulus, angle):
     # G's entries reach ~(p-2)! at high order, so round-off scales with |G| |u|
     scale = max(1.0, (np.abs(G) @ np.abs(u)).max())
     assert np.abs(stepped.stack[:, 0] - G @ u).max() <= 1e-12 * scale
+
+
+def _errors_per_tau(params, lam, t_end, taus):
+    """measure_order's errors from one ``integrate`` per tau, or the error of the first tau that fails."""
+    exact = cmath.exp(-lam * t_end)
+    try:
+        return tuple(abs(integrate(params, scalar_problem(lam), 1.0, tau, t_end)[-1][1][0] - exact) for tau in taus)
+    except (ValueError, GalphaError) as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(min_value=2, max_value=7),
+    am=alphas,
+    af=alphas,
+    z=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+    tau0=st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 0.5]),
+    n0=st.integers(min_value=1, max_value=8),
+    halvings=st.integers(min_value=1, max_value=6),
+)
+# c1 + sigma*lambda vanishes at tau_2 only: tau_0 and tau_1 march first
+@example(p=3, am=0.9, af=0.6, z=complex(-0.9 / (0.43 * 0.0625) * 0.25), tau0=0.25, n0=1, halvings=2)
+# ... and at tau_1 only, where tau_0's march overflows first
+@example(p=2, am=0.25, af=2.0, z=160 + 0j, tau0=0.25, n0=800, halvings=1)
+# an unstable scheme overflows at the finest tau only, then at the two finest
+@example(p=6, am=1.0, af=0.75, z=3 + 0j, tau0=0.125, n0=24, halvings=5)
+@example(p=6, am=1.0, af=0.75, z=6 + 0j, tau0=0.125, n0=48, halvings=5)
+def test_ladder_march_is_one_integrate_per_tau(p, am, af, z, tau0, n0, halvings):
+    """On a power-of-two ladder, with lambda = z / t_end (so |lambda| t_end <= 50),
+    measure_order's one march gives the errors of ``integrate`` at each tau bit
+    for bit, or raises the same error with the same message."""
+    params = make_scheme(p, am, af)
+    t_end = n0 * tau0
+    lam, taus = z / t_end, [tau0 / 2**k for k in range(halvings + 1)]
+    want = _errors_per_tau(params, lam, t_end, taus)
+    try:
+        got = measure_order(params, lam, t_end, taus).errors
+    except AllAtRoundoff as exc:
+        kept = sum(e > ROUNDOFF_FLOOR for e in want)
+        assert kept < 2 and str(exc) == f"{kept} of {len(taus)} errors above floor {ROUNDOFF_FLOOR}"
+        return
+    except (ValueError, GalphaError) as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

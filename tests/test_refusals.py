@@ -91,6 +91,15 @@ REFUSALS = [
     *((f"scalar-lambda-{lam}", lambda lam=lam: scalar_problem(lam), ValueError,
        f"lambda must be finite, got {complex(lam)}")
       for lam in (np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0))),
+    # a diagonal system: each column is checked, and the first refused one is named
+    ("scalar-lambdas-1-nan-inf", lambda: scalar_problem([1.0, np.nan, np.inf]), ValueError,
+     "lambda must be finite, got (nan+0j)"),
+    *((f"scalar-lambdas-shape-{shape}", lambda shape=shape: scalar_problem(np.ones(shape)), ValueError,
+       f"lambda must be a number or a non-empty 1-D array, got shape {shape}") for shape in ((0,), (2, 2))),
+    *((f"scalar-lambdas-{lams}-shift-refused", lambda lams=lams: scalar_problem(lams).shifted_solve(
+        1.0, 2.0, np.ones(3)), StepSingular, message)
+      for lams, message in [([1.0, -0.5, 1e308], "stage denominator vanishes: c1 + sigma*lambda = 0j"),
+                            ([1.0, 1e308, -0.5], "stage shift is not finite: c1 + sigma*lambda = (inf+0j)")]),
     # --- integrator: the march
     ("integrate-tau--0.1", lambda: integrate(SCHEME, scalar_problem(1.0), 1.0, -0.1, 1.0), ValueError,
      "tau must be positive, got -0.1"),
