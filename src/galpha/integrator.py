@@ -19,7 +19,8 @@ lambda is complex) marches in complex128.
 
 Problems are described by a :class:`LinearProblem`: an ``apply`` callback for
 v -> A v and a ``shifted_solve`` callback for (c1 * I + sigma * A) x = b.
-Factories are provided for scalar equations, dense matrices, and the standard
+Factories are provided for scalar equations (one lambda, or a 1-D array of
+them: the diagonal system), dense matrices, and the standard
 second-difference discretization of the heat equation on the unit interval.
 The shift is the same on every step of a march, so the factories pay for the
 shifted operator once: the scalar problem keeps the pole-checked

@@ -138,15 +138,15 @@ def _ladder_values(params: SchemeParams, lam: complex, taus, counts) -> list:
     state = integrator.init_state(integrator.scalar_problem(rates), np.ones(len(rates)), params.p, taus[0])
     c1, sigma = integrator.stage_shift(params, taus[0])
     live, refused = len(rates), None
-    for k in range(len(rates)):
-        try:
-            integrator.scalar_problem(rates[k:k + 1]).shifted_solve(c1, sigma, 1.0)
-        except StepSingular as exc:
-            live, refused = k, exc
-            break
-    values, n = [], 0
-    state = integrator.StateVector(state.stack[:, :live], taus[0])
     with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(rates)):
+            try:
+                integrator.scalar_problem(rates[k:k + 1]).shifted_solve(c1, sigma, 1.0)
+            except StepSingular as exc:
+                live, refused = k, exc
+                break
+        state = integrator.StateVector(state.stack[:, :live], taus[0])
+        values, n = [], 0
         for k in range(live):
             problem = integrator.scalar_problem(rates[k:live])
             while n < counts[k]:

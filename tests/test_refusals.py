@@ -205,6 +205,9 @@ REFUSALS = [
     ("measure_order-overflow-ahead-of-singular-tau-1", lambda: measure_order(
         make_scheme(2, 0.25, 2.0), 0.8, 200.0, [0.25, 0.125]), StateOverflow,
      "step 407 of 800: the state is not finite at tau=0.25"),
+    # subnormal parameters: a tiny stage shift overflows 1 / (c1 + sigma*lambda), with no warning
+    ("measure_order-subnormal-params", lambda: measure_order(make_scheme(3, 1e-320, 1e-320), 1.0, 1.0, [0.25, 0.125]),
+     StateOverflow, "step 1 of 4: the state is not finite at tau=0.25"),
     ("recover_C-p-1", lambda: recover_C(1), ValueError, P_1),
     # --- stability
     *((f"radius-p-{p}-samples-{samples}", lambda p=p, samples=samples: worst_case_radius(
