@@ -5,6 +5,7 @@ import io
 import json
 import re
 import warnings
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -33,6 +34,12 @@ def load_script(path, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def last(rows):
+    """The last item of an iterable, such as the final ``(t, u)`` row of a march,
+    keeping no other item."""
+    return deque(rows, maxlen=1).pop()
 
 
 def _paths_under(root):

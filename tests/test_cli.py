@@ -319,6 +319,10 @@ OUTCOMES = [
     # the initial stack is finite, (lambda*tau)^2 = 1e298, but step 1 overflows
     (("integrate", "--lambda", "1e150", "--tau", "0.1"), 3,
      "StateOverflow: step 1 of 10: the state is not finite at tau=0.1"),
+    # an unstable scheme's heat march overflows at step 1837 of 2000, after
+    # most of its rows are computed: still nothing under OUT
+    (("integrate", "--p", "4", "--heat-n", "50", "--tau", "0.1", "--t-end", "200"), 3,
+     "warning: ...\nStateOverflow: step 1837 of 2000: the state is not finite at tau=0.1"),
     # one-step matrices LAPACK refuses (subnormal alpha_m, alpha_f): galpha's message, not numpy's
     (("stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"), 3,
      "DegenerateParams: the T -> inf limit..."),

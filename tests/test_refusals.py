@@ -16,7 +16,7 @@ from galpha.orderlab import measure_order, recover_C
 from galpha.schemes import RhoBranch, SchemeParams, Variant, c_of_p, make_scheme, params_from_rho, remark_one_gammas
 from galpha.stability import default_t_samples, rho_curve, scan_region, worst_case_radius
 
-from conftest import check_refusal
+from conftest import check_refusal, last
 
 SCHEME = make_scheme(3, 0.9, 0.6)
 RHO_SCHEME = make_scheme(3, *params_from_rho(0.5))
@@ -116,10 +116,14 @@ REFUSALS = [
     ("integrate-off-the-step-grid", lambda: integrate(RHO_SCHEME, scalar_problem(1.0), 1.0, 0.3, 1.0), ValueError,
      "t_end=1.0 is not a whole number of steps of tau=0.3 (t_end/tau = 3.33333333333)"),
     # a finite initial stack whose march overflows raises at the first non-finite step
-    *((f"integrate-{name}-overflows-mid-march", lambda problem=problem, u0=u0: integrate(
-        RHO_SCHEME, problem, u0, 0.1, 1.0), StateOverflow, "step 1 of 10: the state is not finite at tau=0.1")
+    *((f"integrate-{name}-overflows-mid-march", lambda problem=problem, u0=u0: last(integrate(
+        RHO_SCHEME, problem, u0, 0.1, 1.0)), StateOverflow, "step 1 of 10: the state is not finite at tau=0.1")
       for name, problem, u0 in [("scalar", scalar_problem(1e150), 1.0),
                                 ("dense", dense_problem(np.diag([1e150, 2e150])), [1.0, 1.0])]),
+    # an unstable p = 4 scheme on a heat rod: finite for 1836 of 2000 steps
+    ("integrate-heat-overflows-late", lambda: last(integrate(
+        make_scheme(4, 1.0, 0.75), heat_problem(50), np.sin(np.pi * np.arange(1, 51) / 51), 0.1, 200.0)),
+     StateOverflow, "step 1837 of 2000: the state is not finite at tau=0.1"),
     # --- numkit
     # LAPACK's own refusal, or the condition rule where rounding leaves the rank-2 matrix invertible
     *((f"solve-singular-{name}", lambda matrix=matrix: numkit.solve(matrix, np.ones(len(matrix))), SingularMatrix,

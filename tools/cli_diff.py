@@ -111,6 +111,8 @@ CASES = [
         "--tau-start", "0.25", "--n-halvings", "1", "--t-end", t_end]) for t_end in ("100", "200")),
     # 1e300 steps, more than a trajectory list can hold: exit 2, refused before the march
     ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
+    # an unstable scheme whose heat march overflows late: exit 3, and nothing is left under OUT
+    ("integrate-heat-overflow-late", ["integrate", "--p", "4", "--heat-n", "50", "--tau", "0.1", "--t-end", "200"]),
 ]
 
 #: Prefixes of the cases whose bytes depend on LAPACK's ``eigvals``.
