@@ -13,6 +13,10 @@ a run can be reproduced byte-for-byte from its output directory alone:
                         ``convergence.csv``; optionally re-derive the closure
                         constant
 
+Each file is written under a temporary name in the output directory, and
+the files of a run are moved onto their names only once all of them are
+written, so a run that fails leaves nothing new there.
+
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure.  Errors
 are reported as one JSON line on standard error.  Long options only; complex
 lambda is written ``--lambda RE[,IM]``.
@@ -23,14 +27,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import GalphaError
-from .integrator import heat_problem, integrate, scalar_problem, write_trajectory_csv
+from .integrator import heat_problem, integrate, scalar_problem, step_count, write_trajectory_csv
 from .orderlab import _exact_decay, measure_order, recover_C, write_convergence_csv
 from .schemes import (
     RhoBranch,
@@ -125,6 +131,28 @@ def _prepare_out(path_text: str) -> Path:
     return out
 
 
+@contextmanager
+def _publishing(out: Path):
+    """Yield ``stage(name)``, the temporary path in ``out`` to write file
+    ``name`` to.  When the block ends, each staged file is moved onto its
+    name by ``os.replace``; when anything in it raises, each is removed, so
+    that a failed run leaves no file, whole or partial, in ``out``."""
+    staged = []
+
+    def stage(name: str) -> Path:
+        staged.append((out / f"{name}.tmp", out / name))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -133,10 +161,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_manifest(out: Path, subcommand: str, entries: dict) -> None:
+def _write_manifest(path: Path, subcommand: str, entries: dict) -> None:
     entries = dict(entries, subcommand=subcommand, version=__version__)
     lines = [f"{key} = {_fmt(entries[key])}" for key in sorted(entries)]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _scheme_manifest(params: SchemeParams, rho: float | None, branch: RhoBranch) -> dict:
@@ -165,7 +193,7 @@ def _warn_if_unstable(params: SchemeParams) -> bool:
     return report.stable
 
 
-def cmd_integrate(args, out: Path) -> dict:
+def cmd_integrate(args, stage) -> tuple[dict, list[str]]:
     params, rho, branch = _resolve_scheme(args)
     if not (math.isfinite(args.tau) and args.tau > 0):
         raise ValueError(f"--tau must be positive and finite, got {args.tau}")
@@ -199,18 +227,17 @@ def cmd_integrate(args, out: Path) -> dict:
                 )
 
     trajectory = integrate(params, problem, u0, args.tau, args.t_end)
-    write_trajectory_csv(trajectory, out / "trajectory.csv")
-    print(f"wrote trajectory.csv ({len(trajectory)} rows)")
+    _, u_end = write_trajectory_csv(trajectory, stage("trajectory.csv"))
+    report = [f"wrote trajectory.csv ({step_count(args.tau, args.t_end) + 1} rows)"]
     if args.heat_n is None:
-        final_error = abs(trajectory[-1][1][0] - exact)
-        print(f"final error vs exact exponential: {final_error:.6e}")
+        report.append(f"final error vs exact exponential: {abs(u_end[0] - exact):.6e}")
 
     entries = dict(_scheme_manifest(params, rho, branch), tau=args.tau, t_end=args.t_end)
     if args.heat_n is not None:
         entries.update(problem="heat", heat_n=args.heat_n, kappa=args.kappa)
     else:
         entries.update(problem="scalar", **{"lambda": lam})
-    return entries
+    return entries, report
 
 
 _PLOT_TEMPLATE = """\
@@ -230,7 +257,7 @@ plot "stability.csv" skip 1 using 2:1:4 with image notitle
 """
 
 
-def cmd_stability_map(args, out: Path) -> dict:
+def cmd_stability_map(args, stage) -> tuple[dict, list[str]]:
     if args.grid_n < 2:
         raise ValueError("--grid-n must be at least 2")
     for option in ("alpha_min", "alpha_max", "t_min", "t_max"):
@@ -249,12 +276,12 @@ def cmd_stability_map(args, out: Path) -> dict:
     axis = np.linspace(args.alpha_min, args.alpha_max, args.grid_n)
     samples = default_t_samples(args.t_samples, args.t_min, args.t_max)
     smap = scan_region(axis, axis, variant, t_samples=samples)
-    write_stability_csv(smap, out / "stability.csv")
+    write_stability_csv(smap, stage("stability.csv"))
     script = _PLOT_TEMPLATE.format(lo=args.alpha_min, hi=args.alpha_max, variant=variant.value)
-    (out / "stability.plot").write_text(script, encoding="utf-8")
+    stage("stability.plot").write_text(script, encoding="utf-8")
     stable = int(smap.stable.sum())
     total = smap.stable.size
-    print(f"wrote stability.csv ({total} cells, {stable} stable) and stability.plot")
+    report = [f"wrote stability.csv ({total} cells, {stable} stable) and stability.plot"]
 
     return dict(
         variant=variant.value,
@@ -267,15 +294,14 @@ def cmd_stability_map(args, out: Path) -> dict:
         t_samples=args.t_samples,
         t_min=args.t_min,
         t_max=args.t_max,
-    )
+    ), report
 
 
-def cmd_rho_curve(args, out: Path) -> dict:
+def cmd_rho_curve(args, stage) -> tuple[dict, list[str]]:
     if args.n_rho < 2:
         raise ValueError("--n-rho must be at least 2")
-    path = out / "rho_curves.csv"
     worst_main = 0.0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(stage("rho_curves.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("branch,rho,alpha_m,alpha_f,inside_region,max_eig_inf,pole\n")
         for branch in RhoBranch:
             for point in rho_curve(branch, args.n_rho):
@@ -290,12 +316,13 @@ def cmd_rho_curve(args, out: Path) -> dict:
                     f"{branch.value},{point.rho:.17g},{point.alpha_m:.17g},"
                     f"{point.alpha_f:.17g},{inside},{max_eig:.17g},0\n"
                 )
-    print(f"wrote rho_curves.csv ({len(RhoBranch)} branches x {args.n_rho} samples)")
-    print(f"main branch: worst |max_eig_inf - rho| = {worst_main:.3e}")
-    return {"n_rho": args.n_rho}
+    return {"n_rho": args.n_rho}, [
+        f"wrote rho_curves.csv ({len(RhoBranch)} branches x {args.n_rho} samples)",
+        f"main branch: worst |max_eig_inf - rho| = {worst_main:.3e}",
+    ]
 
 
-def cmd_order_check(args, out: Path) -> dict:
+def cmd_order_check(args, stage) -> tuple[dict, list[str]]:
     params, rho, branch = _resolve_scheme(args)
     if not (math.isfinite(args.tau_start) and args.tau_start > 0):
         raise ValueError(f"--tau-start must be positive and finite, got {args.tau_start}")
@@ -306,14 +333,14 @@ def cmd_order_check(args, out: Path) -> dict:
     lam = complex(1.0) if args.lam is None else args.lam
     taus = [args.tau_start / 2**k for k in range(args.n_halvings + 1)]
     report = measure_order(params, lam, args.t_end, taus)
-    write_convergence_csv(report, out / "convergence.csv")
-    print(f"fitted order slope: {report.slope:.4f}")
+    write_convergence_csv(report, stage("convergence.csv"))
+    lines = [f"fitted order slope: {report.slope:.4f}"]
 
     entries = _scheme_manifest(params, rho, branch)
     if args.recover_c:
         recovered = recover_C(params.p)
         tabulated = float(c_of_p(params.p))
-        print(
+        lines.append(
             f"recovered closure constant C({params.p}) = {recovered:.12f} "
             f"(tabulated {tabulated:.12f}, |diff| = {abs(recovered - tabulated):.3e})"
         )
@@ -324,7 +351,7 @@ def cmd_order_check(args, out: Path) -> dict:
         t_end=args.t_end,
         **{"lambda": lam},
     )
-    return entries
+    return entries, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,8 +416,10 @@ def _emit_error(code: int, kind: str, message: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = _prepare_out(args.out)
-        _write_manifest(out, args.subcommand, args.handler(args, out))
+        with _publishing(_prepare_out(args.out)) as stage:
+            entries, report = args.handler(args, stage)
+            _write_manifest(stage("manifest.txt"), args.subcommand, entries)
+        print("\n".join(report))
         return 0
     except ValueError as exc:
         _emit_error(2, "config", str(exc))

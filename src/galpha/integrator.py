@@ -31,15 +31,21 @@ eigenvalues it computes once.  The dense and heat problems refuse a shifted
 operator by the one rule of :mod:`galpha.numkit`.
 ``step`` reads the plan of its scheme from a cache, built on the scheme's
 first step.
+
+A march streams: :func:`integrate` checks its arguments and returns an
+iterator that takes one step per row it yields, keeping only the current
+state, and :func:`write_trajectory_csv` writes each row as it comes.  So the
+memory of a march written to CSV is set by the state, not by the step count.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -394,7 +400,7 @@ def step_count(tau: float, t_end: float) -> int:
     mismatch |n * tau - t_end| above 1e-9 * t_end raises ``ValueError``
     rather than ending the march short of (or past) t_end, and so do a tau
     that is not positive, a t_end below tau, a t_end / tau that is not
-    finite and a step count whose trajectory no list can hold (n + 1 >
+    finite and a step count beyond the length of a Python list (n + 1 >
     ``sys.maxsize``).
     """
     if not tau > 0.0:
@@ -420,52 +426,88 @@ def integrate(
     u0,
     tau: float,
     t_end: float,
-) -> list[tuple[float, np.ndarray]]:
-    """Uniform march to t_end; returns [(t, u(t)), ...] including t = 0.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Uniform march to t_end: an iterator of its rows (t, u(t)), t = 0 included.
 
-    The step count is :func:`step_count`'s, whose ``ValueError`` comes
-    before the march starts.  Step failures are re-raised with the failing
-    step index attached, and so is :class:`StateOverflow` when the march
-    leaves the double range.  A non-finite state stays non-finite on every
-    later step (inf and nan pass through the solve), so one test of the last
-    state decides, and the first step whose u is not finite is searched for
-    only then.
+    The arguments are checked and u0 is read at the call:
+    :func:`step_count`'s ``ValueError`` and :func:`init_state`'s refusals
+    are raised before any row is asked for.  The march then runs as its rows
+    are taken, one step per row, and keeps only its initial and current
+    states, so its memory does not grow with the step count.  Each u is a
+    copy that the march does not touch again.
+
+    Step failures are re-raised with the failing step index attached, and
+    so is :class:`StateOverflow` when the march leaves the double range,
+    raised in place of the last row.  A non-finite state stays non-finite on
+    every later step (inf and nan pass through the solve), so one test of
+    the last state decides, and only then is the march run again from its
+    initial state to find the first step whose u is not finite.
     """
     n_steps = step_count(tau, t_end)
-    state = init_state(problem, u0, params.p, tau)
-    trajectory = [(0.0, state.value.copy())]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            try:
-                new = step(params, problem, state)
-            except GalphaError as exc:
-                raise type(exc)(f"step {k} of {n_steps}: {exc}") from exc
-            # copy u while the old state's (p+1, m) buffer is still held, so
-            # that the copy does not split the hole the next step reuses
-            # (else a 1000-node heat march peaks 0.3 MB higher under glibc)
-            trajectory.append((k * tau, new.value.copy()))
-            state = new
-    if not np.isfinite(state.stack).all():
-        k = next((k for k, (_, u) in enumerate(trajectory) if not np.isfinite(u).all()), n_steps)
-        raise StateOverflow(f"step {k} of {n_steps}: the state is not finite at tau={tau}")
-    return trajectory
+    return _march(params, problem, init_state(problem, u0, params.p, tau), n_steps)
 
 
-def write_trajectory_csv(trajectory, path) -> None:
-    """Write ``t,re_u_1,im_u_1,...`` rows with 17 significant digits.
+def _march(params: SchemeParams, problem: LinearProblem, start: StateVector, n_steps: int):
+    """The rows of :func:`integrate`, from its checked initial state."""
+    state, tau = start, start.tau
+    yield 0.0, state.value.copy()
+    for k in range(1, n_steps + 1):
+        try:
+            # per step, not across the yield: numpy's error state is a context
+            # variable, and a block held open there would be in force in the
+            # caller's code between rows
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = step(params, problem, state)
+        except GalphaError as exc:
+            raise type(exc)(f"step {k} of {n_steps}: {exc}") from exc
+        if k == n_steps and not np.isfinite(state.stack).all():
+            first = _first_nonfinite_step(params, problem, start, n_steps)
+            raise StateOverflow(f"step {first} of {n_steps}: the state is not finite at tau={tau}")
+        yield k * tau, state.value.copy()
 
-    A trajectory with no complex u writes its imaginary cells as the literal
-    ``0``, the bytes that ``%.17g`` gives for 0.0, without formatting them.
+
+def _first_nonfinite_step(params: SchemeParams, problem: LinearProblem, start: StateVector, n: int) -> int:
+    """The first of n steps from ``start`` whose u is not finite, or n if none is.
+
+    The one rule by which a march names the step where it left the double
+    range, for :func:`integrate` and for ``orderlab.measure_order``'s ladder.
+    It marches again, on the failure path only, and keeps no trajectory: a
+    march steps bit for bit alike each time, so it finds the step of the
+    first march.
     """
-    m = np.atleast_1d(trajectory[0][1]).shape[0]
-    header = "t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, m + 1))
-    if any(np.iscomplexobj(u) for _, u in trajectory):
-        row, dtype = "%.17g" + ",%.17g,%.17g" * m + "\n", complex
-    else:
-        row, dtype = "%.17g" + ",%.17g,0" * m + "\n", float
+    state = start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            state = step(params, problem, state)
+            if not np.isfinite(state.value).all():
+                return k
+    return n
+
+
+def write_trajectory_csv(trajectory, path) -> tuple[float, np.ndarray]:
+    """Write ``t,re_u_1,im_u_1,...`` rows with 17 significant digits; returns the last row.
+
+    ``trajectory`` is any iterable of (t, u) rows, such as the iterator of
+    :func:`integrate`, whose march runs as this writes; each row is written
+    as it comes, and none is kept.  The header takes the length of the
+    first u.  A complex u writes its (re, im) pairs; a real u writes its
+    imaginary cells as the literal ``0``, the bytes that ``%.17g`` gives for
+    0.0, without formatting them.  So a trajectory whose rows turn complex
+    part way writes the bytes it would write with every row made complex.
+    """
+    rows = iter(trajectory)
+    last = next(rows, None)
+    if last is None:
+        raise ValueError("a trajectory needs at least one row")
+    m = np.atleast_1d(last[1]).shape[0]
+    complex_row = "%.17g" + ",%.17g,%.17g" * m + "\n"
+    real_row = "%.17g" + ",%.17g,0" * m + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t, u in trajectory:
-            # complex u: (re, im) pairs in order
-            cells = np.ascontiguousarray(u, dtype=dtype).view(float).tolist()
-            fh.write(row % (t, *cells))
+        fh.write("t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, m + 1)) + "\n")
+        for last in itertools.chain([last], rows):
+            t, u = last
+            if np.iscomplexobj(u):
+                fh.write(complex_row % (t, *np.ascontiguousarray(u, dtype=complex).view(float).tolist()))
+            else:
+                fh.write(real_row % (t, *np.ascontiguousarray(u, dtype=float).tolist()))
+    return last

@@ -153,30 +153,16 @@ def _ladder_values(params: SchemeParams, lam: complex, taus, counts) -> list:
                 state = integrator.step(params, problem, state)
                 n += 1
             if not np.isfinite(state.stack[:, 0]).all():
-                s = _first_nonfinite_step(params, rates[k:k + 1], taus[0], counts[k])
+                # the column marched alone steps bit for bit as it did here
+                column = integrator.scalar_problem(rates[k:k + 1])
+                start = integrator.init_state(column, np.ones(1), params.p, taus[0])
+                s = integrator._first_nonfinite_step(params, column, start, counts[k])
                 raise StateOverflow(f"step {s} of {counts[k]}: the state is not finite at tau={taus[k]}")
             values.append(state.stack[0, 0])
             state = integrator.StateVector(state.stack[:, 1:], taus[0])
     if refused is not None:
         raise type(refused)(f"step 1 of {counts[live]}: {refused}") from refused
     return values
-
-
-def _first_nonfinite_step(params: SchemeParams, rate, tau: float, n: int) -> int:
-    """The first of n steps of size tau whose u is not finite, or n if none is.
-
-    One column marched alone steps bit for bit as it did in the ladder, so
-    this re-march finds the step that ``integrate`` names, without the
-    ladder keeping a trajectory.
-    """
-    problem = integrator.scalar_problem(rate)
-    state = integrator.init_state(problem, np.ones(1), params.p, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            state = integrator.step(params, problem, state)
-            if not np.isfinite(state.value).all():
-                return k
-    return n
 
 
 def _exact_decay(lam: complex, t_end: float) -> complex:

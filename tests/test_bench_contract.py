@@ -17,7 +17,7 @@ import pytest
 from galpha import amplification, cli, integrator, numkit, orderlab, stability
 from galpha.schemes import make_scheme, params_from_rho
 
-from conftest import load_script
+from conftest import last, load_script
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (amplification, cli, integrator, numkit, orderlab, stability)
@@ -67,7 +67,7 @@ def test_tracing_records_spans_of_a_smoke_run(tmp_path, capsys):
         assert cli.main(argv) == 0
         params = make_scheme(3, *params_from_rho(0.5))
         dense = integrator.dense_problem(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        integrator.integrate(params, dense, np.ones(2), 0.25, 0.5)
+        last(integrator.integrate(params, dense, np.ones(2), 0.25, 0.5))
         stability.worst_case_radius(params)
     finally:
         restore()
@@ -115,7 +115,7 @@ def test_traced_dense_march_counts_one_apply_per_step():
     try:
         params = make_scheme(3, *params_from_rho(0.5))
         dense = integrator.dense_problem(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        integrator.integrate(params, dense, np.ones(2), 0.1, 1.0)
+        last(integrator.integrate(params, dense, np.ones(2), 0.1, 1.0))
     finally:
         restore()
     names = [span[0] for span in tracer.spans]

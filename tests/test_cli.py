@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import cmath
+import errno
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import galpha
-from galpha import __version__, cli, numkit
+from galpha import __version__, cli, integrator, numkit, orderlab, stability
 from galpha.amplification import limit_matrix_inf
 from galpha.cli import main
 from galpha.schemes import make_scheme
@@ -408,6 +409,57 @@ def test_stability_map_remark_one_pole_column_reads_inf(tmp_path):
     rows = [line.split(",") for line in (tmp_path / "stability.csv").read_text().splitlines()[1:]]
     assert [row[2:] for row in rows if float(row[1]) == -0.66666666666666674] == [["inf", "0"]] * 4
     assert all(float(row[2]) < np.inf for row in rows if float(row[0]) < 0.0 and float(row[1]) < -1.0)
+
+
+class _FullDisk:
+    """A text file whose third write, the row after the header and one row,
+    fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (integrator, ("integrate", "--tau", "0.25")),
+        (stability, ("stability-map", "--grid-n", "3", "--t-samples", "2")),
+        (cli, ("rho-curve", "--n-rho", "3")),
+        (orderlab, ("order-check", "--n-halvings", "1")),
+    ],
+    ids=lambda arg: arg[0] if isinstance(arg, tuple) else None,
+)
+def test_a_disk_that_fills_mid_file_leaves_nothing_under_out(tmp_path, monkeypatch, module, argv):
+    """Each subcommand's CSV writer fails after its first row: exit 2, and no
+    file, partial or whole, is left under OUT."""
+    monkeypatch.setattr(module, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False)
+    code, lines, _ = check_exit_contract(argv, tmp_path / "out")
+    assert (code, lines) == (2, ["i/o failure: [Errno 28] No space left on device"])
+
+
+def test_a_manifest_that_fails_removes_the_files_of_its_run(tmp_path, monkeypatch):
+    """The manifest is the last file of a run: when it fails part way, the
+    trajectory already written goes with it."""
+
+    def partial_manifest(path, subcommand, entries):
+        path.write_text("p = 3\n", encoding="utf-8")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_manifest", partial_manifest)
+    code, lines, _ = check_exit_contract(["integrate"], tmp_path / "out")
+    assert (code, lines) == (2, ["i/o failure: [Errno 28] No space left on device"])
 
 
 def test_stability_map_that_does_not_fit_in_memory_is_config_error(tmp_path, monkeypatch):

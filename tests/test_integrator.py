@@ -1,9 +1,11 @@
 """Tests for state handling, the implicit step, and the integration driver."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from galpha.amplification import (
     fill_tableau,
     one_step_tableau,
 )
-from galpha.errors import SolveFailed, StepSingular
+from galpha.errors import SolveFailed, StateOverflow, StepSingular
 from galpha.integrator import (
     LinearProblem,
     StateVector,
@@ -32,7 +34,7 @@ from galpha.integrator import (
 from galpha.schemes import Variant, make_scheme, params_from_rho
 from galpha.stability import worst_case_radius
 
-from conftest import region_draws
+from conftest import last, region_draws
 from oracles import characteristic_recurrence_residual
 
 
@@ -221,7 +223,9 @@ def test_one_implicit_solve_per_step():
 
     problem = LinearProblem(1, inner.apply, counting_solve)
     params = make_scheme(3, *params_from_rho(0.5))
-    integrate(params, problem, 1.0, 0.1, 1.0)
+    rows = integrate(params, problem, 1.0, 0.1, 1.0)
+    assert calls["solve"] == 0  # the march steps as its rows are taken
+    last(rows)
     assert calls["solve"] == 10
 
 
@@ -238,7 +242,7 @@ def test_failed_solve_reports_step_index():
     problem = LinearProblem(1, inner.apply, failing_solve)
     params = make_scheme(3, 0.9, 0.6)
     with pytest.raises(SolveFailed, match="step 4 of 10"):
-        integrate(params, problem, 1.0, 0.1, 1.0)
+        last(integrate(params, problem, 1.0, 0.1, 1.0))
 
 
 POLE_CELLS = [(2, 0.5, 1.2), (3, 0.5, 1.2), (4, 0.4, 1.3), (6, 0.3, 1.0), (11, 0.2, 0.9)]
@@ -257,9 +261,9 @@ def test_scalar_march_is_singular_where_the_scan_finds_the_pole(p, alpha_m, alph
     assert pole == (delta < 1e-12)
     if pole:
         with pytest.raises(StepSingular):
-            integrate(params, scalar_problem(t), 1.0, 1.0, 1.0)
+            last(integrate(params, scalar_problem(t), 1.0, 1.0, 1.0))
     else:
-        integrate(params, scalar_problem(t), 1.0, 1.0, 1.0)
+        last(integrate(params, scalar_problem(t), 1.0, 1.0, 1.0))
 
 
 def test_scalar_march_at_the_pole_raises_after_another_shift_was_kept():
@@ -269,12 +273,13 @@ def test_scalar_march_at_the_pole_raises_after_another_shift_was_kept():
     params = make_scheme(3, *params_from_rho(0.5))
     c1, sigma = _march_shift(params, 0.1)
     problem = scalar_problem(-c1 / sigma)
-    fresh = integrate(params, scalar_problem(-c1 / sigma), 1.0, 0.05, 0.5)
+    fresh = list(integrate(params, scalar_problem(-c1 / sigma), 1.0, 0.05, 0.5))
     for _ in range(2):
-        kept = integrate(params, problem, 1.0, 0.05, 0.5)
+        kept = list(integrate(params, problem, 1.0, 0.05, 0.5))
+        assert len(kept) == len(fresh) == 11
         assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(kept, fresh))
         with pytest.raises(StepSingular, match="step 1 of 5"):
-            integrate(params, problem, 1.0, 0.1, 0.5)
+            last(integrate(params, problem, 1.0, 0.1, 0.5))
 
 
 def test_one_scalar_problem_marches_every_order_like_a_fresh_one():
@@ -285,8 +290,8 @@ def test_one_scalar_problem_marches_every_order_like_a_fresh_one():
     for p in range(2, 12):
         params = make_scheme(p, 1.0, 0.75)
         for tau in (0.1, 0.05):
-            expected = integrate(params, scalar_problem(1 + 2j), 1.0, tau, 0.5)
-            got = integrate(params, shared, 1.0, tau, 0.5)
+            expected = list(integrate(params, scalar_problem(1 + 2j), 1.0, tau, 0.5))
+            got = list(integrate(params, shared, 1.0, tau, 0.5))
             assert [t for t, _ in got] == [t for t, _ in expected]
             assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(got, expected)), (p, tau)
 
@@ -331,7 +336,7 @@ def test_dense_singular_shift_surfaces_with_step_index():
     c1, sigma = _march_shift(params, 0.1)
     problem = dense_problem(np.diag([-c1 / sigma, 1.0]))
     with pytest.raises(StepSingular, match="step 1 of 5"):
-        integrate(params, problem, [1.0, 1.0], 0.1, 0.5)
+        last(integrate(params, problem, [1.0, 1.0], 0.1, 0.5))
 
 
 def test_dense_march_factors_once(monkeypatch):
@@ -344,9 +349,9 @@ def test_dense_march_factors_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     params = make_scheme(3, *params_from_rho(0.5))
     problem = dense_problem(np.diag([1.0, 2.0, 3.0]) + 0.1)
-    integrate(params, problem, np.ones(3), 0.1, 1.0)
+    last(integrate(params, problem, np.ones(3), 0.1, 1.0))
     assert calls == [(3, 3)]
-    integrate(params, problem, np.ones(3), 0.05, 1.0)  # a new tau is a new shift
+    last(integrate(params, problem, np.ones(3), 0.05, 1.0))  # a new tau is a new shift
     assert calls == [(3, 3)] * 2
 
 
@@ -360,8 +365,8 @@ def test_reused_dense_problem_matches_fresh_objects():
     runs = [(main, 0.1), (main, 0.05), (make_scheme(4, 1.0, 0.75), 0.1), (main, 0.1)]
     shared = dense_problem(a)
     for params, tau in runs:
-        reused = integrate(params, shared, u0, tau, 0.5)
-        fresh = integrate(params, dense_problem(a), u0, tau, 0.5)
+        reused = list(integrate(params, shared, u0, tau, 0.5))
+        fresh = list(integrate(params, dense_problem(a), u0, tau, 0.5))
         assert [t for t, _ in reused] == [t for t, _ in fresh]
         assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(reused, fresh))
 
@@ -373,7 +378,7 @@ def test_dense_cache_under_concurrent_marches(monkeypatch):
     a, u0 = m @ m.T + np.eye(8), rng.standard_normal(8)
     params = make_scheme(3, *params_from_rho(0.5))
     taus = [0.1, 0.05, 0.1, 0.05, 0.02, 0.02]
-    expected = {tau: integrate(params, dense_problem(a), u0, tau, 0.2)[-1][1] for tau in taus}
+    expected = {tau: last(integrate(params, dense_problem(a), u0, tau, 0.2))[1] for tau in taus}
     inv = np.linalg.inv
 
     def slow_inv(a):
@@ -384,7 +389,7 @@ def test_dense_cache_under_concurrent_marches(monkeypatch):
     shared, results = dense_problem(a), [None] * len(taus)
 
     def march(i):
-        results[i] = [integrate(params, shared, u0, taus[i], 0.2)[-1][1] for _ in range(10)]
+        results[i] = [last(integrate(params, shared, u0, taus[i], 0.2))[1] for _ in range(10)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -414,7 +419,7 @@ def test_dense_march_is_g_power_on_each_mode():
     u0 = np.random.default_rng(22).standard_normal(12)
     G = np.array([amplification_matrix(params, t) for t in lam * tau])
     weights = (init_state(problem, u0, 3, tau).stack @ q).T  # row k: mode k of each block
-    trajectory = integrate(params, problem, u0, tau, 0.5)
+    trajectory = list(integrate(params, problem, u0, tau, 0.5))
     scale = max(np.abs(u).max() for _, u in trajectory)
     for count, (_, u) in enumerate(trajectory):
         if count:
@@ -428,7 +433,7 @@ def test_dense_singular_shift_on_a_rotated_matrix():
     q = _rotation(23, 3)
     problem = dense_problem(q * [-c1 / sigma, 1.0, 2.0] @ q.T)
     with pytest.raises(StepSingular, match="step 1 of"):
-        integrate(params, problem, np.ones(3), 0.1, 0.5)
+        last(integrate(params, problem, np.ones(3), 0.1, 0.5))
 
 
 def test_dense_problem_copies_its_matrix():
@@ -436,9 +441,10 @@ def test_dense_problem_copies_its_matrix():
     params = make_scheme(3, *params_from_rho(0.5))
     a = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
     problem = dense_problem(a)
-    first = integrate(params, problem, [1.0, 1.0], 0.1, 1.0)
+    first = list(integrate(params, problem, [1.0, 1.0], 0.1, 1.0))
     a[0, 0] = 5.0
-    second = integrate(params, problem, [1.0, 1.0], 0.1, 1.0)
+    second = list(integrate(params, problem, [1.0, 1.0], 0.1, 1.0))
+    assert len(first) == len(second) == 11
     assert all(u.tobytes() == v.tobytes() for (_, u), (_, v) in zip(first, second))
 
 
@@ -452,8 +458,8 @@ def test_march_builds_tableau_once_per_scheme(monkeypatch):
     monkeypatch.setattr(integrator, "one_step_tableau", counting_tableau)
     integrator._plan.cache_clear()
     for params in (make_scheme(3, *params_from_rho(0.5)), make_scheme(5, 1.1, 0.8)):
-        integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0)
-        integrate(params, dense_problem(np.diag([1.0, 2.0])), [1.0, 1.0], 0.05, 1.0)
+        last(integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0))
+        last(integrate(params, dense_problem(np.diag([1.0, 2.0])), [1.0, 1.0], 0.05, 1.0))
     assert calls == [3, 5]
 
 
@@ -464,7 +470,7 @@ def test_diagonal_system_decouples_exactly():
     """A diagonal matrix must reproduce the scalar runs bit for bit."""
     lams = [0.7, 2.3]
     params = make_scheme(3, *params_from_rho(0.5))
-    coupled = integrate(params, dense_problem(np.diag(lams)), [1.0, 1.0], 0.2, 1.0)
+    coupled = list(integrate(params, dense_problem(np.diag(lams)), [1.0, 1.0], 0.2, 1.0))
     for j, lam in enumerate(lams):
         single = integrate(params, scalar_problem(lam), 1.0, 0.2, 1.0)
         for (t_c, u_c), (t_s, u_s) in zip(coupled, single):
@@ -479,7 +485,7 @@ def test_scalar_problem_of_an_array_marches_each_column_bit_for_bit():
     params = make_scheme(4, 1.0, 0.75)
     problem = scalar_problem(lams)
     assert problem.dim == 3 and problem.description == "scalar 3 lambdas"
-    coupled = integrate(params, problem, np.ones(3), 0.125, 1.0)
+    coupled = list(integrate(params, problem, np.ones(3), 0.125, 1.0))
     for j, lam in enumerate(lams):
         single = integrate(params, scalar_problem(lam), 1.0, 0.125, 1.0)
         assert [u[j] for _, u in coupled] == [u[0] for _, u in single]
@@ -494,7 +500,7 @@ def test_stage_shift_is_the_shift_of_each_solve():
         return base.shifted_solve(c1, sigma, b)
 
     problem = dataclasses.replace(base, shifted_solve=shifted_solve)
-    integrate(params, problem, 1.0, 0.1, 0.3)
+    last(integrate(params, problem, 1.0, 0.1, 0.3))
     assert shifts == [stage_shift(params, 0.1)] * 3
 
 
@@ -675,7 +681,7 @@ def test_state_vector_keeps_a_real_stack_real():
 
 def test_integrate_returns_inclusive_mesh():
     params = make_scheme(3, *params_from_rho(0.5))
-    trajectory = integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0)
+    trajectory = list(integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0))
     assert len(trajectory) == 11
     times = [t for t, _ in trajectory]
     assert times[0] == 0.0
@@ -685,8 +691,52 @@ def test_integrate_returns_inclusive_mesh():
 
 def test_t_end_within_the_step_window_is_a_whole_number_of_steps():
     # 0.3 / 0.1 = 2.9999999999999996 is a whole number within the 1e-9 window
-    trajectory = integrate(make_scheme(3, *params_from_rho(0.5)), scalar_problem(1.0), 1.0, 0.1, 0.3)
+    trajectory = list(integrate(make_scheme(3, *params_from_rho(0.5)), scalar_problem(1.0), 1.0, 0.1, 0.3))
     assert len(trajectory) == 4
+
+
+def test_march_reads_u0_at_the_call():
+    """A u0 written to after integrate returns changes neither the rows nor
+    the step that an overflow names."""
+    params = make_scheme(4, 1.0, 0.75)
+    u0 = np.sin(np.pi * np.arange(1, 51) / 51)
+    expected = [u.tobytes() for _, u in integrate(params, heat_problem(50), u0, 0.1, 1.0)]
+    rows = integrate(params, heat_problem(50), u0, 0.1, 1.0)
+    late = integrate(params, heat_problem(50), u0, 0.1, 200.0)
+    u0[:] = 0.0
+    assert [u.tobytes() for _, u in rows] == expected
+    with pytest.raises(StateOverflow, match="^step 1837 of 2000: "):
+        last(late)
+
+
+def test_march_leaves_the_callers_error_state_alone():
+    """numpy's error state is a context variable, so the march sets it around
+    each step, not across a row it yields: the code that takes the rows runs
+    under its own error state."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    before = np.geterr()
+    for _ in integrate(params, heat_problem(5), np.ones(5), 0.1, 0.5):
+        assert np.geterr() == before
+
+
+def test_march_memory_is_set_by_the_state_not_the_steps(tmp_path):
+    """tracemalloc's peak over write_trajectory_csv(integrate(...)) on a
+    200-node heat rod grows by less than 1.5x from 50 to 400 steps: the march
+    keeps only its state, and the writer keeps no row."""
+    params = make_scheme(3, *params_from_rho(0.5))
+    problem = heat_problem(200)
+    u0 = np.sin(np.pi * np.arange(1, 201) / 201)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(integrate(params, problem, u0, 0.01, n_steps * 0.01), tmp_path / "trajectory.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first calls allocate lazily; keep that out of both peaks
+    assert peak(400) / peak(50) < 1.5
 
 
 def test_stiff_state_norm_never_grows():
@@ -703,7 +753,7 @@ def test_stiff_state_norm_never_grows():
 def test_write_trajectory_csv_roundtrips(tmp_path):
     params = make_scheme(3, 0.9, 0.6)
     problem = dense_problem(np.diag([1.0 + 2.0j, 0.5]))
-    trajectory = integrate(params, problem, [1.0, 1.0], 0.25, 1.0)
+    trajectory = list(integrate(params, problem, [1.0, 1.0], 0.25, 1.0))
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(trajectory, path)
     lines = path.read_text().splitlines()
@@ -751,3 +801,42 @@ def test_write_trajectory_csv_bytes(tmp_path, trajectory, expected):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(trajectory, path)
     assert path.read_bytes() == expected
+
+
+def _two_pass_csv(rows):
+    """The bytes of a trajectory by the rule of a whole-list writer: every row
+    complex if any u is complex, every row real otherwise."""
+    m = len(rows[0][1])
+    header = "t," + ",".join(f"re_u_{k},im_u_{k}" for k in range(1, m + 1)) + "\n"
+    if any(np.iscomplexobj(u) for _, u in rows):
+        row, dtype = "%.17g" + ",%.17g,%.17g" * m + "\n", complex
+    else:
+        row, dtype = "%.17g" + ",%.17g,0" * m + "\n", float
+    return (header + "".join(row % (t, *np.ascontiguousarray(u, dtype=dtype).view(float).tolist())
+                             for t, u in rows)).encode()
+
+
+def test_streamed_csv_of_a_march_that_turns_complex_is_the_two_pass_csv(tmp_path):
+    """A real march whose solve turns complex at step 4, then one row with
+    -0.0 imaginary parts: streamed, each row takes its own template, and the
+    bytes are those of the rule that looks at every row first."""
+    params = make_scheme(3, *params_from_rho(0.5))
+
+    def widening(k):
+        calls, inner = [0], dense_problem(_SPD)
+
+        def shifted_solve(c1, sigma, b):
+            calls[0] += 1
+            x = inner.shifted_solve(c1, sigma, b)
+            return x * (1.0 + 1e-3j) if calls[0] >= k else x
+
+        return dataclasses.replace(inner, shifted_solve=shifted_solve)
+
+    u0, extra = [1.0, -1.0, 0.5], (1.1, np.array([complex(0.5, -0.0), complex(-0.0, -0.0), 2.0]))
+    rows = [*integrate(params, widening(4), u0, 0.1, 1.0), extra]
+    assert [np.iscomplexobj(u) for _, u in rows] == [False] * 4 + [True] * 8
+    path = tmp_path / "trajectory.csv"
+    t, u = write_trajectory_csv(itertools.chain(integrate(params, widening(4), u0, 0.1, 1.0), [extra]), path)
+    assert path.read_bytes() == _two_pass_csv(rows)
+    assert b"\n1.1000000000000001,0.5,-0,-0,-0,2,0\n" in path.read_bytes()
+    assert (t, u.tobytes()) == (extra[0], extra[1].tobytes())

@@ -21,7 +21,7 @@ from galpha.orderlab import ROUNDOFF_FLOOR, measure_order
 from galpha.schemes import RhoBranch, Variant, make_scheme
 from galpha.stability import default_t_samples, scan_region, worst_case_radius
 
-from conftest import check_exit_contract, cubic_roots, one_step_matrices
+from conftest import check_exit_contract, cubic_roots, last, one_step_matrices
 
 # Derandomized and without an example database, so every run checks the same
 # examples.
@@ -77,7 +77,7 @@ def _errors_per_tau(params, lam, t_end, taus):
     """measure_order's errors from one ``integrate`` per tau, or the error of the first tau that fails."""
     exact = cmath.exp(-lam * t_end)
     try:
-        return tuple(abs(integrate(params, scalar_problem(lam), 1.0, tau, t_end)[-1][1][0] - exact) for tau in taus)
+        return tuple(abs(last(integrate(params, scalar_problem(lam), 1.0, tau, t_end))[1][0] - exact) for tau in taus)
     except (ValueError, GalphaError) as exc:
         return exc
 
