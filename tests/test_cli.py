@@ -238,7 +238,7 @@ OUTCOMES = [
     (("integrate", "--t-end", "1e300", "--tau", "1e-300"), 2,
      "t_end=1e+300 over tau=1e-300 is not a finite number of steps"),
     (("order-check", "--t-end", "inf"), 2, "t_end=inf over tau=0.125 is not a finite number of steps"),
-    # 1e300 steps, more than a trajectory list holds
+    # 1e300 steps, beyond the length of a Python list: refused before the march
     (("integrate", "--tau", "1e-300", "--t-end", "1"), 2,
      "t_end=1.0 over tau=1e-300 is 1e+300 steps, more than a list can hold"),
     # the exact solution exp(-lambda t_end) overflows

@@ -1,6 +1,7 @@
 """The library's bad-input contract: one row per refusal, each checked by ``check_refusal``."""
 
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from galpha import numkit
 from galpha.amplification import limit_matrix_inf, limit_matrix_zero, one_step_tableau
 from galpha.errors import (AllAtRoundoff, DegenerateParams, OutOfTable, PoleAtRho, SingularAtT, SingularMatrix,
                            StateOverflow, StepSingular, VariantUnsupported)
-from galpha.integrator import StateVector, dense_problem, heat_problem, init_state, integrate, scalar_problem, step
+from galpha.integrator import (StateVector, dense_problem, heat_problem, init_state, integrate, scalar_problem, step,
+                               write_trajectory_csv)
 from galpha.orderlab import measure_order, recover_C
 from galpha.schemes import RhoBranch, SchemeParams, Variant, c_of_p, make_scheme, params_from_rho, remark_one_gammas
 from galpha.stability import default_t_samples, rho_curve, scan_region, worst_case_radius
@@ -124,6 +126,9 @@ REFUSALS = [
     ("integrate-heat-overflows-late", lambda: last(integrate(
         make_scheme(4, 1.0, 0.75), heat_problem(50), np.sin(np.pi * np.arange(1, 51) / 51), 0.1, 200.0)),
      StateOverflow, "step 1837 of 2000: the state is not finite at tau=0.1"),
+    # the header takes the length of the first u: with no row there is none
+    ("write_trajectory_csv-no-rows", lambda: write_trajectory_csv(iter([]), os.devnull), ValueError,
+     "a trajectory needs at least one row"),
     # --- numkit
     # LAPACK's own refusal, or the condition rule where rounding leaves the rank-2 matrix invertible
     *((f"solve-singular-{name}", lambda matrix=matrix: numkit.solve(matrix, np.ones(len(matrix))), SingularMatrix,

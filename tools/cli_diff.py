@@ -109,7 +109,7 @@ CASES = [
     *((f"order-check-singular-tau-1-t-end-{t_end}",
        ["order-check", "--p", "2", "--alpha-m", "0.25", "--alpha-f", "2", "--lambda", "0.8",
         "--tau-start", "0.25", "--n-halvings", "1", "--t-end", t_end]) for t_end in ("100", "200")),
-    # 1e300 steps, more than a trajectory list can hold: exit 2, refused before the march
+    # 1e300 steps, beyond the length of a Python list: exit 2, refused before the march
     ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
     # an unstable scheme whose heat march overflows late: exit 3, and nothing is left under OUT
     ("integrate-heat-overflow-late", ["integrate", "--p", "4", "--heat-n", "50", "--tau", "0.1", "--t-end", "200"]),
