@@ -113,6 +113,9 @@ CASES = [
     ("integrate-tau-1e-300", ["integrate", "--tau", "1e-300", "--t-end", "1"]),
     # an unstable scheme whose heat march overflows late: exit 3, and nothing is left under OUT
     ("integrate-heat-overflow-late", ["integrate", "--p", "4", "--heat-n", "50", "--tau", "0.1", "--t-end", "200"]),
+    # the default scheme at p = 8 and 11 is unstable: the warning prints the
+    # radius of the p != 3 samples' route
+    *((f"integrate-p{p}", ["integrate", "--p", str(p)]) for p in (8, 11)),
 ]
 
 #: Prefixes of the cases whose bytes depend on LAPACK's ``eigvals``.
