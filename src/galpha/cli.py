@@ -25,6 +25,7 @@ lambda is written ``--lambda RE[,IM]``.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -215,13 +216,15 @@ def cmd_integrate(args, stage) -> tuple[dict, list[str]]:
         problem = scalar_problem(lam)
         exact = _exact_decay(lam, args.t_end)
         u0 = 1.0
-        # check the T = lambda*tau the march steps with, where u does not grow
-        if stable and lam.real >= 0.0:
-            report = worst_case_radius(params, [lam * args.tau])
+        # check the T = lambda*tau the march steps with, where u does not grow;
+        # a T that overflows is left to init_state, which refuses its stack
+        t = lam * args.tau
+        if stable and lam.real >= 0.0 and cmath.isfinite(t):
+            report = worst_case_radius(params, [t])
             if not report.stable:
                 print(
                     f"warning: spectral radius {report.radius:.6g} at lambda*tau = "
-                    f"{_fmt(lam * args.tau)}: the march grows where the solution "
+                    f"{_fmt(t)}: the march grows where the solution "
                     f"does not; proceeding anyway",
                     file=sys.stderr,
                 )

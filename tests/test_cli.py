@@ -317,6 +317,12 @@ OUTCOMES = [
     # block 2 of the initial stack is (lambda*tau)^2 = 1e398: inf in double
     (("integrate", "--lambda", "1e200", "--tau", "0.1"), 3,
      "StateOverflow: block 2 of the initial state, tau^2 (-A)^2 u0, is not finite at tau=0.1"),
+    # lambda*tau = 1e309 overflows: the initial stack is refused, for a stable
+    # scheme as for an unstable one, not the T sample of the radius check
+    *((("integrate", *scheme, "--lambda", "1e308", "--tau", "10", "--t-end", "10"), 3, f"{warning}StateOverflow: "
+       "block 1 of the initial state, tau^1 (-A)^1 u0, is not finite at tau=10.0")
+      for scheme, warning in [((), ""), (("--p", "2", "--alpha-m", "1", "--alpha-f", "0.5"), ""),
+                              (("--p", "4"), "warning: ...\n")]),
     # the initial stack is finite, (lambda*tau)^2 = 1e298, but step 1 overflows
     (("integrate", "--lambda", "1e150", "--tau", "0.1"), 3,
      "StateOverflow: step 1 of 10: the state is not finite at tau=0.1"),

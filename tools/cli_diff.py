@@ -55,6 +55,8 @@ CASES = [
     ("integrate-imaginary-lambda", ["integrate", "--lambda", "0,2.75", "--tau", "1", "--t-end", "200"]),
     ("integrate-overflow-mid-march", ["integrate", "--lambda", "1e150", "--tau", "0.1"]),
     ("integrate-overflow-initial", ["integrate", "--lambda", "1e200", "--tau", "0.1"]),
+    # lambda*tau = 1e309 overflows: exit 3, the initial stack refused, not the T sample
+    ("integrate-lambda-tau-overflow", ["integrate", "--lambda", "1e308", "--tau", "10", "--t-end", "10"]),
     ("stability-map-equal-gamma", ["stability-map", "--variant", "equal-gamma"]),
     ("stability-map-remark-one", ["stability-map", "--variant", "remark-one"]),
     ("rho-curve", ["rho-curve", "--n-rho", "11"]),
