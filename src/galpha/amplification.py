@@ -49,6 +49,7 @@ from .schemes import SchemeParams
 __all__ = [
     "one_step_tableau",
     "fill_tableau",
+    "one_step_elimination",
     "char_poly",
     "order_condition",
     "build_lr",
@@ -106,6 +107,38 @@ def fill_tableau(entries, t, out):
     for (i, j), (c0, c1) in entries.items():
         out[i, j] = c0 + t * c1
     return out
+
+
+def one_step_elimination(p, alpha_m, alpha_f, gammas):
+    """The closed-form elimination of L(T) U' = R(T) U: ``(M, c, d, k, s, f)``.
+
+    Rows 0..p-2 of L and R are free of T, and L is the identity there but for
+    its last column c, so new block i is (W U)_i - c_i x for the new last
+    block x, with W rows 0..p-2 of R0.  Eliminating new block p-2 from the
+    last row, L[p-1] = (0, .., k T, d), gives
+
+        (d + s T) x = (r0 + T f) U,   s = -k c_{p-2},   f = r1 - k W[p-2]
+
+    for the last rows r0, r1 of R0 and R1, so G(T) = [W - c g^T; g^T] with
+    g = (r0 + T f) / (d + s T).  M stacks W, r0 and r1 ((p+1, p) rows);
+    c holds the p - 1 entries of L's last column, and d = L0[p-1, p-1],
+    k = L1[p-1, p-2] and s come as :func:`one_step_tableau` gives them.
+    Floats give (p+1, p) arrays and Python floats d, k, s; per-cell arrays
+    give a trailing cell axis, and the same IEEE operations on each cell.
+    """
+    L, R = one_step_tableau(p, alpha_m, alpha_f, gammas)
+    shape = np.broadcast(alpha_m, alpha_f, *gammas).shape
+    M = np.zeros((p + 1, p) + shape)
+    for (i, j), (c0, c1) in R.items():
+        M[i, j] = c0
+        M[p, j] += c1  # every T-coefficient of R sits in its last row
+    c = np.zeros((p - 1,) + shape)
+    for i in range(p - 1):
+        c[i] = L[i, p - 1][0]
+    k = L[p - 1, p - 2][1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an f out of range is refused where G is read
+        f = M[p] - k * M[p - 2]
+    return M, c, L[p - 1, p - 1][0], k, -k * L[p - 2, p - 1][0], f
 
 
 def _poly_sum(products):

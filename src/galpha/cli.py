@@ -25,7 +25,6 @@ lambda is written ``--lambda RE[,IM]``.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -219,7 +218,7 @@ def cmd_integrate(args, stage) -> tuple[dict, list[str]]:
         # check the T = lambda*tau the march steps with, where u does not grow;
         # a T that overflows is left to init_state, which refuses its stack
         t = lam * args.tau
-        if stable and lam.real >= 0.0 and cmath.isfinite(t):
+        if stable and lam.real >= 0.0 and np.isfinite(t):
             report = worst_case_radius(params, [t])
             if not report.stable:
                 print(

@@ -1,8 +1,9 @@
 """Time marching for linear systems u' + A u = 0.
 
 The state carried between steps stacks the solution together with its scaled
-derivatives, block j holding tau^j * u^(j).  One step reads the one-step
-layout from ``amplification.one_step_tableau``, solves a single shifted system
+derivatives, block j holding tau^j * u^(j).  One step reads the closed-form
+elimination of the one-step system from
+``amplification.one_step_elimination``, solves a single shifted system
 
     (alpha_m * I + gamma_1 * alpha_f * tau * A) x / (p-2)! = b
 
@@ -50,7 +51,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import numkit
-from .amplification import one_step_tableau, pole_factor
+from .amplification import one_step_elimination, pole_factor
 from .errors import GalphaError, SingularMatrix, SolveFailed, StateOverflow, StepSingular
 from .schemes import SchemeParams
 
@@ -372,25 +373,17 @@ def stage_shift(params: SchemeParams, tau: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=32)
 def _plan(p, alpha_m, alpha_f, gammas):
-    """The step plan of one scheme, read once from ``one_step_tableau``.
+    """The step plan of one scheme: ``one_step_elimination`` without its f.
 
-    Rows 0..p-2 of L(T) and R(T) are free of T, so new block i is
-    ladder[i] - c[i] x, with ladder = W U (W: rows 0..p-2 of R0) and x the
-    new last block.  Eliminating new block p-2 from the last row gives
-    (d + s tau A) x = r0 U + tau A (r1 U - k ladder[p-2]).  Returns the
-    read-only ``(M, c, d, k, s)``: M stacks W and the last rows r0, r1 of R0,
-    R1; c is an array, and d = L0[p-1, p-1], k = L1[p-1, p-2] and
-    s = -k c[p-2] are Python floats (numpy scalars slow a scalar solve 3x).
+    New block i is ladder[i] - c[i] x, with ladder = W U and x the new last
+    block, and (d + s tau A) x = r0 U + tau A (r1 U - k ladder[p-2]).
+    Returns the read-only ``(M, c, d, k, s)``: M stacks W, r0 and r1; c is
+    an array, and d, k and s are Python floats (numpy scalars slow a scalar
+    solve 3x).
     """
-    L, R = one_step_tableau(p, alpha_m, alpha_f, gammas)
-    M = np.zeros((p + 1, p))
-    for (i, j), (c0, c1) in R.items():
-        M[i, j] = c0
-        M[p, j] += c1  # every T-coefficient of R sits in its last row
-    c = np.array([L[i, p - 1][0] for i in range(p - 1)])
+    M, c, d, k, s, _ = one_step_elimination(p, alpha_m, alpha_f, gammas)
     M.flags.writeable = c.flags.writeable = False
-    k = L[p - 1, p - 2][1]
-    return M, c, L[p - 1, p - 1][0], k, -k * L[p - 2, p - 1][0]
+    return M, c, d, k, s
 
 
 def step_count(tau: float, t_end: float) -> int:

@@ -66,6 +66,7 @@ from .amplification import (
     char_poly,
     fill_tableau,
     limit_matrix_inf,
+    one_step_elimination,
     one_step_tableau,
     pole_factor,
 )
@@ -301,38 +302,54 @@ def _cubic_radius(c0, c1, c2, c3):
     return radius, flag
 
 
-def _one_step_spectra(refusal, p, tab_l, tab_r, t, valid):
-    """:func:`_roots_radius` of ``eigvals(solve(L, R))`` over a (samples, cells) block.
+def _one_step_spectra(refusal, p, tab_l, tab_r, valid):
+    """:func:`_roots_radius` of ``eigvals(solve(L, R))`` for the T -> inf limit tableaux.
 
-    ``t`` has shape (samples, 1); pairs where ``valid`` is False get L = I
-    and R = 0, so that weights that are not finite there (as on the pole of
-    the remark-one closure) reach LAPACK as zeros; :func:`_fold` reads their
-    radius as inf.
-    The stacks take the dtype of ``t``, so real T goes to LAPACK's real
-    eigensolver.  LAPACK runs once per matrix, so the result does not depend
-    on the block.  LAPACK refuses matrices that are singular or not finite in
-    double precision; ``refusal(T)`` then builds the galpha error that is
-    raised from its ``LinAlgError``, for the first sample T whose own
-    matrices LAPACK refuses, so the error, its message and the search for
-    that sample are made only on failure.
+    The limit's tableaux hold T-free entries only, so L and R are filled
+    once for the (1, cells) block ``valid``; pairs where ``valid`` is False
+    get L = I and R = 0, so that weights that are not finite there reach
+    LAPACK as zeros, and :func:`_fold` reads their radius as inf.  Where
+    LAPACK refuses a matrix, singular or not finite in double precision,
+    ``refusal()`` builds the galpha error raised from its ``LinAlgError``.
+
+    Only G(inf) takes LAPACK's ``solve``: every T sample takes
+    :func:`_sample_spectra`.  The traced plane scan reports this route's
+    ``solve`` and ``eigvals`` calls, one each per band, until G(inf) too is
+    read from the roots of sigma.
     """
-    # the transposed views index the stacks as [i, j] -> [:, :, i, j]
-    dtype = np.result_type(t, float)
-    L = np.zeros(valid.shape + (p, p), dtype=dtype)
-    R = np.zeros(valid.shape + (p, p), dtype=dtype)
-    fill_tableau(tab_l, t, L.transpose(2, 3, 0, 1))
-    fill_tableau(tab_r, t, R.transpose(2, 3, 0, 1))
+    # filled as [i, j] -> [i, j, :, :], then viewed as (1, cells, p, p) stacks
+    L, R = (fill_tableau(tab, 0.0, np.zeros((p, p) + valid.shape)).transpose(2, 3, 0, 1)
+            for tab in (tab_l, tab_r))
     L[~valid] = np.eye(p)
     R[~valid] = 0.0
     try:
         eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
     except np.linalg.LinAlgError as exc:
-        for k in range(len(t)):
-            try:
-                np.linalg.eigvals(np.linalg.solve(L[k], R[k]))
-            except np.linalg.LinAlgError:
-                raise refusal(t[k, 0]) from exc
-        raise
+        raise refusal() from exc
+    return _roots_radius(eigs.real, eigs.imag)
+
+
+def _sample_spectra(refusal, elimination, t, valid):
+    """:func:`_roots_radius` of ``eigvals(G(T))`` over a (samples, cells) block.
+
+    ``elimination`` is what :func:`~galpha.amplification.one_step_elimination`
+    gives for the cells, and G(T) = [W - c g^T; g^T] with
+    g = (r0 + T f) / (d + s T), the elimination a step makes.  ``t`` has
+    shape (samples, 1).  Pairs where ``valid`` is False get G = 0, which
+    :func:`_fold` reads as radius inf.  G takes the dtype of ``t``, so real
+    T goes to LAPACK's real eigensolver.  A valid pair whose G is not finite
+    in double precision raises ``refusal(T)`` for the first such sample T.
+    """
+    M, c, d, _, s, f = elimination
+    # cells ahead of the matrix axes: W and r0 are rows 0..p-2 and p-1 of M
+    W, c, r0, f = M[:-2].T.swapaxes(-1, -2), c.T[..., None], M[-2].T, f.T
+    g = ((r0 + t[..., None] * f) / (d + s * t)[..., None])[..., None, :]
+    G = np.concatenate([W - c * g, g], axis=-2)
+    G[~valid] = 0.0
+    finite = np.isfinite(G).all(axis=(-2, -1)).all(axis=-1)
+    if not finite.all():
+        raise refusal(t[finite.argmin(), 0])
+    eigs = np.moveaxis(np.linalg.eigvals(G), -1, 0)
     return _roots_radius(eigs.real, eigs.imag)
 
 
@@ -341,24 +358,27 @@ def _scan_samples(p, am, af, gammas, t_samples):
     """Worst radius and repeated-unit-root flag of each cell over its T samples, at any order p.
 
     ``am``, ``af`` and each of the p - 1 ``gammas`` are flat arrays of equal
-    length; ``gammas`` may also be the :class:`~galpha.schemes.Variant`
-    whose closure gives them, so that the closure runs under this function's
-    ``np.errstate``.  ``t_samples`` is :func:`default_t_samples` when None,
-    else a non-empty 1-D set of finite numbers.
+    length, or Python floats for one cell; ``gammas`` may also be the
+    :class:`~galpha.schemes.Variant` whose closure gives them, so that the
+    closure runs under this function's ``np.errstate``.  ``t_samples`` is
+    :func:`default_t_samples` when None, else a non-empty 1-D set of finite
+    numbers.
 
     The samples go in blocks of at most ``_BLOCK_PAIRS`` (sample, cell)
     pairs, but never fewer than one sample: a single cell takes all samples
     in one block, a band of :func:`scan_region` one sample at a time.  Real
-    samples at p = 3 take :func:`_cubic_radius`, all others
-    :func:`_one_step_spectra`.  At p = 3 T = 0 is one more sample, ahead of
-    the others, with the pole alpha_m = 0.
+    samples at p = 3 take :func:`_cubic_radius` on per-cell arrays, all
+    others :func:`_sample_spectra` on the elimination in the number type
+    of the cells: Python floats, as a step reads it, give the bits of
+    per-cell arrays.  At p = 3 T = 0 is one more sample, ahead of the others,
+    with the pole alpha_m = 0.
 
     A real p = 3 set whose largest |T| overflows a coefficient of the cubic
     of a cell off the pole is refused with ``ValueError``.  One-step
-    matrices that LAPACK refuses (as at subnormal parameters) raise
-    ``SingularAtT``.
+    matrices that are not finite in double precision (as at subnormal
+    parameters) raise ``SingularAtT``.
     """
-    ncell = am.shape[0]
+    ncell = np.size(am)
     gammas = closure_gammas(p, am, af, gammas) if isinstance(gammas, Variant) else gammas
     samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
     if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
@@ -367,21 +387,22 @@ def _scan_samples(p, am, af, gammas, t_samples):
         samples = np.concatenate(([0.0], samples))
     radius = np.zeros(ncell)
     repeated = np.zeros(ncell, dtype=bool)
-    gamma_af = gammas[0] * af  # T multiplies it: gamma_1 alpha_f T
     cubic = p == 3 and np.isrealobj(samples)
     if cubic:
+        am, af, *gammas = np.atleast_1d(am, af, *gammas)  # the cubic runs on per-cell arrays
         rho, sigma = char_poly(p, am, af, gammas)
         # |T sigma_k| grows with |T|, so the largest |T| is the one to check
         top = samples[np.abs(samples).argmax()]
-        coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gamma_af * top)[1]]
+        coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
         if not np.isfinite(coeffs).all():
             raise ValueError(f"T = {top:g} overflows the coefficients of the cubic rho + T sigma")
     else:
-        tab_l, tab_r = one_step_tableau(p, am, af, gammas)
+        elimination = one_step_elimination(p, am, af, gammas)
         refusal = lambda t: SingularAtT(
             f"the one-step matrices G(T) at T = {t:g} are singular or not finite in double "
             "precision (|alpha_m| or |gamma_1 alpha_f| is too close to 0)"
         )
+    gamma_af = gammas[0] * af  # T multiplies it: gamma_1 alpha_f T
 
     per_block = max(1, _BLOCK_PAIRS // max(ncell, 1))
     for start in range(0, samples.size, per_block):
@@ -391,7 +412,7 @@ def _scan_samples(p, am, af, gammas, t_samples):
             c0, c1, c2, c3 = rho[:, None] + t * sigma[:, None]
             _fold(*_cubic_radius(c0, c1, c2, np.where(valid, c3, 1.0)), radius, repeated, valid)
         else:
-            _fold(*_one_step_spectra(refusal, p, tab_l, tab_r, t, valid), radius, repeated, valid)
+            _fold(*_sample_spectra(refusal, elimination, t, valid), radius, repeated, valid)
     return radius, repeated
 
 
@@ -412,18 +433,18 @@ def _fold_limit_inf(am, af, gammas, radius, repeated):
         for tab in one_step_tableau(3, am, af, gammas)
     )
     valid = pole_factor(0.0, gammas[0] * af)[1][None]
-    refusal = lambda _: DegenerateParams(
+    refusal = lambda: DegenerateParams(
         "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
         "in double precision (|gamma_1 alpha_f| is too close to 0)"
     )
-    _fold(*_one_step_spectra(refusal, 3, tab_l, tab_r, np.zeros((1, 1)), valid), radius, repeated, valid)
+    _fold(*_one_step_spectra(refusal, 3, tab_l, tab_r, valid), radius, repeated, valid)
 
 
 def _scan_cells(p, am, af, gammas, t_samples):
     """:func:`_scan_samples` of the cells, with the T -> inf limit folded in at p = 3."""
     radius, repeated = _scan_samples(p, am, af, gammas, t_samples)
     if p == 3:
-        _fold_limit_inf(am, af, gammas, radius, repeated)
+        _fold_limit_inf(*np.atleast_1d(am, af), gammas, radius, repeated)
     return radius, repeated
 
 
@@ -433,8 +454,7 @@ def worst_case_radius(params: SchemeParams, t_samples=None) -> RadiusReport:
     :func:`_scan_samples` and :func:`_fold_limit_inf` state the samples, the
     p = 3 limits and the errors.
     """
-    cell = np.array([params.alpha_m, params.alpha_f, *params.gammas])[:, None]
-    radius, repeated = _scan_cells(params.p, cell[0], cell[1], cell[2:], t_samples)
+    radius, repeated = _scan_cells(params.p, params.alpha_m, params.alpha_f, params.gammas, t_samples)
     return RadiusReport(float(radius[0]), bool(repeated[0]))
 
 

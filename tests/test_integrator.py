@@ -16,6 +16,7 @@ from galpha import integrator, numkit
 from galpha.amplification import (
     amplification_matrix,
     fill_tableau,
+    one_step_elimination,
     one_step_tableau,
 )
 from galpha.errors import SolveFailed, StateOverflow, StepSingular
@@ -451,11 +452,11 @@ def test_dense_problem_copies_its_matrix():
 def test_march_builds_tableau_once_per_scheme(monkeypatch):
     calls = []
 
-    def counting_tableau(p, *args):
+    def counting_elimination(p, *args):
         calls.append(p)
-        return one_step_tableau(p, *args)
+        return one_step_elimination(p, *args)
 
-    monkeypatch.setattr(integrator, "one_step_tableau", counting_tableau)
+    monkeypatch.setattr(integrator, "one_step_elimination", counting_elimination)
     integrator._plan.cache_clear()
     for params in (make_scheme(3, *params_from_rho(0.5)), make_scheme(5, 1.1, 0.8)):
         last(integrate(params, scalar_problem(1.0), 1.0, 0.1, 1.0))

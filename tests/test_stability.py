@@ -14,6 +14,7 @@ from galpha.amplification import (
     fill_tableau,
     limit_matrix_inf,
     limit_matrix_zero,
+    one_step_elimination,
     one_step_tableau,
     pole_factor,
 )
@@ -515,15 +516,64 @@ def test_real_samples_take_the_real_eigensolver(monkeypatch):
     rng = np.random.default_rng(3)
     am, af = rng.uniform(0.6, 1.4, (2, 9))
     for p in (3, 4):
-        tab_l, tab_r = one_step_tableau(p, am, af, closure_gammas(p, am, af))
+        elimination = one_step_elimination(p, am, af, closure_gammas(p, am, af))
         t = default_t_samples(5)[:, None]
         valid = np.ones((5, 9), dtype=bool)
-        radius = [stability._one_step_spectra(None, p, tab_l, tab_r, ts, valid)[0] for ts in (t, t + 0j)]
+        radius = [stability._sample_spectra(None, elimination, ts, valid)[0] for ts in (t, t + 0j)]
         assert np.abs(radius[0] - radius[1]).max() <= 1e-13 * radius[1].max()
     assert dtypes == [np.float64, np.complex128] * 2
     dtypes.clear()
     scan_region(_axis(3), _axis(3), Variant.EQUAL_GAMMA)
     assert dtypes == [np.float64]
+
+
+def _seeded_cell(p):
+    """A seeded equal-gamma scheme of order p with 0.6 <= alpha_m <= 1.3, 0.5 <= alpha_f <= alpha_m."""
+    rng = np.random.default_rng(p)
+    am = rng.uniform(0.6, 1.3)
+    return make_scheme(p, am, rng.uniform(0.5, am))
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_sample_spectra_match_per_sample_eigenvalues(monkeypatch, p):
+    """Each sample's spectrum of G(T) from the elimination is, to round-off,
+    numkit's eigenvalues of amplification_matrix (LAPACK's solve of L G = R),
+    sample by sample, on the real axis (not at p = 3, whose real samples take
+    the cubic) and on a complex ray."""
+    spectra, eigvals = [], np.linalg.eigvals
+
+    def recording_eigvals(a):
+        spectra.append(eigvals(a))
+        return spectra[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    params = _seeded_cell(p)
+    ray = default_t_samples(16, 1e-3, 1e6) * np.exp(0.3j)
+    for samples in [ray] if p == 3 else [default_t_samples(), ray]:
+        spectra.clear()
+        worst_case_radius(params, samples)
+        samples = np.concatenate(([0.0], samples)) if p == 3 else samples  # T = 0 leads at p = 3
+        assert spectra[0].shape == (samples.size, 1, p)
+        for t, got in zip(samples, spectra[0][:, 0]):
+            expected = numkit.eigenvalues(amplification_matrix(params, t))
+            assert_spectrum(got, expected, tol=1e-12 * max(1.0, np.abs(expected).max()))
+
+
+@pytest.mark.parametrize("p", range(8, 12))
+def test_high_order_radius_matches_extended_precision(p):
+    """At p = 8..11 the worst radius over the 48 default samples is within
+    1e-14 relative of the one from 50-digit ``mp.eig`` of L^-1 R at each sample."""
+    params = _seeded_cell(p)
+    with mp.workdps(50):
+        tab_l, tab_r = one_step_tableau(
+            p, mp.mpf(params.alpha_m), mp.mpf(params.alpha_f), [mp.mpf(g) for g in params.gammas])
+        exact = float(max(
+            max(abs(e) for e in mp.eig(fill_tableau(tab_l, t, mp.zeros(p, p)) ** -1
+                                       * fill_tableau(tab_r, t, mp.zeros(p, p)), left=False, right=False))
+            for t in map(mp.mpf, default_t_samples())))
+    report = worst_case_radius(params)
+    assert report.radius == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert not report.repeated_unit_root
 
 
 # --- plane scans ----------------------------------------------------------------
@@ -542,6 +592,20 @@ def test_scan_matches_single_cell_calls():
         )
         assert report.radius == smap.radius[i, j]
         assert report.repeated_unit_root == smap.repeated_root[i, j]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_complex_ray_scan_matches_single_cell_calls(variant):
+    """On a complex ray the grid reads its elimination in per-cell arrays and
+    a single cell in Python floats; both give the same bits."""
+    am_axis = af_axis = _axis(12)
+    samples = default_t_samples(16, 1e-3, 1e6) * np.exp(0.3j)
+    smap = scan_region(am_axis, af_axis, variant, t_samples=samples)
+    for i, am in enumerate(am_axis.tolist()):
+        for j, af in enumerate(af_axis.tolist()):
+            report = worst_case_radius(make_scheme(3, am, af, variant), samples)
+            assert report.radius == smap.radius[i, j]
+            assert report.repeated_unit_root == smap.repeated_root[i, j]
 
 
 def test_scan_classification_tracks_closed_form():
