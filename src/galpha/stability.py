@@ -41,10 +41,13 @@ leading -(alpha_m + gamma_1 alpha_f T) included, are those of rho + T sigma
 (:func:`~galpha.amplification.char_poly`).  Its roots are found in real
 arithmetic, and on every sample of both default maps each root lies within
 7.0e-12 max(1, radius) of ``eigvals(G)``.  Complex T at p = 3 (off-axis
-diagnostics) and every other order take ``eigvals(solve(L, R))`` instead: at
-p = 10 and 11 companion roots of rho + T sigma drift from eig(G) by more
-than 1e-12 relative.  A defective double root of G(inf) is split by either
-route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
+diagnostics) and every other order take ``eigvals(G(T))`` instead, with
+G(T) formed by the elimination a step makes
+(:func:`~galpha.amplification.one_step_elimination`), not by a LAPACK
+solve: at p = 10 and 11 companion roots of rho + T sigma drift from eig(G)
+by more than 1e-12 relative.  The p = 3 limit G(inf) alone takes
+``eigvals(solve(L, R))``.  A defective double root of G(inf) is split by
+either route: a cubic in mu splits the -1 of the equal-gamma G(inf) at
 (alpha_m, alpha_f) = (7/12, 1/2) by about 1e-8, and ``eigvals`` splits the
 -rho_inf of MAIN by up to 6.8e-8 relative.
 
