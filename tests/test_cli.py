@@ -330,7 +330,8 @@ OUTCOMES = [
     # most of its rows are computed: still nothing under OUT
     (("integrate", "--p", "4", "--heat-n", "50", "--tau", "0.1", "--t-end", "200"), 3,
      "warning: ...\nStateOverflow: step 1837 of 2000: the state is not finite at tau=0.1"),
-    # one-step matrices LAPACK refuses (subnormal alpha_m, alpha_f): galpha's message, not numpy's
+    # one-step matrices not finite in double precision (subnormal alpha_m, alpha_f): G(inf),
+    # which LAPACK refuses, and the samples' G(T): galpha's message, not numpy's
     (("stability-map", "--grid-n", "4", "--alpha-min", "1e-320", "--alpha-max", "1e-300"), 3,
      "DegenerateParams: the T -> inf limit..."),
     (("integrate", "--p", "4", "--alpha-m", "1e-320", "--alpha-f", "1e-320"), 3,

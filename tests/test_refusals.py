@@ -233,8 +233,9 @@ REFUSALS = [
      "T = 1e+308 overflows the coefficients of the cubic rho + T sigma"),
     ("scan-cubic-overflows", lambda: scan_region(np.array([1.0]), np.array([0.0, 0.6]), t_samples=[-1e308, 1.0]),
      ValueError, "T = -1e+308 overflows the coefficients of the cubic rho + T sigma"),
-    # LAPACK refuses the one-step matrices at subnormal parameters: galpha's
-    # errors, naming the first sample refused, not LAPACK's
+    # one-step matrices not finite in double precision at subnormal parameters
+    # (the samples' G(T), and G(inf), which LAPACK refuses): galpha's errors,
+    # naming the first sample refused, not numpy's
     ("radius-p-4-subnormal", lambda: worst_case_radius(make_scheme(4, 1e-320, 1e-320)), SingularAtT,
      SINGULAR_AT_T.format("0.0001")),
     ("scan-subnormal-g-inf", lambda: scan_region(SUBNORMAL, SUBNORMAL), DegenerateParams,
