@@ -131,7 +131,8 @@ def one_step_elimination(p, alpha_m, alpha_f, gammas):
     M = np.zeros((p + 1, p) + shape)
     for (i, j), (c0, c1) in R.items():
         M[i, j] = c0
-        M[p, j] += c1  # every T-coefficient of R sits in its last row
+        if i == p - 1:  # every T-coefficient of R sits in its last row
+            M[p, j] = c1
     c = np.zeros((p - 1,) + shape)
     for i in range(p - 1):
         c[i] = L[i, p - 1][0]

@@ -291,9 +291,13 @@ def _sine_transform(x) -> np.ndarray:
 def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
     """Exact-derivative initial state: block j = tau^j * (-A)^j u0.
 
-    The stack takes the result type of u0 and A u0 (at least float64).
-    Raises :class:`StateOverflow` when a block is not finite, as it is once
-    (tau |A|)^j exceeds the double range, instead of marching infs and nans.
+    Block j is -tau A(block j-1).  A can overflow where tau A does not (a
+    huge A with a tiny tau), so the entries of a block that are not finite
+    that way are taken again as -A(tau block j-1); a block that is finite
+    keeps the first order, and its bits.  The stack takes the result type
+    of u0 and A u0 (at least float64).  Raises :class:`StateOverflow` when
+    a block is still not finite, as it is once (tau |A|)^j exceeds the
+    double range, instead of marching infs and nans.
     """
     if p < 2:
         raise ValueError(f"order p must be >= 2, got {p}")
@@ -307,9 +311,11 @@ def init_state(problem: LinearProblem, u0, p: int, tau: float) -> StateVector:
         first = problem.apply(u0)
         stack = np.empty((p, problem.dim), dtype=np.result_type(u0, first))
         stack[0] = u0
-        stack[1] = -tau * first
-        for j in range(2, p):
-            stack[j] = -tau * problem.apply(stack[j - 1])
+        for j in range(1, p):
+            stack[j] = -tau * (first if j == 1 else problem.apply(stack[j - 1]))
+            lost = ~np.isfinite(stack[j])
+            if lost.any():
+                stack[j, lost] = -problem.apply(tau * stack[j - 1])[lost]
     finite = np.isfinite(stack).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))

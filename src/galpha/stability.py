@@ -116,6 +116,11 @@ def default_t_samples(n: int = 48, lo: float = 1e-4, hi: float = 1e8) -> np.ndar
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
+# The default set, built once for every scan that passes no T samples.
+_DEFAULT_T = default_t_samples()
+_DEFAULT_T.flags.writeable = False
+
+
 def _stable(radius, repeated):
     """The stable rule, elementwise: radius <= 1 + RADIUS_TOL and not repeated."""
     return np.logical_and(radius <= 1.0 + RADIUS_TOL, np.logical_not(repeated))
@@ -176,7 +181,8 @@ def _roots_radius(re, im):
     mods = np.hypot(re, im)
     near_one = np.abs(mods - 1.0) <= REPEAT_WINDOW
     flag = np.zeros(mods.shape[1:], dtype=bool)
-    near = _two_near_one(near_one)
+    # a block with fewer than two moduli near 1 has no spectrum to test
+    near = _two_near_one(near_one) if np.count_nonzero(near_one) >= 2 else flag
     if near.any():
         re, im, near_one = re[:, near], im[:, near], near_one[:, near]
         pairs = np.zeros(near_one.shape[1:], dtype=bool)
@@ -326,7 +332,7 @@ def _one_step_spectra(refusal, p, tab_l, tab_r, valid):
     L[~valid] = np.eye(p)
     R[~valid] = 0.0
     try:
-        eigs = np.moveaxis(np.linalg.eigvals(np.linalg.solve(L, R)), -1, 0)
+        eigs = np.linalg.eigvals(np.linalg.solve(L, R)).transpose(2, 0, 1)
     except np.linalg.LinAlgError as exc:
         raise refusal() from exc
     return _roots_radius(eigs.real, eigs.imag)
@@ -349,10 +355,10 @@ def _sample_spectra(refusal, elimination, t, valid):
     g = ((r0 + t[..., None] * f) / (d + s * t)[..., None])[..., None, :]
     G = np.concatenate([W - c * g, g], axis=-2)
     G[~valid] = 0.0
-    finite = np.isfinite(G).all(axis=(-2, -1)).all(axis=-1)
-    if not finite.all():
+    if not np.isfinite(G).all():  # the first sample to refuse is sought only here
+        finite = np.isfinite(G).all(axis=(-2, -1)).all(axis=-1)
         raise refusal(t[finite.argmin(), 0])
-    eigs = np.moveaxis(np.linalg.eigvals(G), -1, 0)
+    eigs = np.linalg.eigvals(G).transpose(2, 0, 1)
     return _roots_radius(eigs.real, eigs.imag)
 
 
@@ -370,11 +376,12 @@ def _scan_samples(p, am, af, gammas, t_samples):
     The samples go in blocks of at most ``_BLOCK_PAIRS`` (sample, cell)
     pairs, but never fewer than one sample: a single cell takes all samples
     in one block, a band of :func:`scan_region` one sample at a time.  Real
-    samples at p = 3 take :func:`_cubic_radius` on per-cell arrays, all
-    others :func:`_sample_spectra` on the elimination in the number type
-    of the cells: Python floats, as a step reads it, give the bits of
-    per-cell arrays.  At p = 3 T = 0 is one more sample, ahead of the others,
-    with the pole alpha_m = 0.
+    samples at p = 3 take :func:`_cubic_radius` on per-cell arrays of
+    :func:`~galpha.amplification.char_poly`, all others
+    :func:`_sample_spectra` on the elimination; both polynomials and
+    elimination come in the number type of the cells: Python floats, as a
+    step reads them, give the bits of per-cell arrays.  At p = 3 T = 0 is
+    one more sample, ahead of the others, with the pole alpha_m = 0.
 
     A real p = 3 set whose largest |T| overflows a coefficient of the cubic
     of a cell off the pole is refused with ``ValueError``.  One-step
@@ -383,7 +390,7 @@ def _scan_samples(p, am, af, gammas, t_samples):
     """
     ncell = np.size(am)
     gammas = closure_gammas(p, am, af, gammas) if isinstance(gammas, Variant) else gammas
-    samples = default_t_samples() if t_samples is None else np.asarray(t_samples)
+    samples = _DEFAULT_T if t_samples is None else np.asarray(t_samples)
     if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
         raise ValueError(f"T samples must be a non-empty set of finite numbers, got {samples!r}")
     if p == 3:
@@ -392,8 +399,11 @@ def _scan_samples(p, am, af, gammas, t_samples):
     repeated = np.zeros(ncell, dtype=bool)
     cubic = p == 3 and np.isrealobj(samples)
     if cubic:
-        am, af, *gammas = np.atleast_1d(am, af, *gammas)  # the cubic runs on per-cell arrays
+        # char_poly in the cells' number type (one cell's Python floats cost a
+        # third of (1,)-arrays), then the cubic on per-cell arrays
         rho, sigma = char_poly(p, am, af, gammas)
+        rho, sigma = rho.reshape(p + 1, -1), sigma.reshape(p + 1, -1)
+        am, af, *gammas = np.atleast_1d(am, af, *gammas)
         # |T sigma_k| grows with |T|, so the largest |T| is the one to check
         top = samples[np.abs(samples).argmax()]
         coeffs = (rho[:3] + top * sigma[:3])[:, pole_factor(am, gammas[0] * af * top)[1]]
@@ -435,7 +445,7 @@ def _fold_limit_inf(am, af, gammas, radius, repeated):
         {(i, j): (c1 if i == 2 else c0, 0.0) for (i, j), (c0, c1) in tab.items()}
         for tab in one_step_tableau(3, am, af, gammas)
     )
-    valid = pole_factor(0.0, gammas[0] * af)[1][None]
+    valid = np.atleast_1d(pole_factor(0.0, gammas[0] * af)[1])[None]
     refusal = lambda: DegenerateParams(
         "the T -> inf limit G(inf) of the one-step matrices is singular or not finite "
         "in double precision (|gamma_1 alpha_f| is too close to 0)"
@@ -447,7 +457,7 @@ def _scan_cells(p, am, af, gammas, t_samples):
     """:func:`_scan_samples` of the cells, with the T -> inf limit folded in at p = 3."""
     radius, repeated = _scan_samples(p, am, af, gammas, t_samples)
     if p == 3:
-        _fold_limit_inf(*np.atleast_1d(am, af), gammas, radius, repeated)
+        _fold_limit_inf(am, af, gammas, radius, repeated)
     return radius, repeated
 
 

@@ -108,6 +108,22 @@ def test_traced_plane_scan_makes_one_eigvals_call_and_one_solve(tmp_path, capsys
     assert radius.count("stability.linalg_solve") == 0
 
 
+def test_traced_p3_cell_makes_one_solve_and_one_eigvals_for_its_limit():
+    # a single p = 3 cell takes its 48 real samples and T = 0 through the
+    # cubic; its T -> inf limit is its one solve and one eigvals
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        stability.worst_case_radius(make_scheme(3, *params_from_rho(0.5)))
+    finally:
+        restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("stability.radius") == 1
+    assert names.count("stability.linalg_eigvals") == 1
+    assert names.count("stability.linalg_solve") == 1
+
+
 def test_traced_dense_march_counts_one_apply_per_step():
     # run.py reports integrator.<kind>.apply_calls from these spans:
     # p - 1 applies build the initial state, then one per step

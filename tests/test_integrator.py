@@ -67,6 +67,15 @@ def test_init_state_diagonal_matrix():
     assert np.allclose(state.stack, [[1.0, 1.0], [-1.0, -2.0]], atol=0)
 
 
+def test_init_state_scales_by_tau_first_where_a_alone_overflows():
+    """A^2 u0 = -1e616 overflows, (lambda tau)^2 = -1e16 does not: the block is
+    taken tau-first.  A diagonal column keeps the bits of its own scalar start."""
+    state = init_state(scalar_problem(1e308j), 1.0, 3, 1e-300)
+    assert np.array_equal(state.stack[:, 0], [1.0, -1e8j, -1e16])
+    pair = init_state(scalar_problem(np.array([1e308j, 3e290])), [1.0, 1.0], 3, 1e-300)
+    assert np.array_equal(pair.stack[:, 1], init_state(scalar_problem(3e290), 1.0, 3, 1e-300).stack[:, 0])
+
+
 # --- the implicit step --------------------------------------------------------------
 
 
