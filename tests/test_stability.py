@@ -587,7 +587,8 @@ def test_high_order_radius_matches_extended_precision(p):
     ``mp.eig`` runs only at the samples whose radius by LAPACK's solve route
     (numkit's eigenvalues of amplification_matrix) lies within 1e-9 relative
     of that route's maximum.  A true maximum left out of them would leave
-    ``exact`` short of the scan's radius by about 1e-9, and fail the test."""
+    ``exact`` short of the scan's radius by more than about 1e-9 relative,
+    and fail the test, not pass it."""
     params = _seeded_cell(p)
     samples = default_t_samples()
     reference = np.array([np.abs(numkit.eigenvalues(amplification_matrix(params, t))).max() for t in samples])
