@@ -108,6 +108,24 @@ def test_traced_plane_scan_makes_one_eigvals_call_and_one_solve(tmp_path, capsys
     assert radius.count("stability.linalg_solve") == 0
 
 
+def test_traced_plane_scan_makes_one_eigvals_call_and_one_solve_per_band(tmp_path, capsys, monkeypatch):
+    # with 10-cell bands the 5x5 map is three bands of 2, 2 and 1 rows: one
+    # solve and one eigvals for each band's T -> inf limit
+    monkeypatch.setattr(stability, "_BLOCK_PAIRS", 10)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        argv = ["stability-map", "--grid-n", "5", "--t-samples", "7", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("stability.linalg_eigvals") == 3
+    assert names.count("stability.linalg_solve") == 3
+
+
 def test_traced_p3_cell_makes_one_solve_and_one_eigvals_for_its_limit():
     # a single p = 3 cell takes its 48 real samples and T = 0 through the
     # cubic; its T -> inf limit is its one solve and one eigvals

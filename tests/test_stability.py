@@ -547,6 +547,17 @@ def test_real_samples_take_the_real_eigensolver(monkeypatch):
     assert dtypes == [np.float64]
 
 
+def test_sample_spectra_keep_numpys_error_when_lapack_does_not_converge(monkeypatch):
+    """Only a block that is not finite is galpha's refusal; a finite block on
+    which LAPACK does not converge raises numpy's own LinAlgError."""
+    def failing_eigvals(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        worst_case_radius(make_scheme(4, 1.0, 0.75))
+
+
 def _seeded_cell(p):
     """A seeded equal-gamma scheme of order p with 0.6 <= alpha_m <= 1.3, 0.5 <= alpha_f <= alpha_m."""
     rng = np.random.default_rng(p)
@@ -728,6 +739,27 @@ def test_scan_memory_is_set_by_the_band_not_the_grid(tmp_path, monkeypatch):
 
     peak(8)  # first calls allocate lazily; keep that out of both peaks
     assert peak(128) / peak(32) < 2.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_scan_memory_per_band_cell_is_bounded(variant):
+    """At the default band size, tracemalloc's peak over scan_region of a
+    two-band grid of 200-cell rows is at most 64 doubles per band cell (about
+    46 and 48 today); a per-cell temporary added to either stage, the samples
+    or G(inf), shows here."""
+    rows = stability._BLOCK_PAIRS // 200
+    samples = default_t_samples(4)
+
+    def peak(n_m):
+        tracemalloc.start()
+        try:
+            scan_region(_axis(n_m), _axis(200), variant, t_samples=samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first calls allocate lazily; keep that out of the peak
+    assert peak(2 * rows) <= 64 * 8 * rows * 200
 
 
 @pytest.mark.parametrize("repeated", [False, True])
