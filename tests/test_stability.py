@@ -722,6 +722,16 @@ def test_overflowing_cubic_on_a_later_band_is_refused_before_g_inf(monkeypatch):
         scan_region(axis, axis)
 
 
+def _traced_peak(call):
+    """tracemalloc's peak, in bytes, over ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_memory_is_set_by_the_band_not_the_grid(tmp_path, monkeypatch):
     """With 512-cell bands, tracemalloc's peak over scan_region and
     write_stability_csv grows by less than 2x from a 32 x 64 to a 128 x 64
@@ -730,12 +740,8 @@ def test_scan_memory_is_set_by_the_band_not_the_grid(tmp_path, monkeypatch):
     samples = default_t_samples(4)
 
     def peak(n_m):
-        tracemalloc.start()
-        try:
-            write_stability_csv(scan_region(_axis(n_m), _axis(64), t_samples=samples), tmp_path / "map.csv")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: write_stability_csv(
+            scan_region(_axis(n_m), _axis(64), t_samples=samples), tmp_path / "map.csv"))
 
     peak(8)  # first calls allocate lazily; keep that out of both peaks
     assert peak(128) / peak(32) < 2.0
@@ -751,12 +757,7 @@ def test_scan_memory_per_band_cell_is_bounded(variant):
     samples = default_t_samples(4)
 
     def peak(n_m):
-        tracemalloc.start()
-        try:
-            scan_region(_axis(n_m), _axis(200), variant, t_samples=samples)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: scan_region(_axis(n_m), _axis(200), variant, t_samples=samples))
 
     peak(2)  # first calls allocate lazily; keep that out of the peak
     assert peak(2 * rows) <= 64 * 8 * rows * 200
